@@ -1,6 +1,6 @@
 package wfe
 
-import "math/bits"
+import "wfe/internal/ds"
 
 // map node layout: word 0 = next link (mark bit = logically deleted),
 // word 1 = key (immutable after publication).
@@ -15,6 +15,9 @@ const (
 // HashMap is Michael's lock-free hash map of uint64 keys to T values on
 // the typed Domain façade (the structure behind the paper's Figures 7 and
 // 10): a fixed array of buckets, each a Harris–Michael sorted linked list.
+// A key's bucket is the top log2(buckets) bits of its Fibonacci product
+// key*2^64/φ; the product's middle bits would send dense keys (0, 1, 2, ...)
+// to a fraction of the buckets and lengthen every chain several-fold.
 // It needs 3 protection slots per guard (Options.MaxSlots >= 3, which the
 // default satisfies).
 //
@@ -26,23 +29,21 @@ const (
 type HashMap[T any] struct {
 	d       *Domain[T]
 	buckets []Atomic[T]
-	mask    uint64
+	shift   uint // 64 - log2(len(buckets)), see bucket
 }
 
 // NewHashMap creates a map with at least minBuckets buckets (rounded up to
 // a power of two) on the Domain. Size buckets near the expected key count
 // to keep chains short.
 func NewHashMap[T any](d *Domain[T], minBuckets int) *HashMap[T] {
-	if minBuckets < 1 {
-		minBuckets = 1
-	}
-	n := 1 << bits.Len(uint(minBuckets-1))
-	return &HashMap[T]{d: d, buckets: make([]Atomic[T], n), mask: uint64(n - 1)}
+	n, shift := ds.Buckets(minBuckets)
+	return &HashMap[T]{d: d, buckets: make([]Atomic[T], n), shift: shift}
 }
 
-// bucket picks the chain via a Fibonacci multiplicative hash.
+// bucket picks the chain from the top bits of the key's Fibonacci product
+// (ds.Bucket): those spread dense keys evenly, the middle bits do not.
 func (m *HashMap[T]) bucket(key uint64) *Atomic[T] {
-	return &m.buckets[(key*0x9E3779B97F4A7C15)>>32&m.mask]
+	return &m.buckets[ds.Bucket(key, m.shift)]
 }
 
 // window is the result of a traversal: the node owning the link to cur

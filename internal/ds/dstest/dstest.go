@@ -194,3 +194,32 @@ func runStress(t *testing.T, build Builder, schemeName string) {
 		t.Fatalf("%s: arena reports nothing in use after stress (bookkeeping broken?)", schemeName)
 	}
 }
+
+// denseChainBuckets are the bucket counts CheckDenseChains tables: the
+// edge rows 1 and 2 (shift 64 and 63) and sizes up to the 2^19-key working
+// set of the read-mostly hash-map benchmarks.
+var denseChainBuckets = []int{1, 2, 1 << 10, 1 << 14, 1 << 17, 1 << 19}
+
+// CheckDenseChains inserts the dense keys 0..n-1 into n buckets for every
+// tabled n and fails if any bucket gets more than two keys. bucketOf(n)
+// builds a map of n buckets and returns the function naming key's bucket.
+// The benchmarks' keys are dense, so this is the distribution their chains
+// see; an index taken from the Fibonacci product's middle bits puts up to
+// 10 keys in one bucket at n = 2^19.
+func CheckDenseChains[B comparable](t *testing.T, bucketOf func(n int) func(key uint64) B) {
+	t.Helper()
+	for _, n := range denseChainBuckets {
+		bucket := bucketOf(n)
+		chains := make(map[B]int, n)
+		longest := 0
+		for k := uint64(0); k < uint64(n); k++ {
+			b := bucket(k)
+			chains[b]++
+			longest = max(longest, chains[b])
+		}
+		if longest > 2 {
+			t.Errorf("%d dense keys in %d buckets: longest chain %d, want <= 2 (%d buckets used)",
+				n, n, longest, len(chains))
+		}
+	}
+}

@@ -1,12 +1,12 @@
 // Package hashmap implements Michael's lock-free hash map: a fixed array of
-// buckets, each a Harris–Michael sorted list. With the benchmark's key
-// range spread over a comparable number of buckets, chains stay short and
-// operations are near-O(1), which is why the paper's hash-map figures run
-// two orders of magnitude faster than the linked list.
+// buckets, each a Harris–Michael sorted list. Keys are spread by the top
+// bits of their Fibonacci product (ds.Bucket), so the benchmark's dense key
+// range over a comparable number of buckets keeps chains at one or two
+// nodes and operations near-O(1), which is why the paper's hash-map figures
+// run two orders of magnitude faster than the linked list.
 package hashmap
 
 import (
-	"math/bits"
 	"sort"
 
 	"wfe/internal/ds"
@@ -17,26 +17,24 @@ import (
 // Map is a lock-free hash map of uint64 keys.
 type Map struct {
 	buckets []list.List
-	mask    uint64
+	shift   uint // 64 - log2(len(buckets)), see ds.Bucket
 }
 
 // New creates a map with at least minBuckets buckets (rounded up to a power
 // of two), managed by the given scheme.
 func New(smr reclaim.Scheme, minBuckets int) *Map {
-	if minBuckets < 1 {
-		minBuckets = 1
-	}
-	n := 1 << bits.Len(uint(minBuckets-1))
-	m := &Map{buckets: make([]list.List, n), mask: uint64(n - 1)}
+	n, shift := ds.Buckets(minBuckets)
+	m := &Map{buckets: make([]list.List, n), shift: shift}
 	for i := range m.buckets {
 		m.buckets[i].Init(smr)
 	}
 	return m
 }
 
-// bucketIdx picks the chain via a Fibonacci multiplicative hash.
+// bucketIdx picks the chain from the top bits of the key's Fibonacci
+// product (ds.Bucket).
 func (m *Map) bucketIdx(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> 32 & m.mask
+	return ds.Bucket(key, m.shift)
 }
 
 func (m *Map) bucket(key uint64) *list.List {
