@@ -1,27 +1,22 @@
 // Benchmarks regenerating the paper's figures as testing.B measurements:
 // one benchmark group per figure, with one sub-benchmark per reclamation
-// scheme at GOMAXPROCS workers. ns/op is the per-operation latency of the
+// scheme at GOMAXPROCS workers, each on a pinned guard calling the public
+// structures' Guarded methods. ns/op is the per-operation latency of the
 // figure's workload; the derived Mops/s metric is reported alongside.
 //
 // These are the quick, b.N-driven counterparts of cmd/wfebench, which runs
-// the full thread sweeps with the paper's timing methodology.
+// the full thread sweeps with the paper's timing methodology over the same
+// structure adapters (bench.BuildPublicKV).
 package wfe_test
 
 import (
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"testing"
 
+	"wfe"
 	"wfe/internal/bench"
-	"wfe/internal/ds"
-	"wfe/internal/ds/bst"
-	"wfe/internal/ds/crturn"
-	"wfe/internal/ds/hashmap"
-	"wfe/internal/ds/kpqueue"
-	"wfe/internal/ds/list"
-	"wfe/internal/ds/stack"
 	"wfe/internal/mem"
 	"wfe/internal/reclaim"
 	"wfe/internal/schemes"
@@ -44,86 +39,44 @@ func newBenchScheme(b *testing.B, name string, threads, capacity int) reclaim.Sc
 	return s
 }
 
+func newBenchDomain(b *testing.B, name string, threads, capacity int) *wfe.Domain[uint64] {
+	b.Helper()
+	kind, err := wfe.ParseScheme(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := wfe.NewDomain[uint64](wfe.Options{Scheme: kind, Capacity: capacity, MaxGuards: threads})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
 // benchKV runs the workload for b.N total operations across GOMAXPROCS
 // workers over the named structure and scheme.
 func benchKV(b *testing.B, dsName, schemeName string, w bench.Workload) {
 	threads := runtime.GOMAXPROCS(0)
 	capacity := 8*benchPrefill + threads*4096
 	if schemeName == "Leak" {
-		capacity = 8*benchPrefill + b.N + threads*4096
-		if capacity > 1<<23 {
-			capacity = 1 << 23
-		}
+		capacity = min(8*benchPrefill+b.N+threads*4096, 1<<23)
 	}
-	smr := newBenchScheme(b, schemeName, threads, capacity)
+	d := newBenchDomain(b, schemeName, threads, capacity)
+	kv := bench.BuildPublicKV(dsName, d, benchKeyRange)
+	bench.Prefill(d, kv, dsName, benchPrefill, benchKeyRange)
 
-	kv := buildKV(b, dsName, smr, threads)
-	seedKV(kv, dsName)
-
-	var tids atomic.Int64
+	var seeds atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		tid := int(tids.Add(1)-1) % threads
-		rng := rand.New(rand.NewSource(int64(tid)*99991 + 7))
+		g := d.Pin()
+		defer d.Unpin(g)
+		rng := rand.New(rand.NewSource(seeds.Add(1)*99991 + 7))
 		for pb.Next() {
-			key := uint64(rng.Int63n(benchKeyRange))
-			pick := rng.Intn(100)
-			switch {
-			case pick < w.Insert:
-				kv.Insert(tid, key)
-			case pick < w.Insert+w.Delete:
-				kv.Delete(tid, key)
-			case pick < w.Insert+w.Delete+w.GetPct:
-				kv.Get(tid, key)
-			default:
-				kv.Put(tid, key)
-			}
+			w.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(benchKeyRange)))
 		}
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
-	b.ReportMetric(float64(smr.Unreclaimed()), "unreclaimed")
-}
-
-func buildKV(b *testing.B, name string, smr reclaim.Scheme, threads int) ds.KV {
-	switch name {
-	case "list":
-		return list.New(smr).KV()
-	case "hashmap":
-		return hashmap.New(smr, benchKeyRange).KV()
-	case "bst":
-		return bst.New(smr).KV()
-	case "kpqueue":
-		return kpqueue.New(smr, threads).KV()
-	case "crturn":
-		return crturn.New(smr, threads).KV()
-	}
-	b.Fatalf("unknown structure %s", name)
-	return nil
-}
-
-func seedKV(kv ds.KV, name string) {
-	rng := rand.New(rand.NewSource(1))
-	seeder := kv.(ds.Seeder)
-	if bench.IsQueue(name) {
-		keys := make([]uint64, benchPrefill)
-		for i := range keys {
-			keys[i] = uint64(rng.Int63n(benchKeyRange))
-		}
-		seeder.Seed(0, keys)
-		return
-	}
-	seen := map[uint64]bool{}
-	var keys []uint64
-	for len(keys) < benchPrefill {
-		k := uint64(rng.Int63n(benchKeyRange))
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	seeder.Seed(0, keys)
+	b.ReportMetric(float64(d.Unreclaimed()), "unreclaimed")
 }
 
 func benchFigure(b *testing.B, dsName string, w bench.Workload) {
@@ -132,29 +85,29 @@ func benchFigure(b *testing.B, dsName string, w bench.Workload) {
 	}
 }
 
-// Figure 5a/5b: Kogan–Petrank wait-free queue, 50% insert / 50% delete.
-func BenchmarkFig5aKPQueue(b *testing.B) { benchFigure(b, "kpqueue", bench.WriteHeavy) }
+// Figure 5a/5b: Kogan–Petrank wait-free queue (WFQueue), 50% insert / 50% delete.
+func BenchmarkFig5aKPQueue(b *testing.B) { benchFigure(b, "wfqueue", bench.WriteHeavy) }
 
-// Figure 5c/5d: CRTurn wait-free queue, 50% insert / 50% delete.
-func BenchmarkFig5cCRTurnQueue(b *testing.B) { benchFigure(b, "crturn", bench.WriteHeavy) }
+// Figure 5c/5d: CRTurn wait-free queue (TurnQueue), 50% insert / 50% delete.
+func BenchmarkFig5cCRTurnQueue(b *testing.B) { benchFigure(b, "turnqueue", bench.WriteHeavy) }
 
-// Figure 6: sorted linked list, 50% insert / 50% delete.
+// Figure 6: sorted linked list (one-bucket HashMap), 50% insert / 50% delete.
 func BenchmarkFig6List(b *testing.B) { benchFigure(b, "list", bench.WriteHeavy) }
 
 // Figure 7: hash map, 50% insert / 50% delete.
 func BenchmarkFig7HashMap(b *testing.B) { benchFigure(b, "hashmap", bench.WriteHeavy) }
 
-// Figure 8: Natarajan–Mittal BST, 50% insert / 50% delete.
-func BenchmarkFig8BST(b *testing.B) { benchFigure(b, "bst", bench.WriteHeavy) }
+// Figure 8: Natarajan–Mittal BST (Tree), 50% insert / 50% delete.
+func BenchmarkFig8BST(b *testing.B) { benchFigure(b, "tree", bench.WriteHeavy) }
 
-// Figure 9: sorted linked list, 90% get / 10% put.
+// Figure 9: sorted linked list (one-bucket HashMap), 90% get / 10% put.
 func BenchmarkFig9ListReadMostly(b *testing.B) { benchFigure(b, "list", bench.ReadMostly) }
 
 // Figure 10: hash map, 90% get / 10% put.
 func BenchmarkFig10HashMapReadMostly(b *testing.B) { benchFigure(b, "hashmap", bench.ReadMostly) }
 
-// Figure 11: Natarajan–Mittal BST, 90% get / 10% put.
-func BenchmarkFig11BSTReadMostly(b *testing.B) { benchFigure(b, "bst", bench.ReadMostly) }
+// Figure 11: Natarajan–Mittal BST (Tree), 90% get / 10% put.
+func BenchmarkFig11BSTReadMostly(b *testing.B) { benchFigure(b, "tree", bench.ReadMostly) }
 
 // Ablation A1/A2 micro-benchmarks: the raw cost of one protected read on
 // the fast path versus the forced slow path (paper §5's stress mode).
@@ -187,17 +140,17 @@ func BenchmarkStackPushPop(b *testing.B) {
 			threads := runtime.GOMAXPROCS(0)
 			capacity := 1 << 20
 			if scheme == "Leak" && b.N+1024 > capacity {
-				capacity = b.N + 1<<16
+				capacity = min(b.N+1<<16, 1<<24-2) // the Domain's handle limit
 			}
-			smr := newBenchScheme(b, scheme, threads, capacity)
-			st := stack.New(smr)
-			var tids atomic.Int64
+			d := newBenchDomain(b, scheme, threads, capacity)
+			st := wfe.NewStack[uint64](d)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				tid := int(tids.Add(1)-1) % threads
+				g := d.Pin()
+				defer d.Unpin(g)
 				for pb.Next() {
-					st.Push(tid, 1)
-					st.Pop(tid)
+					st.PushGuarded(g, 1)
+					st.PopGuarded(g)
 				}
 			})
 		})

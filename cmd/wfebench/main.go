@@ -1,6 +1,8 @@
-// Command wfebench regenerates the paper's evaluation: every figure's
-// throughput and unreclaimed-object series (Figures 5–11) plus the
-// ablations in DESIGN.md.
+// Command wfebench regenerates the paper's evaluation on the shipped
+// public structures: every figure's throughput and unreclaimed-object
+// series (Figures 5–11: WFQueue, TurnQueue, the one-bucket HashMap as the
+// sorted list, HashMap and Tree, each worker on a pinned guard) plus the
+// ablations.
 //
 // Quick sweep of one figure:
 //
@@ -12,20 +14,15 @@
 //
 // Ablations:
 //
-//	wfebench -ablation attempts|slowpath|erafreq|stall
+//	wfebench -ablation attempts|slowpath|erafreq|stall|wfeibr
 //
 // Guard-runtime overhead (the guardless API's lease cost per acquisition
 // path, with the guard-pool telemetry that explains it):
 //
 //	wfebench -ablation guards
 //
-// Public-API workloads (the paper's four remaining evaluation structures —
-// KP queue, CRTurn queue, hash map, BST — driven guardlessly through the
-// generic Domain API across every scheme):
-//
-//	wfebench -ablation workloads
-//
-// Sorted-snapshot vs linear cleanup (the PR 4 fast-path overhaul):
+// Sorted-snapshot vs linear cleanup (the linear arm pins
+// Options.SortCutoff at math.MaxInt):
 //
 //	wfebench -ablation scan
 //
@@ -58,7 +55,7 @@ import (
 func main() {
 	var (
 		figure   = flag.String("figure", "", "figure id (5a,5c,6,7,8,9,10,11 or 'all')")
-		ablation = flag.String("ablation", "", "ablation (attempts, slowpath, erafreq, stall, wfeibr, guards, workloads, scan, batch)")
+		ablation = flag.String("ablation", "", "ablation (attempts, slowpath, erafreq, stall, wfeibr, guards, scan, batch)")
 		threads  = flag.String("threads", "", "comma-separated thread counts (default: powers of two up to GOMAXPROCS)")
 		duration = flag.Duration("duration", 500*time.Millisecond, "measurement duration per point")
 		repeat   = flag.Int("repeat", 1, "repetitions per point (best reported)")
@@ -269,10 +266,6 @@ func runAblation(name string, opt bench.Options, csv bool) {
 		runGuardOverhead(opt, csv)
 		return
 	}
-	if name == "workloads" {
-		runWorkloads(opt, csv)
-		return
-	}
 	if name == "scan" {
 		runScan(opt, csv)
 		return
@@ -294,7 +287,7 @@ func runAblation(name string, opt bench.Options, csv bool) {
 	case "wfeibr":
 		results = bench.AblationWaitFreeIBR(opt)
 	default:
-		fatalf("unknown ablation %q (want attempts, slowpath, erafreq, stall, wfeibr, guards, workloads, scan, batch)", name)
+		fatalf("unknown ablation %q (want attempts, slowpath, erafreq, stall, wfeibr, guards, scan, batch)", name)
 	}
 	if csv {
 		fmt.Println("ablation,param,scheme,ds,threads,mops,slow_per_mop,unreclaimed")
@@ -414,34 +407,6 @@ func runGuardOverhead(opt bench.Options, csv bool) {
 	fmt.Println("\npinned leases once per worker; guardless leases per operation (cache")
 	fmt.Println("hits); guardless-8x oversubscribes goroutines 8:1 over guards (parks);")
 	fmt.Println("acquire-per-op bypasses the lease cache — the cost caching removes.")
-}
-
-// runWorkloads renders the public-API workloads experiment: the paper's
-// four remaining evaluation structures (KP queue, CRTurn queue, hash map,
-// BST) driven guardlessly through Domain[T] across every scheme —
-// Figures 5 and 8 end to end on the public API, with the guard-runtime
-// telemetry that the internal-harness figures cannot show.
-func runWorkloads(opt bench.Options, csv bool) {
-	results := bench.Workloads(opt)
-	if csv {
-		fmt.Println("figure,ds,scheme,goroutines,mops,unreclaimed,exhausted,acquires,cache_hits,parks")
-		for _, r := range results {
-			t := r.Telemetry
-			fmt.Printf("%s,%s,%s,%d,%.4f,%.1f,%v,%d,%d,%d\n",
-				r.Figure, r.DS, r.Scheme, r.Goroutines, r.Mops, r.Unreclaimed,
-				r.Exhausted, t.GuardAcquires, t.GuardCacheHits, t.GuardParks)
-		}
-		return
-	}
-	fmt.Printf("\n=== Public-API workloads (guardless; write-heavy mix) ===\n")
-	fmt.Printf("%-12s%-10s%-10s%8s%12s%14s\n",
-		"figure", "ds", "scheme", "gor", "Mops/s", "unreclaimed")
-	for _, r := range results {
-		fmt.Println(r.WorkloadString())
-	}
-	fmt.Println("\n* = arena exhausted mid-run (expected for Leak on long runs).")
-	fmt.Println("The unreclaimed column excludes nothing: the Leak rows show the")
-	fmt.Println("baseline's unbounded growth the reclaiming schemes avoid.")
 }
 
 func fatalf(format string, args ...any) {

@@ -1,21 +1,21 @@
-// Command wfestress is the correctness workhorse: it runs any data
-// structure × scheme combination with the arena's use-after-free detection
-// armed, optionally forcing WFE's slow path on every protected read (the
-// paper's §5 stress validation) and optionally stalling reader threads to
-// exercise robustness. Any reclamation bug panics with a use-after-free or
-// double-free diagnostic; a clean exit prints the op and arena census.
+// Command wfestress is the correctness workhorse: it storms any public
+// structure × scheme combination (the benchmark's structures: wfqueue,
+// turnqueue, list — the one-bucket HashMap —, hashmap, tree) with the
+// arena's use-after-free detection armed, from 8x more goroutines than the
+// Domain has guards, each operation leasing a guard. It optionally forces
+// the wait-free schemes' slow path on every protected read (the paper's §5
+// stress validation, also selected by the WFE-slow and WFE-IBR-slow scheme
+// names) and optionally parks -stall readers, each a pinned guard holding
+// a protection for the whole storm. Any reclamation bug panics with a
+// use-after-free or double-free diagnostic. After each storm the structure
+// is drained and the run asserts the guard pool refills and (for every
+// reclaiming scheme) the retired backlog collapses.
 //
 // The -churn mode stresses the guard runtime instead of one data
 // structure: it drives the public guardless API from 8x more goroutines
 // than the Domain has guards, with the debug arena armed, and asserts the
 // guard pool refills completely after the storm — a leaked lease or a
 // double-handed tid fails the run.
-//
-// The -workloads mode storms the four promoted public structures (WFQueue,
-// TurnQueue, HashMap, Tree) through the guardless API, again from 8x more
-// goroutines than guards with the debug arena armed; after each storm the
-// structure is drained and the run asserts the guard pool refills and (for
-// every reclaiming scheme) the retired backlog collapses.
 //
 // The -chaos mode runs internal/chaos's canned hostile-schedule matrix
 // (stalled readers, preempted writers, bursty churn, oversubscription)
@@ -48,8 +48,8 @@
 //
 //	wfestress -ds hashmap -scheme WFE -forceslow -threads 8 -duration 5s
 //	wfestress -ds all -scheme all -duration 2s
+//	wfestress -ds hashmap -stall 1 -scheme all -duration 500ms
 //	wfestress -churn -scheme all -duration 2s
-//	wfestress -workloads -scheme all -duration 1s
 //	wfestress -chaos -scheme all -chaosdir chaos-out
 //	wfestress -switch -duration 5s -switchout switch-trajectory.json
 //	wfestress -batch -duration 5s
@@ -72,21 +72,10 @@ import (
 	"wfe/advisor"
 	"wfe/internal/bench"
 	"wfe/internal/chaos"
-	"wfe/internal/ds"
-	"wfe/internal/ds/bst"
-	"wfe/internal/ds/crturn"
-	"wfe/internal/ds/hashmap"
-	"wfe/internal/ds/kpqueue"
-	"wfe/internal/ds/list"
 	"wfe/internal/failpoint"
-	"wfe/internal/mem"
 	"wfe/internal/quiesce"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 	"wfe/metrics"
 )
-
-var allDS = []string{"list", "hashmap", "bst", "kpqueue", "crturn"}
 
 // metricsReg, when -metrics is serving, receives every stressed domain's
 // live telemetry; traceFile, when -trace is set, is where the churn run
@@ -105,16 +94,15 @@ func observe(name string, tel func() wfe.Telemetry) {
 
 func main() {
 	var (
-		dsName    = flag.String("ds", "hashmap", "data structure (list, hashmap, bst, kpqueue, crturn, all)")
+		dsName    = flag.String("ds", "hashmap", "data structure (wfqueue, turnqueue, list, hashmap, tree, all)")
 		scheme    = flag.String("scheme", "WFE", "reclamation scheme (or 'all')")
-		threads   = flag.Int("threads", 8, "worker goroutines")
+		threads   = flag.Int("threads", 8, "guards the storm's goroutines (8 per guard) lease from")
 		duration  = flag.Duration("duration", 3*time.Second, "stress duration per combination")
 		keyRange  = flag.Uint64("keyrange", 512, "key range (small ranges maximise conflicts)")
 		forceSlow = flag.Bool("forceslow", false, "force WFE's slow path on every GetProtected")
-		stall     = flag.Int("stall", 0, "number of reader threads to stall mid-operation")
+		stall     = flag.Int("stall", 0, "number of readers to stall mid-operation, each on its own pinned guard")
 		eraFreq   = flag.Int("erafreq", 8, "era increment frequency (low values stress helping)")
 		churn     = flag.Bool("churn", false, "guard-runtime churn: 8x more goroutines than guards over the public guardless API")
-		workloads = flag.Bool("workloads", false, "storm the promoted public structures (WFQueue, TurnQueue, HashMap, Tree) through the guardless API")
 		chaosRun  = flag.Bool("chaos", false, "run the canned chaos-schedule matrix (stalled readers, preempted writers, bursty churn, oversubscription) and assert the per-scheme robustness bounds")
 		chaosDir  = flag.String("chaosdir", "", "with -chaos: directory to write per-(scenario,scheme) trajectory JSONs into")
 		chaosName = flag.String("scenario", "", "with -chaos: run only the named scenario (default: the whole catalog)")
@@ -139,7 +127,7 @@ func main() {
 
 	dss := []string{*dsName}
 	if *dsName == "all" {
-		dss = allDS
+		dss = bench.DSNames
 	}
 	scs := []string{*scheme}
 	if *scheme == "all" {
@@ -168,20 +156,6 @@ func main() {
 		}
 		return
 	}
-	if *workloads {
-		for _, ds := range []string{"wfqueue", "turnqueue", "hashmap", "tree"} {
-			for _, s := range scs {
-				if err := workloadStress(ds, s, *threads, *duration, *keyRange, *forceSlow, *eraFreq); err != nil {
-					fmt.Fprintf(os.Stderr, "FAIL workload %-10s %-8s: %v\n", ds, s, err)
-					failed = true
-				}
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
 	if *churn {
 		for _, s := range scs {
 			if err := churnStress(s, *threads, *duration, *keyRange, *forceSlow, *eraFreq); err != nil {
@@ -196,8 +170,8 @@ func main() {
 	}
 	for _, d := range dss {
 		for _, s := range scs {
-			if err := stress(d, s, *threads, *duration, *keyRange, *forceSlow, *stall, *eraFreq); err != nil {
-				fmt.Fprintf(os.Stderr, "FAIL %-8s %-8s: %v\n", d, s, err)
+			if err := storm(d, s, *threads, *duration, *keyRange, *forceSlow, *stall, *eraFreq); err != nil {
+				fmt.Fprintf(os.Stderr, "FAIL %-9s %-12s: %v\n", d, s, err)
 				failed = true
 			}
 		}
@@ -218,11 +192,7 @@ func main() {
 func chaosMatrix(scheme, scenario, dir string) error {
 	kinds := wfe.AllSchemes()
 	if scheme != "all" {
-		name := scheme
-		if name == "WFE-slow" {
-			name = "WFE"
-		}
-		kind, err := wfe.ParseScheme(name)
+		kind, _, err := bench.ParseScheme(scheme) // the chaos matrix has no forced-slow mode
 		if err != nil {
 			return err
 		}
@@ -682,11 +652,7 @@ func churnStress(schemeName string, threads int, duration time.Duration,
 		}
 	}()
 
-	name := schemeName
-	if name == "WFE-slow" {
-		name, forceSlow = "WFE", true
-	}
-	kind, err := wfe.ParseScheme(name)
+	kind, slow, err := bench.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
@@ -700,7 +666,7 @@ func churnStress(schemeName string, threads int, duration time.Duration,
 		MaxGuards:     threads,
 		EraFreq:       eraFreq,
 		CleanupFreq:   4,
-		ForceSlowPath: forceSlow,
+		ForceSlowPath: forceSlow || slow,
 		Debug:         true,
 		Trace:         traceFile != "",
 	})
@@ -775,29 +741,32 @@ func churnStress(schemeName string, threads int, duration time.Duration,
 	return nil
 }
 
-// workloadStress storms one promoted public structure through the
-// guardless API from 8x more goroutines than guards, with the debug arena
-// armed. After the storm the structure is drained and the run asserts the
-// lease cache flushes clean, every tid is back in the pool, and — for
-// every scheme but the leak baseline — the retired backlog collapses.
-func workloadStress(dsName, schemeName string, threads int, duration time.Duration,
-	keyRange uint64, forceSlow bool, eraFreq int) (err error) {
+// stormMix is the storm's key-value operation mix; queues run the paper's
+// write-heavy 50% enqueue / 50% dequeue instead.
+var stormMix = bench.Workload{Name: "storm", Insert: 25, Delete: 25, GetPct: 25, PutPct: 25}
+
+// storm drives one public structure from 8x more goroutines than guards,
+// every operation leasing a guard (Pin, the Guarded call, Unpin — the
+// path the guardless methods take), with the debug arena armed. Each of
+// the stall extra guards is pinned by a reader parked inside an operation
+// (bench.StallReader) for the whole storm. After the storm the structure
+// is drained and the run asserts the lease cache flushes clean, every tid
+// is back in the pool, and — for every scheme but the leak baseline — the
+// retired backlog collapses.
+func storm(dsName, schemeName string, threads int, duration time.Duration,
+	keyRange uint64, forceSlow bool, stall, eraFreq int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
 
-	name := schemeName
-	if name == "WFE-slow" {
-		name, forceSlow = "WFE", true
-	}
-	kind, err := wfe.ParseScheme(name)
+	kind, slow, err := bench.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
-	if dsName == "turnqueue" && threads > bench.MaxTurnGuards {
-		threads = bench.MaxTurnGuards // the CRTurn claim word's tid capacity
+	if dsName == "turnqueue" && threads+stall > bench.MaxTurnGuards {
+		threads = bench.MaxTurnGuards - stall // the CRTurn claim word's tid capacity
 	}
 	capacity := 1 << 20
 	if kind == wfe.Leak {
@@ -806,18 +775,21 @@ func workloadStress(dsName, schemeName string, threads int, duration time.Durati
 	d, err := wfe.NewDomain[uint64](wfe.Options{
 		Scheme:        kind,
 		Capacity:      capacity,
-		MaxGuards:     threads,
+		MaxGuards:     threads + stall,
 		EraFreq:       eraFreq,
 		CleanupFreq:   4,
-		ForceSlowPath: forceSlow,
+		ForceSlowPath: forceSlow || slow,
 		Debug:         true,
 	})
 	if err != nil {
 		return err
 	}
 	observe(dsName+"/"+schemeName, d.Telemetry)
-	p := bench.BuildPublicKV(dsName, d, keyRange)
-	isQueue := bench.IsPublicQueue(dsName)
+	kv := bench.BuildPublicKV(dsName, d, keyRange)
+	mix := stormMix
+	if bench.IsQueue(dsName) {
+		mix = bench.WriteHeavy
+	}
 
 	goroutines := 8 * threads
 	var (
@@ -827,6 +799,13 @@ func workloadStress(dsName, schemeName string, threads int, duration time.Durati
 		workerPanic atomic.Pointer[string]
 		exhausted   atomic.Bool
 	)
+	for i := 0; i < stall; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bench.StallReader(d, stop.Load)
+		}()
+	}
 	start := time.Now()
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
@@ -851,26 +830,9 @@ func workloadStress(dsName, schemeName string, threads int, duration time.Durati
 			}()
 			rng := rand.New(rand.NewSource(int64(w)*6271 + 5))
 			for !stop.Load() {
-				key := uint64(rng.Int63n(int64(keyRange)))
-				switch {
-				case isQueue:
-					if rng.Intn(2) == 0 {
-						p.Insert(key)
-					} else {
-						p.Remove(key)
-					}
-				default:
-					switch rng.Intn(4) {
-					case 0:
-						p.Insert(key)
-					case 1:
-						p.Remove(key)
-					case 2:
-						p.Get(key)
-					default:
-						p.Put(key)
-					}
-				}
+				g := d.Pin()
+				mix.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(int64(keyRange))))
+				d.Unpin(g)
 				ops.Add(1)
 			}
 		}(w)
@@ -884,22 +846,24 @@ func workloadStress(dsName, schemeName string, threads int, duration time.Durati
 	if exhausted.Load() {
 		// Nothing left to assert: the drain/settle churn below would only
 		// panic again on the full arena.
-		fmt.Printf("PASS workload %-10s %-8s: %d ops, arena exhausted (expected for Leak) in %v\n",
+		fmt.Printf("PASS %-9s %-12s: %d ops, arena exhausted (expected for Leak) in %v\n",
 			dsName, schemeName, ops.Load(), time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 
 	// Quiescent drain, then settle every tid's retire list so the final
 	// census reflects a completed cleanup scan.
-	if isQueue {
-		for p.Remove(0) {
+	g := d.Pin()
+	if bench.IsQueue(dsName) {
+		for kv.Remove(g, 0) {
 		}
 	} else {
 		for k := uint64(0); k < keyRange; k++ {
-			p.Remove(k)
+			kv.Remove(g, k)
 		}
 	}
-	if n := p.Len(); n != 0 {
+	d.Unpin(g)
+	if n := kv.Len(); n != 0 {
 		return fmt.Errorf("structure not empty after drain: Len = %d", n)
 	}
 	quiesce.Settle(d)
@@ -907,106 +871,9 @@ func workloadStress(dsName, schemeName string, threads int, duration time.Durati
 		return err
 	}
 	tel := d.Telemetry()
-	fmt.Printf("PASS workload %-10s %-8s: %d ops, %d goroutines over %d guards, %d acquires, %d parks, %d unreclaimed in %v\n",
-		dsName, schemeName, ops.Load(), goroutines, threads,
+	fmt.Printf("PASS %-9s %-12s: %d ops, %d goroutines over %d guards, %d stalled, %d acquires, %d parks, %d unreclaimed in %v\n",
+		dsName, schemeName, ops.Load(), goroutines, threads, stall,
 		tel.GuardAcquires, tel.GuardParks, tel.Unreclaimed,
 		time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func stress(dsName, schemeName string, threads int, duration time.Duration,
-	keyRange uint64, forceSlow bool, stall, eraFreq int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-
-	capacity := 1 << 20
-	if schemeName == "Leak" {
-		capacity = 1 << 23
-	}
-	a := mem.New(mem.Config{Capacity: capacity, MaxThreads: threads, Debug: true})
-	smr, err := schemes.New(schemeName, a, reclaim.Config{
-		MaxThreads:    threads,
-		EraFreq:       eraFreq,
-		CleanupFreq:   4,
-		ForceSlowPath: forceSlow,
-	})
-	if err != nil {
-		return err
-	}
-	observe(dsName+"/"+schemeName, func() wfe.Telemetry {
-		return bench.InternalTelemetry(schemeName, smr, a)
-	})
-
-	var kv ds.KV
-	switch dsName {
-	case "list":
-		kv = list.New(smr).KV()
-	case "hashmap":
-		kv = hashmap.New(smr, 64).KV()
-	case "bst":
-		kv = bst.New(smr).KV()
-	case "kpqueue":
-		kv = kpqueue.New(smr, threads).KV()
-	case "crturn":
-		kv = crturn.New(smr, threads).KV()
-	default:
-		return fmt.Errorf("unknown data structure %q", dsName)
-	}
-	isQueue := bench.IsQueue(dsName)
-
-	var (
-		stop atomic.Bool
-		ops  atomic.Uint64
-		wg   sync.WaitGroup
-	)
-	start := time.Now()
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			if tid < stall && !isQueue {
-				// Stalled reader: sit inside one operation the whole run.
-				smr.Begin(tid)
-				for !stop.Load() {
-					time.Sleep(time.Millisecond)
-				}
-				smr.Clear(tid)
-				return
-			}
-			rng := rand.New(rand.NewSource(int64(tid)*31337 + 1))
-			for !stop.Load() {
-				key := uint64(rng.Int63n(int64(keyRange)))
-				op := rng.Intn(100)
-				switch {
-				case isQueue: // queues support only insert/delete, kept balanced
-					if op < 50 {
-						kv.Insert(tid, key)
-					} else {
-						kv.Delete(tid, key)
-					}
-				case op < 40:
-					kv.Insert(tid, key)
-				case op < 80:
-					kv.Delete(tid, key)
-				case op < 90:
-					kv.Get(tid, key)
-				default:
-					kv.Put(tid, key)
-				}
-				ops.Add(1)
-			}
-		}(w)
-	}
-	time.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-
-	st := a.Stats()
-	fmt.Printf("PASS %-8s %-8s: %d ops in %v, %d live blocks, %d unreclaimed, allocs=%d frees=%d\n",
-		dsName, schemeName, ops.Load(), time.Since(start).Round(time.Millisecond),
-		st.InUse, smr.Unreclaimed(), st.Allocs, st.Frees)
 	return nil
 }

@@ -60,19 +60,18 @@
 //	internal/pack       64-bit packing emulating the paper's wide CAS
 //	internal/reclaim    the shared SMR interface and configuration
 //	internal/guardpool  lock-free tid freelist + parking (the guard runtime)
-//	internal/ds/...     Treiber stack, Harris–Michael list, Michael hash map,
-//	                    Natarajan–Mittal BST, Kogan–Petrank and CRTurn queues
+//	internal/ds/...     Kogan–Petrank and CRTurn queue cores behind WFQueue
+//	                    and TurnQueue
 //	internal/bench      workload generator and per-figure experiment runner
 //	cmd/wfebench        regenerates Figures 5–11 and the ablations
 //	cmd/wfestress       correctness stress tool (forced slow path, stalls)
 //	cmd/wfelat          per-operation latency comparison of the queues
 //	examples/...        runnable walkthroughs of the public API
 //
-// The internal/ds structures speak the internal reclaim.Scheme interface
-// directly and remain the benchmark substrate; every structure of the
-// paper's evaluation now also has a public Domain-API counterpart —
+// Each structure has one implementation, and the paper's figures measure
+// it: internal/bench drives the public structures on a Domain (the sorted
+// linked list of Figures 6/9 is a one-bucket HashMap), and
 // conformance_test.go runs all of them through every scheme × acquisition
 // path. The benchmarks in bench_test.go measure one configuration per
-// paper figure; cmd/wfebench performs the full thread sweeps, including
-// the public-API workloads experiment (-ablation workloads).
+// paper figure; cmd/wfebench performs the full thread sweeps.
 package wfe

@@ -1,6 +1,6 @@
 package wfe
 
-import "wfe/internal/ds"
+import "math/bits"
 
 // map node layout: word 0 = next link (mark bit = logically deleted),
 // word 1 = key (immutable after publication).
@@ -36,14 +36,34 @@ type HashMap[T any] struct {
 // a power of two) on the Domain. Size buckets near the expected key count
 // to keep chains short.
 func NewHashMap[T any](d *Domain[T], minBuckets int) *HashMap[T] {
-	n, shift := ds.Buckets(minBuckets)
+	n, shift := fibBuckets(minBuckets)
 	return &HashMap[T]{d: d, buckets: make([]Atomic[T], n), shift: shift}
 }
 
 // bucket picks the chain from the top bits of the key's Fibonacci product
-// (ds.Bucket): those spread dense keys evenly, the middle bits do not.
+// (fibBucket): those spread dense keys evenly, the middle bits do not.
 func (m *HashMap[T]) bucket(key uint64) *Atomic[T] {
-	return &m.buckets[ds.Bucket(key, m.shift)]
+	return &m.buckets[fibBucket(key, m.shift)]
+}
+
+// fibBuckets rounds minBuckets (at least 1) up to a power of two n and
+// returns n with the shift that makes fibBucket index n buckets:
+// 64 - log2(n).
+func fibBuckets(minBuckets int) (n int, shift uint) {
+	lg := bits.Len(uint(max(minBuckets, 1) - 1))
+	return 1 << lg, uint(64 - lg)
+}
+
+// fibBucket is the bucket index: the top 64-shift bits of key*2^64/φ,
+// Fibonacci multiplicative hashing (Knuth, TAOCP vol. 3 §6.4). The top
+// bits are floor(n·frac(key/φ)), which spreads consecutive keys evenly
+// over n buckets. Lower bits of the same product would not: they are the
+// top bits of key times the multiplier's low-order bits, which carry none
+// of φ's spreading, and dense keys 0..2^19-1 taken from bits 32-50 fill
+// only 92k of 2^19 buckets with chains of up to 10. With one bucket the
+// shift is 64 and Go's shift-past-width gives index 0.
+func fibBucket(key uint64, shift uint) uint64 {
+	return key * 0x9E3779B97F4A7C15 >> shift
 }
 
 // window is the result of a traversal: the node owning the link to cur

@@ -70,17 +70,9 @@ func bestBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Bat
 }
 
 func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) BatchResult {
-	capacity := opt.Capacity
-	if capacity == 0 {
-		if kind == wfe.Leak {
-			capacity = 1 << 22
-		} else {
-			capacity = 8*opt.Prefill + goroutines*4096 + 1<<18
-		}
-	}
 	d, err := wfe.NewDomain[uint64](wfe.Options{
 		Scheme:      kind,
-		Capacity:    capacity,
+		Capacity:    arenaCapacity(kind.String(), opt, goroutines),
 		MaxGuards:   goroutines,
 		EraFreq:     opt.EraFreq,
 		CleanupFreq: opt.CleanupFreq,
@@ -93,13 +85,7 @@ func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Batc
 		opt.Observe(fmt.Sprintf("batch/%s/b%d/t%d", kind, width, goroutines), d.Telemetry)
 	}
 	m := wfe.NewHashMap[uint64](d, int(opt.KeyRange))
-
-	rng := rand.New(rand.NewSource(12345))
-	keys := prefillKeys(opt.Prefill, opt.KeyRange, rng)
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	for _, k := range keys {
-		m.Insert(k, k)
-	}
+	Prefill(d, pubHashMap{m}, "hashmap", opt.Prefill, opt.KeyRange)
 
 	var (
 		stop      atomic.Bool

@@ -1,8 +1,8 @@
 // Package bench is the paper's evaluation harness (§5): it drives the
-// abstract key-value interface over every data structure × reclamation
-// scheme combination, sweeping thread counts, and reports the two series
-// every figure plots — throughput (Mops/s) and the number of unreclaimed
-// objects — plus the ablations DESIGN.md calls out.
+// shipped public structures on a wfe.Domain under every reclamation
+// scheme, sweeping thread counts, and reports the two series every figure
+// plots — throughput (Mops/s) and the number of unreclaimed objects — plus
+// the ablations.
 package bench
 
 import (
@@ -11,22 +11,13 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wfe"
-	"wfe/internal/core"
-	"wfe/internal/ds"
-	"wfe/internal/ds/bst"
-	"wfe/internal/ds/crturn"
-	"wfe/internal/ds/hashmap"
-	"wfe/internal/ds/kpqueue"
-	"wfe/internal/ds/list"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 // Workload is an operation mix in percent (summing to 100).
@@ -41,11 +32,26 @@ var (
 	ReadMostly = Workload{Name: "90g/10p", GetPct: 90, PutPct: 10}
 )
 
+// Do applies one operation of the mix to kv through g: pick, drawn from
+// [0, 100), selects insert, delete, get or put by the mix's percentages.
+func (w Workload) Do(kv PublicKV, g *wfe.Guard[uint64], pick int, key uint64) {
+	switch {
+	case pick < w.Insert:
+		kv.Insert(g, key)
+	case pick < w.Insert+w.Delete:
+		kv.Remove(g, key)
+	case pick < w.Insert+w.Delete+w.GetPct:
+		kv.Get(g, key)
+	default:
+		kv.Put(g, key)
+	}
+}
+
 // Experiment describes one paper figure (one data structure × workload).
 type Experiment struct {
 	ID       string // "5a", "6", ...
 	Title    string
-	DS       string // builder name
+	DS       string // BuildPublicKV name
 	Workload Workload
 	Schemes  []string
 }
@@ -54,16 +60,17 @@ var allSchemes = []string{"WFE", "HE", "HP", "EBR", "2GEIBR", "Leak"}
 
 // Experiments indexes every figure in the paper's evaluation. Figures with
 // two panels (throughput / unreclaimed) are one experiment here: Run
-// reports both metrics.
+// reports both metrics. The paper's sorted linked list is a one-bucket
+// HashMap: a single Harris–Michael chain.
 var Experiments = []Experiment{
-	{ID: "5a", Title: "KP queue, 50% insert / 50% delete", DS: "kpqueue", Workload: WriteHeavy, Schemes: allSchemes},
-	{ID: "5c", Title: "CRTurn queue, 50% insert / 50% delete", DS: "crturn", Workload: WriteHeavy, Schemes: allSchemes},
-	{ID: "6", Title: "Linked list, 50% insert / 50% delete", DS: "list", Workload: WriteHeavy, Schemes: allSchemes},
+	{ID: "5a", Title: "KP queue (WFQueue), 50% insert / 50% delete", DS: "wfqueue", Workload: WriteHeavy, Schemes: allSchemes},
+	{ID: "5c", Title: "CRTurn queue (TurnQueue), 50% insert / 50% delete", DS: "turnqueue", Workload: WriteHeavy, Schemes: allSchemes},
+	{ID: "6", Title: "Linked list (one-bucket HashMap), 50% insert / 50% delete", DS: "list", Workload: WriteHeavy, Schemes: allSchemes},
 	{ID: "7", Title: "Hash map, 50% insert / 50% delete", DS: "hashmap", Workload: WriteHeavy, Schemes: allSchemes},
-	{ID: "8", Title: "Natarajan BST, 50% insert / 50% delete", DS: "bst", Workload: WriteHeavy, Schemes: allSchemes},
-	{ID: "9", Title: "Linked list, 90% get / 10% put", DS: "list", Workload: ReadMostly, Schemes: allSchemes},
+	{ID: "8", Title: "Natarajan BST (Tree), 50% insert / 50% delete", DS: "tree", Workload: WriteHeavy, Schemes: allSchemes},
+	{ID: "9", Title: "Linked list (one-bucket HashMap), 90% get / 10% put", DS: "list", Workload: ReadMostly, Schemes: allSchemes},
 	{ID: "10", Title: "Hash map, 90% get / 10% put", DS: "hashmap", Workload: ReadMostly, Schemes: allSchemes},
-	{ID: "11", Title: "Natarajan BST, 90% get / 10% put", DS: "bst", Workload: ReadMostly, Schemes: allSchemes},
+	{ID: "11", Title: "Natarajan BST (Tree), 90% get / 10% put", DS: "tree", Workload: ReadMostly, Schemes: allSchemes},
 }
 
 // FindExperiment resolves a figure id ("5a" and "5b" map to the same
@@ -96,20 +103,19 @@ type Options struct {
 	MaxAttempts int           // WFE fast-path attempts (paper: 16)
 	Capacity    int           // arena slots; 0 sizes automatically
 	// StallThreads makes the first N workers stall inside an operation
-	// (announced/holding one protection) for the whole run — the
-	// preempted-reader scenario of ablation A4.
+	// (a pinned guard parked between Begin and End, holding one
+	// protection) for the whole run — the preempted-reader scenario of
+	// ablation A4.
 	StallThreads int
 	// Pin wires each worker to an OS thread (runtime.LockOSThread),
 	// approximating the paper's pinned-thread methodology.
 	Pin bool
-	// LinearScan pins every scheme's cleanup to the pre-overhaul O(R×G)
-	// linear reservation sweep — the reference arm of the scan ablation.
-	LinearScan bool
 	// Observe, when non-nil, is called at the start of every measured run
-	// with a label ("figure/scheme/tN") and a live telemetry closure that
-	// stays valid for the run and afterwards (the counters freeze when the
-	// run ends). cmd/wfebench's -metrics flag registers each closure with
-	// a metrics.Registry so a scraper watches the sweep point by point.
+	// with a label ("figure/scheme/tN") and the run's Domain.Telemetry,
+	// which stays valid for the run and afterwards (the counters freeze
+	// when the run ends). cmd/wfebench's -metrics flag registers each
+	// closure with a metrics.Registry so a scraper watches the sweep point
+	// by point.
 	Observe func(label string, tel func() wfe.Telemetry)
 }
 
@@ -156,7 +162,7 @@ type Result struct {
 	Ops            uint64  `json:"ops"`              // total operations completed
 	Unreclaimed    float64 `json:"unreclaimed_mean"` // mean sampled retired-not-freed blocks
 	UnreclaimedMax int     `json:"unreclaimed_max"`  // highwater of the same samples
-	SlowPaths      uint64  `json:"slow_paths"`       // WFE only: slow-path entries during measurement
+	SlowPaths      uint64  `json:"slow_paths"`       // WFE/WFE-IBR only: slow-path entries during measurement
 	MaxSteps       uint64  `json:"max_steps"`        // worst GetProtected step count (every protecting scheme)
 	P99Steps       uint64  `json:"p99_steps"`        // p99 GetProtected step count (every protecting scheme)
 	ScanScans      uint64  `json:"scan_scans"`       // cleanup scans run (all schemes, via the shared retire runtime)
@@ -174,35 +180,27 @@ func (r Result) ScanNsPerBlock() float64 {
 	return float64(r.ScanNanos) / float64(r.ScanBlocks)
 }
 
-// buildKV instantiates a data structure over a scheme sized for threads.
-func buildKV(name string, smr reclaim.Scheme, threads int, keyRange uint64) ds.KV {
-	switch name {
-	case "list":
-		return list.New(smr).KV()
-	case "hashmap":
-		return hashmap.New(smr, int(keyRange)).KV()
-	case "bst":
-		return bst.New(smr).KV()
-	case "kpqueue":
-		return kpqueue.New(smr, threads).KV()
-	case "crturn":
-		return crturn.New(smr, threads).KV()
-	}
-	panic("bench: unknown data structure " + name)
-}
-
-// IsQueue reports whether the structure only supports insert/delete.
-func IsQueue(name string) bool { return name == "kpqueue" || name == "crturn" }
-
 // Run sweeps one experiment and returns a result per scheme × thread count.
-func Run(exp Experiment, opt Options) []Result {
+func Run(exp Experiment, opt Options) []Result { return sweep(exp, opt, 0) }
+
+// sweep is Run with the Domains' Options.SortCutoff (0: calibrated).
+func sweep(exp Experiment, opt Options, sortCutoff int) []Result {
 	opt = opt.Defaults()
 	var results []Result
+	clamped := false
 	for _, threads := range opt.Threads {
+		if exp.DS == "turnqueue" && threads > MaxTurnGuards {
+			// The claim word holds at most 254 tids: measure the clamped
+			// point once, not once per excessive thread count.
+			if clamped {
+				continue
+			}
+			threads, clamped = MaxTurnGuards, true
+		}
 		for _, scheme := range exp.Schemes {
 			best := Result{}
 			for rep := 0; rep < opt.Repeat; rep++ {
-				r := runOne(exp, scheme, threads, opt)
+				r := runOne(exp, scheme, threads, opt, sortCutoff)
 				if r.Mops > best.Mops || rep == 0 {
 					best = r
 				}
@@ -213,8 +211,8 @@ func Run(exp Experiment, opt Options) []Result {
 	return results
 }
 
-// prefillKeys draws distinct random keys (the paper prefills 50K elements
-// from the key range).
+// prefillKeys draws distinct random keys in ascending order (the paper
+// prefills 50K elements from the key range).
 func prefillKeys(n int, keyRange uint64, rng *rand.Rand) []uint64 {
 	if uint64(n) > keyRange {
 		n = int(keyRange)
@@ -232,7 +230,36 @@ func prefillKeys(n int, keyRange uint64, rng *rand.Rand) []uint64 {
 	return keys
 }
 
-func arenaCapacity(exp Experiment, scheme string, opt Options, threads int) int {
+// Prefill loads n elements into a freshly built structure through one
+// pinned guard, the paper's §5 methodology: queues get n random
+// enqueues, the search structures n distinct keys from [0, keyRange).
+// Hash-map chains are sorted ascending, so the keys go in descending order
+// and each insert lands at its chain's head — the one-chain list of
+// Figures 6/9 fills in linear rather than quadratic time. The tree gets
+// them shuffled: sorted insertion would degenerate the external BST into
+// a list, and the measurement with it.
+func Prefill(d *wfe.Domain[uint64], kv PublicKV, ds string, n int, keyRange uint64) {
+	g := d.Pin()
+	defer d.Unpin(g)
+	rng := rand.New(rand.NewSource(12345))
+	if IsQueue(ds) {
+		for i := 0; i < n; i++ {
+			kv.Insert(g, uint64(rng.Int63n(int64(keyRange))))
+		}
+		return
+	}
+	keys := prefillKeys(n, keyRange, rng)
+	if ds == "tree" {
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	} else {
+		slices.Reverse(keys)
+	}
+	for _, k := range keys {
+		kv.Insert(g, k)
+	}
+}
+
+func arenaCapacity(scheme string, opt Options, threads int) int {
 	if opt.Capacity != 0 {
 		return opt.Capacity
 	}
@@ -242,95 +269,69 @@ func arenaCapacity(exp Experiment, scheme string, opt Options, threads int) int 
 	if scheme == "Leak" {
 		return 1 << 22
 	}
-	// The flat headroom term absorbs the retired-but-not-yet-freed backlog
-	// of the epoch- and interval-based schemes, which can spike past 100K
-	// blocks when a worker is descheduled mid-epoch on a loaded machine —
-	// undersizing here shows up as flaky Exhausted results, not as a
-	// measurement.
-	capacity := 4*opt.Prefill + threads*4096 + 1<<18
-	return capacity
+	// The wait-free queues box every value in a second block, hence the
+	// doubled prefill term. The flat headroom term absorbs the
+	// retired-but-not-yet-freed backlog of the epoch- and interval-based
+	// schemes, which can spike past 100K blocks when a worker is
+	// descheduled mid-epoch on a loaded machine — undersizing here shows up
+	// as flaky Exhausted results, not as a measurement.
+	return 8*opt.Prefill + threads*4096 + 1<<18
 }
 
-// InternalTelemetry adapts an internal-harness (scheme, arena) pair to
-// the public wfe.Telemetry census so the export tier can serve harness
-// runs the same way it serves Domains. The guard-runtime counters stay
-// zero: the internal harness drives schemes by raw tid, with no guard
-// pool above them.
-func InternalTelemetry(name string, smr reclaim.Scheme, a *mem.Arena) wfe.Telemetry {
-	st := a.Stats()
-	probe := smr.Retirer().Probe()
-	t := wfe.Telemetry{
-		Scheme:      name,
-		MaxSteps:    probe.MaxSteps,
-		P99Steps:    probe.P99Steps,
-		Unreclaimed: probe.Unreclaimed,
-		Allocs:      st.Allocs,
-		Frees:       st.Frees,
-		InUse:       st.InUse,
-		Capacity:    a.Capacity(),
-
-		ScanScans:  probe.Scans.Scans,
-		ScanBlocks: probe.Scans.Blocks,
-		ScanNanos:  probe.Scans.Nanos,
-
-		ArenaSegPushes:     st.SegPushes,
-		ArenaSegPops:       st.SegPops,
-		ArenaBumpHighwater: st.Bumped,
+// StallReader is the paper's preempted reader (ablation A4): it pins a
+// guard, enters an operation and protects one block, then parks there
+// until done reports true — holding its reservation the whole time, so
+// EBR's epoch cannot advance past it while the bounded schemes keep
+// reclaiming around it. On return the block is retired and the guard
+// unpinned.
+func StallReader(d *wfe.Domain[uint64], done func() bool) {
+	g := d.Pin()
+	defer d.Unpin(g)
+	var root wfe.Atomic[uint64]
+	root.Store(g.Alloc(0))
+	g.Begin()
+	g.Protect(&root, 0)
+	for !done() {
+		time.Sleep(time.Millisecond)
 	}
-	if e, ok := smr.(interface{ Era() uint64 }); ok {
-		t.Era = e.Era()
-	}
-	if s, ok := smr.(interface{ SlowPaths() uint64 }); ok {
-		t.SlowPaths = s.SlowPaths()
-	}
-	return t
+	g.End()
+	g.Retire(root.Load())
 }
 
-func runOne(exp Experiment, schemeName string, threads int, opt Options) Result {
-	a := mem.New(mem.Config{
-		Capacity:   arenaCapacity(exp, schemeName, opt, threads),
-		MaxThreads: threads,
-		Debug:      false,
-	})
-	smr, err := schemes.New(schemeName, a, reclaim.Config{
-		MaxThreads:  threads,
-		EraFreq:     opt.EraFreq,
-		CleanupFreq: opt.CleanupFreq,
-		MaxAttempts: opt.MaxAttempts,
-		LinearScan:  opt.LinearScan,
+func runOne(exp Experiment, schemeName string, threads int, opt Options, sortCutoff int) Result {
+	kind, forceSlow, err := ParseScheme(schemeName)
+	if err != nil {
+		panic(err)
+	}
+	d, err := wfe.NewDomain[uint64](wfe.Options{
+		Scheme:        kind,
+		Capacity:      arenaCapacity(schemeName, opt, threads),
+		MaxGuards:     threads,
+		EraFreq:       opt.EraFreq,
+		CleanupFreq:   opt.CleanupFreq,
+		MaxAttempts:   opt.MaxAttempts,
+		SortCutoff:    sortCutoff,
+		ForceSlowPath: forceSlow,
 	})
 	if err != nil {
 		panic(err)
 	}
 	if opt.Observe != nil {
-		opt.Observe(fmt.Sprintf("%s/%s/t%d", exp.ID, schemeName, threads),
-			func() wfe.Telemetry { return InternalTelemetry(schemeName, smr, a) })
+		opt.Observe(fmt.Sprintf("%s/%s/t%d", exp.ID, schemeName, threads), d.Telemetry)
 	}
-	kv := buildKV(exp.DS, smr, threads, opt.KeyRange)
-
-	// Prefill: queues get 50K enqueues; maps get 50K distinct keys.
-	rng := rand.New(rand.NewSource(12345))
-	if seeder, ok := kv.(ds.Seeder); ok && !IsQueue(exp.DS) {
-		seeder.Seed(0, prefillKeys(opt.Prefill, opt.KeyRange, rng))
-	} else if s2, ok2 := kv.(ds.Seeder); ok2 {
-		keys := make([]uint64, opt.Prefill)
-		for i := range keys {
-			keys[i] = uint64(rng.Int63n(int64(opt.KeyRange)))
-		}
-		s2.Seed(0, keys)
-	}
+	kv := BuildPublicKV(exp.DS, d, opt.KeyRange)
+	Prefill(d, kv, exp.DS, opt.Prefill, opt.KeyRange)
 
 	var (
 		stop      atomic.Bool
 		exhausted atomic.Bool
 		opsByTid  = make([]uint64, threads)
 	)
-	baseSlow := slowPaths(smr)
 	// Prefill runs cleanup scans against a nearly empty reservation set;
-	// baseline them away so the scan telemetry describes the measured
-	// window only (the step quantiles stay whole-run: a max cannot be
-	// baselined and prefill's uncontended reads all take one step).
-	baseScan := smr.Retirer().Stats()
+	// baseline them away so the counters describe the measured window
+	// only (the step quantiles stay whole-run: a max cannot be baselined
+	// and prefill's uncontended reads all take one step).
+	base := d.Telemetry()
 
 	// Unreclaimed sampler (the paper's second panel).
 	var samples []int
@@ -341,16 +342,9 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options) Result 
 		defer tick.Stop()
 		for !stop.Load() {
 			<-tick.C
-			samples = append(samples, smr.Unreclaimed())
+			samples = append(samples, d.Unreclaimed())
 		}
 	}()
-
-	// A stalled reader pins one protection for the whole run (ablation A4).
-	var stallRoot atomic.Uint64
-	if opt.StallThreads > 0 {
-		h := smr.Alloc(0)
-		stallRoot.Store(h)
-	}
 
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -362,9 +356,20 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options) Result 
 				runtime.LockOSThread()
 				defer runtime.UnlockOSThread()
 			}
+			ops := uint64(0)
+			// Record the count even on the panic path below, so Exhausted
+			// rows are not undercounted by the dying worker's share.
+			defer func() { opsByTid[tid] = ops }()
 			defer func() {
 				if r := recover(); r != nil {
-					// Arena exhaustion (leak baseline on long runs).
+					// A full arena is a measured outcome where memory is
+					// unbounded by design: the leak baseline, and EBR behind
+					// a stalled reader. Any other panic is a real bug and
+					// must crash the sweep, not be masked as an Exhausted
+					// row.
+					if !arenaExhausted(r) || (kind != wfe.Leak && opt.StallThreads == 0) {
+						panic(r)
+					}
 					exhausted.Store(true)
 					stop.Store(true)
 				}
@@ -379,39 +384,24 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options) Result 
 				"scheme", schemeName, "structure", exp.DS, "phase", phase,
 			), func(context.Context) {
 				if tid < opt.StallThreads {
-					smr.Begin(tid)
-					smr.GetProtected(tid, &stallRoot, 0, 0)
-					for !stop.Load() {
-						time.Sleep(time.Millisecond)
+					StallReader(d, func() bool {
 						if time.Since(start) > opt.Duration {
 							stop.Store(true)
 						}
-					}
-					smr.Clear(tid)
+						return stop.Load()
+					})
 					return
 				}
-				ops := uint64(0)
+				g := d.Pin()
+				defer d.Unpin(g)
 				r := rand.New(rand.NewSource(int64(tid)*7919 + 1))
-				w := exp.Workload
 				for !stop.Load() {
-					key := uint64(r.Int63n(int64(opt.KeyRange)))
-					pick := r.Intn(100)
-					switch {
-					case pick < w.Insert:
-						kv.Insert(tid, key)
-					case pick < w.Insert+w.Delete:
-						kv.Delete(tid, key)
-					case pick < w.Insert+w.Delete+w.GetPct:
-						kv.Get(tid, key)
-					default:
-						kv.Put(tid, key)
-					}
+					exp.Workload.Do(kv, g, r.Intn(100), uint64(r.Int63n(int64(opt.KeyRange))))
 					ops++
 					if ops&63 == 0 && time.Since(start) > opt.Duration {
 						stop.Store(true)
 					}
 				}
-				opsByTid[tid] = ops
 			})
 		}(w)
 	}
@@ -424,23 +414,20 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options) Result 
 	for _, n := range opsByTid {
 		totalOps += n
 	}
-	var unreclaimed float64
-	unreclaimedMax := 0
+	// The workers are joined: the owner-written step histograms and scan
+	// counters are safe to sample now.
+	tel := d.Telemetry()
+	unreclaimed, unreclaimedMax := float64(tel.Unreclaimed), tel.Unreclaimed
 	if len(samples) > 0 {
 		sum := 0
+		unreclaimedMax = 0
 		for _, s := range samples {
 			sum += s
-			if s > unreclaimedMax {
-				unreclaimedMax = s
-			}
+			unreclaimedMax = max(unreclaimedMax, s)
 		}
 		unreclaimed = float64(sum) / float64(len(samples))
-	} else {
-		unreclaimed = float64(smr.Unreclaimed())
-		unreclaimedMax = smr.Unreclaimed()
 	}
-
-	r := Result{
+	return Result{
 		Figure:         exp.ID,
 		DS:             exp.DS,
 		Workload:       exp.Workload.Name,
@@ -450,25 +437,12 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options) Result 
 		Ops:            totalOps,
 		Unreclaimed:    unreclaimed,
 		UnreclaimedMax: unreclaimedMax,
-		SlowPaths:      slowPaths(smr) - baseSlow,
+		SlowPaths:      tel.SlowPaths - base.SlowPaths,
+		MaxSteps:       tel.MaxSteps,
+		P99Steps:       tel.P99Steps,
+		ScanScans:      tel.ScanScans - base.ScanScans,
+		ScanBlocks:     tel.ScanBlocks - base.ScanBlocks,
+		ScanNanos:      tel.ScanNanos - base.ScanNanos,
 		Exhausted:      exhausted.Load(),
 	}
-	// The workers are joined: the owner-written step histograms and scan
-	// counters are safe to sample now — uniformly, through the scheme's
-	// shared retire-side runtime.
-	rt := smr.Retirer()
-	r.MaxSteps = rt.MaxSteps()
-	r.P99Steps = rt.StepQuantile(0.99)
-	scan := rt.Stats()
-	r.ScanScans = scan.Scans - baseScan.Scans
-	r.ScanBlocks = scan.Blocks - baseScan.Blocks
-	r.ScanNanos = scan.Nanos - baseScan.Nanos
-	return r
-}
-
-func slowPaths(smr reclaim.Scheme) uint64 {
-	if w, ok := smr.(*core.WFE); ok {
-		return w.SlowPaths()
-	}
-	return 0
 }

@@ -6,15 +6,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wfe"
 )
 
 func TestExperimentTableCoversThePaper(t *testing.T) {
-	// Every evaluation figure must be regenerable: 5a/5c (queues) plus
-	// 6–11 (list, hashmap, BST × two workloads).
+	// Every evaluation figure must be regenerable on the shipped
+	// structures: 5a/5c (WFQueue, TurnQueue) plus 6–11 (the one-bucket
+	// HashMap list, HashMap, Tree × two workloads).
 	wantDS := map[string]string{
-		"5a": "kpqueue", "5c": "crturn",
-		"6": "list", "7": "hashmap", "8": "bst",
-		"9": "list", "10": "hashmap", "11": "bst",
+		"5a": "wfqueue", "5c": "turnqueue",
+		"6": "list", "7": "hashmap", "8": "tree",
+		"9": "list", "10": "hashmap", "11": "tree",
 	}
 	if len(Experiments) != len(wantDS) {
 		t.Fatalf("%d experiments, want %d", len(Experiments), len(wantDS))
@@ -70,6 +73,42 @@ func TestPrefillKeysDistinctAndSorted(t *testing.T) {
 	small := prefillKeys(50, 10, rng)
 	if len(small) != 10 {
 		t.Fatalf("clamped prefill = %d keys, want 10", len(small))
+	}
+}
+
+func TestParseScheme(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind wfe.SchemeKind
+		slow bool
+	}{
+		{"WFE", wfe.WFE, false}, {"WFE-slow", wfe.WFE, true},
+		{"WFE-IBR", wfe.WFEIBR, false}, {"WFE-IBR-slow", wfe.WFEIBR, true},
+		{"2GEIBR", wfe.TwoGEIBR, false}, {"Leak", wfe.Leak, false},
+	} {
+		kind, slow, err := ParseScheme(tc.name)
+		if err != nil || kind != tc.kind || slow != tc.slow {
+			t.Errorf("ParseScheme(%q) = %v, %v, %v; want %v, %v", tc.name, kind, slow, err, tc.kind, tc.slow)
+		}
+	}
+	for _, bad := range []string{"HE-slow", "wfe", ""} {
+		if _, _, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q) did not error", bad)
+		}
+	}
+}
+
+func TestPrefillLoadsEveryStructure(t *testing.T) {
+	for _, ds := range DSNames {
+		d, err := wfe.NewDomain[uint64](wfe.Options{MaxGuards: 1, Capacity: 1 << 12, Debug: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv := BuildPublicKV(ds, d, 1000)
+		Prefill(d, kv, ds, 300, 1000)
+		if n := kv.Len(); n != 300 {
+			t.Errorf("%s: Len after prefill = %d, want 300", ds, n)
+		}
 	}
 }
 
@@ -170,16 +209,15 @@ func TestAllFiguresRunnable(t *testing.T) {
 }
 
 func TestArenaCapacityAuto(t *testing.T) {
-	exp, _ := FindExperiment("7")
 	opt := Options{Prefill: 50000}.Defaults()
-	if got := arenaCapacity(exp, "WFE", opt, 8); got < 4*opt.Prefill {
+	if got := arenaCapacity("WFE", opt, 8); got < 4*opt.Prefill {
 		t.Fatalf("auto capacity %d too small for prefill %d", got, opt.Prefill)
 	}
-	if got := arenaCapacity(exp, "Leak", opt, 8); got < 1<<22 {
+	if got := arenaCapacity("Leak", opt, 8); got < 1<<22 {
 		t.Fatalf("leak capacity %d too small", got)
 	}
 	opt.Capacity = 777
-	if got := arenaCapacity(exp, "WFE", opt, 8); got != 777 {
+	if got := arenaCapacity("WFE", opt, 8); got != 777 {
 		t.Fatalf("explicit capacity not honoured: %d", got)
 	}
 }

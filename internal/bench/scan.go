@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -81,6 +82,16 @@ func ScanSummary(results []ScanResult) []string {
 	return lines
 }
 
+// scanCutoff is the SortCutoff of one ablation arm: math.MaxInt keeps
+// every scan on the linear reference sweep, 0 the calibrated crossover
+// the shipped default uses.
+func scanCutoff(linear bool) int {
+	if linear {
+		return math.MaxInt
+	}
+	return 0
+}
+
 // microScan times the real cleanup path under a controlled reservation
 // population, where end-to-end runs cannot: it publishes a full
 // reservation matrix (G = threads×MaxHEs eras for the era schemes,
@@ -104,7 +115,7 @@ func microScan(scheme string, threads, rounds int, linear bool) ScanResult {
 		EraFreq:     64,
 		CleanupFreq: 64,
 		MaxAttempts: 16,
-		LinearScan:  linear,
+		SortCutoff:  scanCutoff(linear),
 	})
 	if err != nil {
 		panic(err)
@@ -197,9 +208,7 @@ func AblationScan(opt Options) []ScanResult {
 			e := exp
 			e.Schemes = []string{scheme}
 			for _, mode := range []string{"linear", "sorted"} {
-				o := opt
-				o.LinearScan = mode == "linear"
-				for _, r := range Run(e, o) {
+				for _, r := range sweep(e, opt, scanCutoff(mode == "linear")) {
 					out = append(out, ScanResult{
 						Figure:      r.Figure,
 						DS:          r.DS,

@@ -3,121 +3,114 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"wfe"
 )
 
-// WorkloadResult is one point of the public-API workloads experiment
-// (cmd/wfebench -ablation workloads): a promoted paper structure driven
-// through the guardless public API under one scheme at one goroutine
-// count. It mirrors the paper figures' two panels (throughput and
-// unreclaimed objects) with the guard-runtime telemetry attached.
-type WorkloadResult struct {
-	Figure      string // the paper figure this workload reproduces
-	DS          string
-	Scheme      string
-	Goroutines  int
-	Mops        float64
-	Ops         uint64
-	Unreclaimed float64 // mean sampled retired-not-freed blocks
-	Exhausted   bool    // arena filled up mid-run (Leak with long durations)
-	Telemetry   wfe.Telemetry
-}
+// DSNames lists the structures BuildPublicKV builds, in figure order.
+var DSNames = []string{"wfqueue", "turnqueue", "list", "hashmap", "tree"}
 
-// workloadDS names the four evaluation structures this experiment runs —
-// the paper's wait-free queues (Figure 5) and the two search structures
-// (Figures 7/8) — now on the public Domain API rather than the internal
-// benchmark substrate.
-var workloadDS = []struct {
-	name   string
-	figure string
-}{
-	{"wfqueue", "5a/5b"},
-	{"turnqueue", "5c/5d"},
-	{"hashmap", "7"},
-	{"tree", "8"},
-}
-
-// PublicKV adapts one promoted public structure to a guardless workload
-// driver (every call leases through the guard runtime, so the lease path
-// is part of what is measured). Queues ignore the key on Remove and panic
-// on Get/Put; keys double as values everywhere. cmd/wfestress shares the
-// same adapters for its correctness storms.
+// PublicKV adapts one shipped public structure to the workload drivers:
+// the figure runner, the root package's BenchmarkFig* and cmd/wfestress's
+// storms. Every call goes through the structure's Guarded method on the
+// caller's guard. Queues ignore the key on Remove and panic on Get/Put;
+// keys double as values everywhere.
 type PublicKV interface {
-	Insert(k uint64) bool
-	Remove(k uint64) bool
-	Get(k uint64) bool
-	Put(k uint64)
+	Insert(g *wfe.Guard[uint64], k uint64) bool
+	Remove(g *wfe.Guard[uint64], k uint64) bool
+	Get(g *wfe.Guard[uint64], k uint64) bool
+	Put(g *wfe.Guard[uint64], k uint64)
 	Len() int
 }
 
-type pubWFQueue struct{ q *wfe.WFQueue[uint64] }
+// guardedQueue is the method set WFQueue and TurnQueue share.
+type guardedQueue interface {
+	EnqueueGuarded(g *wfe.Guard[uint64], v uint64)
+	DequeueGuarded(g *wfe.Guard[uint64]) (uint64, bool)
+	Len() int
+}
 
-func (p pubWFQueue) Insert(k uint64) bool { p.q.Enqueue(k); return true }
-func (p pubWFQueue) Remove(k uint64) bool { _, ok := p.q.Dequeue(); return ok }
-func (p pubWFQueue) Get(k uint64) bool    { panic("wfqueue: no get") }
-func (p pubWFQueue) Put(k uint64)         { panic("wfqueue: no put") }
-func (p pubWFQueue) Len() int             { return p.q.Len() }
+type pubQueue struct{ q guardedQueue }
 
-type pubTurnQueue struct{ q *wfe.TurnQueue[uint64] }
-
-func (p pubTurnQueue) Insert(k uint64) bool { p.q.Enqueue(k); return true }
-func (p pubTurnQueue) Remove(k uint64) bool { _, ok := p.q.Dequeue(); return ok }
-func (p pubTurnQueue) Get(k uint64) bool    { panic("turnqueue: no get") }
-func (p pubTurnQueue) Put(k uint64)         { panic("turnqueue: no put") }
-func (p pubTurnQueue) Len() int             { return p.q.Len() }
+func (p pubQueue) Insert(g *wfe.Guard[uint64], k uint64) bool { p.q.EnqueueGuarded(g, k); return true }
+func (p pubQueue) Remove(g *wfe.Guard[uint64], k uint64) bool {
+	_, ok := p.q.DequeueGuarded(g)
+	return ok
+}
+func (p pubQueue) Get(*wfe.Guard[uint64], uint64) bool { panic("bench: queues have no get") }
+func (p pubQueue) Put(*wfe.Guard[uint64], uint64)      { panic("bench: queues have no put") }
+func (p pubQueue) Len() int                            { return p.q.Len() }
 
 type pubHashMap struct{ m *wfe.HashMap[uint64] }
 
-func (p pubHashMap) Insert(k uint64) bool { return p.m.Insert(k, k) }
-func (p pubHashMap) Remove(k uint64) bool { return p.m.Delete(k) }
-func (p pubHashMap) Get(k uint64) bool    { _, ok := p.m.Get(k); return ok }
-func (p pubHashMap) Put(k uint64)         { p.m.Put(k, k) }
-func (p pubHashMap) Len() int             { return p.m.Len() }
+func (p pubHashMap) Insert(g *wfe.Guard[uint64], k uint64) bool { return p.m.InsertGuarded(g, k, k) }
+func (p pubHashMap) Remove(g *wfe.Guard[uint64], k uint64) bool { return p.m.DeleteGuarded(g, k) }
+func (p pubHashMap) Get(g *wfe.Guard[uint64], k uint64) bool {
+	_, ok := p.m.GetGuarded(g, k)
+	return ok
+}
+func (p pubHashMap) Put(g *wfe.Guard[uint64], k uint64) { p.m.PutGuarded(g, k, k) }
+func (p pubHashMap) Len() int                           { return p.m.Len() }
 
 type pubTree struct{ t *wfe.Tree[uint64] }
 
-func (p pubTree) Insert(k uint64) bool { return p.t.Insert(k, k) }
-func (p pubTree) Remove(k uint64) bool { return p.t.Delete(k) }
-func (p pubTree) Get(k uint64) bool    { _, ok := p.t.Get(k); return ok }
-func (p pubTree) Put(k uint64)         { p.t.Put(k, k) }
-func (p pubTree) Len() int             { return p.t.Len() }
+func (p pubTree) Insert(g *wfe.Guard[uint64], k uint64) bool { return p.t.InsertGuarded(g, k, k) }
+func (p pubTree) Remove(g *wfe.Guard[uint64], k uint64) bool { return p.t.DeleteGuarded(g, k) }
+func (p pubTree) Get(g *wfe.Guard[uint64], k uint64) bool {
+	_, ok := p.t.GetGuarded(g, k)
+	return ok
+}
+func (p pubTree) Put(g *wfe.Guard[uint64], k uint64) { p.t.PutGuarded(g, k, k) }
+func (p pubTree) Len() int                           { return p.t.Len() }
 
-// BuildPublicKV instantiates one promoted public structure on the Domain.
+// BuildPublicKV instantiates one public structure on the Domain: the
+// paper's Figure 5 queues (wfqueue, turnqueue), its sorted linked list as
+// a one-bucket HashMap (list), a HashMap of keyRange buckets (hashmap) and
+// the Natarajan–Mittal Tree (tree).
 func BuildPublicKV(name string, d *wfe.Domain[uint64], keyRange uint64) PublicKV {
 	switch name {
 	case "wfqueue":
-		return pubWFQueue{wfe.NewWFQueue[uint64](d)}
+		return pubQueue{wfe.NewWFQueue[uint64](d)}
 	case "turnqueue":
-		return pubTurnQueue{wfe.NewTurnQueue[uint64](d)}
+		return pubQueue{wfe.NewTurnQueue[uint64](d)}
+	case "list":
+		return pubHashMap{wfe.NewHashMap[uint64](d, 1)}
 	case "hashmap":
 		return pubHashMap{wfe.NewHashMap[uint64](d, int(keyRange))}
 	case "tree":
 		return pubTree{wfe.NewTree[uint64](d)}
 	}
-	panic("bench: unknown public workload " + name)
+	panic("bench: unknown data structure " + name)
 }
 
-// IsPublicQueue reports whether the promoted structure only supports
-// insert/remove.
-func IsPublicQueue(name string) bool { return name == "wfqueue" || name == "turnqueue" }
+// IsQueue reports whether the structure only supports insert/remove.
+func IsQueue(name string) bool { return name == "wfqueue" || name == "turnqueue" }
+
+// ParseScheme maps a scheme's legend name to its kind, accepting the
+// forced-slow-path variants "WFE-slow" and "WFE-IBR-slow" (the paper's §5
+// stress validation) as their base scheme with forceSlow set.
+func ParseScheme(name string) (kind wfe.SchemeKind, forceSlow bool, err error) {
+	base, forceSlow := strings.CutSuffix(name, "-slow")
+	if forceSlow && base != "WFE" && base != "WFE-IBR" {
+		return 0, false, fmt.Errorf("bench: scheme %q has no forced-slow variant", base)
+	}
+	kind, err = wfe.ParseScheme(base)
+	return kind, forceSlow, err
+}
 
 // LeakExhausted reports whether a recovered worker panic is the leak
 // baseline legitimately filling its fixed arena — the one panic the bench
-// sweep and cmd/wfestress treat as a benign early end rather than a bug.
-// The panic value is either the arena's own string (the raw mem.Arena
-// path) or an error wrapping wfe.ErrArenaExhausted (the Domain's
-// backpressure path, which skips emergency scans for Leak — there is no
-// judge to scan with).
+// sweeps and cmd/wfestress treat as a benign early end rather than a bug.
 func LeakExhausted(r any, kind wfe.SchemeKind) bool {
-	if kind != wfe.Leak {
-		return false
-	}
+	return kind == wfe.Leak && arenaExhausted(r)
+}
+
+// arenaExhausted reports whether a panic value is an arena-exhaustion
+// verdict: either the arena's own string (the raw mem.Arena path) or an
+// error wrapping wfe.ErrArenaExhausted (the Domain's backpressure path,
+// which skips emergency scans for Leak — there is no judge to scan with).
+func arenaExhausted(r any) bool {
 	if err, ok := r.(error); ok && errors.Is(err, wfe.ErrArenaExhausted) {
 		return true
 	}
@@ -125,192 +118,5 @@ func LeakExhausted(r any, kind wfe.SchemeKind) bool {
 }
 
 // MaxTurnGuards is the CRTurn claim word's tid capacity: TurnQueue domains
-// must keep MaxGuards below 255, so sweeps clamp their goroutine counts.
+// must keep MaxGuards below 255, so sweeps clamp their thread counts.
 const MaxTurnGuards = 254
-
-// Workloads sweeps the four promoted structures over every scheme and the
-// requested goroutine counts, reproducing the paper's Figure 5 and 8
-// shapes end to end through the public API (cmd/wfebench -ablation
-// workloads). Queue runs split 50/50 between enqueue and dequeue; the
-// search structures run the paper's write-heavy 50i/50d mix.
-func Workloads(opt Options) []WorkloadResult {
-	opt = opt.Defaults()
-	var results []WorkloadResult
-	for _, ds := range workloadDS {
-		clamped := false
-		for _, goroutines := range opt.Threads {
-			if ds.name == "turnqueue" && goroutines > MaxTurnGuards {
-				// The claim word holds at most 254 tids: measure the
-				// clamped point once, not once per excessive thread count.
-				if clamped {
-					continue
-				}
-				goroutines, clamped = MaxTurnGuards, true
-			}
-			for _, kind := range wfe.AllSchemes() { // all seven, WFE-IBR included
-				best := WorkloadResult{}
-				for rep := 0; rep < opt.Repeat; rep++ {
-					r := runPublicWorkload(ds.name, ds.figure, kind.String(), goroutines, opt)
-					if r.Mops > best.Mops || rep == 0 {
-						best = r
-					}
-				}
-				results = append(results, best)
-			}
-		}
-	}
-	return results
-}
-
-func runPublicWorkload(dsName, figure, schemeName string, goroutines int, opt Options) WorkloadResult {
-	kind, err := wfe.ParseScheme(schemeName)
-	if err != nil {
-		panic(err)
-	}
-	isQueue := IsPublicQueue(dsName)
-	capacity := opt.Capacity
-	if capacity == 0 {
-		if kind == wfe.Leak {
-			capacity = 1 << 22
-		} else {
-			// Live set + retired backlog headroom, as in arenaCapacity; the
-			// wait-free queues box every value in a second block, hence the
-			// doubled prefill term.
-			capacity = 8*opt.Prefill + goroutines*4096 + 1<<18
-		}
-	}
-	d, err := wfe.NewDomain[uint64](wfe.Options{
-		Scheme:      kind,
-		Capacity:    capacity,
-		MaxGuards:   goroutines,
-		EraFreq:     opt.EraFreq,
-		CleanupFreq: opt.CleanupFreq,
-		MaxAttempts: opt.MaxAttempts,
-	})
-	if err != nil {
-		panic(err)
-	}
-	if opt.Observe != nil {
-		opt.Observe(fmt.Sprintf("%s/%s/t%d", dsName, schemeName, goroutines), d.Telemetry)
-	}
-	kv := BuildPublicKV(dsName, d, opt.KeyRange)
-
-	// Prefill: queues get opt.Prefill enqueues, search structures
-	// opt.Prefill distinct keys — the paper's §5 methodology.
-	rng := rand.New(rand.NewSource(12345))
-	if isQueue {
-		for i := 0; i < opt.Prefill; i++ {
-			kv.Insert(uint64(rng.Int63n(int64(opt.KeyRange))))
-		}
-	} else {
-		// prefillKeys returns sorted keys for the internal harness's
-		// balanced bulk-load; the public facade inserts them one by one, so
-		// shuffle first — sorted insertion would degenerate the external
-		// BST into a list and the measurement with it.
-		keys := prefillKeys(opt.Prefill, opt.KeyRange, rng)
-		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		for _, k := range keys {
-			kv.Insert(k)
-		}
-	}
-
-	var (
-		stop      atomic.Bool
-		exhausted atomic.Bool
-		opsByW    = make([]uint64, goroutines)
-	)
-
-	// Unreclaimed sampler (the paper's second panel).
-	var samples []int
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for !stop.Load() {
-			<-tick.C
-			samples = append(samples, d.Unreclaimed())
-		}
-	}()
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ops := uint64(0)
-			// Record the count even on the panic path below, so Exhausted
-			// rows are not undercounted by the dying worker's share.
-			defer func() { opsByW[w] = ops }()
-			defer func() {
-				if r := recover(); r != nil {
-					// Only the leak baseline filling its fixed arena is a
-					// benign early end; any other panic is a real bug and
-					// must crash the sweep, not be masked as an Exhausted
-					// capacity artifact.
-					if !LeakExhausted(r, kind) {
-						panic(r)
-					}
-					exhausted.Store(true)
-					stop.Store(true)
-				}
-			}()
-			r := rand.New(rand.NewSource(int64(w)*7919 + 1))
-			for !stop.Load() {
-				// Queues and search structures alike run the paper's
-				// write-heavy 50% insert / 50% delete mix.
-				key := uint64(r.Int63n(int64(opt.KeyRange)))
-				if r.Intn(2) == 0 {
-					kv.Insert(key)
-				} else {
-					kv.Remove(key)
-				}
-				ops++
-				if ops&63 == 0 && time.Since(start) > opt.Duration {
-					stop.Store(true)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	stop.Store(true)
-	<-samplerDone
-	d.FlushGuardCache()
-
-	var totalOps uint64
-	for _, n := range opsByW {
-		totalOps += n
-	}
-	unreclaimed := float64(d.Unreclaimed())
-	if len(samples) > 0 {
-		sum := 0
-		for _, s := range samples {
-			sum += s
-		}
-		unreclaimed = float64(sum) / float64(len(samples))
-	}
-
-	return WorkloadResult{
-		Figure:      figure,
-		DS:          dsName,
-		Scheme:      schemeName,
-		Goroutines:  goroutines,
-		Mops:        float64(totalOps) / elapsed.Seconds() / 1e6,
-		Ops:         totalOps,
-		Unreclaimed: unreclaimed,
-		Exhausted:   exhausted.Load(),
-		Telemetry:   d.Telemetry(),
-	}
-}
-
-// WorkloadString renders one result row for the text report.
-func (r WorkloadResult) WorkloadString() string {
-	mops := fmt.Sprintf("%.3f", r.Mops)
-	if r.Exhausted {
-		mops += "*"
-	}
-	return fmt.Sprintf("%-12s%-10s%-10s%8d%12s%14.1f", "fig "+r.Figure, r.DS, r.Scheme,
-		r.Goroutines, mops, r.Unreclaimed)
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -49,7 +50,11 @@ func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 	// schedule — must leave identical retire-list backlogs whichever scan
 	// implementation cleanup uses.
 	run := func(linear bool) int {
-		w, _ := newWFE(t, 2, reclaim.Config{EraFreq: 2, CleanupFreq: 3, LinearScan: linear})
+		cutoff := 1 // sort every non-empty snapshot
+		if linear {
+			cutoff = math.MaxInt // never sort: the linear reference sweep
+		}
+		w, _ := newWFE(t, 2, reclaim.Config{EraFreq: 2, CleanupFreq: 3, SortCutoff: cutoff})
 		var roots [4]atomic.Uint64
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < 400; i++ {

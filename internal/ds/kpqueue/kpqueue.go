@@ -18,7 +18,6 @@ package kpqueue
 import (
 	"sync/atomic"
 
-	"wfe/internal/ds"
 	"wfe/internal/mem"
 	"wfe/internal/pack"
 	"wfe/internal/reclaim"
@@ -293,25 +292,3 @@ func (q *Queue) Len() int {
 	}
 	return n
 }
-
-// kv adapts the queue to ds.KV: Insert enqueues the key, Delete dequeues.
-type kv struct{ q *Queue }
-
-// KV returns the benchmark adapter. Get and Put panic: the paper's queue
-// workloads are insert/delete only.
-func (q *Queue) KV() ds.KV { return kv{q} }
-
-func (k kv) Insert(tid int, key uint64) bool { k.q.Enqueue(tid, key); return true }
-func (k kv) Delete(tid int, key uint64) bool { _, ok := k.q.Dequeue(tid); return ok }
-func (k kv) Get(tid int, key uint64) bool    { panic("kpqueue: Get unsupported on queues") }
-func (k kv) Put(tid int, key uint64)         { panic("kpqueue: Put unsupported on queues") }
-
-// Seed pre-populates the queue; queue enqueues are already O(1) amortised,
-// so this simply enqueues in order.
-func (q *Queue) Seed(tid int, keys []uint64) {
-	for _, k := range keys {
-		q.Enqueue(tid, k)
-	}
-}
-
-func (k kv) Seed(tid int, keys []uint64) { k.q.Seed(tid, keys) }

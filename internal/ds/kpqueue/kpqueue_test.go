@@ -34,28 +34,3 @@ func TestKPQueueLen(t *testing.T) {
 		t.Fatalf("Len after dequeue = %d", q.Len())
 	}
 }
-
-func TestKPQueueKVPanics(t *testing.T) {
-	a := mem.New(mem.Config{Capacity: 1 << 10, MaxThreads: 1, Debug: true})
-	s, _ := schemes.New("WFE", a, reclaim.Config{MaxThreads: 1})
-	kv := kpqueue.New(s, 1).KV()
-	if !kv.Insert(0, 5) {
-		t.Fatal("queue Insert (enqueue) reported false")
-	}
-	if !kv.Delete(0, 0) {
-		t.Fatal("queue Delete (dequeue) reported false on non-empty queue")
-	}
-	for _, f := range []func(){
-		func() { kv.Get(0, 1) },
-		func() { kv.Put(0, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("Get/Put on a queue did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

@@ -121,18 +121,14 @@ type Config struct {
 	// ForceSlowPath makes WFE take the slow path on every GetProtected,
 	// the stress configuration the paper validates with (§5).
 	ForceSlowPath bool
-	// LinearScan forces every cleanup scan back to the pre-overhaul
-	// O(R×G) per-block linear reservation sweep instead of the
-	// sorted-snapshot binary search (R retired blocks against G gathered
-	// reservations). It exists for the scan ablation (cmd/wfebench
-	// -ablation scan) and as the oracle configuration of the sorted-scan
-	// property tests; production configurations leave it false.
-	LinearScan bool
 	// SortCutoff is the gathered-reservation count below which a cleanup
-	// scan keeps the linear sweep even in sorted-scan mode (sorting a tiny
-	// snapshot costs more than sweeping it). Zero selects the host
-	// crossover Calibrate measures once per process; the two tests are
-	// property-tested equivalent, so the value is purely a cost choice.
+	// scan keeps the linear sweep instead of sorting the snapshot and
+	// binary-searching it (sorting a tiny snapshot costs more than
+	// sweeping it). Zero selects the host crossover Calibrate measures
+	// once per process; math.MaxInt pins every scan to the pre-overhaul
+	// O(R×G) linear sweep, the reference arm of the scan ablation
+	// (cmd/wfebench -ablation scan). The two tests are property-tested
+	// equivalent, so the value is purely a cost choice.
 	SortCutoff int
 	// InitialEra, when above a scheme's natural starting value, seeds the
 	// global era/epoch clock. Live scheme switching depends on it: blocks

@@ -106,7 +106,6 @@ type Retirer struct {
 	obs   RetireObserver // judge, if its clock ticks on retirement
 
 	cleanupFreq uint64
-	linearScan  bool
 	cutoff      int
 	tracer      *trace.Tracer
 
@@ -134,7 +133,6 @@ func NewRetirer(arena *mem.Arena, cfg Config, judge Judge) *Retirer {
 		arena:       arena,
 		judge:       judge,
 		cleanupFreq: uint64(cfg.CleanupFreq),
-		linearScan:  cfg.LinearScan,
 		cutoff:      cfg.SortCutoff,
 		tracer:      cfg.Tracer,
 		threads:     make([]retireThread, cfg.MaxThreads),
@@ -253,9 +251,9 @@ func (r *Retirer) Add(tid int, blk mem.Handle) {
 }
 
 // Scan drains tid's retire ring through the Judge once: the snapshot is
-// gathered, sealed (sorted above the cutoff, unless Config.LinearScan pins
-// the reference oracle), and every retired block judged against it —
-// freed if clear, re-queued on the ring otherwise. A TwoPhase judge's
+// gathered, sealed (sorted at or above the cutoff), and every retired
+// block judged against it — freed if clear, re-queued on the ring
+// otherwise. A TwoPhase judge's
 // cleared blocks instead await a second gather/judge pass. Outside the
 // retire cadence it is the settling primitive: call it on a quiescent tid
 // to collapse the backlog.
@@ -282,7 +280,7 @@ func (r *Retirer) Scan(tid int) {
 	s := &t.snap
 	s.reset()
 	r.judge.Gather(tid, s)
-	s.seal(r.linearScan, r.cutoff)
+	s.seal(r.cutoff)
 	second := r.two != nil && r.two.NeedSecond(tid, s)
 
 	survivors := t.survivors[:0]
@@ -302,7 +300,7 @@ func (r *Retirer) Scan(tid int) {
 		s2 := &t.snap2
 		s2.reset()
 		r.two.GatherSecond(tid, s2)
-		s2.seal(r.linearScan, r.cutoff)
+		s2.seal(r.cutoff)
 		for _, blk := range survivors {
 			if r.two.CanFree(tid, s2, blk) {
 				r.arena.Free(tid, blk)
@@ -532,8 +530,7 @@ func (q *ring) resize(n int) {
 // gather the runtime seals the snapshot: above the sort cutoff the
 // endpoint slices are sorted once (after the gather, preserving any
 // lemma-mandated read order) and membership binary-searches them; below it
-// — or whenever Config.LinearScan pins the reference oracle — membership
-// keeps the linear sweep.
+// membership keeps the linear sweep.
 type Snapshot struct {
 	los, his []uint64
 	aux      [2]uint64
@@ -551,8 +548,8 @@ func (s *Snapshot) reset() {
 
 // seal fixes the scan mode and sorts the gathered endpoints if binary
 // search will be used.
-func (s *Snapshot) seal(forceLinear bool, cutoff int) {
-	s.linear = forceLinear || len(s.los) < cutoff
+func (s *Snapshot) seal(cutoff int) {
+	s.linear = len(s.los) < cutoff
 	if !s.linear {
 		slices.Sort(s.los)
 		if s.paired {
@@ -582,7 +579,7 @@ func (s *Snapshot) SetAux(i int, v uint64) { s.aux[i] = v }
 func (s *Snapshot) Aux(i int) uint64 { return s.aux[i] }
 
 // Linear reports whether this scan judges by the linear reference sweep
-// (below the cutoff, or pinned by Config.LinearScan).
+// (below the cutoff).
 func (s *Snapshot) Linear() bool { return s.linear }
 
 // Eras returns the gathered point reservations — sorted iff !Linear().
