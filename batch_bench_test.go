@@ -69,25 +69,15 @@ func BenchmarkBatch128(b *testing.B)   { batchChurn(b, wfe.WFE, 128) }
 
 // TestBatchSpeedupGuard is the CI-asserted bar for the batch APIs, per
 // era scheme (WFE and HE): width 32 at >= 1.3x per-op throughput, width
-// 1 within 1.1x of per-op cost. Timing ratios on shared runners are
-// noisy, so the guard takes the best (lowest ns/item) of several
-// attempts per side — a genuine regression slows every attempt; noise
-// does not speed one up.
+// 1 within 1.1x of per-op cost, each side the best (lowest ns/item) of
+// four attempts (see bestNsPerOp).
 func TestBatchSpeedupGuard(t *testing.T) {
 	if os.Getenv("WFE_OVERHEAD_GUARD") != "1" {
 		t.Skip("set WFE_OVERHEAD_GUARD=1 to run the batch speedup guard")
 	}
 	const attempts = 4
 	best := func(kind wfe.SchemeKind, width int) float64 {
-		bestNs := 0.0
-		for i := 0; i < attempts; i++ {
-			r := testing.Benchmark(func(b *testing.B) { batchChurn(b, kind, width) })
-			ns := float64(r.NsPerOp())
-			if bestNs == 0 || ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs
+		return bestNsPerOp(attempts, func(b *testing.B) { batchChurn(b, kind, width) })
 	}
 	for _, kind := range []wfe.SchemeKind{wfe.WFE, wfe.HE} {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {

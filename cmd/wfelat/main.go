@@ -61,27 +61,13 @@ type Point struct {
 	MaxNS    int64   `json:"max_ns"`
 }
 
-// pairQueue is the common surface of the three public queues under test,
-// bound to a pre-acquired guard so the measured pair excludes lease cost.
+// pairQueue is the common surface of the three public queues under test:
+// their Guarded methods, run on a pre-acquired guard so the measured pair
+// excludes lease cost.
 type pairQueue interface {
-	enqueue(g *wfe.Guard[uint64], v uint64)
-	dequeue(g *wfe.Guard[uint64]) (uint64, bool)
+	EnqueueGuarded(g *wfe.Guard[uint64], v uint64)
+	DequeueGuarded(g *wfe.Guard[uint64]) (uint64, bool)
 }
-
-type msQ struct{ q *wfe.Queue[uint64] }
-
-func (m msQ) enqueue(g *wfe.Guard[uint64], v uint64)      { m.q.EnqueueGuarded(g, v) }
-func (m msQ) dequeue(g *wfe.Guard[uint64]) (uint64, bool) { return m.q.DequeueGuarded(g) }
-
-type kpQ struct{ q *wfe.WFQueue[uint64] }
-
-func (k kpQ) enqueue(g *wfe.Guard[uint64], v uint64)      { k.q.EnqueueGuarded(g, v) }
-func (k kpQ) dequeue(g *wfe.Guard[uint64]) (uint64, bool) { return k.q.DequeueGuarded(g) }
-
-type turnQ struct{ q *wfe.TurnQueue[uint64] }
-
-func (t turnQ) enqueue(g *wfe.Guard[uint64], v uint64)      { t.q.EnqueueGuarded(g, v) }
-func (t turnQ) dequeue(g *wfe.Guard[uint64]) (uint64, bool) { return t.q.DequeueGuarded(g) }
 
 func main() {
 	var (
@@ -128,9 +114,9 @@ func main() {
 		progress string
 		build    func(d *wfe.Domain[uint64]) pairQueue
 	}{
-		{"MS", "lock-free", func(d *wfe.Domain[uint64]) pairQueue { return msQ{wfe.NewQueue[uint64](d)} }},
-		{"KP", "wait-free", func(d *wfe.Domain[uint64]) pairQueue { return kpQ{wfe.NewWFQueue[uint64](d)} }},
-		{"CRTurn", "wait-free", func(d *wfe.Domain[uint64]) pairQueue { return turnQ{wfe.NewTurnQueue[uint64](d)} }},
+		{"MS", "lock-free", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewQueue[uint64](d) }},
+		{"KP", "wait-free", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewWFQueue[uint64](d) }},
+		{"CRTurn", "wait-free", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewTurnQueue[uint64](d) }},
 	} {
 		pt, err := measure(kind, q.name, q.progress, *workers, *duration, q.build, reg)
 		if err != nil {
@@ -173,7 +159,7 @@ func measure(kind wfe.SchemeKind, name, progress string, workers int, duration t
 	// A small standing population so dequeues rarely hit empty.
 	seedG := d.Guard()
 	for i := uint64(0); i < 1024; i++ {
-		q.enqueue(seedG, i)
+		q.EnqueueGuarded(seedG, i)
 	}
 	seedG.Release()
 
@@ -190,8 +176,8 @@ func measure(kind wfe.SchemeKind, name, progress string, workers int, duration t
 			lats := make([]time.Duration, 0, 1<<20)
 			for !stop.Load() {
 				t0 := time.Now()
-				q.enqueue(g, uint64(id))
-				q.dequeue(g)
+				q.EnqueueGuarded(g, uint64(id))
+				q.DequeueGuarded(g)
 				lats = append(lats, time.Since(t0))
 				if len(lats)&255 == 0 && time.Since(start) > duration {
 					stop.Store(true)

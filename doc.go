@@ -45,8 +45,9 @@
 //	domain.go           Domain[T], Guard, Ref[T], Atomic[T], SchemeKind
 //	stack.go            public Treiber stack
 //	queue.go            public Michael–Scott queue
-//	wfqueue.go          public Kogan–Petrank wait-free queue
-//	turnqueue.go        public CRTurn wait-free queue
+//	wfqueue.go          public Kogan–Petrank wait-free queue, and boxQueue,
+//	                    the value-boxing operations both wait-free queues run
+//	turnqueue.go        public CRTurn wait-free queue (type and constructor)
 //	hashmap.go          public lock-free hash map (HashMap)
 //	map.go              Map, the hash map's original alias
 //	tree.go             public Natarajan–Mittal BST

@@ -315,15 +315,13 @@ func (l liveScheme[T]) RetireBatch(tid int, blks []mem.Handle) {
 	l.d.scheme().s.RetireBatch(tid, blks)
 }
 
-// Alloc routes the internal structures' node allocations through the
-// Domain's backpressure pipeline, so a WFQueue or TurnQueue segment
-// allocation under pressure gets the same emergency scans and retries a
-// Guard.Alloc does before the exhaustion panic fires.
+// Alloc routes an internal structure's allocation through the Domain's
+// backpressure pipeline. Only the WFQueue and TurnQueue constructors'
+// sentinels come through here: every enqueue allocates its node itself,
+// ahead of the protected section (see boxQueue.TryEnqueueGuarded).
 func (l liveScheme[T]) Alloc(tid int) mem.Handle {
 	h, err := l.d.allocHandle(tid)
-	if err != nil {
-		panic(exhaustedPanic(l.d.arena.Capacity()))
-	}
+	l.d.must(err)
 	return h
 }
 
@@ -709,11 +707,14 @@ func (d *Domain[T]) Unreclaimed() int { return d.scheme().s.Unreclaimed() }
 // retire and scan their own backlogs.
 var ErrArenaExhausted = errors.New("wfe: arena exhausted after emergency reclamation")
 
-// exhaustedPanic is the panic payload of the non-Try allocation paths
-// once the retry pipeline is spent. It wraps ErrArenaExhausted so
+// must turns the error of a Try method into the panic of its plain twin:
+// every panicking structure method is its Try form plus must. The panic
+// value wraps ErrArenaExhausted, the only error the Try forms return, so
 // recover-side classifiers can errors.Is it.
-func exhaustedPanic(capacity int) error {
-	return fmt.Errorf("%w (capacity %d); size the arena for the workload or switch to the Try* variants", ErrArenaExhausted, capacity)
+func (d *Domain[T]) must(err error) {
+	if err != nil {
+		panic(fmt.Errorf("%w (capacity %d); size the arena for the workload or switch to the Try* variants", ErrArenaExhausted, d.arena.Capacity()))
+	}
 }
 
 // allocHandle is the Domain's allocation front door: the scheme's
@@ -1525,9 +1526,7 @@ func (g *Guard[T]) End() {
 // the error instead use TryAlloc.
 func (g *Guard[T]) Alloc(v T) Ref[T] {
 	r, err := g.TryAlloc(v)
-	if err != nil {
-		panic(exhaustedPanic(g.d.arena.Capacity()))
-	}
+	g.d.must(err)
 	return r
 }
 
@@ -1540,31 +1539,54 @@ func (g *Guard[T]) TryAlloc(v T) (Ref[T], error) {
 	if err != nil {
 		return Ref[T]{}, err
 	}
-	for i := 0; i < NumWords; i++ {
-		g.d.arena.StoreWord(h, i, 0)
-	}
-	g.d.vals[h-1] = v
-	return Ref[T]{h}, nil
+	return g.initBlock(h, v), nil
 }
 
-// tryAllocFast is a single allocation attempt that fails fast instead of
-// entering the emergency pipeline. Structures whose allocation sites sit
-// inside a protected section use it so they can drop their protection
-// (End) before blocking: a stalled allocator still holding traversal
-// reservations pins every contemporaneous block against every scan, and
-// a herd of such stalls would deadlock the very reclamation each is
-// waiting for. On false, the caller Ends, runs TryAlloc unprotected,
-// Begins again and restarts its traversal.
-func (g *Guard[T]) tryAllocFast(v T) (Ref[T], bool) {
-	h, ok := g.d.scheme().s.TryAlloc(g.tid)
-	if !ok {
-		return Ref[T]{}, false
-	}
+// initBlock zeroes a fresh block's words and stores its value.
+func (g *Guard[T]) initBlock(h mem.Handle, v T) Ref[T] {
 	for i := 0; i < NumWords; i++ {
 		g.d.arena.StoreWord(h, i, 0)
 	}
 	g.d.vals[h-1] = v
-	return Ref[T]{h}, true
+	return Ref[T]{h}
+}
+
+// allocInside is TryAlloc for the lazy allocation sites that sit inside a
+// protected section (an insert allocates only once its key is known
+// absent). It makes one fast attempt; when the arena is dry it drops the
+// protection (End) before entering the emergency pipeline and re-enters
+// (Begin) afterwards, because a stalled allocator still holding traversal
+// reservations pins every contemporaneous block against every scan, and
+// a herd of such stalls would deadlock the very reclamation each is
+// waiting for. stale reports that the protection was dropped: the
+// caller's traversal window is stale and must be redone. Never call it
+// inside a batch context, where End keeps the batch-wide span; batches
+// allocate their runs up front instead (allocRun).
+func (g *Guard[T]) allocInside(v T) (r Ref[T], stale bool, err error) {
+	if h, ok := g.d.scheme().s.TryAlloc(g.tid); ok {
+		return g.initBlock(h, v), false, nil
+	}
+	g.End()
+	r, err = g.TryAlloc(v)
+	g.Begin()
+	return r, true, err
+}
+
+// allocRun allocates a block for each value of vs, in order, into the
+// guard's scratch run 0 (see scratchNodes): the batch form of allocating
+// before protection, called before the batch opens its span. On exhaustion it stops and
+// returns the prefix it obtained with the error; the caller still applies
+// that prefix and reports its length.
+func (g *Guard[T]) allocRun(vs []T) ([]Ref[T], error) {
+	nodes := g.scratchNodes(0, len(vs))
+	for _, v := range vs {
+		n, err := g.TryAlloc(v)
+		if err != nil {
+			return nodes, err
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
 }
 
 // Dealloc returns a never-published block to the arena immediately — the

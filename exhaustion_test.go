@@ -253,6 +253,81 @@ func TestPanicVariantsWrapSentinel(t *testing.T) {
 	}
 }
 
+// TestPanicVariantsLeakNothing holds each panicking write to its Try
+// twin's cleanup: once the Try form has exhausted a Leak arena, one
+// recovered panic from the plain method must leave the live block count
+// where the Try form left it. A write that allocates more than one block
+// (a value box and its queue node, a leaf and its routing node) must hand
+// back the blocks it did get.
+func TestPanicVariantsLeakNothing(t *testing.T) {
+	type ops struct {
+		try   func() error // one Try write; nil until the arena runs dry
+		write func()       // one panicking write
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(d *wfe.Domain[uint64]) ops
+	}{
+		{"Stack.Push", func(d *wfe.Domain[uint64]) ops {
+			s := wfe.NewStack[uint64](d)
+			return ops{func() error { return s.TryPush(7) }, func() { s.Push(7) }}
+		}},
+		{"Queue.Enqueue", func(d *wfe.Domain[uint64]) ops {
+			q := wfe.NewQueue[uint64](d)
+			return ops{func() error { return q.TryEnqueue(7) }, func() { q.Enqueue(7) }}
+		}},
+		{"WFQueue.Enqueue", func(d *wfe.Domain[uint64]) ops {
+			q := wfe.NewWFQueue[uint64](d)
+			return ops{func() error { return q.TryEnqueue(7) }, func() { q.Enqueue(7) }}
+		}},
+		{"TurnQueue.Enqueue", func(d *wfe.Domain[uint64]) ops {
+			q := wfe.NewTurnQueue[uint64](d)
+			return ops{func() error { return q.TryEnqueue(7) }, func() { q.Enqueue(7) }}
+		}},
+		{"HashMap.Put", func(d *wfe.Domain[uint64]) ops {
+			m := wfe.NewHashMap[uint64](d, 8)
+			key := uint64(0)
+			return ops{
+				func() error { key++; return m.TryPut(key, key) },
+				func() { m.Put(key+1, 7) },
+			}
+		}},
+		{"Tree.Insert", func(d *wfe.Domain[uint64]) ops {
+			tr := wfe.NewTree[uint64](d)
+			key := uint64(0)
+			return ops{
+				func() error { key++; _, err := tr.TryInsert(key, key); return err },
+				func() { tr.Insert(key+1, 7) },
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := smallDomain(t, wfe.Leak, 128)
+			o := tc.build(d)
+			for i := 0; o.try() == nil; i++ {
+				if i == 1<<12 {
+					t.Fatal("arena never exhausted")
+				}
+			}
+			d.FlushGuardCache()
+			before := d.ArenaCensus().Live
+			var recovered any
+			func() {
+				defer func() { recovered = recover() }()
+				o.write()
+			}()
+			if err, ok := recovered.(error); !ok || !errors.Is(err, wfe.ErrArenaExhausted) {
+				t.Fatalf("write on the exhausted arena recovered %v, want a panic wrapping ErrArenaExhausted", recovered)
+			}
+			d.FlushGuardCache()
+			if after := d.ArenaCensus().Live; after != before {
+				t.Errorf("live blocks %d -> %d across one recovered panic: the write leaked %d block(s)",
+					before, after, after-before)
+			}
+		})
+	}
+}
+
 // TestPressureGaugeAndMetrics drives a Domain into sustained pressure and
 // follows the gauge end to end: Pressure(), Telemetry, and the
 // OpenMetrics exposition with its two new families.

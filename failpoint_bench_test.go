@@ -17,48 +17,28 @@ import (
 	"wfe/internal/failpoint"
 )
 
-// failpointHashMapChurn is the measured workload: the same 50% insert /
-// 50% delete mix over 512 keys as the tracing guard — every insert
-// crosses the arena-alloc site, every delete's reclamation crosses
-// retirer-scan, so the per-site Eval cost is on the hot path throughout.
-func failpointHashMapChurn(b *testing.B, armed bool) {
-	b.Helper()
-	if armed {
-		site, ok := failpoint.Lookup("arena-alloc")
-		if !ok {
-			b.Fatal("arena-alloc site not registered")
-		}
-		// AfterN beyond any reachable hit count: the armed evaluation path
-		// runs on every alloc but the trigger never fires.
-		site.Arm(failpoint.Trigger{AfterN: 1 << 62})
-		b.Cleanup(failpoint.DisarmAll)
-	}
-	d, err := wfe.NewDomain[uint64](wfe.Options{
-		Scheme:   wfe.WFE,
-		Capacity: 1 << 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := wfe.NewHashMap[uint64](d, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i) & 511
-		if i&1 == 0 {
-			m.Insert(k, uint64(i))
-		} else {
-			m.Delete(k)
-		}
-	}
-}
+// BenchmarkFailpointsDisarmed and BenchmarkFailpointsArmed run
+// hashMapChurn, the tracing guard's mix: every insert crosses the
+// arena-alloc site, every delete's reclamation crosses retirer-scan, so
+// the per-site Eval cost is on the hot path throughout.
+func BenchmarkFailpointsDisarmed(b *testing.B) { hashMapChurn(b, wfe.Options{}) }
 
-func BenchmarkFailpointsDisarmed(b *testing.B) { failpointHashMapChurn(b, false) }
-func BenchmarkFailpointsArmed(b *testing.B)    { failpointHashMapChurn(b, true) }
+func BenchmarkFailpointsArmed(b *testing.B) {
+	site, ok := failpoint.Lookup("arena-alloc")
+	if !ok {
+		b.Fatal("arena-alloc site not registered")
+	}
+	// AfterN beyond any reachable hit count: the armed evaluation path
+	// runs on every alloc but the trigger never fires.
+	site.Arm(failpoint.Trigger{AfterN: 1 << 62})
+	b.Cleanup(failpoint.DisarmAll)
+	hashMapChurn(b, wfe.Options{})
+}
 
 // TestFailpointOverheadGuard is the CI-asserted bar: arming a
 // never-firing trigger on the alloc site must not slow the workload past
 // 1.05x the disarmed run — the sites stay cheap enough to ship. As with
-// the tracing guard, each side takes the best of several attempts so a
+// the tracing guard, each side takes the best of four attempts so a
 // noisy neighbour cannot fail the build; only a real regression slows
 // every attempt.
 func TestFailpointOverheadGuard(t *testing.T) {
@@ -66,19 +46,8 @@ func TestFailpointOverheadGuard(t *testing.T) {
 		t.Skip("set WFE_OVERHEAD_GUARD=1 to run the failpoint overhead guard")
 	}
 	const attempts = 4
-	best := func(armed bool) float64 {
-		bestNs := 0.0
-		for i := 0; i < attempts; i++ {
-			r := testing.Benchmark(func(b *testing.B) { failpointHashMapChurn(b, armed) })
-			ns := float64(r.NsPerOp())
-			if bestNs == 0 || ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs
-	}
-	disarmed := best(false)
-	armed := best(true)
+	disarmed := bestNsPerOp(attempts, BenchmarkFailpointsDisarmed)
+	armed := bestNsPerOp(attempts, BenchmarkFailpointsArmed)
 	ratio := armed / disarmed
 	t.Logf("failpoints disarmed %.1f ns/op, armed %.1f ns/op, ratio %.3f", disarmed, armed, ratio)
 	if ratio > 1.05 {

@@ -137,9 +137,9 @@ retry:
 // Insert adds key→val; it reports false (leaving the map unchanged) when
 // the key is already present.
 func (m *HashMap[T]) Insert(key uint64, val T) bool {
-	g := m.d.Pin()
-	defer m.d.unpin(g)
-	return m.InsertGuarded(g, key, val)
+	ok, err := m.TryInsert(key, val)
+	m.d.must(err)
+	return ok
 }
 
 // Delete removes key, reporting whether it was present. The victim is
@@ -162,11 +162,7 @@ func (m *HashMap[T]) Get(key uint64) (v T, ok bool) {
 // allocated one (mark, swing, retire). Replacement rather than in-place
 // mutation is what keeps values safely immutable for concurrent readers —
 // and why read-mostly workloads still exercise reclamation (paper §5).
-func (m *HashMap[T]) Put(key uint64, val T) {
-	g := m.d.Pin()
-	defer m.d.unpin(g)
-	m.PutGuarded(g, key, val)
-}
+func (m *HashMap[T]) Put(key uint64, val T) { m.d.must(m.TryPut(key, val)) }
 
 // Len counts reachable, unmarked nodes; meaningful only quiescently.
 func (m *HashMap[T]) Len() int {
@@ -189,9 +185,7 @@ func (m *HashMap[T]) TryInsert(key uint64, val T) (ok bool, err error) {
 // InsertGuarded is Insert on a caller-held guard.
 func (m *HashMap[T]) InsertGuarded(g *Guard[T], key uint64, val T) bool {
 	ok, err := m.TryInsertGuarded(g, key, val)
-	if err != nil {
-		panic(exhaustedPanic(m.d.arena.Capacity()))
-	}
+	m.d.must(err)
 	return ok
 }
 
@@ -212,22 +206,15 @@ func (m *HashMap[T]) TryInsertGuarded(g *Guard[T], key uint64, val T) (ok bool, 
 		if n.IsNil() {
 			// Allocate only once the key is known absent, so a lookup-heavy
 			// workload never pays allocation (or pressure) for misses that
-			// turn out to be hits. The lazy site sits inside the protected
-			// section, so an exhausted arena is handled by dropping the
-			// protection, running the emergency pipeline unprotected, and
-			// restarting the traversal with the node in hand.
-			var ok bool
-			if n, ok = g.tryAllocFast(val); !ok {
-				g.End()
-				n, err = g.TryAlloc(val)
-				g.Begin()
-				if err != nil {
-					return false, err
-				}
-				g.StoreMeta(n, mapKey, key)
-				continue // the window went stale while unprotected
+			// turn out to be hits.
+			var stale bool
+			if n, stale, err = g.allocInside(val); err != nil {
+				return false, err
 			}
 			g.StoreMeta(n, mapKey, key)
+			if stale {
+				continue // the window went stale while unprotected
+			}
 		}
 		g.Store(n, mapNext, w.cur)
 		if m.casPrev(g, head, w.prev, w.cur, n) {
@@ -278,9 +265,7 @@ func (m *HashMap[T]) TryPut(key uint64, val T) error {
 
 // PutGuarded is Put on a caller-held guard.
 func (m *HashMap[T]) PutGuarded(g *Guard[T], key uint64, val T) {
-	if err := m.TryPutGuarded(g, key, val); err != nil {
-		panic(exhaustedPanic(m.d.arena.Capacity()))
-	}
+	m.d.must(m.TryPutGuarded(g, key, val))
 }
 
 // TryPutGuarded is TryPut on a caller-held guard.
@@ -294,17 +279,17 @@ func (m *HashMap[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
 	if err != nil {
 		return err
 	}
-	g.StoreMeta(n, mapKey, key)
 	g.Begin()
 	defer g.End()
 	m.putNode(g, key, n)
 	return nil
 }
 
-// putNode links the pre-allocated node n (key metadata already stamped)
-// under key, replacing any existing node (mark, swing, retire). The
-// caller owns the protected section; n is consumed unconditionally.
+// putNode stamps the pre-allocated node n with key and links it,
+// replacing any existing node (mark, swing, retire). The caller owns the
+// protected section; n is consumed unconditionally.
 func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
+	g.StoreMeta(n, mapKey, key)
 	head := m.bucket(key)
 	for {
 		found, w := m.find(g, head, key)
@@ -376,16 +361,14 @@ func (m *HashMap[T]) MultiDeleteGuarded(g *Guard[T], keys []uint64) (oks []bool)
 // pipeline; pairs already applied stay applied (use TryMultiPut to
 // observe partial progress instead).
 func (m *HashMap[T]) MultiPut(keys []uint64, vals []T) {
-	g := m.d.pinBatch()
-	defer m.d.unpin(g)
-	m.MultiPutGuarded(g, keys, vals)
+	_, err := m.TryMultiPut(keys, vals)
+	m.d.must(err)
 }
 
 // MultiPutGuarded is MultiPut on a caller-held guard.
 func (m *HashMap[T]) MultiPutGuarded(g *Guard[T], keys []uint64, vals []T) {
-	if _, err := m.TryMultiPutGuarded(g, keys, vals); err != nil {
-		panic(exhaustedPanic(m.d.arena.Capacity()))
-	}
+	_, err := m.TryMultiPutGuarded(g, keys, vals)
+	m.d.must(err)
 }
 
 // TryMultiPut is MultiPut with backpressure: every node the batch needs
@@ -405,19 +388,7 @@ func (m *HashMap[T]) TryMultiPutGuarded(g *Guard[T], keys []uint64, vals []T) (a
 	if len(keys) != len(vals) {
 		panic("wfe: MultiPut keys/vals length mismatch")
 	}
-	// Allocate the whole run before the batch opens its protection span:
-	// an exhausted-arena stall then runs the emergency pipeline with no
-	// reservations held, exactly as in the per-op TryPutGuarded.
-	nodes := g.scratchNodes(0, len(keys))
-	for i := range keys {
-		n, aerr := g.TryAlloc(vals[i])
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		g.StoreMeta(n, mapKey, keys[i])
-		nodes = append(nodes, n)
-	}
+	nodes, err := g.allocRun(vals)
 	applied = g.runBatch(len(nodes), func(i int) bool {
 		m.putNode(g, keys[i], nodes[i])
 		return true

@@ -133,14 +133,19 @@ func (q *Queue) debugBound(round int, op string) {
 	}
 }
 
-// Enqueue appends v. The announcement/turn protocol guarantees the node is
-// linked within one full turn even if this thread does all the work itself.
-func (q *Queue) Enqueue(tid int, v uint64) {
+// Enqueue appends v in a node allocated on tid's behalf.
+func (q *Queue) Enqueue(tid int, v uint64) { q.EnqueueNode(tid, q.smr.Alloc(tid), v) }
+
+// EnqueueNode appends v in node, a block tid allocated and has not
+// published; allocating ahead of the protected section means a stalled
+// allocation holds no reservation. The announcement/turn protocol
+// guarantees the node is linked within one full turn even if this thread
+// does all the work itself.
+func (q *Queue) EnqueueNode(tid int, node mem.Handle, v uint64) {
 	q.smr.Begin(tid)
 	defer q.smr.Clear(tid)
 	a := q.smr.Arena()
 
-	node := q.smr.Alloc(tid)
 	a.SetVal(node, v)
 	a.StoreWord(node, nextWord, 0)
 	a.StoreWord(node, claimWord, 0)

@@ -112,13 +112,18 @@ func (q *Queue) isStillPending(i int, phase uint64) bool {
 	return descPending(d) && descPhase(d) <= phase
 }
 
-// Enqueue appends v to the queue.
-func (q *Queue) Enqueue(tid int, v uint64) {
+// Enqueue appends v to the queue in a node allocated on tid's behalf.
+func (q *Queue) Enqueue(tid int, v uint64) { q.EnqueueNode(tid, q.smr.Alloc(tid), v) }
+
+// EnqueueNode appends v in node, a block tid allocated and has not
+// published. Taking the node from the caller keeps the allocation ahead
+// of the protected section, so an allocation that stalls on an exhausted
+// arena holds no reservation.
+func (q *Queue) EnqueueNode(tid int, node mem.Handle, v uint64) {
 	q.smr.Begin(tid)
 	defer q.smr.Clear(tid)
 	a := q.smr.Arena()
 
-	node := q.smr.Alloc(tid)
 	a.SetVal(node, v)
 	a.StoreWord(node, nextWord, 0)
 	a.StoreWord(node, deqTidWord, 0)

@@ -39,11 +39,7 @@ func NewQueue[T any](d *Domain[T]) *Queue[T] {
 }
 
 // Enqueue appends v.
-func (q *Queue[T]) Enqueue(v T) {
-	g := q.d.Pin()
-	defer q.d.unpin(g)
-	q.EnqueueGuarded(g, v)
-}
+func (q *Queue[T]) Enqueue(v T) { q.d.must(q.TryEnqueue(v)) }
 
 // Dequeue removes and returns the oldest value; ok is false when empty.
 func (q *Queue[T]) Dequeue() (v T, ok bool) {
@@ -69,11 +65,7 @@ func (q *Queue[T]) TryEnqueue(v T) error {
 }
 
 // EnqueueGuarded is Enqueue on a caller-held guard.
-func (q *Queue[T]) EnqueueGuarded(g *Guard[T], v T) {
-	if err := q.TryEnqueueGuarded(g, v); err != nil {
-		panic(exhaustedPanic(q.d.arena.Capacity()))
-	}
-}
+func (q *Queue[T]) EnqueueGuarded(g *Guard[T], v T) { q.d.must(q.TryEnqueueGuarded(g, v)) }
 
 // TryEnqueueGuarded is TryEnqueue on a caller-held guard.
 func (q *Queue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
@@ -146,16 +138,14 @@ func (q *Queue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 // enqueued stay enqueued (use TryEnqueueAll to observe partial
 // progress).
 func (q *Queue[T]) EnqueueAll(vs []T) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	q.EnqueueAllGuarded(g, vs)
+	_, err := q.TryEnqueueAll(vs)
+	q.d.must(err)
 }
 
 // EnqueueAllGuarded is EnqueueAll on a caller-held guard.
 func (q *Queue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
-	if _, err := q.TryEnqueueAllGuarded(g, vs); err != nil {
-		panic(exhaustedPanic(q.d.arena.Capacity()))
-	}
+	_, err := q.TryEnqueueAllGuarded(g, vs)
+	q.d.must(err)
 }
 
 // TryEnqueueAll is EnqueueAll with backpressure: the whole run is
@@ -171,15 +161,7 @@ func (q *Queue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
 
 // TryEnqueueAllGuarded is TryEnqueueAll on a caller-held guard.
 func (q *Queue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
-	nodes := g.scratchNodes(0, len(vs))
-	for i := range vs {
-		n, aerr := g.TryAlloc(vs[i])
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		nodes = append(nodes, n)
-	}
+	nodes, err := g.allocRun(vs)
 	enqueued = g.runBatch(len(nodes), func(i int) bool {
 		q.enqueueNode(g, nodes[i])
 		return true

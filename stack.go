@@ -22,11 +22,7 @@ func NewStack[T any](d *Domain[T]) *Stack[T] {
 }
 
 // Push adds v to the top of the stack.
-func (s *Stack[T]) Push(v T) {
-	g := s.d.Pin()
-	defer s.d.unpin(g)
-	s.PushGuarded(g, v)
-}
+func (s *Stack[T]) Push(v T) { s.d.must(s.TryPush(v)) }
 
 // Pop removes and returns the top value; ok is false on an empty stack.
 func (s *Stack[T]) Pop() (v T, ok bool) {
@@ -52,11 +48,7 @@ func (s *Stack[T]) TryPush(v T) error {
 }
 
 // PushGuarded is Push on a caller-held guard.
-func (s *Stack[T]) PushGuarded(g *Guard[T], v T) {
-	if err := s.TryPushGuarded(g, v); err != nil {
-		panic(exhaustedPanic(s.d.arena.Capacity()))
-	}
-}
+func (s *Stack[T]) PushGuarded(g *Guard[T], v T) { s.d.must(s.TryPushGuarded(g, v)) }
 
 // TryPushGuarded is TryPush on a caller-held guard.
 func (s *Stack[T]) TryPushGuarded(g *Guard[T], v T) error {
@@ -111,16 +103,14 @@ func (s *Stack[T]) PopGuarded(g *Guard[T]) (v T, ok bool) {
 // after the emergency-reclamation pipeline; values already pushed stay
 // pushed (use TryPushAll to observe partial progress).
 func (s *Stack[T]) PushAll(vs []T) {
-	g := s.d.pinBatch()
-	defer s.d.unpin(g)
-	s.PushAllGuarded(g, vs)
+	_, err := s.TryPushAll(vs)
+	s.d.must(err)
 }
 
 // PushAllGuarded is PushAll on a caller-held guard.
 func (s *Stack[T]) PushAllGuarded(g *Guard[T], vs []T) {
-	if _, err := s.TryPushAllGuarded(g, vs); err != nil {
-		panic(exhaustedPanic(s.d.arena.Capacity()))
-	}
+	_, err := s.TryPushAllGuarded(g, vs)
+	s.d.must(err)
 }
 
 // TryPushAll is PushAll with backpressure: the whole run is allocated
@@ -136,15 +126,7 @@ func (s *Stack[T]) TryPushAll(vs []T) (pushed int, err error) {
 
 // TryPushAllGuarded is TryPushAll on a caller-held guard.
 func (s *Stack[T]) TryPushAllGuarded(g *Guard[T], vs []T) (pushed int, err error) {
-	nodes := g.scratchNodes(0, len(vs))
-	for i := range vs {
-		n, aerr := g.TryAlloc(vs[i])
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		nodes = append(nodes, n)
-	}
+	nodes, err := g.allocRun(vs)
 	pushed = g.runBatch(len(nodes), func(i int) bool {
 		s.pushNode(g, nodes[i])
 		return true

@@ -13,17 +13,17 @@ import (
 	"wfe"
 )
 
-// traceHashMapChurn is the measured workload: a 50% insert / 50% delete
-// mix over 512 keys through the guardless HashMap API — every operation
-// takes a lease, protects traversals, and retires unlinked nodes, so with
-// tracing on each op crosses several Emit call sites.
-func traceHashMapChurn(b *testing.B, traced bool) {
+// hashMapChurn is the workload the tracing and failpoint guards share: a
+// 50% insert / 50% delete mix over 512 keys through the guardless HashMap
+// API on a WFE domain built with opts. Every operation takes a lease,
+// protects traversals, and allocates or retires a node, so each op
+// crosses several tracer Emit sites and the arena-alloc and retirer-scan
+// failpoint sites.
+func hashMapChurn(b *testing.B, opts wfe.Options) {
 	b.Helper()
-	d, err := wfe.NewDomain[uint64](wfe.Options{
-		Scheme:   wfe.WFE,
-		Capacity: 1 << 16,
-		Trace:    traced,
-	})
+	opts.Scheme = wfe.WFE
+	opts.Capacity = 1 << 16
+	d, err := wfe.NewDomain[uint64](opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,32 +39,34 @@ func traceHashMapChurn(b *testing.B, traced bool) {
 	}
 }
 
-func BenchmarkTracingOff(b *testing.B) { traceHashMapChurn(b, false) }
-func BenchmarkTracingOn(b *testing.B)  { traceHashMapChurn(b, true) }
+// bestNsPerOp runs bench attempts times and returns the lowest ns/op.
+// Timing ratios on shared runners are noisy, so every overhead guard
+// compares best-of-attempts figures: a genuine hot-path regression slows
+// every attempt; noise does not speed one up.
+func bestNsPerOp(attempts int, bench func(*testing.B)) float64 {
+	best := 0.0
+	for i := 0; i < attempts; i++ {
+		ns := float64(testing.Benchmark(bench).NsPerOp())
+		if best == 0 || ns < best {
+			best = ns
+		}
+	}
+	return best
+}
+
+func BenchmarkTracingOff(b *testing.B) { hashMapChurn(b, wfe.Options{}) }
+func BenchmarkTracingOn(b *testing.B)  { hashMapChurn(b, wfe.Options{Trace: true}) }
 
 // TestTracingOverheadGuard is the CI-asserted bar: tracing enabled must
-// cost <= 5% versus disabled on the guardless HashMap benchmark. Timing
-// ratios on shared runners are noisy, so the guard takes the best (lowest
-// ns/op) of several attempts for each side before comparing — a genuine
-// hot-path regression slows every attempt; noise does not speed one up.
+// cost <= 5% versus disabled on the guardless HashMap benchmark, best of
+// four attempts per side.
 func TestTracingOverheadGuard(t *testing.T) {
 	if os.Getenv("WFE_OVERHEAD_GUARD") != "1" {
 		t.Skip("set WFE_OVERHEAD_GUARD=1 to run the tracing overhead guard")
 	}
 	const attempts = 4
-	best := func(traced bool) float64 {
-		bestNs := 0.0
-		for i := 0; i < attempts; i++ {
-			r := testing.Benchmark(func(b *testing.B) { traceHashMapChurn(b, traced) })
-			ns := float64(r.NsPerOp())
-			if bestNs == 0 || ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs
-	}
-	off := best(false)
-	on := best(true)
+	off := bestNsPerOp(attempts, BenchmarkTracingOff)
+	on := bestNsPerOp(attempts, BenchmarkTracingOn)
 	ratio := on / off
 	t.Logf("tracing off %.1f ns/op, on %.1f ns/op, ratio %.3f", off, on, ratio)
 	if ratio > 1.05 {

@@ -189,9 +189,9 @@ func (t *Tree[T]) cleanup(g *Guard[T], anc, par Ref[T]) bool {
 
 // Insert adds key→val, reporting false if the key is already present.
 func (t *Tree[T]) Insert(key uint64, val T) bool {
-	g := t.d.Pin()
-	defer t.d.unpin(g)
-	return t.InsertGuarded(g, key, val)
+	ok, err := t.TryInsert(key, val)
+	t.d.must(err)
+	return ok
 }
 
 // Delete removes key, reporting whether it was present. The flag CAS on
@@ -213,11 +213,7 @@ func (t *Tree[T]) Get(key uint64) (v T, ok bool) {
 // Put inserts key→val, or replaces an existing key's leaf with a fresh one
 // and retires the old leaf — the paper benchmark's put semantics, keeping
 // read-mostly workloads on the reclamation path.
-func (t *Tree[T]) Put(key uint64, val T) {
-	g := t.d.Pin()
-	defer t.d.unpin(g)
-	t.PutGuarded(g, key, val)
-}
+func (t *Tree[T]) Put(key uint64, val T) { t.d.must(t.TryPut(key, val)) }
 
 // Len counts real-key leaves; meaningful only quiescently.
 func (t *Tree[T]) Len() int {
@@ -250,9 +246,7 @@ func (t *Tree[T]) TryInsert(key uint64, val T) (ok bool, err error) {
 // InsertGuarded is Insert on a caller-held guard.
 func (t *Tree[T]) InsertGuarded(g *Guard[T], key uint64, val T) bool {
 	ok, err := t.TryInsertGuarded(g, key, val)
-	if err != nil {
-		panic(exhaustedPanic(t.d.arena.Capacity()))
-	}
+	t.d.must(err)
 	return ok
 }
 
@@ -261,55 +255,46 @@ func (t *Tree[T]) TryInsertGuarded(g *Guard[T], key uint64, val T) (ok bool, err
 	t.checkKey(key)
 	g.Begin()
 	defer g.End()
+	return t.insert(g, key, val, Ref[T]{}, Ref[T]{})
+}
+
+// insert is the seek-and-link loop of every insert. It needs two blocks,
+// a leaf holding val and a routing node. The batch inserts pass both in,
+// allocated before their protection span, and then insert cannot fail;
+// the per-op path passes nil Refs, and each block is allocated once the
+// key is known absent, so a duplicate-key insert pays nothing. On a
+// duplicate key the blocks in hand, never published, go back to the
+// arena.
+func (t *Tree[T]) insert(g *Guard[T], key uint64, val T, newLeaf, newInt Ref[T]) (ok bool, err error) {
 	var sr treeSeek[T]
-	var newLeaf, newInt Ref[T]
 	var zero T
 	for {
 		t.seek(g, key, &sr)
 		leafKey := g.LoadMeta(sr.leaf, treeKey)
 		if leafKey == key {
 			if !newLeaf.IsNil() {
-				g.Dealloc(newLeaf) // never published
+				g.Dealloc(newLeaf)
+			}
+			if !newInt.IsNil() {
 				g.Dealloc(newInt)
 			}
 			return false, nil
 		}
+		var stale bool
 		if newLeaf.IsNil() {
-			// An insert needs two blocks (routing node + leaf), allocated
-			// lazily so a duplicate-key insert pays nothing. The site sits
-			// inside the protected section, so exhaustion drops the
-			// protection, runs the emergency pipeline unprotected, and
-			// restarts the seek with the blocks in hand; the first block is
-			// undone when the second cannot be had, so a failed insert
-			// leaks nothing.
-			var fast bool
-			if newLeaf, fast = g.tryAllocFast(val); !fast {
-				g.End()
-				newLeaf, err = g.TryAlloc(val)
-				if err == nil {
-					g.StoreMeta(newLeaf, treeKey, key)
-					g.StoreMeta(newLeaf, treeIsLeaf, 1)
-					newInt, err = g.TryAlloc(zero)
-					if err != nil {
-						g.Dealloc(newLeaf)
-					}
-				}
-				g.Begin()
-				if err != nil {
-					return false, err
-				}
+			if newLeaf, stale, err = g.allocInside(val); err != nil {
+				return false, err
+			}
+			if stale {
 				continue // the seek window went stale while unprotected
 			}
-			g.StoreMeta(newLeaf, treeKey, key)
-			g.StoreMeta(newLeaf, treeIsLeaf, 1)
-			if newInt, fast = g.tryAllocFast(zero); !fast {
-				g.End()
-				newInt, err = g.TryAlloc(zero)
-				g.Begin()
-				if err != nil {
-					g.Dealloc(newLeaf)
-					return false, err
-				}
+		}
+		if newInt.IsNil() {
+			if newInt, stale, err = g.allocInside(zero); err != nil {
+				g.Dealloc(newLeaf)
+				return false, err
+			}
+			if stale {
 				continue
 			}
 		}
@@ -319,11 +304,13 @@ func (t *Tree[T]) TryInsertGuarded(g *Guard[T], key uint64, val T) (ok bool, err
 	}
 }
 
-// linkLeaf wires the routing node newInt between newLeaf and the leaf the
-// seek terminated on, then attempts the parent-edge swing. On a lost CAS
-// it helps any deletion that froze the edge and reports false so the
-// caller re-seeks.
+// linkLeaf stamps newLeaf with key, wires the routing node newInt between
+// it and the leaf the seek terminated on, then attempts the parent-edge
+// swing. On a lost CAS it helps any deletion that froze the edge and
+// reports false so the caller re-seeks.
 func (t *Tree[T]) linkLeaf(g *Guard[T], key, leafKey uint64, sr *treeSeek[T], newLeaf, newInt Ref[T]) bool {
+	g.StoreMeta(newLeaf, treeKey, key)
+	g.StoreMeta(newLeaf, treeIsLeaf, 1)
 	// The new internal node routes between the new leaf and the old one.
 	if key < leafKey {
 		g.StoreMeta(newInt, treeKey, leafKey)
@@ -342,25 +329,6 @@ func (t *Tree[T]) linkLeaf(g *Guard[T], key, leafKey uint64, sr *treeSeek[T], ne
 		t.cleanup(g, sr.anc, sr.par)
 	}
 	return false
-}
-
-// insertNodes is the insert loop over pre-allocated blocks (newLeaf with
-// its key and leaf marker already stamped, newInt zeroed): no allocation
-// can happen inside it, which is what lets the batch entry points run it
-// under an open protection span. On a duplicate key it reports false
-// with both blocks unconsumed; the caller deallocates them.
-func (t *Tree[T]) insertNodes(g *Guard[T], key uint64, newLeaf, newInt Ref[T]) bool {
-	var sr treeSeek[T]
-	for {
-		t.seek(g, key, &sr)
-		leafKey := g.LoadMeta(sr.leaf, treeKey)
-		if leafKey == key {
-			return false
-		}
-		if t.linkLeaf(g, key, leafKey, &sr, newLeaf, newInt) {
-			return true
-		}
-	}
 }
 
 // DeleteGuarded is Delete on a caller-held guard.
@@ -420,11 +388,7 @@ func (t *Tree[T]) TryPut(key uint64, val T) error {
 }
 
 // PutGuarded is Put on a caller-held guard.
-func (t *Tree[T]) PutGuarded(g *Guard[T], key uint64, val T) {
-	if err := t.TryPutGuarded(g, key, val); err != nil {
-		panic(exhaustedPanic(t.d.arena.Capacity()))
-	}
-}
+func (t *Tree[T]) PutGuarded(g *Guard[T], key uint64, val T) { t.d.must(t.TryPutGuarded(g, key, val)) }
 
 // TryPutGuarded is TryPut on a caller-held guard.
 func (t *Tree[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
@@ -469,22 +433,15 @@ func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, 
 			return false, false, nil
 		}
 		if newLeaf.IsNil() {
-			var fast bool
-			if newLeaf, fast = g.tryAllocFast(val); !fast {
-				// Exhausted mid-seek: drop the protection before blocking
-				// in the emergency pipeline, then restart the seek.
-				g.End()
-				newLeaf, err = g.TryAlloc(val)
-				g.Begin()
-				if err != nil {
-					return false, false, err
-				}
-				g.StoreMeta(newLeaf, treeKey, key)
-				g.StoreMeta(newLeaf, treeIsLeaf, 1)
-				continue
+			var stale bool
+			if newLeaf, stale, err = g.allocInside(val); err != nil {
+				return false, false, err
 			}
 			g.StoreMeta(newLeaf, treeKey, key)
 			g.StoreMeta(newLeaf, treeIsLeaf, 1)
+			if stale {
+				continue // the seek window went stale while unprotected
+			}
 		}
 		if g.CompareAndSwap(sr.par, sr.leafDir, sr.leafEdge, newLeaf) {
 			g.Retire(sr.leaf)
@@ -505,17 +462,15 @@ func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, 
 // already inserted stay inserted (use TryMultiInsert to observe partial
 // progress).
 func (t *Tree[T]) MultiInsert(keys []uint64, vals []T) (inserted []bool) {
-	g := t.d.pinBatch()
-	defer t.d.unpin(g)
-	return t.MultiInsertGuarded(g, keys, vals)
+	inserted, _, err := t.TryMultiInsert(keys, vals)
+	t.d.must(err)
+	return inserted
 }
 
 // MultiInsertGuarded is MultiInsert on a caller-held guard.
 func (t *Tree[T]) MultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (inserted []bool) {
 	inserted, _, err := t.TryMultiInsertGuarded(g, keys, vals)
-	if err != nil {
-		panic(exhaustedPanic(t.d.arena.Capacity()))
-	}
+	t.d.must(err)
 	return inserted
 }
 
@@ -552,8 +507,6 @@ func (t *Tree[T]) TryMultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (i
 			err = aerr
 			break
 		}
-		g.StoreMeta(leaf, treeKey, keys[i])
-		g.StoreMeta(leaf, treeIsLeaf, 1)
 		ri, aerr := g.TryAlloc(zero)
 		if aerr != nil {
 			g.Dealloc(leaf)
@@ -565,14 +518,9 @@ func (t *Tree[T]) TryMultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (i
 	}
 	inserted = make([]bool, len(keys))
 	attempted = g.runBatch(len(leaves), func(i int) bool {
-		if t.insertNodes(g, keys[i], leaves[i], ints[i]) {
-			inserted[i] = true
-		} else {
-			// Duplicate key: the pre-allocated pair was never published, so
-			// no reader can hold it — return it to the arena directly.
-			g.Dealloc(leaves[i])
-			g.Dealloc(ints[i])
-		}
+		// Both blocks are in hand, so insert allocates nothing and its
+		// error is always nil.
+		inserted[i], _ = t.insert(g, keys[i], vals[i], leaves[i], ints[i])
 		return true
 	})
 	return inserted, attempted, err

@@ -1,10 +1,6 @@
 package wfe
 
-import (
-	"errors"
-
-	"wfe/internal/ds/crturn"
-)
+import "wfe/internal/ds/crturn"
 
 // TurnQueue is the CRTurn wait-free MPMC FIFO queue of T (Ramalhete &
 // Correia), the second wait-free structure of the paper's evaluation
@@ -23,10 +19,7 @@ import (
 // guard from the Domain's guard runtime for the duration of the operation,
 // so any number of goroutines may call them. The Guarded variants take an
 // explicit or pinned Guard and skip the lease — use them in hot loops.
-type TurnQueue[T any] struct {
-	d *Domain[T]
-	q *crturn.Queue
-}
+type TurnQueue[T any] struct{ boxQueue[T] }
 
 // NewTurnQueue creates an empty CRTurn queue on the Domain. It leases a
 // guard to allocate the sentinel node, parking briefly if all guards are
@@ -38,139 +31,5 @@ type TurnQueue[T any] struct {
 func NewTurnQueue[T any](d *Domain[T]) *TurnQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
-	return &TurnQueue[T]{d: d, q: crturn.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}
+	return &TurnQueue[T]{boxQueue[T]{d, crturn.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
 }
-
-// Enqueue appends v.
-func (q *TurnQueue[T]) Enqueue(v T) {
-	g := q.d.Pin()
-	defer q.d.unpin(g)
-	q.EnqueueGuarded(g, v)
-}
-
-// Dequeue removes and returns the oldest value; ok is false when empty.
-func (q *TurnQueue[T]) Dequeue() (v T, ok bool) {
-	g := q.d.Pin()
-	defer q.d.unpin(g)
-	return q.DequeueGuarded(g)
-}
-
-// Len counts queued values; meaningful only quiescently.
-func (q *TurnQueue[T]) Len() int {
-	g := q.d.Pin()
-	defer q.d.unpin(g)
-	return q.LenGuarded(g)
-}
-
-// TryEnqueue is Enqueue with backpressure: when the arena stays
-// exhausted after the Domain's emergency-reclamation pipeline it returns
-// ErrArenaExhausted instead of panicking.
-func (q *TurnQueue[T]) TryEnqueue(v T) error {
-	g := q.d.Pin()
-	defer q.d.unpin(g)
-	return q.TryEnqueueGuarded(g, v)
-}
-
-// EnqueueGuarded is Enqueue on a caller-held guard.
-func (q *TurnQueue[T]) EnqueueGuarded(g *Guard[T], v T) {
-	box := g.Alloc(v)
-	q.q.Enqueue(g.tid, box.handle())
-}
-
-// TryEnqueueGuarded is TryEnqueue on a caller-held guard. The turn
-// protocol allocates queue nodes internally; an exhaustion hit inside
-// that machinery is caught here, the value box is reclaimed, and the
-// queue is left unchanged.
-func (q *TurnQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) (err error) {
-	box, err := g.TryAlloc(v)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, ErrArenaExhausted) {
-				g.Dealloc(box)
-				err = ErrArenaExhausted
-				return
-			}
-			panic(r)
-		}
-	}()
-	q.q.Enqueue(g.tid, box.handle())
-	return nil
-}
-
-// DequeueGuarded is Dequeue on a caller-held guard.
-func (q *TurnQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
-	h, ok := q.q.Dequeue(g.tid)
-	if !ok {
-		return v, false
-	}
-	// h is the value box's handle, handed to exactly one request; unbox
-	// and free it directly (see WFQueue.DequeueGuarded).
-	box := Ref[T]{h}
-	v = g.Value(box)
-	g.Dealloc(box)
-	return v, true
-}
-
-// EnqueueAll appends every value in slice order under one guard lease.
-// The turn protocol manages protection per operation internally, so this
-// batch amortizes the lease (see WFQueue.EnqueueAll); it panics when the
-// arena stays exhausted after the emergency-reclamation pipeline, with
-// values already enqueued staying enqueued (use TryEnqueueAll to observe
-// partial progress).
-func (q *TurnQueue[T]) EnqueueAll(vs []T) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	q.EnqueueAllGuarded(g, vs)
-}
-
-// EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *TurnQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
-	if _, err := q.TryEnqueueAllGuarded(g, vs); err != nil {
-		panic(exhaustedPanic(q.d.arena.Capacity()))
-	}
-}
-
-// TryEnqueueAll is EnqueueAll with backpressure: on exhaustion mid-run
-// it stops, reporting the enqueued prefix length alongside
-// ErrArenaExhausted — callers resume from vs[enqueued:].
-func (q *TurnQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	return q.TryEnqueueAllGuarded(g, vs)
-}
-
-// TryEnqueueAllGuarded is TryEnqueueAll on a caller-held guard.
-func (q *TurnQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
-	enqueued = g.runLeaseBatch(len(vs), func(i int) bool {
-		err = q.TryEnqueueGuarded(g, vs[i])
-		return err == nil
-	})
-	return enqueued, err
-}
-
-// DequeueN removes up to n values under one guard lease, stopping early
-// when the queue empties. Values come back in FIFO order.
-func (q *TurnQueue[T]) DequeueN(n int) []T {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	return q.DequeueNGuarded(g, n)
-}
-
-// DequeueNGuarded is DequeueN on a caller-held guard.
-func (q *TurnQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
-	out := make([]T, 0, n)
-	g.runLeaseBatch(n, func(int) bool {
-		v, ok := q.DequeueGuarded(g)
-		if ok {
-			out = append(out, v)
-		}
-		return ok
-	})
-	return out
-}
-
-// LenGuarded is Len on a caller-held guard.
-func (q *TurnQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }

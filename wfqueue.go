@@ -1,9 +1,8 @@
 package wfe
 
 import (
-	"errors"
-
 	"wfe/internal/ds/kpqueue"
+	"wfe/internal/mem"
 )
 
 // WFQueue is the Kogan–Petrank wait-free MPMC FIFO queue of T (PPoPP 2011)
@@ -25,10 +24,7 @@ import (
 // guard from the Domain's guard runtime for the duration of the operation,
 // so any number of goroutines may call them. The Guarded variants take an
 // explicit or pinned Guard and skip the lease — use them in hot loops.
-type WFQueue[T any] struct {
-	d *Domain[T]
-	q *kpqueue.Queue
-}
+type WFQueue[T any] struct{ boxQueue[T] }
 
 // NewWFQueue creates an empty wait-free queue on the Domain. It leases a
 // guard to allocate the sentinel node, parking briefly if all guards are
@@ -37,25 +33,39 @@ type WFQueue[T any] struct {
 func NewWFQueue[T any](d *Domain[T]) *WFQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
-	return &WFQueue[T]{d: d, q: kpqueue.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}
+	return &WFQueue[T]{boxQueue[T]{d, kpqueue.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
+}
+
+// queueCore is a wait-free queue of fixed-width words from internal/ds
+// (kpqueue or crturn). Its helping protocol moves a value between threads
+// as one word, which is why boxQueue enqueues a box handle, not the T.
+type queueCore interface {
+	EnqueueNode(tid int, node mem.Handle, v uint64)
+	Dequeue(tid int) (uint64, bool)
+	Len() int
+}
+
+// boxQueue is the value-boxing layer WFQueue and TurnQueue share: each
+// enqueue stores its T in a private box block and enqueues the box's
+// handle in a queue node; the one dequeuer that receives the handle
+// unboxes the T and frees the box.
+type boxQueue[T any] struct {
+	d *Domain[T]
+	q queueCore
 }
 
 // Enqueue appends v.
-func (q *WFQueue[T]) Enqueue(v T) {
-	g := q.d.Pin()
-	defer q.d.unpin(g)
-	q.EnqueueGuarded(g, v)
-}
+func (q *boxQueue[T]) Enqueue(v T) { q.d.must(q.TryEnqueue(v)) }
 
 // Dequeue removes and returns the oldest value; ok is false when empty.
-func (q *WFQueue[T]) Dequeue() (v T, ok bool) {
+func (q *boxQueue[T]) Dequeue() (v T, ok bool) {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.DequeueGuarded(g)
 }
 
 // Len counts queued values; meaningful only quiescently.
-func (q *WFQueue[T]) Len() int {
+func (q *boxQueue[T]) Len() int {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.LenGuarded(g)
@@ -64,43 +74,35 @@ func (q *WFQueue[T]) Len() int {
 // TryEnqueue is Enqueue with backpressure: when the arena stays
 // exhausted after the Domain's emergency-reclamation pipeline it returns
 // ErrArenaExhausted instead of panicking.
-func (q *WFQueue[T]) TryEnqueue(v T) error {
+func (q *boxQueue[T]) TryEnqueue(v T) error {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.TryEnqueueGuarded(g, v)
 }
 
 // EnqueueGuarded is Enqueue on a caller-held guard.
-func (q *WFQueue[T]) EnqueueGuarded(g *Guard[T], v T) {
-	box := g.Alloc(v)
-	q.q.Enqueue(g.tid, box.handle())
-}
+func (q *boxQueue[T]) EnqueueGuarded(g *Guard[T], v T) { q.d.must(q.TryEnqueueGuarded(g, v)) }
 
-// TryEnqueueGuarded is TryEnqueue on a caller-held guard. The helping
-// protocol allocates queue nodes internally; an exhaustion hit inside
-// that machinery is caught here, the value box is reclaimed, and the
-// queue is left unchanged.
-func (q *WFQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) (err error) {
+// TryEnqueueGuarded is TryEnqueue on a caller-held guard. The value box
+// and the queue node are both allocated before the queue's protected
+// section; when the node cannot be had the box goes back to the arena, so
+// a failed enqueue leaves the queue and the arena unchanged.
+func (q *boxQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
 	box, err := g.TryAlloc(v)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, ErrArenaExhausted) {
-				g.Dealloc(box)
-				err = ErrArenaExhausted
-				return
-			}
-			panic(r)
-		}
-	}()
-	q.q.Enqueue(g.tid, box.handle())
+	node, err := q.d.allocHandle(g.tid)
+	if err != nil {
+		g.Dealloc(box)
+		return err
+	}
+	q.q.EnqueueNode(g.tid, node, box.handle())
 	return nil
 }
 
 // DequeueGuarded is Dequeue on a caller-held guard.
-func (q *WFQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
+func (q *boxQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 	h, ok := q.q.Dequeue(g.tid)
 	if !ok {
 		return v, false
@@ -120,30 +122,28 @@ func (q *WFQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 // stays as is); it panics when the arena stays exhausted after the
 // emergency-reclamation pipeline, with values already enqueued staying
 // enqueued (use TryEnqueueAll to observe partial progress).
-func (q *WFQueue[T]) EnqueueAll(vs []T) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	q.EnqueueAllGuarded(g, vs)
+func (q *boxQueue[T]) EnqueueAll(vs []T) {
+	_, err := q.TryEnqueueAll(vs)
+	q.d.must(err)
 }
 
 // EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *WFQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
-	if _, err := q.TryEnqueueAllGuarded(g, vs); err != nil {
-		panic(exhaustedPanic(q.d.arena.Capacity()))
-	}
+func (q *boxQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
+	_, err := q.TryEnqueueAllGuarded(g, vs)
+	q.d.must(err)
 }
 
 // TryEnqueueAll is EnqueueAll with backpressure: on exhaustion mid-run
 // it stops, reporting the enqueued prefix length alongside
 // ErrArenaExhausted — callers resume from vs[enqueued:].
-func (q *WFQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
+func (q *boxQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
 	return q.TryEnqueueAllGuarded(g, vs)
 }
 
 // TryEnqueueAllGuarded is TryEnqueueAll on a caller-held guard.
-func (q *WFQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
+func (q *boxQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
 	enqueued = g.runLeaseBatch(len(vs), func(i int) bool {
 		err = q.TryEnqueueGuarded(g, vs[i])
 		return err == nil
@@ -153,14 +153,14 @@ func (q *WFQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, er
 
 // DequeueN removes up to n values under one guard lease, stopping early
 // when the queue empties. Values come back in FIFO order.
-func (q *WFQueue[T]) DequeueN(n int) []T {
+func (q *boxQueue[T]) DequeueN(n int) []T {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
 	return q.DequeueNGuarded(g, n)
 }
 
 // DequeueNGuarded is DequeueN on a caller-held guard.
-func (q *WFQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
+func (q *boxQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
 	out := make([]T, 0, n)
 	g.runLeaseBatch(n, func(int) bool {
 		v, ok := q.DequeueGuarded(g)
@@ -173,4 +173,4 @@ func (q *WFQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
 }
 
 // LenGuarded is Len on a caller-held guard.
-func (q *WFQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
+func (q *boxQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
