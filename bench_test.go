@@ -10,6 +10,7 @@
 package wfe_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -131,6 +132,31 @@ func benchGetProtected(b *testing.B, scheme string) {
 			smr.Clear(tid)
 		}
 	})
+}
+
+// BenchmarkNewDomain measures a Domain's set-up up to its first block:
+// NewDomain plus one allocation, at three capacities. The arena commits
+// memory a chunk at a time as the bump allocator reaches it, so the cost
+// should not grow with Capacity.
+func BenchmarkNewDomain(b *testing.B) {
+	// The scan-cutoff calibration runs once per process; keep it out.
+	if _, err := wfe.NewDomain[uint64](wfe.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []int{64, 4096, 1 << 16} {
+		b.Run(fmt.Sprintf("cap=%d", c), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: c})
+				if err != nil {
+					b.Fatal(err)
+				}
+				g := d.Guard()
+				g.Alloc(1)
+				g.Release()
+			}
+		})
+	}
 }
 
 // Treiber stack sanity benchmark (the paper's usage example, Figure 2).

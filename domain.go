@@ -104,12 +104,16 @@ type Options struct {
 	// Scheme selects the reclamation scheme (default WFE).
 	Scheme SchemeKind
 	// Capacity is the number of blocks in the arena (default 2^20, maximum
-	// 2^24-2). The arena is fixed-size, but exhaustion is no longer
-	// instantly fatal: an allocation that finds it full triggers emergency
-	// reclamation scans and retries under backoff (see AllocRetries), and
-	// only a pipeline that stays dry panics — or, through the structures'
-	// Try* variants, returns ErrArenaExhausted. Still size it for the
-	// workload, generously for Leak, which never recycles.
+	// 2^24-2): the bound on how many blocks can be allocated at once, not
+	// memory committed up front. The arena commits memory one chunk of
+	// 1024 blocks at a time, as the allocation high-water first reaches
+	// each chunk, so a generous Capacity costs only a small directory until
+	// the workload uses it. Exhaustion is not instantly fatal: an
+	// allocation that finds the arena full triggers emergency reclamation
+	// scans and retries under backoff (see AllocRetries), and only a
+	// pipeline that stays dry panics — or, through the structures' Try*
+	// variants, returns ErrArenaExhausted. Still size it for the workload,
+	// generously for Leak, which never recycles.
 	Capacity int
 	// MaxGuards bounds the number of concurrently held Guards (default
 	// runtime.GOMAXPROCS(0)).
@@ -233,8 +237,9 @@ type Domain[T any] struct {
 	// block's value is written once by Alloc before the block is published
 	// and never mutated while the block is live, so protected readers need
 	// no atomics; the arena's free hook zeroes the entry when the block
-	// dies, so dead values do not linger as GC roots.
-	vals []T
+	// dies, so dead values do not linger as GC roots. The arena's grow
+	// hook materialises its chunks (see NewDomain).
+	vals mem.Slab[T]
 
 	// guards hands out the MaxGuards tids lock-free. The lease cache above
 	// it holds acquired-but-idle Guards so guardless operations amortize
@@ -428,7 +433,7 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 	d := &Domain[T]{
 		arena:        arena,
 		cfg:          cfg,
-		vals:         make([]T, opts.Capacity),
+		vals:         mem.NewSlab[T](opts.Capacity),
 		guards:       guardpool.New(opts.MaxGuards),
 		cache:        make([]cacheSlot[T], opts.MaxGuards),
 		tracer:       tracer,
@@ -437,6 +442,17 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 	}
 	d.smr.Store(&schemeBox{s: smr, kind: opts.Scheme})
 	d.guards.SetTracer(tracer)
+	// The value chunk of a block must exist before the arena hands the
+	// block out, on every allocation path: the wait-free queues' nodes
+	// never pass initBlock, yet the free hook below zeroes their values.
+	arena.SetGrowHook(d.vals.Grow)
+	// Drop a block's value the moment it is recycled: no reader can hold a
+	// freed block (that is the reclamation invariant), and without this a
+	// drained structure would pin up to Capacity dead payloads for the GC.
+	arena.SetFreeHook(func(h mem.Handle) {
+		var zero T
+		*d.vals.At(h - 1) = zero
+	})
 	if opts.SampleEvery > 0 {
 		d.StartSampler(SamplerConfig{
 			Interval:        opts.SampleEvery,
@@ -444,13 +460,6 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 			AutoSwitchAfter: opts.AutoSwitchAfter,
 		})
 	}
-	// Drop a block's value the moment it is recycled: no reader can hold a
-	// freed block (that is the reclamation invariant), and without this a
-	// drained structure would pin up to Capacity dead payloads for the GC.
-	arena.SetFreeHook(func(h mem.Handle) {
-		var zero T
-		d.vals[h-1] = zero
-	})
 	return d, nil
 }
 
@@ -1547,7 +1556,7 @@ func (g *Guard[T]) initBlock(h mem.Handle, v T) Ref[T] {
 	for i := 0; i < NumWords; i++ {
 		g.d.arena.StoreWord(h, i, 0)
 	}
-	g.d.vals[h-1] = v
+	*g.d.vals.At(h - 1) = v
 	return Ref[T]{h}
 }
 
@@ -1641,7 +1650,7 @@ func (g *Guard[T]) ProtectWord(parent Ref[T], word, slot int) Ref[T] {
 func (g *Guard[T]) Value(r Ref[T]) T {
 	h := r.handle()
 	g.d.arena.CheckLive(h, "Value")
-	return g.d.vals[h-1]
+	return *g.d.vals.At(h - 1)
 }
 
 // Load atomically reads link word `word` of block r, mark bit included.

@@ -1,6 +1,11 @@
 package wfe
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"wfe/internal/mem"
+)
 
 // TestFreedValuesDropped checks the value-slab lifecycle: the arena free
 // hook must zero a block's value when the block is recycled, so the number
@@ -30,9 +35,11 @@ func TestFreedValuesDropped(t *testing.T) {
 	if tel.Frees == 0 {
 		t.Fatal("churn produced no frees; the test exercised nothing")
 	}
+	// Walk the value slab up to the bump high-water: the chunks holding
+	// those values are the materialised ones, and no chunk past it exists.
 	nonzero := uint64(0)
-	for _, v := range d.vals {
-		if v != "" {
+	for i := uint64(0); i < d.arena.Stats().Bumped; i++ {
+		if *d.vals.At(i) != "" {
 			nonzero++
 		}
 	}
@@ -42,4 +49,79 @@ func TestFreedValuesDropped(t *testing.T) {
 		t.Fatalf("%d values alive in the slab but only %d blocks in use (%d freed blocks kept their payloads)",
 			nonzero, tel.InUse, nonzero-tel.InUse)
 	}
+}
+
+// TestQueueNodeValuesMaterialised checks that a block's value chunk exists
+// whichever path allocated the block. The wait-free queues allocate their
+// nodes through liveScheme, never through Guard.Alloc, yet the free hook
+// zeroes a node's value when the node is reclaimed. Every value box here
+// reuses a block of chunk 0, so the queue nodes are the only blocks the
+// bump allocator hands out in chunk 1.
+func TestQueueNodeValuesMaterialised(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(d *Domain[int]) *boxQueue[int]
+	}{
+		{"WFQueue", func(d *Domain[int]) *boxQueue[int] { return &NewWFQueue(d).boxQueue }},
+		{"TurnQueue", func(d *Domain[int]) *boxQueue[int] { return &NewTurnQueue(d).boxQueue }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDomain[int](Options{Capacity: 2 * mem.ChunkSize, MaxGuards: 1, Debug: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := tc.mk(d)
+			g := d.Guard()
+			fill := make([]Ref[int], mem.ChunkSize-1) // chunk 0 after the sentinel
+			for i := range fill {
+				fill[i] = g.Alloc(i)
+			}
+			const n = 64
+			for i := 0; i < n; i++ {
+				g.Dealloc(fill[i]) // the next value box reuses this block
+				q.EnqueueGuarded(g, i)
+			}
+			if got := d.arena.Stats().Bumped; got != mem.ChunkSize+n {
+				t.Fatalf("bump high-water %d, want %d: some value box reached chunk 1", got, mem.ChunkSize+n)
+			}
+			for i := 0; i < n; i++ {
+				if v, ok := q.DequeueGuarded(g); !ok || v != i {
+					t.Fatalf("dequeue %d = (%d, %v), want (%d, true)", i, v, ok, i)
+				}
+			}
+			g.Release()
+			d.Scavenge()
+			freed := 0
+			for h := mem.Handle(mem.ChunkSize + 1); h <= mem.ChunkSize+n; h++ {
+				if !d.arena.Live(h) {
+					freed++
+				}
+			}
+			if freed == 0 {
+				t.Fatal("no queue node in chunk 1 was freed; the test exercised nothing")
+			}
+		})
+	}
+}
+
+// TestNewDomainCommitsNoCapacity checks that a default Domain, 2^20 blocks
+// of Capacity, allocates under 1 MB before its first block: the arena and
+// the value slab commit their chunks only as the bump allocator reaches
+// them.
+func TestNewDomainCommitsNoCapacity(t *testing.T) {
+	// The scan-cutoff calibration allocates once per process.
+	if _, err := NewDomain[uint64](Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := NewDomain[uint64](Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1e6 {
+		t.Fatalf("NewDomain(Options{}) allocated %d bytes before its first block, want < 1 MB", got)
+	}
+	runtime.KeepAlive(d)
 }

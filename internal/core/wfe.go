@@ -432,7 +432,7 @@ func (w *WFE) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 // lifespan — by the pre-overhaul linear sweep when linear is set, by
 // binary search on the phase's sorted snapshot otherwise.
 func (w *WFE) reserved(blk mem.Handle, snap []uint64, linear bool) bool {
-	lo, hi := w.arena.AllocEra(blk), w.arena.RetireEra(blk)
+	lo, hi := w.arena.Eras(blk)
 	if linear {
 		return overlapsLinear(snap, lo, hi)
 	}

@@ -232,8 +232,7 @@ func (h *HE) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 // [alloc, retire] lifespan; linear selects the reference sweep (the eras
 // snapshot is sorted otherwise).
 func (h *HE) canDelete(blk mem.Handle, eras []uint64, linear bool) bool {
-	allocEra := h.arena.AllocEra(blk)
-	retireEra := h.arena.RetireEra(blk)
+	allocEra, retireEra := h.arena.Eras(blk)
 	if linear {
 		return !eraReservedLinear(eras, allocEra, retireEra)
 	}

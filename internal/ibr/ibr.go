@@ -235,8 +235,7 @@ func (ib *IBR) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 // reference sweep (the endpoint slices are sorted independently
 // otherwise).
 func (ib *IBR) canDelete(blk mem.Handle, los, his []uint64, linear bool) bool {
-	birth := ib.arena.AllocEra(blk)
-	retire := ib.arena.RetireEra(blk)
+	birth, retire := ib.arena.Eras(blk)
 	if linear {
 		return !intervalReservedLinear(los, his, birth, retire)
 	}

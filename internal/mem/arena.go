@@ -4,12 +4,14 @@
 // may be re-allocated and rewritten while a stale reader still holds a
 // pointer to it — exactly the hazard safe memory reclamation defends against.
 // Go's garbage collector would silently keep such blocks alive and mask
-// reclamation bugs, so this package simulates a manual allocator: a fixed
-// arena of node slots addressed by small handles. Free returns a slot to a
-// free list where it is immediately reusable; slots carry version counters
-// and a state machine (free → live → retired → free) so use-after-free and
-// double-free are *detectable* in debug mode, which is stronger validation
-// than a native allocator offers.
+// reclamation bugs, so this package simulates a manual allocator: a
+// bounded arena of node slots addressed by small handles, whose memory is
+// committed one Slab chunk at a time as the bump allocator first reaches
+// it, the way the paper's allocator commits pages as blocks are used.
+// Free returns a slot to a free list where it is immediately reusable;
+// slots carry version counters and a state machine (free → live → retired
+// → free) so use-after-free and double-free are *detectable* in debug
+// mode, which is stronger validation than a native allocator offers.
 //
 // A Handle is a 24-bit slot reference; 0 is the nil handle. Handles embed in
 // the 26-bit link values defined by the pack package.
@@ -119,15 +121,16 @@ type Config struct {
 
 // Arena is a bounded slab of slots with per-thread free caches, a global
 // list of batched spill segments, and a bump allocator for never-used
-// slots.
+// slots. Only the chunks of the slab the bump allocator has reached exist.
 type Arena struct {
-	slots     []slot
+	slots     Slab[slot]
 	bump      atomic.Uint64 // next never-allocated slot index
 	global    atomic.Uint64 // packed {stamp:40 | segment-head handle:24} Treiber head
 	threads   []threadMem
 	cap       uint64
 	spillSize int
 	debug     bool
+	growHook  func(idx uint64)
 	freeHook  func(h Handle)
 	tracer    *trace.Tracer
 	segPushes atomic.Uint64
@@ -151,7 +154,7 @@ func New(cfg Config) *Arena {
 		panic(fmt.Sprintf("mem: SpillSize %d must be non-negative (0 selects the default)", cfg.SpillSize))
 	}
 	return &Arena{
-		slots:     make([]slot, cfg.Capacity),
+		slots:     NewSlab[slot](cfg.Capacity),
 		threads:   make([]threadMem, cfg.MaxThreads),
 		cap:       uint64(cfg.Capacity),
 		spillSize: cfg.SpillSize,
@@ -159,6 +162,16 @@ func New(cfg Config) *Arena {
 		tracer:    cfg.Tracer,
 	}
 }
+
+// SetGrowHook registers fn to run when the bump allocator hands out slot
+// index idx in a chunk that does not exist yet, before the arena
+// publishes that slot chunk. Callers that keep per-slot payloads outside
+// the arena (the public Domain's value slab) grow their own Slab there:
+// once the slot chunk is published, allocators skip the hook, so the
+// payload chunk must already exist by then. fn may run on several racing
+// threads for one chunk, so it must be idempotent (Slab.Grow is). Register
+// once, before the first allocation.
+func (a *Arena) SetGrowHook(fn func(idx uint64)) { a.growHook = fn }
 
 // SetFreeHook registers fn to run for every slot handed back by Free,
 // before the slot joins a free list. Callers that keep per-slot payloads
@@ -174,7 +187,7 @@ func (a *Arena) Capacity() int { return int(a.cap) }
 func (a *Arena) Debug() bool { return a.debug }
 
 func (a *Arena) slot(h Handle) *slot {
-	return &a.slots[h-1]
+	return a.slots.At(h - 1)
 }
 
 // TryAlloc returns a fresh live slot for thread tid, reusing freed slots
@@ -204,6 +217,12 @@ func (a *Arena) TryAlloc(tid int) (Handle, bool) {
 	if idx >= a.cap {
 		return 0, false
 	}
+	if !a.slots.Has(idx) {
+		if a.growHook != nil {
+			a.growHook(idx)
+		}
+		a.slots.Grow(idx)
+	}
 	h := idx + 1
 	a.makeLive(h, a.slot(h))
 	t.allocs.Add(1)
@@ -232,13 +251,6 @@ func (a *Arena) makeLive(h Handle, s *slot) {
 	s.state.Store(slotLive)
 }
 
-// Free returns a retired (or live, for structures that never published the
-// node) slot to the free lists. In debug mode double frees panic, and the
-// payload of every published (retired) block is poisoned; a live→free
-// block is Dealloc's never-published constructor block, whose payload no
-// other goroutine ever saw, so it skips the poison stores — the version
-// bump and state word below still arm double-free and use-after-free
-// detection for it.
 // AddWaiter registers (delta +1) or unregisters (-1) an allocation
 // stalled on the exhausted arena. While any waiter is registered, Free
 // spills past SpillSize instead of 2×SpillSize: under pressure a free
@@ -252,6 +264,13 @@ func (a *Arena) AddWaiter(delta int64) { a.waiters.Add(delta) }
 // scan out of cadence while someone is starving.
 func (a *Arena) Pressured() bool { return a.waiters.Load() > 0 }
 
+// Free returns a retired (or live, for structures that never published the
+// node) slot to the free lists. In debug mode double frees panic, and the
+// payload of every published (retired) block is poisoned; a live→free
+// block is Dealloc's never-published constructor block, whose payload no
+// other goroutine ever saw, so it skips the poison stores — the version
+// bump and state word below still arm double-free and use-after-free
+// detection for it.
 func (a *Arena) Free(tid int, h Handle) {
 	s := a.slot(h)
 	if a.debug {
@@ -291,15 +310,11 @@ func (a *Arena) Free(tid int, h Handle) {
 func (a *Arena) FreeRetired(tid int) int {
 	n := 0
 	// Slots past the bump highwater were never handed out, so they cannot
-	// be retired; stopping there keeps the sweep proportional to the
-	// arena's real footprint instead of its capacity.
-	hi := a.bump.Load()
-	if hi > uint64(len(a.slots)) {
-		hi = uint64(len(a.slots))
-	}
-	for i := 0; i < int(hi); i++ {
-		if a.slots[i].state.Load() == slotRetired {
-			a.Free(tid, Handle(i+1))
+	// be retired, and their chunks need not exist; the sweep stops there.
+	hi := min(a.bump.Load(), a.cap)
+	for i := uint64(0); i < hi; i++ {
+		if a.slots.At(i).state.Load() == slotRetired {
+			a.Free(tid, i+1)
 			n++
 		}
 	}
@@ -364,14 +379,23 @@ func (a *Arena) refill(tid int, t *threadMem) {
 	}
 }
 
+// check guards every slot access in debug mode. It is small enough to
+// inline, so with Debug off an access pays a branch and no call.
 func (a *Arena) check(h Handle, op string) {
 	if a.debug {
-		if h == 0 || h > a.cap {
-			panic(fmt.Sprintf("mem: %s through invalid handle %d", op, h))
-		}
-		if a.slot(h).state.Load() == slotFree {
-			panic(fmt.Sprintf("mem: use-after-free — %s of freed slot %d", op, h))
-		}
+		a.checkDebug(h, op)
+	}
+}
+
+// checkDebug rejects a handle never handed out (nil, past Capacity, or
+// above the bump high-water, where the slot's chunk may not exist) before
+// it touches the slab, then a handle to a freed slot.
+func (a *Arena) checkDebug(h Handle, op string) {
+	if h == 0 || h > a.cap || h > a.bump.Load() {
+		panic(fmt.Sprintf("mem: %s through invalid handle %d", op, h))
+	}
+	if a.slot(h).state.Load() == slotFree {
+		panic(fmt.Sprintf("mem: use-after-free — %s of freed slot %d", op, h))
 	}
 }
 
@@ -391,6 +415,14 @@ func (a *Arena) AllocEra(h Handle) uint64 {
 func (a *Arena) SetAllocEra(h Handle, era uint64) {
 	a.check(h, "SetAllocEra")
 	a.slot(h).allocEra.Store(era)
+}
+
+// Eras returns the slot's allocation and retirement eras, the lifespan a
+// scheme's cleanup judges, with one slot lookup.
+func (a *Arena) Eras(h Handle) (alloc, retire uint64) {
+	a.check(h, "Eras")
+	s := a.slot(h)
+	return s.allocEra.Load(), s.retireEra.Load()
 }
 
 // RetireEra returns the slot's retirement era (paper: retire_era).
@@ -543,17 +575,12 @@ func (a *Arena) Census() Census {
 		}
 		h = a.slot(h).segMeta.Load() & pack.HandleMask
 	}
-	b := a.bump.Load()
-	if b > a.cap {
-		b = a.cap
-	}
+	b := min(a.bump.Load(), a.cap)
 	c.BumpFree = int(a.cap - b)
-	// Slots past the bump highwater were never handed out and slotFree is
-	// the zero state, so the Live walk stops at the highwater — on a large
-	// mostly-untouched arena this also avoids faulting in gigabytes of
-	// never-used slot memory just to read zeros.
-	for i := 0; i < int(b); i++ {
-		if a.slots[i].state.Load() != slotFree {
+	// The Live walk must stop at the highwater: the chunks past it have
+	// never been reached by the bump allocator, so they do not exist.
+	for i := uint64(0); i < b; i++ {
+		if a.slots.At(i).state.Load() != slotFree {
 			c.Live++
 		}
 	}

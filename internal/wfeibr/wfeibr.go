@@ -406,8 +406,7 @@ func (w *WFEIBR) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 // reference sweep (the endpoint slices are sorted independently
 // otherwise).
 func (w *WFEIBR) canDelete(blk mem.Handle, los, his []uint64, linear bool) bool {
-	birth := w.arena.AllocEra(blk)
-	retire := w.arena.RetireEra(blk)
+	birth, retire := w.arena.Eras(blk)
 	if linear {
 		return !intervalReservedLinear(los, his, birth, retire)
 	}
