@@ -139,10 +139,6 @@ func benchGetProtected(b *testing.B, scheme string) {
 // memory a chunk at a time as the bump allocator reaches it, so the cost
 // should not grow with Capacity.
 func BenchmarkNewDomain(b *testing.B) {
-	// The scan-cutoff calibration runs once per process; keep it out.
-	if _, err := wfe.NewDomain[uint64](wfe.Options{}); err != nil {
-		b.Fatal(err)
-	}
 	for _, c := range []int{64, 4096, 1 << 16} {
 		b.Run(fmt.Sprintf("cap=%d", c), func(b *testing.B) {
 			b.ReportAllocs()

@@ -16,9 +16,9 @@ import (
 	"wfe/internal/chaos"
 )
 
-// TestChaosRobustnessMatrix runs the full canned matrix. The sequential
-// scenarios are deterministic, so the ceilings are exact regression
-// pins, not statistical hopes.
+// TestChaosRobustnessMatrix runs the full canned matrix through the
+// shared verdict, chaos.Canned.Check. Every scenario is deterministic, so
+// the ceilings are exact regression pins, not statistical hopes.
 func TestChaosRobustnessMatrix(t *testing.T) {
 	for _, c := range chaos.Catalog() {
 		c := c
@@ -31,48 +31,8 @@ func TestChaosRobustnessMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}
-				if tr.Summary.Quiesce != "" {
-					t.Errorf("%s: domain did not settle clean after the schedule: %s", kind, tr.Summary.Quiesce)
-				}
-				ceiling := c.Ceiling(kind)
-				switch {
-				case ceiling > 0:
-					if tr.Summary.UnreclaimedMax > ceiling {
-						t.Errorf("%s: backlog highwater %d (tick %d) exceeds the bounded ceiling %d",
-							kind, tr.Summary.UnreclaimedMax, tr.Summary.UnreclaimedMaxTick, ceiling)
-					}
-				case kind == wfe.EBR || (kind == wfe.Leak && tr.Summary.Deterministic):
-					// The exempt schemes must actually exhibit the growth
-					// the exemption predicts, or the scenario is too gentle
-					// to prove anything.
-					if tr.Summary.UnreclaimedMax <= c.UnboundedFloor {
-						t.Errorf("%s: expected unbounded growth past %d, saw highwater %d — scenario too gentle",
-							kind, c.UnboundedFloor, tr.Summary.UnreclaimedMax)
-					}
-				}
-				if kind == wfe.EBR && c.WantAdvice != "" {
-					rec := advisor.Advise(tr.Samples())
-					if rec.Scheme != c.WantAdvice {
-						t.Errorf("advisor on the EBR trajectory recommended %q, want %q (profile %+v)",
-							rec.Scheme, c.WantAdvice, rec.Profile)
-					}
-				}
-				if c.WantPressure {
-					if kind == wfe.Leak {
-						// The pipeline cannot help the judge-less baseline:
-						// exhaustion must surface as errors, not panics.
-						if tr.Summary.AllocFailures == 0 {
-							t.Errorf("%s: expected surfaced alloc failures on the undersized arena, saw none", kind)
-						}
-					} else {
-						if tr.Summary.EmergencyScans == 0 {
-							t.Errorf("%s: scenario never entered the emergency pipeline — arena not undersized enough", kind)
-						}
-						if tr.Summary.AllocFailures != 0 {
-							t.Errorf("%s: %d allocation(s) surfaced ErrArenaExhausted despite emergency reclamation",
-								kind, tr.Summary.AllocFailures)
-						}
-					}
+				for _, v := range c.Check(kind, tr) {
+					t.Errorf("%s: %s", kind, v)
 				}
 			}
 		})

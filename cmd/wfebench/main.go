@@ -340,9 +340,9 @@ func runScan(opt bench.Options, csv bool) {
 	fmt.Println("\nns/block is cleanup time per examined retired block: the linear mode")
 	fmt.Println("re-sweeps all G gathered reservations per block (O(R×G)); the sorted")
 	fmt.Println("mode binary-searches a once-sorted snapshot (O((R+G)·log G)).")
-	fmt.Println("sorted* = gathered set below the runtime's calibrated sort cutoff")
-	fmt.Println("(reclaim.Calibrate), so the sorted arm adaptively ran the linear")
-	fmt.Println("sweep (the pair compares nothing).")
+	fmt.Println("sorted* = gathered set below the runtime's sort cutoff")
+	fmt.Println("(reclaim.DefaultSortCutoff), so the sorted arm adaptively ran the")
+	fmt.Println("linear sweep (the pair compares nothing).")
 }
 
 // runBatch renders the batched-operations ablation: per-op baseline vs

@@ -18,11 +18,11 @@
 // double-handed tid fails the run.
 //
 // The -chaos mode runs internal/chaos's canned hostile-schedule matrix
-// (stalled readers, preempted writers, bursty churn, oversubscription)
-// across the schemes, asserts each scheme's robustness bound and the
-// advisor's expected recommendation, and with -chaosdir writes every
-// per-(scenario, scheme) trajectory as wfe-chaos/v1 JSON for artifact
-// upload and cmd/wfeadvise.
+// (stalled readers, preempted writers, bursty churn, oversubscription,
+// the exhaustion storm) across the schemes, judges every trajectory with
+// the verdict the chaos tests use (chaos.Canned.Check), and with
+// -chaosdir writes every per-(scenario, scheme) trajectory as
+// wfe-chaos/v1 JSON for artifact upload and cmd/wfeadvise.
 //
 // The -switch mode is the live-switching storm: one Domain under
 // guardless churn from 8x more goroutines than guards has Domain.Switch
@@ -64,12 +64,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wfe"
-	"wfe/advisor"
 	"wfe/internal/bench"
 	"wfe/internal/chaos"
 	"wfe/internal/failpoint"
@@ -103,7 +103,7 @@ func main() {
 		stall     = flag.Int("stall", 0, "number of readers to stall mid-operation, each on its own pinned guard")
 		eraFreq   = flag.Int("erafreq", 8, "era increment frequency (low values stress helping)")
 		churn     = flag.Bool("churn", false, "guard-runtime churn: 8x more goroutines than guards over the public guardless API")
-		chaosRun  = flag.Bool("chaos", false, "run the canned chaos-schedule matrix (stalled readers, preempted writers, bursty churn, oversubscription) and assert the per-scheme robustness bounds")
+		chaosRun  = flag.Bool("chaos", false, "run the canned chaos-schedule matrix (stalled readers, preempted writers, bursty churn, oversubscription, exhaustion storm) and assert the per-scheme robustness bounds")
 		chaosDir  = flag.String("chaosdir", "", "with -chaos: directory to write per-(scenario,scheme) trajectory JSONs into")
 		chaosName = flag.String("scenario", "", "with -chaos: run only the named scenario (default: the whole catalog)")
 		switchRun = flag.Bool("switch", false, "live-switching storm: cycle Domain.Switch through every scheme under guardless churn")
@@ -182,11 +182,12 @@ func main() {
 }
 
 // chaosMatrix runs the canned chaos scenarios over the selected schemes
-// (every scheme for "all"), asserting the same robustness matrix as the
-// chaos tests: bounded schemes under their ceilings, the exempt schemes
-// (Leak; EBR under a stalled reader) visibly past the floor, a clean
-// post-run quiesce everywhere, and the advisor's expected recommendation
-// on each scenario's EBR trajectory. With dir set, each trajectory is
+// (every scheme for "all") and judges each trajectory with the verdict
+// the chaos tests use, chaos.Canned.Check: bounded schemes under their
+// ceilings, the exempt schemes (Leak; EBR under a stalled reader) visibly
+// past the floor, a clean post-run quiesce everywhere, the advisor's
+// expected recommendation on each scenario's EBR trajectory, and the
+// exhaustion storm's resolved pressure. With dir set, each trajectory is
 // written to <dir>/<scenario>-<scheme>.json for artifact upload. A
 // non-empty scenario restricts the matrix to that one catalog entry.
 func chaosMatrix(scheme, scenario, dir string) error {
@@ -224,31 +225,13 @@ func chaosMatrix(scheme, scenario, dir string) error {
 				return err
 			}
 			verdict := "ok"
-			complain := func(format string, args ...any) {
-				verdict = fmt.Sprintf(format, args...)
+			if bad := c.Check(kind, tr); bad != nil {
+				verdict = strings.Join(bad, "; ")
 				failed = true
 			}
-			ceiling := c.Ceiling(kind)
-			switch {
-			case tr.Summary.Quiesce != "":
-				complain("quiesce: %s", tr.Summary.Quiesce)
-			case ceiling > 0 && tr.Summary.UnreclaimedMax > ceiling:
-				complain("highwater %d exceeds ceiling %d", tr.Summary.UnreclaimedMax, ceiling)
-			case ceiling == 0 && (kind == wfe.EBR || (kind == wfe.Leak && tr.Summary.Deterministic)) &&
-				tr.Summary.UnreclaimedMax <= c.UnboundedFloor:
-				complain("expected growth past %d, saw %d", c.UnboundedFloor, tr.Summary.UnreclaimedMax)
-			}
-			advice := ""
-			if kind == wfe.EBR && c.WantAdvice != "" {
-				rec := advisor.Advise(tr.Samples())
-				advice = fmt.Sprintf("  advise=%s", rec.Scheme)
-				if rec.Scheme != c.WantAdvice {
-					complain("advisor said %s, want %s", rec.Scheme, c.WantAdvice)
-				}
-			}
-			fmt.Printf("chaos %-17s %-8s highwater=%6d final=%5d parks=%6d %s%s\n",
+			fmt.Printf("chaos %-17s %-8s highwater=%6d final=%5d parks=%6d %s\n",
 				c.Name, kind, tr.Summary.UnreclaimedMax, tr.Summary.UnreclaimedFinal,
-				tr.Summary.Parks, verdict, advice)
+				tr.Summary.Parks, verdict)
 			if dir != "" {
 				blob, err := json.MarshalIndent(tr, "", " ")
 				if err != nil {

@@ -43,6 +43,9 @@
 // # Layout
 //
 //	domain.go           Domain[T], Guard, Ref[T], Atomic[T], SchemeKind
+//	batch.go            the batch context behind the Multi*, PushAll, PopN,
+//	                    EnqueueAll and DequeueN entry points
+//	sampler.go          the background Sampler: tick rows, rates, advice
 //	stack.go            public Treiber stack
 //	queue.go            public Michael–Scott queue
 //	wfqueue.go          public Kogan–Petrank wait-free queue, and boxQueue,
@@ -56,17 +59,31 @@
 //	internal/hp         Hazard Pointers
 //	internal/ebr        epoch-based reclamation
 //	internal/ibr        2GEIBR interval-based reclamation
+//	internal/wfeibr     WFE's construction applied to 2GEIBR (§2.4, §6)
 //	internal/leak       leaky baseline
+//	internal/schemes    the registry building any scheme by kind or name
 //	internal/mem        manual-memory arena substrate
 //	internal/pack       64-bit packing emulating the paper's wide CAS
 //	internal/reclaim    the shared SMR interface and configuration
 //	internal/guardpool  lock-free tid freelist + parking (the guard runtime)
 //	internal/ds/...     Kogan–Petrank and CRTurn queue cores behind WFQueue
 //	                    and TurnQueue
+//	internal/trace      per-tid event ring buffers (Options.Trace)
+//	internal/failpoint  named fault-injection sites, one atomic load disarmed
+//	internal/quiesce    settle a drained Domain and check its census
+//	internal/chaos      deterministic hostile-schedule engine and its
+//	                    robustness verdict (Canned.Check)
 //	internal/bench      workload generator and per-figure experiment runner
+//	advisor             scheme advisor over telemetry trajectories
+//	metrics             OpenMetrics/JSON export of Domain telemetry
 //	cmd/wfebench        regenerates Figures 5–11 and the ablations
-//	cmd/wfestress       correctness stress tool (forced slow path, stalls)
+//	cmd/wfeperf         end-to-end and per-layer benchmark (own module)
+//	cmd/wfestress       correctness stress tool (forced slow path, stalls,
+//	                    the chaos matrix)
 //	cmd/wfelat          per-operation latency comparison of the queues
+//	cmd/wfemon          live monitor of a metrics endpoint or an artifact
+//	cmd/wfeadvise       the advisor's recommendation for a recorded artifact
+//	cmd/wfetraj         compares two wfebench -json artifacts point by point
 //	examples/...        runnable walkthroughs of the public API
 //
 // Each structure has one implementation, and the paper's figures measure

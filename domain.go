@@ -129,10 +129,12 @@ type Options struct {
 	EraFreq int
 	// CleanupFreq is the retirements between retire-list scans (default 30,
 	// the paper's §5 value). Each scan gathers the reservation snapshot
-	// once, sorts it, and binary-searches it per retired block, so raising
-	// CleanupFreq amortises the gather+sort over more retirements (larger
-	// retired backlog, fewer snapshots) and lowering it bounds the backlog
-	// tighter. Tune it here instead of forking the internal scheme config.
+	// once and judges every retired block against it (a linear sweep below
+	// SortCutoff reservations, a sort plus one binary search per block at
+	// or above it), so raising CleanupFreq amortises the gather over more
+	// retirements (larger retired backlog, fewer snapshots) and lowering it
+	// bounds the backlog tighter. Tune it here instead of forking the
+	// internal scheme config.
 	CleanupFreq int
 	// SpillSize is the number of blocks the arena moves between a guard's
 	// free cache and the global free list in one batched segment transfer
@@ -147,11 +149,9 @@ type Options struct {
 	MaxAttempts int
 	// SortCutoff is the gathered-reservation count below which a cleanup
 	// scan keeps the linear per-block sweep instead of sorting the
-	// snapshot and binary-searching it. The default (0) measures the
-	// crossover once per process on the host itself (a sub-millisecond
-	// calibration), so deployments pick the cutoff for their hardware;
-	// set it explicitly for bit-deterministic tuning. Purely a cost
-	// choice — the two scan implementations decide identically.
+	// snapshot and binary-searching it (default 32, for every scheme).
+	// Purely a cost choice — the two scan implementations decide
+	// identically.
 	SortCutoff int
 	// ForceSlowPath makes WFE and WFEIBR take the helping slow path on
 	// every protected read — the paper's §5 stress validation mode.
@@ -936,16 +936,7 @@ func (d *Domain[T]) Telemetry() Telemetry {
 	gp := d.guards.Stats()
 	box := d.scheme()
 	probe := box.s.Retirer().Probe()
-	// Batch totals: the Domain counters hold what released guards folded
-	// in; live guards (cached or leased) still carry theirs locally, so
-	// sum them through the lease-cache registry.
-	bops, bitems := d.batchOps.Load(), d.batchItems.Load()
-	for i := range d.cache {
-		if g := d.cache[i].g.Load(); g != nil {
-			bops += g.statBatchOps.Load()
-			bitems += g.statBatchItems.Load()
-		}
-	}
+	bops, bitems := d.batchTotals()
 	t := Telemetry{
 		Scheme:      box.kind.String(),
 		MaxSteps:    probe.MaxSteps,
@@ -990,6 +981,21 @@ func (d *Domain[T]) Telemetry() Telemetry {
 	return t
 }
 
+// batchTotals sums the batch counters Telemetry and Sample report: the
+// Domain counters hold what released guards folded in; live guards
+// (cached or leased) still carry theirs locally, so they are summed
+// through the lease-cache registry.
+func (d *Domain[T]) batchTotals() (ops, items uint64) {
+	ops, items = d.batchOps.Load(), d.batchItems.Load()
+	for i := range d.cache {
+		if g := d.cache[i].g.Load(); g != nil {
+			ops += g.statBatchOps.Load()
+			items += g.statBatchItems.Load()
+		}
+	}
+	return ops, items
+}
+
 // A TelemetrySample is the compact per-tick subset of Telemetry a
 // trajectory recorder collects at high frequency: the reclamation backlog,
 // the cumulative scan and step telemetry, the allocation counters and the
@@ -1023,11 +1029,13 @@ type TelemetrySample struct {
 
 // Sample collects one TelemetrySample in a single pass over the retire
 // runtime's per-thread state (reclaim.Retirer.Probe, the tick-sampling
-// hook) plus the arena and guard-pool counters. Approximate under
-// concurrency like Telemetry; cheap enough to call every scheduler tick.
+// hook) plus the arena, guard-pool and batch counters, the last summed
+// exactly as Telemetry sums them. Approximate under concurrency like
+// Telemetry; cheap enough to call every scheduler tick.
 func (d *Domain[T]) Sample() TelemetrySample {
 	probe := d.scheme().s.Retirer().Probe()
 	st := d.arena.Stats()
+	bops, bitems := d.batchTotals()
 	return TelemetrySample{
 		Unreclaimed: probe.Unreclaimed,
 		ScanScans:   probe.Scans.Scans,
@@ -1042,8 +1050,8 @@ func (d *Domain[T]) Sample() TelemetrySample {
 		Capacity:       d.arena.Capacity(),
 		EmergencyScans: d.emergencyScans.Load(),
 
-		BatchOps:     d.batchOps.Load(),
-		BatchedItems: d.batchItems.Load(),
+		BatchOps:     bops,
+		BatchedItems: bitems,
 	}
 }
 

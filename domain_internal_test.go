@@ -109,10 +109,6 @@ func TestQueueNodeValuesMaterialised(t *testing.T) {
 // the value slab commit their chunks only as the bump allocator reaches
 // them.
 func TestNewDomainCommitsNoCapacity(t *testing.T) {
-	// The scan-cutoff calibration allocates once per process.
-	if _, err := NewDomain[uint64](Options{}); err != nil {
-		t.Fatal(err)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	d, err := NewDomain[uint64](Options{})

@@ -78,7 +78,9 @@ func ExampleDomain_StartSampler() {
 			}
 		}
 	}()
-	for s.Ticks() < 5 { // let a few rows accumulate
+	// Wait for what the output reports, not for a tick count: on a loaded
+	// host the churn goroutine can miss any fixed number of ticks.
+	for s.Ticks() < 5 || s.Rates().AllocsPerSec == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)

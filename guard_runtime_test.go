@@ -101,7 +101,15 @@ func TestAcquireGuardParks(t *testing.T) {
 		}
 		got <- g2
 	}()
-	time.Sleep(10 * time.Millisecond) // let the acquirer park
+	// Release once the acquirer has parked, not after a fixed sleep: on a
+	// loaded host the acquirer may not run for longer than any sleep, and
+	// would then take the freed guard without parking.
+	for deadline := time.Now().Add(2 * time.Second); d.Telemetry().GuardParks == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("AcquireGuard on an exhausted domain never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	g.Release()
 	select {
 	case g2 := <-got:

@@ -183,7 +183,7 @@ func (r Result) ScanNsPerBlock() float64 {
 // Run sweeps one experiment and returns a result per scheme × thread count.
 func Run(exp Experiment, opt Options) []Result { return sweep(exp, opt, 0) }
 
-// sweep is Run with the Domains' Options.SortCutoff (0: calibrated).
+// sweep is Run with the Domains' Options.SortCutoff (0: the default).
 func sweep(exp Experiment, opt Options, sortCutoff int) []Result {
 	opt = opt.Defaults()
 	var results []Result

@@ -83,8 +83,8 @@ func ScanSummary(results []ScanResult) []string {
 }
 
 // scanCutoff is the SortCutoff of one ablation arm: math.MaxInt keeps
-// every scan on the linear reference sweep, 0 the calibrated crossover
-// the shipped default uses.
+// every scan on the linear reference sweep, 0 the shipped default
+// (reclaim.DefaultSortCutoff).
 func scanCutoff(linear bool) int {
 	if linear {
 		return math.MaxInt

@@ -1,10 +1,10 @@
 // Package chaos is the schedule-injection harness: it drives the public
 // structures across the reclamation schemes under the hostile schedules
 // the paper's robustness argument is about — a reader stalled while
-// holding a guard, a writer preempted with its retire ring undrained, an
-// oversubscription storm with goroutines ≫ GOMAXPROCS ≫ guards, and
-// bursty churn punctuated by stall spikes — and records the per-tick
-// telemetry trajectory each scheme produces under them.
+// holding a guard, a writer preempted with its retire ring undrained,
+// oversubscription with workers ≫ guards, and bursty churn punctuated by
+// stall spikes — and records the per-tick telemetry trajectory each
+// scheme produces under them.
 //
 // The engine's job is to make the paper's Table 1 distinction observable
 // and assertable: under a stalled reader, epoch-based reclamation's
@@ -12,19 +12,17 @@
 // hazard-pointer- and era-class schemes cap it (HP at the protected
 // handles, the era/interval schemes at the live set when the stall
 // began). A preempted writer, by contrast, strands only its own ring in
-// every scheme. The root chaos tests assert exactly that matrix from the
-// trajectories this package records.
+// every scheme. Canned.Check judges one trajectory against that matrix;
+// the root chaos tests and cmd/wfestress -chaos both call it.
 //
-// Determinism: the stall scenarios run on a single goroutine that
-// round-robins the workers tick by tick, each worker owning an explicit
-// Guard and a seeded xorshift stream. Hostility comes from reservation
-// state (a pinned epoch or era), not from real parallelism, so the same
-// seed reproduces the identical trajectory byte for byte — the property
-// that makes the robustness matrix a unit test instead of a flaky stress.
-// The oversubscription scenario is the exception: guard parking only
-// happens under real contention, so it runs concurrently and its
-// trajectory is marked non-deterministic (tests assert park pressure, not
-// exact values).
+// Determinism: every scenario runs on a single goroutine that
+// round-robins the workers tick by tick, each worker leasing a guard for
+// the tick and drawing from its own seeded xorshift stream. Hostility
+// comes from reservation state (a pinned epoch or era) and from guard
+// scarcity (a worker that finds every guard held parks and sits the tick
+// out), not from real parallelism, so the same seed reproduces the
+// identical trajectory byte for byte — the property that makes the
+// robustness matrix a unit test instead of a flaky stress.
 //
 // Trajectories serialize as "wfe-chaos/v1" JSON (cmd/wfestress -chaos
 // writes them; cmd/wfeadvise reads them) and convert losslessly to the
@@ -32,11 +30,8 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"wfe"
 	"wfe/advisor"
@@ -93,12 +88,6 @@ type Scenario struct {
 	KeyRange   uint64      `json:"key_range"`    // hashmap key universe (bounds the live set)
 	Stalls     []StallSpec `json:"stalls,omitempty"`
 
-	// Goroutines > 0 selects the concurrent oversubscription engine:
-	// that many goroutines hammer the structure guardlessly over a
-	// deliberately tiny guard pool, so acquisitions park. Stalls are
-	// ignored in this mode and the trajectory is not deterministic.
-	Goroutines int `json:"goroutines,omitempty"`
-
 	// PutHeavy selects the exhaustion-storm op mix: workers churn the map
 	// through the error-returning TryPutGuarded (put-dominated, no
 	// reader stalls) and surfaced ErrArenaExhausted results are counted
@@ -110,7 +99,9 @@ type Scenario struct {
 
 	// Domain tuning. Zero values take the chaos defaults below (not the
 	// Domain defaults: chaos wants aggressive scan/era cadence so a
-	// short scenario exercises many reclamation cycles).
+	// short scenario exercises many reclamation cycles). MaxGuards
+	// defaults to Workers; below it, the workers that find every guard
+	// held park for the tick.
 	MaxGuards   int  `json:"max_guards,omitempty"`
 	CleanupFreq int  `json:"cleanup_freq,omitempty"`
 	EraFreq     int  `json:"era_freq,omitempty"`
@@ -147,11 +138,7 @@ func (s Scenario) withDefaults() Scenario {
 		s.KeyRange = defaultKeyRange
 	}
 	if s.MaxGuards == 0 {
-		if s.Goroutines > 0 {
-			s.MaxGuards = 2
-		} else {
-			s.MaxGuards = s.Workers
-		}
+		s.MaxGuards = s.Workers
 	}
 	if s.CleanupFreq == 0 {
 		s.CleanupFreq = defaultCleanupFreq
@@ -182,7 +169,6 @@ type Summary struct {
 	Scans              uint64 `json:"scans"`
 	ScanBlocks         uint64 `json:"scan_blocks"`
 	Parks              uint64 `json:"parks"`
-	Deterministic      bool   `json:"deterministic"`
 	// Backpressure numbers (omitted from JSON when zero, so trajectories
 	// recorded before the emergency pipeline existed stay byte-identical):
 	// allocations that entered the Domain's emergency pipeline, the
@@ -265,16 +251,13 @@ func Run(kind wfe.SchemeKind, s Scenario) (*Trajectory, error) {
 		Scheme:   kind.String(),
 		Seed:     s.Seed,
 	}
-	if s.Goroutines > 0 {
-		runOversubscribed(d, s, traj)
-	} else {
-		runSequential(d, s, traj)
-	}
+	run(d, s, traj)
 	summarize(d, kind, traj)
 	return traj, nil
 }
 
-// worker is one deterministic actor: an explicit guard, a seeded stream,
+// worker is one deterministic actor: a seeded stream, the guard it holds
+// (leased for one tick, or kept across a stall; nil while it has none),
 // and its stall state.
 type worker struct {
 	g       *wfe.Guard[uint64]
@@ -288,10 +271,25 @@ type worker struct {
 // held protection survives any op the worker runs after the stall lifts.
 const hotSlot = 7
 
-// runSequential is the deterministic engine: one goroutine round-robins
-// the workers, each running OpsPerTick hashmap operations per tick plus a
-// hot-cell replacement, with stalls applied at their tick edges.
-func runSequential(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
+// parked is an already-cancelled context. AcquireGuard under it returns
+// at once when every guard is held, after the pool counts the attempt as
+// one park: a worker that finds the pool empty parks and sits the tick
+// out, with no timing involved.
+var parked = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// run is the engine: one goroutine round-robins the workers tick by tick.
+// At the start of a tick every worker not stalled leases a guard. The
+// lease order starts with the first worker that parked the tick before,
+// so when guards are scarce the workers take turns. The leaseholders each
+// run OpsPerTick hashmap operations (plus one hot-cell replacement per
+// tick) and return their guards in reverse lease order. A stalled worker
+// keeps the guard it held when the stall began; when the stall lifts it
+// runs on that guard and returns it with the others.
+func run(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 	m := wfe.NewHashMap[uint64](d, 64)
 	var hot wfe.Atomic[uint64] // the shared cell stalled readers protect
 
@@ -301,18 +299,56 @@ func runSequential(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 		if rng == 0 {
 			rng = 1
 		}
-		workers[i] = &worker{g: d.Guard(), rng: rng}
+		workers[i] = &worker{rng: rng}
 	}
+	running := make([]*worker, 0, s.Workers)
 
-	stallsActive := 0
+	start, stallsActive := 0, 0
 	for tick := 0; tick < s.Ticks; tick++ {
-		// Apply the tick's stall edges before anyone runs.
+		// Stalls ending this tick: a lifted reader drops its reservation,
+		// and the worker runs the tick on the guard it kept.
 		for _, sp := range s.Stalls {
 			if sp.Worker < 0 || sp.Worker >= len(workers) {
 				continue
 			}
-			w := workers[sp.Worker]
-			if sp.From == tick && !w.stalled {
+			if w := workers[sp.Worker]; sp.To == tick && w.stalled && w.kind == sp.Kind {
+				if sp.Kind == StallReader {
+					w.g.End()
+				}
+				w.stalled = false
+				stallsActive--
+			}
+		}
+		running = running[:0]
+		firstParked := -1
+		for k := range workers {
+			i := (start + k) % len(workers)
+			w := workers[i]
+			if w.stalled {
+				continue // keeps its guard
+			}
+			if w.g == nil {
+				g, err := d.AcquireGuard(parked)
+				if err != nil {
+					if firstParked < 0 {
+						firstParked = i
+					}
+					continue
+				}
+				w.g = g
+			}
+			running = append(running, w)
+		}
+		if firstParked >= 0 {
+			start = firstParked // the parked go first next tick
+		}
+		// Stalls beginning this tick catch a worker holding its lease; it
+		// keeps the guard until the stall lifts.
+		for _, sp := range s.Stalls {
+			if sp.Worker < 0 || sp.Worker >= len(workers) {
+				continue
+			}
+			if w := workers[sp.Worker]; sp.From == tick && !w.stalled && w.g != nil {
 				w.stalled, w.kind = true, sp.Kind
 				stallsActive++
 				if sp.Kind == StallReader {
@@ -322,16 +358,9 @@ func runSequential(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 					w.g.Protect(&hot, hotSlot)
 				}
 			}
-			if sp.To == tick && w.stalled && w.kind == sp.Kind {
-				if sp.Kind == StallReader {
-					w.g.End()
-				}
-				w.stalled = false
-				stallsActive--
-			}
 		}
 		for wi, w := range workers {
-			if w.stalled {
+			if w.stalled || w.g == nil {
 				continue
 			}
 			// Hot-cell churn: replace the shared node so a stalled
@@ -378,142 +407,39 @@ func runSequential(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 				}
 			}
 		}
-		sample := d.Sample()
+		// Returning in reverse lease order restores the pool's LIFO
+		// freelist, so a worker leasing from the same position next tick
+		// gets the same guard back and its allocations are paid for by
+		// the blocks its own retire ring frees. The exhaustion storm
+		// depends on that: an emergency scan reads only the allocating
+		// guard's ring.
+		for i := len(running) - 1; i >= 0; i-- {
+			if w := running[i]; !w.stalled {
+				w.g.Release()
+				w.g = nil
+			}
+		}
 		traj.Ticks = append(traj.Ticks, TickSample{
 			Tick:            tick,
 			Stalled:         stallsActive > 0,
-			TelemetrySample: sample,
+			TelemetrySample: d.Sample(),
 		})
 	}
 	// Lift any stall still open at the end, then drain the structure and
 	// the hot cell so the post-run settle can collapse the backlog.
 	for _, w := range workers {
-		if w.stalled && w.kind == StallReader {
-			w.g.End()
+		if w.g != nil {
+			w.g.Release()
 		}
-		w.stalled = false
 	}
-	g := workers[0].g
+	g := d.Guard()
 	for key := uint64(0); key < s.KeyRange; key++ {
 		m.DeleteGuarded(g, key)
 	}
 	if old := g.Protect(&hot, hotSlot); !old.IsNil() && hot.CompareAndSwap(old, wfe.Ref[uint64]{}) {
 		g.Retire(old)
 	}
-	for _, w := range workers {
-		w.g.Release()
-	}
-	traj.Summary.Deterministic = true
-}
-
-// runOversubscribed is the storm engine: Goroutines workers hammer the
-// map guardlessly over a MaxGuards-sized pool while a hostage goroutine
-// periodically pins the whole pool and sits on it — the schedule an
-// oversubscribed machine produces when the kernel deschedules guard
-// holders — so acquisitions park. The trajectory is sampled at equal
-// completed-op thresholds; only its coarse shape (and Parks > 0) is
-// reproducible, so it is marked non-deterministic.
-func runOversubscribed(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
-	m := wfe.NewHashMap[uint64](d, 64)
-	opsPerG := s.Ticks * s.OpsPerTick / 4
-	if opsPerG == 0 {
-		opsPerG = 1
-	}
-	total := uint64(s.Goroutines) * uint64(opsPerG)
-	var done atomic.Uint64
-	var wg sync.WaitGroup
-	for gi := 0; gi < s.Goroutines; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			rng := xorshift64(s.Seed ^ (uint64(gi+1) * 0x9e3779b97f4a7c15))
-			if rng == 0 {
-				rng = 1
-			}
-			for i := 0; i < opsPerG; i++ {
-				key := rng.next() % s.KeyRange
-				switch rng.next() % 10 {
-				case 0, 1, 2, 3:
-					m.Insert(key, key)
-				case 4, 5, 6, 7:
-					m.Delete(key)
-				default:
-					m.Get(key)
-				}
-				done.Add(1)
-				// Yield regularly so the storm interleaves even when
-				// GOMAXPROCS is small — a worker that ran its whole batch
-				// in one scheduler quantum would never contend for guards.
-				if i%32 == 0 {
-					runtime.Gosched()
-				}
-			}
-		}(gi)
-	}
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	// The hostage loop models descheduled guard holders: pin every guard,
-	// hold them across a scheduler quantum, release. Workers that hit the
-	// empty pool park (the pool counts each park), exactly the pressure
-	// the advisor's oversubscription signal keys on.
-	const hostageBursts = 8
-	var hostage sync.WaitGroup
-	hostage.Add(1)
-	go func() {
-		defer hostage.Done()
-		for k := 1; k <= hostageBursts; k++ {
-			threshold := total * uint64(k) / (hostageBursts + 1)
-			for done.Load() < threshold {
-				select {
-				case <-finished:
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
-			gs := make([]*wfe.Guard[uint64], 0, s.MaxGuards)
-			for i := 0; i < s.MaxGuards; i++ {
-				gs = append(gs, d.Pin())
-			}
-			// Sit on the whole pool until the storm visibly parks on it
-			// (or a yield budget runs out — parked workers must not be
-			// able to deadlock the run by never advancing done).
-			base := d.Sample().GuardParks
-			want := base + uint64(s.Goroutines)/4 + 1
-			for spin := 0; spin < 1<<14 && d.Sample().GuardParks < want; spin++ {
-				runtime.Gosched()
-			}
-			for _, g := range gs {
-				d.Unpin(g)
-			}
-		}
-	}()
-	step := total / uint64(s.Ticks)
-	if step == 0 {
-		step = 1
-	}
-	tick := 0
-	for running := true; running && tick < s.Ticks; {
-		select {
-		case <-finished:
-			running = false
-		case <-time.After(200 * time.Microsecond):
-		}
-		for tick < s.Ticks && (done.Load() >= uint64(tick+1)*step || !running) {
-			traj.Ticks = append(traj.Ticks, TickSample{
-				Tick:            tick,
-				TelemetrySample: d.Sample(),
-			})
-			tick++
-		}
-	}
-	<-finished
-	hostage.Wait()
-	// Drain so the settle can collapse the backlog.
-	for key := uint64(0); key < s.KeyRange; key++ {
-		m.Delete(key)
-	}
-	traj.Summary.Deterministic = false
+	g.Release()
 }
 
 // summarize settles the drained domain, runs the shared quiesce census

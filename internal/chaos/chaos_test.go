@@ -24,23 +24,26 @@ func short() Scenario {
 
 // TestDeterministicTrajectory is the engine's core promise: the same
 // (scenario, scheme, seed) reproduces the identical trajectory — every
-// tick sample byte for byte — so the robustness matrix is a unit test,
-// not a flaky stress.
+// tick sample and the summary, byte for byte — so the robustness matrix
+// is a unit test, not a flaky stress. It covers the whole catalog,
+// oversubscription's parks included.
 func TestDeterministicTrajectory(t *testing.T) {
-	for _, kind := range []wfe.SchemeKind{wfe.WFE, wfe.EBR, wfe.HP} {
-		a, err := Run(kind, short())
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		b, err := Run(kind, short())
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if !reflect.DeepEqual(a.Ticks, b.Ticks) {
-			t.Fatalf("%s: same seed produced different trajectories", kind)
-		}
-		if !a.Summary.Deterministic {
-			t.Errorf("%s: sequential trajectory not marked deterministic", kind)
+	for _, c := range Catalog() {
+		for _, kind := range wfe.AllSchemes() {
+			a, err := Run(kind, c.Scenario)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, kind, err)
+			}
+			b, err := Run(kind, c.Scenario)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, kind, err)
+			}
+			if !reflect.DeepEqual(a.Ticks, b.Ticks) {
+				t.Errorf("%s/%s: same seed produced different tick samples", c.Name, kind)
+			}
+			if a.Summary != b.Summary {
+				t.Errorf("%s/%s: same seed produced different summaries:\n%+v\n%+v", c.Name, kind, a.Summary, b.Summary)
+			}
 		}
 	}
 }
@@ -129,9 +132,9 @@ func TestSamplesConversion(t *testing.T) {
 	}
 }
 
-// TestOversubscriptionParks pins the storm engine's one guarantee: the
-// pool visibly parks. Exact values are scheduler-dependent, so only the
-// pressure signal is asserted.
+// TestOversubscriptionParks pins the oversubscribed schedule exactly:
+// every tick, each worker beyond MaxGuards finds the pool empty and parks
+// once.
 func TestOversubscriptionParks(t *testing.T) {
 	s := Oversubscription().Scenario
 	s.Ticks = 20
@@ -139,14 +142,11 @@ func TestOversubscriptionParks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Summary.Deterministic {
-		t.Error("concurrent trajectory marked deterministic")
-	}
-	if tr.Summary.Parks == 0 {
-		t.Error("oversubscription storm recorded zero guard parks")
+	if want := uint64((s.Workers - s.MaxGuards) * s.Ticks); tr.Summary.Parks != want {
+		t.Errorf("oversubscribed schedule recorded %d guard parks, want %d", tr.Summary.Parks, want)
 	}
 	if tr.Summary.Quiesce != "" {
-		t.Errorf("post-storm quiesce failed: %s", tr.Summary.Quiesce)
+		t.Errorf("post-run quiesce failed: %s", tr.Summary.Quiesce)
 	}
 }
 

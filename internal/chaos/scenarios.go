@@ -1,6 +1,11 @@
 package chaos
 
-import "wfe"
+import (
+	"fmt"
+
+	"wfe"
+	"wfe/advisor"
+)
 
 // A Canned scenario bundles a Scenario with the assertions the robustness
 // matrix makes about it: the per-scheme backlog ceiling it must respect
@@ -149,17 +154,18 @@ func BurstyChurn() Canned {
 	}
 }
 
-// Oversubscription storms the map with goroutines ≫ guards so guardless
-// acquisitions park; the concurrent engine runs it. Bounded memory for
-// every scheme, park pressure on every trajectory.
+// Oversubscription runs 16 workers over 2 guards: each tick two workers
+// lease the guards and churn the map while the other fourteen find the
+// pool empty and park. Bounded memory for every scheme, park pressure on
+// every trajectory.
 func Oversubscription() Canned {
 	return Canned{
 		Scenario: Scenario{
-			Name:       "oversubscription",
-			Seed:       5,
-			Goroutines: 16,
-			MaxGuards:  2,
-			Debug:      true,
+			Name:      "oversubscription",
+			Seed:      5,
+			Workers:   16,
+			MaxGuards: 2,
+			Debug:     true,
 		},
 		Ceiling:        boundedCeiling,
 		WantAdvice:     "HE",
@@ -226,4 +232,58 @@ func Catalog() []Canned {
 		Oversubscription(),
 		ExhaustionStorm(),
 	}
+}
+
+// Check judges one trajectory of the scenario, one cell of the robustness
+// matrix, and returns every violation (nil when the cell holds): the
+// domain settled clean, a bounded scheme stayed under its ceiling, an
+// exempt scheme visibly grew past the floor, the advisor shown the EBR
+// trajectory picked WantAdvice, and an exhaustion scenario's pressure
+// resolved as WantPressure promises. The root chaos tests and
+// cmd/wfestress -chaos share it, so the matrix's verdict is written once.
+func (c Canned) Check(kind wfe.SchemeKind, tr *Trajectory) []string {
+	var bad []string
+	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+	sum := tr.Summary
+	if sum.Quiesce != "" {
+		fail("domain did not settle clean after the schedule: %s", sum.Quiesce)
+	}
+	switch ceiling := c.Ceiling(kind); {
+	case ceiling > 0:
+		if sum.UnreclaimedMax > ceiling {
+			fail("backlog highwater %d (tick %d) exceeds the bounded ceiling %d",
+				sum.UnreclaimedMax, sum.UnreclaimedMaxTick, ceiling)
+		}
+	case kind == wfe.EBR || kind == wfe.Leak:
+		// The exempt schemes must actually exhibit the growth the
+		// exemption predicts, or the scenario is too gentle to prove
+		// anything.
+		if sum.UnreclaimedMax <= c.UnboundedFloor {
+			fail("expected unbounded growth past %d, saw highwater %d — scenario too gentle",
+				c.UnboundedFloor, sum.UnreclaimedMax)
+		}
+	}
+	if kind == wfe.EBR && c.WantAdvice != "" {
+		if rec := advisor.Advise(tr.Samples()); rec.Scheme != c.WantAdvice {
+			fail("advisor on the EBR trajectory recommended %q, want %q (profile %+v)",
+				rec.Scheme, c.WantAdvice, rec.Profile)
+		}
+	}
+	if c.WantPressure {
+		if kind == wfe.Leak {
+			// The pipeline cannot help the judge-less baseline:
+			// exhaustion must surface as errors, not panics.
+			if sum.AllocFailures == 0 {
+				fail("expected surfaced alloc failures on the undersized arena, saw none")
+			}
+		} else {
+			if sum.EmergencyScans == 0 {
+				fail("scenario never entered the emergency pipeline — arena not undersized enough")
+			}
+			if sum.AllocFailures != 0 {
+				fail("%d allocation(s) surfaced ErrArenaExhausted despite emergency reclamation", sum.AllocFailures)
+			}
+		}
+	}
+	return bad
 }

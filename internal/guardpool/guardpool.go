@@ -376,6 +376,15 @@ func (p *Pool) Acquire(ctx context.Context, spare func() (int, bool)) (int, erro
 		}
 		p.parks.Add(1)
 		p.tracer.Emit(trace.SharedTid, trace.KindGuardPark, 0, 0)
+		if ctx.Err() != nil {
+			// An already-done context leaves before the timer is armed: a
+			// goroutine descheduled past the timer between arming it and
+			// the select below could otherwise take the timer case, loop,
+			// and count a second park for one cancelled attempt.
+			p.waiters.Add(-1)
+			p.tracer.Emit(trace.SharedTid, trace.KindGuardCancel, 0, 0)
+			return 0, ctx.Err()
+		}
 		if timer == nil {
 			timer = time.NewTimer(backoff)
 		} else {

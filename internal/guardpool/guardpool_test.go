@@ -185,6 +185,29 @@ func TestAcquireContextCancel(t *testing.T) {
 	}
 }
 
+// TestAcquireDoneContextParksOnce: an Acquire whose context is already
+// done counts exactly one park on an empty pool and returns, whatever the
+// scheduler does: the deterministic chaos engine parks its surplus
+// workers this way and pins the park count per tick.
+func TestAcquireDoneContextParksOnce(t *testing.T) {
+	p := New(1)
+	p.TryAcquire() // drain
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if _, err := p.Acquire(ctx, nil); err != context.Canceled {
+			t.Fatalf("Acquire = %v, want Canceled", err)
+		}
+	}
+	if got := p.Stats().Parks; got != n {
+		t.Fatalf("Parks = %d after %d cancelled attempts, want %d", got, n, n)
+	}
+	if w := p.Waiters(); w != 0 {
+		t.Fatalf("Waiters = %d after the attempts returned, want 0", w)
+	}
+}
+
 // TestAcquireSpare: a parked waiter must accept an id offered through the
 // spare callback (the Domain's idle-guard cache) instead of sleeping on a
 // pool that will never refill.

@@ -54,12 +54,6 @@ type IBR struct {
 var _ reclaim.Scheme = (*IBR)(nil)
 var _ reclaim.Judge = (*IBR)(nil)
 var _ reclaim.RetireObserver = (*IBR)(nil)
-var _ reclaim.Kinder = (*IBR)(nil)
-
-// JudgeKind implements reclaim.Kinder: 2GEIBR judges by interval overlap
-// (two binary searches per retired block), so its auto-calibrated
-// SortCutoff uses the interval crossover.
-func (ib *IBR) JudgeKind() reclaim.JudgeKind { return reclaim.IntervalJudge }
 
 // New creates a 2GEIBR scheme over the given arena.
 func New(arena *mem.Arena, cfg reclaim.Config) *IBR {

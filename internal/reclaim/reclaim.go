@@ -124,11 +124,10 @@ type Config struct {
 	// SortCutoff is the gathered-reservation count below which a cleanup
 	// scan keeps the linear sweep instead of sorting the snapshot and
 	// binary-searching it (sorting a tiny snapshot costs more than
-	// sweeping it). Zero selects the host crossover Calibrate measures
-	// once per process; math.MaxInt pins every scan to the pre-overhaul
-	// O(R×G) linear sweep, the reference arm of the scan ablation
-	// (cmd/wfebench -ablation scan). The two tests are property-tested
-	// equivalent, so the value is purely a cost choice.
+	// sweeping it). Zero selects DefaultSortCutoff; math.MaxInt pins every
+	// scan to the pre-overhaul O(R×G) linear sweep, the reference arm of
+	// the scan ablation (cmd/wfebench -ablation scan). The two tests are
+	// property-tested equivalent, so the value is purely a cost choice.
 	SortCutoff int
 	// InitialEra, when above a scheme's natural starting value, seeds the
 	// global era/epoch clock. Live scheme switching depends on it: blocks
@@ -144,6 +143,13 @@ type Config struct {
 	// costs one branch per event site.
 	Tracer *trace.Tracer
 }
+
+// DefaultSortCutoff is the linear/sorted crossover a zero
+// Config.SortCutoff selects for every judge: the gathered-reservation
+// count below which the per-block linear sweep beat sort-once-plus-
+// binary-search on the original development host (measured by
+// cmd/wfebench -ablation scan).
+const DefaultSortCutoff = 32
 
 // Defaults fills unset fields with the paper's evaluation parameters.
 //
@@ -168,6 +174,9 @@ func (c Config) Defaults() Config {
 	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 16
+	}
+	if c.SortCutoff == 0 {
+		c.SortCutoff = DefaultSortCutoff
 	}
 	return c
 }

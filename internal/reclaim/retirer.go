@@ -142,23 +142,12 @@ func NewRetirer(arena *mem.Arena, cfg Config, judge Judge) *Retirer {
 		r.pre, _ = judge.(PreScanner)
 		r.obs, _ = judge.(RetireObserver)
 	}
-	if r.cutoff == 0 {
-		// No deterministic override: use the host crossover for this
-		// judge's membership-test shape (interval judges binary-search
-		// twice per block, so their crossover sits elsewhere than the era
-		// judges' on the same hardware).
-		kind := EraJudge
-		if k, ok := judge.(Kinder); ok {
-			kind = k.JudgeKind()
-		}
-		r.cutoff = CalibrateKind(kind)
-	}
 	return r
 }
 
 // Cutoff returns the gathered-reservation count below which this Retirer's
-// scans keep the linear sweep: Config.SortCutoff if set, the calibrated
-// host crossover otherwise.
+// scans keep the linear sweep: Config.SortCutoff if set, DefaultSortCutoff
+// otherwise.
 func (r *Retirer) Cutoff() int { return r.cutoff }
 
 // Judged reports whether this Retirer has a Judge at all. The judge-less

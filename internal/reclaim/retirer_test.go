@@ -233,47 +233,14 @@ func TestRetirerStepTelemetry(t *testing.T) {
 	}
 }
 
-// intervalFakeJudge is a fakeJudge that declares the interval judge kind,
-// like 2GEIBR and WFE-IBR do.
-type intervalFakeJudge struct{ fakeJudge }
-
-func (j *intervalFakeJudge) JudgeKind() JudgeKind { return IntervalJudge }
-
 func TestRetirerCutoffResolution(t *testing.T) {
 	a := testArena(t, 1<<8, 1)
-	// The deterministic Config.SortCutoff override wins for both judge
-	// kinds — calibration is only the zero-value default.
-	r := NewRetirer(a, Config{MaxThreads: 1, SortCutoff: 7}, &fakeJudge{})
-	if r.Cutoff() != 7 {
-		t.Fatalf("era-judge Cutoff = %d, want the configured 7", r.Cutoff())
+	// A configured cutoff wins; zero selects the constant for every judge.
+	if r := NewRetirer(a, Config{MaxThreads: 1, SortCutoff: 7}, &fakeJudge{}); r.Cutoff() != 7 {
+		t.Fatalf("Cutoff = %d, want the configured 7", r.Cutoff())
 	}
-	ri := NewRetirer(a, Config{MaxThreads: 1, SortCutoff: 9}, &intervalFakeJudge{})
-	if ri.Cutoff() != 9 {
-		t.Fatalf("interval-judge Cutoff = %d, want the configured 9", ri.Cutoff())
-	}
-	// Auto mode resolves the crossover for the judge's declared kind.
-	auto := NewRetirer(a, Config{MaxThreads: 1}, &fakeJudge{})
-	if auto.Cutoff() != CalibrateKind(EraJudge) {
-		t.Fatalf("Cutoff = %d, want the era-calibrated %d", auto.Cutoff(), CalibrateKind(EraJudge))
-	}
-	autoI := NewRetirer(a, Config{MaxThreads: 1}, &intervalFakeJudge{})
-	if autoI.Cutoff() != CalibrateKind(IntervalJudge) {
-		t.Fatalf("Cutoff = %d, want the interval-calibrated %d", autoI.Cutoff(), CalibrateKind(IntervalJudge))
-	}
-}
-
-func TestCalibrateIsCachedAndSane(t *testing.T) {
-	for _, kind := range []JudgeKind{EraJudge, IntervalJudge} {
-		c1, c2 := CalibrateKind(kind), CalibrateKind(kind)
-		if c1 != c2 {
-			t.Fatalf("CalibrateKind(%v) not cached: %d then %d", kind, c1, c2)
-		}
-		if c1 < 2 || c1 > calibrateSizes[len(calibrateSizes)-1]*2 {
-			t.Fatalf("CalibrateKind(%v) = %d, outside the probe range", kind, c1)
-		}
-	}
-	if Calibrate() != CalibrateKind(EraJudge) {
-		t.Fatal("Calibrate() diverged from CalibrateKind(EraJudge)")
+	if r := NewRetirer(a, Config{MaxThreads: 1}, &fakeJudge{}); r.Cutoff() != DefaultSortCutoff {
+		t.Fatalf("Cutoff = %d, want DefaultSortCutoff %d", r.Cutoff(), DefaultSortCutoff)
 	}
 }
 

@@ -82,12 +82,6 @@ type WFEIBR struct {
 var _ reclaim.Scheme = (*WFEIBR)(nil)
 var _ reclaim.Judge = (*WFEIBR)(nil)
 var _ reclaim.RetireObserver = (*WFEIBR)(nil)
-var _ reclaim.Kinder = (*WFEIBR)(nil)
-
-// JudgeKind implements reclaim.Kinder: WFE-IBR inherits 2GEIBR's interval
-// membership test (two binary searches per retired block), so its
-// auto-calibrated SortCutoff uses the interval crossover.
-func (w *WFEIBR) JudgeKind() reclaim.JudgeKind { return reclaim.IntervalJudge }
 
 // New creates a wait-free 2GEIBR scheme over the given arena.
 func New(arena *mem.Arena, cfg reclaim.Config) *WFEIBR {

@@ -52,6 +52,30 @@ func TestSampleAllocFree(t *testing.T) {
 	}
 }
 
+// TestSampleCountsCachedGuardBatches pins Sample's batch columns to
+// Telemetry's: a guardless MultiPut returns its leased guard to the lease
+// cache with the burst still counted on the guard, and the tick row must
+// see it there too, or the Sampler's batch rates read 0 on guardless
+// batch workloads.
+func TestSampleCountsCachedGuardBatches(t *testing.T) {
+	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := wfe.NewHashMap[uint64](d, 64)
+	for i := uint64(0); i < 10; i++ {
+		m.MultiPut([]uint64{i, i + 10}, []uint64{i, i})
+	}
+	tel, row := d.Telemetry(), d.Sample()
+	if tel.BatchOps != 10 || tel.BatchedItems != 20 {
+		t.Fatalf("Telemetry counted %d batches of %d items, want 10 of 20", tel.BatchOps, tel.BatchedItems)
+	}
+	if row.BatchOps != tel.BatchOps || row.BatchedItems != tel.BatchedItems {
+		t.Fatalf("Sample counted %d batches of %d items, Telemetry %d of %d",
+			row.BatchOps, row.BatchedItems, tel.BatchOps, tel.BatchedItems)
+	}
+}
+
 // TestSamplerStartStopIdempotent exercises the Sampler lifecycle the way
 // a sloppy embedder would: double starts must hand back the same running
 // sampler, double stops must be safe, a restart after stop must build a
