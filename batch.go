@@ -118,6 +118,13 @@ func (g *Guard[T]) runBatch(n int, fn func(i int) bool) int {
 	return done
 }
 
+// batchResult is the empty result of a batch read of up to n values (PopN,
+// DequeueN): no structure holds more values than its Domain has blocks, so
+// its capacity is n capped at Capacity, and none for n <= 0.
+func (d *Domain[T]) batchResult(n int) []T {
+	return make([]T, 0, max(0, min(n, d.arena.Capacity())))
+}
+
 // runLeaseBatch is runBatch without the scheme-level batch context: one
 // lease, per-op protection. The wait-free queues need it — their helping
 // protocols drive the scheme's Begin/Clear per operation from inside

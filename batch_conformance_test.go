@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -217,6 +218,47 @@ var batchPaths = []struct {
 			g.Release()
 		}
 	}},
+}
+
+// TestBatchReadSizesResultByStructure holds PopN and DequeueN to what the
+// structure can return rather than to the caller's n: a huge n on a
+// one-value structure allocates no n-sized result, and a negative n
+// returns nothing instead of panicking.
+func TestBatchReadSizesResultByStructure(t *testing.T) {
+	for _, st := range batchStructures {
+		d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 10, MaxGuards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		api := st.build(d)
+		if api.kind() == kvKind {
+			continue
+		}
+		t.Run(st.name, func(t *testing.T) {
+			api.insertAll(nil, []uint64{42})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := api.removeN(nil, 1<<24)
+			runtime.ReadMemStats(&after)
+			if len(got) != 1 || got[0] != 42 {
+				t.Fatalf("removeN(1<<24) on a one-value structure = %v, want [42]", got)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("removeN(1<<24) allocated %d bytes to return one value, want < 1 MB", grew)
+			}
+			api.insertAll(nil, []uint64{7})
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("removeN(-1) panicked: %v", r)
+					}
+				}()
+				if got := api.removeN(nil, -1); len(got) != 0 {
+					t.Errorf("removeN(-1) = %v, want nothing", got)
+				}
+			}()
+		})
+	}
 }
 
 // TestBatchConformance runs the batch APIs through the full structure ×

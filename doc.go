@@ -48,8 +48,9 @@
 //	sampler.go          the background Sampler: tick rows, rates, advice
 //	stack.go            public Treiber stack
 //	queue.go            public Michael–Scott queue
-//	wfqueue.go          public Kogan–Petrank wait-free queue, and boxQueue,
-//	                    the value-boxing operations both wait-free queues run
+//	wfqueue.go          public Kogan–Petrank wait-free queue, and nodeQueue,
+//	                    the operations both wait-free queues run, one node
+//	                    per value
 //	turnqueue.go        public CRTurn wait-free queue (type and constructor)
 //	hashmap.go          public lock-free hash map (HashMap)
 //	map.go              Map, the hash map's original alias

@@ -323,7 +323,7 @@ func (l liveScheme[T]) RetireBatch(tid int, blks []mem.Handle) {
 // Alloc routes an internal structure's allocation through the Domain's
 // backpressure pipeline. Only the WFQueue and TurnQueue constructors'
 // sentinels come through here: every enqueue allocates its node itself,
-// ahead of the protected section (see boxQueue.TryEnqueueGuarded).
+// ahead of the protected section (see nodeQueue.TryEnqueueGuarded).
 func (l liveScheme[T]) Alloc(tid int) mem.Handle {
 	h, err := l.d.allocHandle(tid)
 	l.d.must(err)
@@ -1444,11 +1444,12 @@ type Guard[T any] struct {
 	// bursts in a hot loop allocates its node lists once, not per burst.
 	batchNodes [2][]Ref[T]
 
-	// Per-guard batch accounting. Only the owner writes (plain
-	// load-then-store, no read-modify-write), so a burst costs two MOVs
-	// instead of two LOCK ADDs on a shared Domain counter; the fields are
-	// atomics solely so Telemetry can read them concurrently through the
-	// lease-cache registry. Release folds them into the Domain totals.
+	// Per-guard batch accounting. Only the owner writes (load-then-store,
+	// no read-modify-write), so a burst updates a line no other guard
+	// writes instead of contending on a shared Domain counter. Each store
+	// is still atomic, an implicitly locked XCHG on amd64, because
+	// Telemetry reads the fields concurrently through the lease-cache
+	// registry. Release folds them into the Domain totals.
 	statBatchOps   atomic.Uint64
 	statBatchItems atomic.Uint64
 }

@@ -51,20 +51,23 @@ func TestFreedValuesDropped(t *testing.T) {
 	}
 }
 
+// wfQueues builds each wait-free queue's shared typed layer on d.
+var wfQueues = []struct {
+	name string
+	mk   func(d *Domain[int]) *nodeQueue[int]
+}{
+	{"WFQueue", func(d *Domain[int]) *nodeQueue[int] { return &NewWFQueue(d).nodeQueue }},
+	{"TurnQueue", func(d *Domain[int]) *nodeQueue[int] { return &NewTurnQueue(d).nodeQueue }},
+}
+
 // TestQueueNodeValuesMaterialised checks that a block's value chunk exists
 // whichever path allocated the block. The wait-free queues allocate their
-// nodes through liveScheme, never through Guard.Alloc, yet the free hook
-// zeroes a node's value when the node is reclaimed. Every value box here
-// reuses a block of chunk 0, so the queue nodes are the only blocks the
-// bump allocator hands out in chunk 1.
+// nodes through allocHandle, never through Guard.Alloc, yet keep each
+// value in its node's value-slab entry, which the free hook zeroes when
+// the node is reclaimed. The chunk-0 fill stays allocated, so every queue
+// node is a block the bump allocator hands out in chunk 1.
 func TestQueueNodeValuesMaterialised(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(d *Domain[int]) *boxQueue[int]
-	}{
-		{"WFQueue", func(d *Domain[int]) *boxQueue[int] { return &NewWFQueue(d).boxQueue }},
-		{"TurnQueue", func(d *Domain[int]) *boxQueue[int] { return &NewTurnQueue(d).boxQueue }},
-	} {
+	for _, tc := range wfQueues {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := NewDomain[int](Options{Capacity: 2 * mem.ChunkSize, MaxGuards: 1, Debug: true})
 			if err != nil {
@@ -72,17 +75,15 @@ func TestQueueNodeValuesMaterialised(t *testing.T) {
 			}
 			q := tc.mk(d)
 			g := d.Guard()
-			fill := make([]Ref[int], mem.ChunkSize-1) // chunk 0 after the sentinel
-			for i := range fill {
-				fill[i] = g.Alloc(i)
+			for i := 0; i < mem.ChunkSize-1; i++ { // chunk 0 after the sentinel
+				g.Alloc(i)
 			}
 			const n = 64
 			for i := 0; i < n; i++ {
-				g.Dealloc(fill[i]) // the next value box reuses this block
 				q.EnqueueGuarded(g, i)
 			}
 			if got := d.arena.Stats().Bumped; got != mem.ChunkSize+n {
-				t.Fatalf("bump high-water %d, want %d: some value box reached chunk 1", got, mem.ChunkSize+n)
+				t.Fatalf("bump high-water %d, want %d: the enqueues did not take one chunk-1 block each", got, mem.ChunkSize+n)
 			}
 			for i := 0; i < n; i++ {
 				if v, ok := q.DequeueGuarded(g); !ok || v != i {
@@ -99,6 +100,42 @@ func TestQueueNodeValuesMaterialised(t *testing.T) {
 			}
 			if freed == 0 {
 				t.Fatal("no queue node in chunk 1 was freed; the test exercised nothing")
+			}
+		})
+	}
+}
+
+// TestQueueOneBlockPerValue checks that a wait-free queue enqueue
+// allocates exactly one block, the node that carries the value, and that
+// a drained queue pins no value: the nodes the queue and its dequeuers
+// still hold have zero value-slab entries.
+func TestQueueOneBlockPerValue(t *testing.T) {
+	for _, tc := range wfQueues {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDomain[int](Options{Capacity: 1 << 12, MaxGuards: 1, Debug: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := tc.mk(d)
+			g := d.Guard()
+			defer g.Release()
+			const n = 100
+			before := d.Telemetry().Allocs
+			for i := 1; i <= n; i++ {
+				q.EnqueueGuarded(g, i)
+			}
+			if got := d.Telemetry().Allocs - before; got != n {
+				t.Fatalf("%d enqueues allocated %d blocks, want %d", n, got, n)
+			}
+			for i := 1; i <= n; i++ {
+				if v, ok := q.DequeueGuarded(g); !ok || v != i {
+					t.Fatalf("dequeue %d = (%d, %v), want (%d, true)", i, v, ok, i)
+				}
+			}
+			for h := mem.Handle(1); h <= d.arena.Stats().Bumped; h++ {
+				if v := *d.vals.At(h - 1); d.arena.Live(h) && v != 0 {
+					t.Errorf("live block %d of the drained queue still holds value %d", h, v)
+				}
 			}
 		})
 	}

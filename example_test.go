@@ -198,8 +198,8 @@ func ExampleMap() {
 
 // ExampleWFQueue: the Kogan–Petrank wait-free queue — with the WFE scheme
 // every operation, memory reclamation included, completes in a bounded
-// number of steps. Values of any type travel through the queue's
-// fixed-width helping protocol in private boxed blocks.
+// number of steps. Values of any type travel through the queue's helping
+// protocol in their own queue nodes, one block per value.
 func ExampleWFQueue() {
 	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10})
 	q := wfe.NewWFQueue[string](d)

@@ -257,8 +257,8 @@ func TestPanicVariantsWrapSentinel(t *testing.T) {
 // twin's cleanup: once the Try form has exhausted a Leak arena, one
 // recovered panic from the plain method must leave the live block count
 // where the Try form left it. A write that allocates more than one block
-// (a value box and its queue node, a leaf and its routing node) must hand
-// back the blocks it did get.
+// (a tree insert's leaf and routing node) must hand back the blocks it did
+// get; a queue enqueue allocates one block, its node.
 func TestPanicVariantsLeakNothing(t *testing.T) {
 	type ops struct {
 		try   func() error // one Try write; nil until the arena runs dry

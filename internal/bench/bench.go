@@ -269,8 +269,9 @@ func arenaCapacity(scheme string, opt Options, threads int) int {
 	if scheme == "Leak" {
 		return 1 << 22
 	}
-	// The wait-free queues box every value in a second block, hence the
-	// doubled prefill term. The flat headroom term absorbs the
+	// The 8×prefill term is four times the largest prefill footprint,
+	// the tree's leaf and routing node per key; every other structure
+	// spends one block per value. The flat headroom term absorbs the
 	// retired-but-not-yet-freed backlog of the epoch- and interval-based
 	// schemes, which can spike past 100K blocks when a worker is
 	// descheduled mid-epoch on a loaded machine — undersizing here shows up

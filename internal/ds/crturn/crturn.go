@@ -9,9 +9,10 @@
 // enqueue by one full turn. Dequeuers announce open requests; helpers claim
 // the current head's successor for the longest-waiting open request (turn
 // order starting after the requester that received the current sentinel),
-// hand the node over, and advance the head. The handed node itself carries
-// the value and becomes the new sentinel; its receiver is responsible for
-// retiring it later, which is the queue's wait-free reclamation story.
+// hand the node over, and advance the head. The handed node becomes the new
+// sentinel, and Dequeue returns it to its receiver, which keeps the value
+// beside the node; the receiver retires the node at its next successful
+// dequeue, which is the queue's wait-free reclamation story.
 //
 // Reconstruction notes (the authors' code is not available offline): this
 // implementation keeps the published turn mechanics but makes the hand-off
@@ -97,15 +98,8 @@ type Queue struct {
 }
 
 // New creates an empty queue for up to maxThreads (< 255) registered
-// threads; the initial sentinel is allocated on behalf of thread 0.
-func New(smr reclaim.Scheme, maxThreads int) *Queue {
-	return NewTid(smr, maxThreads, 0)
-}
-
-// NewTid is New with the sentinel allocated on behalf of tid — the export
-// hook for the public façade, whose constructor runs under a leased guard
-// holding an arbitrary tid while other tids may be allocating concurrently.
-func NewTid(smr reclaim.Scheme, maxThreads, tid int) *Queue {
+// threads, with the initial sentinel allocated on behalf of tid.
+func New(smr reclaim.Scheme, maxThreads, tid int) *Queue {
 	if maxThreads >= 255 {
 		panic("crturn: claim word holds at most 254 thread ids")
 	}
@@ -133,20 +127,16 @@ func (q *Queue) debugBound(round int, op string) {
 	}
 }
 
-// Enqueue appends v in a node allocated on tid's behalf.
-func (q *Queue) Enqueue(tid int, v uint64) { q.EnqueueNode(tid, q.smr.Alloc(tid), v) }
-
-// EnqueueNode appends v in node, a block tid allocated and has not
-// published; allocating ahead of the protected section means a stalled
-// allocation holds no reservation. The announcement/turn protocol
-// guarantees the node is linked within one full turn even if this thread
-// does all the work itself.
-func (q *Queue) EnqueueNode(tid int, node mem.Handle, v uint64) {
+// EnqueueNode appends node, a block tid allocated and has not published;
+// allocating ahead of the protected section means a stalled allocation
+// holds no reservation. The announcement/turn protocol guarantees the node
+// is linked within one full turn even if this thread does all the work
+// itself.
+func (q *Queue) EnqueueNode(tid int, node mem.Handle) {
 	q.smr.Begin(tid)
 	defer q.smr.Clear(tid)
 	a := q.smr.Arena()
 
-	a.SetVal(node, v)
 	a.StoreWord(node, nextWord, 0)
 	a.StoreWord(node, claimWord, 0)
 	a.StoreWord(node, enqTidWord, uint64(tid)+1)
@@ -188,19 +178,17 @@ func (q *Queue) EnqueueNode(tid int, node mem.Handle, v uint64) {
 	}
 }
 
-// consume takes a hand-off (seq, node), returns its value, and retires the
+// consume takes a hand-off (seq, node), returns its node, and retires the
 // node consumed before it once the head is safely past that older node.
-func (q *Queue) consume(tid int, hv uint64) uint64 {
-	a := q.smr.Arena()
+func (q *Queue) consume(tid int, hv uint64) mem.Handle {
 	node := helpNode(hv)
-	v := a.Val(node)
 	o := &q.owners[tid]
 	if o.prev != 0 {
 		q.retireSentinel(tid, o.prev)
 	}
 	o.prev = node
 	o.lastSeq = helpSeq(hv)
-	return v
+	return node
 }
 
 // retireSentinel retires a node this thread received earlier. The node left
@@ -217,8 +205,10 @@ func (q *Queue) retireSentinel(tid int, h mem.Handle) {
 	q.smr.Retire(tid, h)
 }
 
-// Dequeue removes and returns the oldest value; ok is false when empty.
-func (q *Queue) Dequeue(tid int) (v uint64, ok bool) {
+// Dequeue removes the oldest node and returns it; ok is false when the
+// queue is empty. The node stays allocated until tid's next successful
+// Dequeue, which retires it.
+func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
 	q.smr.Begin(tid)
 	defer q.smr.Clear(tid)
 	a := q.smr.Arena()
@@ -325,7 +315,7 @@ func (q *Queue) helpHand(tid int, lhead, lnext mem.Handle) {
 	}
 }
 
-// Len counts queued values; meaningful only quiescently.
+// Len counts queued nodes; meaningful only quiescently.
 func (q *Queue) Len() int {
 	a := q.smr.Arena()
 	n := 0

@@ -13,18 +13,18 @@ import (
 
 func TestCRTurnSuite(t *testing.T) {
 	queuetest.RunQueueSuite(t, func(smr reclaim.Scheme, maxThreads int) queuetest.Queue {
-		return crturn.New(smr, maxThreads)
+		return crturn.New(smr, maxThreads, 0)
 	})
 }
 
-func newWFEQueue(t *testing.T, threads int) (*crturn.Queue, reclaim.Scheme) {
+func newWFEQueue(t *testing.T, threads int) *queuetest.Payloads {
 	t.Helper()
 	a := mem.New(mem.Config{Capacity: 1 << 14, MaxThreads: threads, Debug: true})
 	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: threads, EraFreq: 16, CleanupFreq: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return crturn.New(s, threads), s
+	return queuetest.WithPayloads(crturn.New(s, threads, 0), s)
 }
 
 // TestEmptyRace hammers the give-up path: consumers repeatedly poll an
@@ -35,7 +35,7 @@ func TestEmptyRace(t *testing.T) {
 		t.Skip("stress test")
 	}
 	const total = 5000
-	q, _ := newWFEQueue(t, 3)
+	q := newWFEQueue(t, 3)
 
 	var got sync.Map
 	var wg sync.WaitGroup
@@ -80,5 +80,5 @@ func TestMaxThreadsLimit(t *testing.T) {
 			t.Fatal("255-thread queue did not panic")
 		}
 	}()
-	crturn.New(s, 255)
+	crturn.New(s, 255, 0)
 }

@@ -8,7 +8,11 @@
 // every phase it can see, and then helps all pending operations with lower
 // or equal phases before its own completes. Dequeues claim the current
 // sentinel by CASing its deqTid field; the claimed sentinel's successor
-// carries the returned value and becomes the new sentinel.
+// becomes the new sentinel, and Dequeue returns it to the caller, which
+// keeps the value beside the node. A node is retired on the second of two
+// releases: by the dequeuer that claimed it as sentinel, right after that
+// dequeue, and by the dequeuer it was returned to, at that thread's next
+// dequeue. The constructor's sentinel starts with one release counted.
 //
 // The per-thread descriptor — the paper's {phase, pending, enqueue, node} —
 // packs into one word with the node handle in the low bits, which doubles
@@ -27,7 +31,7 @@ const (
 	nextWord    = 0 // successor link
 	deqTidWord  = 1 // claiming dequeuer + 1; 0 = unclaimed
 	enqTidWord  = 2 // enqueuer + 1 (set before publication)
-	handoffWord = 3 // dequeued value, copied in from the successor
+	releaseWord = 3 // 1 once one of the node's two releases happened
 
 	// descriptor layout: | phase (36) | enqueue (1) | pending (1) | node (26) |
 	descPendingBit = 1 << pack.PtrBits
@@ -60,7 +64,8 @@ const (
 
 type stateSlot struct {
 	desc atomic.Uint64
-	_    [56]byte
+	held mem.Handle // node last returned by Dequeue; owner-only
+	_    [48]byte
 }
 
 // Queue is a wait-free multi-producer multi-consumer FIFO queue.
@@ -72,22 +77,16 @@ type Queue struct {
 	state      []stateSlot
 }
 
-// New creates an empty queue for up to maxThreads registered threads; the
-// initial sentinel is allocated on behalf of thread 0.
-func New(smr reclaim.Scheme, maxThreads int) *Queue {
-	return NewTid(smr, maxThreads, 0)
-}
-
-// NewTid is New with the sentinel allocated on behalf of tid — the export
-// hook for the public façade, whose constructor runs under a leased guard
-// holding an arbitrary tid while other tids may be allocating concurrently.
-func NewTid(smr reclaim.Scheme, maxThreads, tid int) *Queue {
+// New creates an empty queue for up to maxThreads registered threads, with
+// the initial sentinel allocated on behalf of tid.
+func New(smr reclaim.Scheme, maxThreads, tid int) *Queue {
 	q := &Queue{smr: smr, maxThreads: maxThreads, state: make([]stateSlot, maxThreads)}
 	a := smr.Arena()
 	s := smr.Alloc(tid)
 	a.StoreWord(s, nextWord, 0)
 	a.StoreWord(s, deqTidWord, 0)
 	a.StoreWord(s, enqTidWord, 0)
+	a.StoreWord(s, releaseWord, 1) // no dequeuer receives the sentinel
 	q.head.Store(s)
 	q.tail.Store(s)
 	for i := range q.state {
@@ -112,22 +111,19 @@ func (q *Queue) isStillPending(i int, phase uint64) bool {
 	return descPending(d) && descPhase(d) <= phase
 }
 
-// Enqueue appends v to the queue in a node allocated on tid's behalf.
-func (q *Queue) Enqueue(tid int, v uint64) { q.EnqueueNode(tid, q.smr.Alloc(tid), v) }
-
-// EnqueueNode appends v in node, a block tid allocated and has not
-// published. Taking the node from the caller keeps the allocation ahead
-// of the protected section, so an allocation that stalls on an exhausted
-// arena holds no reservation.
-func (q *Queue) EnqueueNode(tid int, node mem.Handle, v uint64) {
+// EnqueueNode appends node, a block tid allocated and has not published.
+// Taking the node from the caller keeps the allocation ahead of the
+// protected section, so an allocation that stalls on an exhausted arena
+// holds no reservation.
+func (q *Queue) EnqueueNode(tid int, node mem.Handle) {
 	q.smr.Begin(tid)
 	defer q.smr.Clear(tid)
 	a := q.smr.Arena()
 
-	a.SetVal(node, v)
 	a.StoreWord(node, nextWord, 0)
 	a.StoreWord(node, deqTidWord, 0)
 	a.StoreWord(node, enqTidWord, uint64(tid)+1)
+	a.StoreWord(node, releaseWord, 0)
 
 	phase := q.maxPhase() + 1
 	q.state[tid].desc.Store(makeDesc(phase, true, true, node))
@@ -135,30 +131,43 @@ func (q *Queue) EnqueueNode(tid int, node mem.Handle, v uint64) {
 	q.helpFinishEnq(tid)
 }
 
-// Dequeue removes and returns the oldest value; ok is false when empty.
-func (q *Queue) Dequeue(tid int) (v uint64, ok bool) {
+// Dequeue removes the oldest node and returns it; ok is false when the
+// queue is empty. The node stays allocated until tid's next Dequeue, which
+// releases it.
+func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
 	q.smr.Begin(tid)
 	defer q.smr.Clear(tid)
 	a := q.smr.Arena()
+	st := &q.state[tid]
+	if st.held != 0 {
+		q.release(tid, st.held)
+		st.held = 0
+	}
 
 	phase := q.maxPhase() + 1
-	q.state[tid].desc.Store(makeDesc(phase, true, false, 0))
+	st.desc.Store(makeDesc(phase, true, false, 0))
 	q.help(tid, phase)
 	q.helpFinishDeq(tid)
 
-	node := descNode(q.state[tid].desc.Load())
-	if node == 0 {
+	first := descNode(st.desc.Load())
+	if first == 0 {
 		return 0, false // empty at linearization
 	}
-	// node is the sentinel we claimed. The value logically travels in its
-	// successor, but by now the successor may already have been claimed,
-	// retired and freed by a later dequeue — so helpDeq copied the value
-	// into our node's handoff word before the claim CAS, while both nodes
-	// were provably protected. We only ever read our own claimed node,
-	// which cannot be freed before we retire it here.
-	v = a.LoadWord(node, handoffWord)
-	q.smr.Retire(tid, node)
-	return v, true
+	// We claimed sentinel first, so its successor link is final and names
+	// our node. Neither can be retired yet: first waits for our release
+	// below, and our node for the one our next dequeue makes.
+	node = pack.Handle(a.LoadWord(first, nextWord))
+	q.release(tid, first)
+	st.held = node
+	return node, true
+}
+
+// release counts one of h's two releases and retires h on the second; the
+// claimer's release comes after the head has moved past h.
+func (q *Queue) release(tid int, h mem.Handle) {
+	if !q.smr.Arena().CASWord(h, releaseWord, 0, 1) {
+		q.smr.Retire(tid, h)
+	}
 }
 
 // help completes every pending operation whose phase is at most phase
@@ -255,12 +264,6 @@ func (q *Queue) helpDeq(tid, i int, phase uint64) {
 				continue
 			}
 		}
-		// Hand the successor's value over to the sentinel before claiming:
-		// `next` is reachable (head == first was validated after protecting
-		// it), so it is not yet retired and our reservations keep it alive
-		// for this copy; the successor's own value word is immutable, so
-		// every helper writes the same value here.
-		a.StoreWord(first, handoffWord, a.Val(next))
 		a.CASWord(first, deqTidWord, 0, uint64(i)+1)
 		q.helpFinishDeq(tid)
 	}
@@ -283,7 +286,7 @@ func (q *Queue) helpFinishDeq(tid int) {
 	}
 }
 
-// Len counts queued values; meaningful only quiescently.
+// Len counts queued nodes; meaningful only quiescently.
 func (q *Queue) Len() int {
 	a := q.smr.Arena()
 	n := 0
@@ -291,7 +294,7 @@ func (q *Queue) Len() int {
 	for h != 0 {
 		next := pack.Handle(a.LoadWord(h, nextWord))
 		if next != 0 {
-			n++ // every node except the sentinel holds a live value
+			n++ // every node past the sentinel is queued
 		}
 		h = next
 	}

@@ -1,7 +1,8 @@
 // Package queuetest is the shared conformance suite for the MPMC queues:
 // sequential FIFO semantics, empty-queue behaviour, and a concurrent
 // conservation + per-producer-order stress run under every reclamation
-// scheme with arena poisoning armed.
+// scheme with arena poisoning armed. The queues carry nodes; the suite
+// keeps each node's value in a table of its own (see Payloads).
 package queuetest
 
 import (
@@ -14,27 +15,59 @@ import (
 	"wfe/internal/schemes"
 )
 
-// Queue is the operation set under test.
+// Queue is the operation set under test. A node Dequeue returns stays
+// allocated until tid's next Dequeue.
 type Queue interface {
-	Enqueue(tid int, v uint64)
-	Dequeue(tid int) (uint64, bool)
+	EnqueueNode(tid int, node mem.Handle)
+	Dequeue(tid int) (mem.Handle, bool)
 }
 
 // Builder constructs the queue under test for maxThreads threads.
 type Builder func(smr reclaim.Scheme, maxThreads int) Queue
 
+// Payloads runs a Queue as a queue of uint64 values kept in a table
+// indexed by node handle: Enqueue fills a node's entry before publishing
+// the node, and Dequeue reads it only after Arena.CheckLive, so a node
+// freed before its receiver read it panics in a Debug arena.
+type Payloads struct {
+	q    Queue
+	smr  reclaim.Scheme
+	vals []uint64
+}
+
+// WithPayloads wraps q, whose nodes come from smr's arena.
+func WithPayloads(q Queue, smr reclaim.Scheme) *Payloads {
+	return &Payloads{q, smr, make([]uint64, smr.Arena().Capacity()+1)}
+}
+
+// Enqueue appends v in a node allocated on tid's behalf.
+func (p *Payloads) Enqueue(tid int, v uint64) {
+	node := p.smr.Alloc(tid)
+	p.vals[node] = v
+	p.q.EnqueueNode(tid, node)
+}
+
+// Dequeue removes and returns the oldest value; ok is false when empty.
+func (p *Payloads) Dequeue(tid int) (uint64, bool) {
+	node, ok := p.q.Dequeue(tid)
+	if !ok {
+		return 0, false
+	}
+	p.smr.Arena().CheckLive(node, "Dequeue")
+	return p.vals[node], true
+}
+
 var schemesUnderTest = []string{"WFE", "WFE-slow", "HE", "HP", "EBR", "2GEIBR", "WFE-IBR", "WFE-IBR-slow", "Leak"}
 
-func newScheme(t testing.TB, name string, threads, capacity int) reclaim.Scheme {
+// start builds the queue under test over a fresh Debug arena and scheme.
+func start(t testing.TB, build Builder, scheme string, threads, capacity int) *Payloads {
 	t.Helper()
 	a := mem.New(mem.Config{Capacity: capacity, MaxThreads: threads, Debug: true})
-	s, err := schemes.New(name, a, reclaim.Config{
-		MaxThreads: threads, EraFreq: 32, CleanupFreq: 8,
-	})
+	smr, err := schemes.New(scheme, a, reclaim.Config{MaxThreads: threads, EraFreq: 32, CleanupFreq: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return WithPayloads(build(smr, threads), smr)
 }
 
 // RunQueueSuite runs the full conformance suite.
@@ -49,7 +82,7 @@ func RunQueueSuite(t *testing.T, build Builder) {
 }
 
 func runSequential(t *testing.T, build Builder) {
-	q := build(newScheme(t, "WFE", 1, 1<<12), 1)
+	q := start(t, build, "WFE", 1, 1<<12)
 	for v := uint64(1); v <= 200; v++ {
 		q.Enqueue(0, v)
 	}
@@ -65,7 +98,7 @@ func runSequential(t *testing.T, build Builder) {
 }
 
 func runEmpty(t *testing.T, build Builder) {
-	q := build(newScheme(t, "WFE", 1, 1<<12), 1)
+	q := start(t, build, "WFE", 1, 1<<12)
 	if _, ok := q.Dequeue(0); ok {
 		t.Fatal("empty queue returned a value")
 	}
@@ -90,8 +123,7 @@ func runEmpty(t *testing.T, build Builder) {
 // runChurn exercises node recycling: enqueue/dequeue pairs far beyond the
 // arena capacity only fit if reclamation actually recycles nodes.
 func runChurn(t *testing.T, build Builder) {
-	smr := newScheme(t, "WFE", 1, 512)
-	q := build(smr, 1)
+	q := start(t, build, "WFE", 1, 512)
 	for i := uint64(0); i < 20000; i++ {
 		q.Enqueue(0, i)
 		v, ok := q.Dequeue(0)
@@ -99,7 +131,7 @@ func runChurn(t *testing.T, build Builder) {
 			t.Fatalf("churn iteration %d: got %d,%v", i, v, ok)
 		}
 	}
-	if inUse := smr.Arena().Stats().InUse; inUse > 400 {
+	if inUse := q.smr.Arena().Stats().InUse; inUse > 400 {
 		t.Fatalf("nodes not recycled: %d in use", inUse)
 	}
 }
@@ -121,8 +153,7 @@ func runStress(t *testing.T, build Builder, schemeName string) {
 	if schemeName == "Leak" {
 		capacity = producers*perProd + 2048
 	}
-	smr := newScheme(t, schemeName, threads, capacity)
-	q := build(smr, threads)
+	q := start(t, build, schemeName, threads, capacity)
 
 	dequeued := make([][]uint64, consumers)
 	var wg sync.WaitGroup
@@ -230,8 +261,7 @@ func RunRealTimeOrderCheck(t *testing.T, build Builder) {
 		perProd   = 3000
 	)
 	threads := producers + consumers
-	smr := newScheme(t, "WFE", threads, 1<<16)
-	q := build(smr, threads)
+	q := start(t, build, "WFE", threads, 1<<16)
 
 	var (
 		enqs = make([][]opStamp, producers)

@@ -69,8 +69,7 @@ type slot struct {
 	state     atomic.Uint32
 	version   atomic.Uint32
 	words     [NumWords]atomic.Uint64
-	key       uint64        // immutable after publication
-	val       atomic.Uint64 // mutable value payload
+	key       uint64 // immutable after publication
 	// nextFree is the free-list link. It is written only by the slot's
 	// current owner (the freeing thread building its cache, or the
 	// spilling thread cutting a segment) and read only after ownership is
@@ -282,7 +281,6 @@ func (a *Arena) Free(tid int, h Handle) {
 			for i := range s.words {
 				s.words[i].Store(poison)
 			}
-			s.val.Store(poison)
 		}
 	}
 	if a.freeHook != nil {
@@ -482,24 +480,6 @@ func (a *Arena) Key(h Handle) uint64 {
 func (a *Arena) SetKey(h Handle, k uint64) {
 	a.check(h, "SetKey")
 	a.slot(h).key = k
-}
-
-// Val returns the slot's value payload.
-func (a *Arena) Val(h Handle) uint64 {
-	a.check(h, "Val")
-	return a.slot(h).val.Load()
-}
-
-// SetVal stores the value payload.
-func (a *Arena) SetVal(h Handle, v uint64) {
-	a.check(h, "SetVal")
-	a.slot(h).val.Store(v)
-}
-
-// CASVal compare-and-swaps the value payload.
-func (a *Arena) CASVal(h Handle, old, new uint64) bool {
-	a.check(h, "CASVal")
-	return a.slot(h).val.CompareAndSwap(old, new)
 }
 
 // Version returns the slot's reuse version; tests use it to detect that a

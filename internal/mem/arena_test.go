@@ -77,13 +77,9 @@ func TestFastFreeSkipsPoisonButDetectsDoubleFree(t *testing.T) {
 	a := newTestArena(4, 1)
 	h := a.Alloc(0)
 	a.StoreWord(h, 1, 42)
-	a.SetVal(h, 7)
 	a.Free(0, h)
 	if got := a.slot(h).words[1].Load(); got != 42 {
 		t.Fatalf("never-published free poisoned word: %#x", got)
-	}
-	if got := a.slot(h).val.Load(); got != 7 {
-		t.Fatalf("never-published free poisoned value: %#x", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -140,7 +136,7 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestCASWordAndVal(t *testing.T) {
+func TestCASWord(t *testing.T) {
 	a := newTestArena(4, 1)
 	h := a.Alloc(0)
 	a.StoreWord(h, 0, 10)
@@ -149,10 +145,6 @@ func TestCASWordAndVal(t *testing.T) {
 	}
 	if !a.CASWord(h, 0, 10, 12) {
 		t.Fatal("CAS with right expected failed")
-	}
-	a.SetVal(h, 1)
-	if !a.CASVal(h, 1, 2) || a.Val(h) != 2 {
-		t.Fatal("CASVal failed")
 	}
 }
 

@@ -181,7 +181,7 @@ func (q *Queue[T]) DequeueN(n int) []T {
 
 // DequeueNGuarded is DequeueN on a caller-held guard.
 func (q *Queue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
-	out := make([]T, 0, n)
+	out := g.d.batchResult(n)
 	g.runBatch(n, func(int) bool {
 		v, ok := q.DequeueGuarded(g)
 		if ok {

@@ -146,7 +146,7 @@ func (s *Stack[T]) PopN(n int) []T {
 
 // PopNGuarded is PopN on a caller-held guard.
 func (s *Stack[T]) PopNGuarded(g *Guard[T], n int) []T {
-	out := make([]T, 0, n)
+	out := g.d.batchResult(n)
 	g.runBatch(n, func(int) bool {
 		v, ok := s.PopGuarded(g)
 		if ok {

@@ -9,17 +9,16 @@ import "wfe/internal/ds/crturn"
 // the head's successor — so every operation completes within one full turn
 // regardless of scheduling. It needs 2 protection slots per guard.
 //
-// Like WFQueue, the generic payload travels in a private value box rather
-// than the queue node: the hand-off protocol moves a fixed-width word
-// between threads, and the box's handle is that word. The receiving
-// dequeuer — the only goroutine that ever gets the handle — unboxes the T
-// and returns the block to the arena.
+// Like WFQueue, each value travels in its own queue node's value-slab
+// entry: Enqueue allocates one block, and the dequeue the node is handed
+// to reads the T back and zeroes the entry. The receiver keeps the handed
+// node allocated until the same guard's next successful dequeue.
 //
 // The plain methods (Enqueue, Dequeue, Len) are guardless: each leases a
 // guard from the Domain's guard runtime for the duration of the operation,
 // so any number of goroutines may call them. The Guarded variants take an
 // explicit or pinned Guard and skip the lease — use them in hot loops.
-type TurnQueue[T any] struct{ boxQueue[T] }
+type TurnQueue[T any] struct{ nodeQueue[T] }
 
 // NewTurnQueue creates an empty CRTurn queue on the Domain. It leases a
 // guard to allocate the sentinel node, parking briefly if all guards are
@@ -31,5 +30,5 @@ type TurnQueue[T any] struct{ boxQueue[T] }
 func NewTurnQueue[T any](d *Domain[T]) *TurnQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
-	return &TurnQueue[T]{boxQueue[T]{d, crturn.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
+	return &TurnQueue[T]{nodeQueue[T]{d, crturn.New(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
 }

@@ -11,20 +11,16 @@ import (
 // bounded number of steps (Figures 5a/5b). It needs 3 protection slots per
 // guard.
 //
-// The queue's phase-based helping protocol hands dequeued values across
-// threads through a fixed-width handoff word, so the generic payload cannot
-// travel inside the queue node itself. Each Enqueue instead boxes its value
-// in a private block (holding the T in the Domain's value slab) and
-// enqueues the box's handle; the winning dequeuer — the only goroutine that
-// ever receives that handle — unboxes the value and returns the block to
-// the arena. Boxes are never shared, so they need no reclamation-scheme
-// round trip.
+// Each value travels in its own queue node: Enqueue allocates one block
+// and writes the T into the node's value-slab entry before publishing it.
+// The dequeue the node is returned to reads the T back and zeroes the
+// entry; the node stays allocated until that guard's next dequeue.
 //
 // The plain methods (Enqueue, Dequeue, Len) are guardless: each leases a
 // guard from the Domain's guard runtime for the duration of the operation,
 // so any number of goroutines may call them. The Guarded variants take an
 // explicit or pinned Guard and skip the lease — use them in hot loops.
-type WFQueue[T any] struct{ boxQueue[T] }
+type WFQueue[T any] struct{ nodeQueue[T] }
 
 // NewWFQueue creates an empty wait-free queue on the Domain. It leases a
 // guard to allocate the sentinel node, parking briefly if all guards are
@@ -33,39 +29,37 @@ type WFQueue[T any] struct{ boxQueue[T] }
 func NewWFQueue[T any](d *Domain[T]) *WFQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
-	return &WFQueue[T]{boxQueue[T]{d, kpqueue.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
+	return &WFQueue[T]{nodeQueue[T]{d, kpqueue.New(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
 }
 
-// queueCore is a wait-free queue of fixed-width words from internal/ds
-// (kpqueue or crturn). Its helping protocol moves a value between threads
-// as one word, which is why boxQueue enqueues a box handle, not the T.
+// queueCore is a wait-free queue of nodes from internal/ds (kpqueue or
+// crturn). A node Dequeue returns stays allocated until the same tid's
+// next Dequeue.
 type queueCore interface {
-	EnqueueNode(tid int, node mem.Handle, v uint64)
-	Dequeue(tid int) (uint64, bool)
+	EnqueueNode(tid int, node mem.Handle)
+	Dequeue(tid int) (mem.Handle, bool)
 	Len() int
 }
 
-// boxQueue is the value-boxing layer WFQueue and TurnQueue share: each
-// enqueue stores its T in a private box block and enqueues the box's
-// handle in a queue node; the one dequeuer that receives the handle
-// unboxes the T and frees the box.
-type boxQueue[T any] struct {
+// nodeQueue is the typed layer WFQueue and TurnQueue share: it keeps each
+// enqueued T in the value-slab entry of its own queue node.
+type nodeQueue[T any] struct {
 	d *Domain[T]
 	q queueCore
 }
 
 // Enqueue appends v.
-func (q *boxQueue[T]) Enqueue(v T) { q.d.must(q.TryEnqueue(v)) }
+func (q *nodeQueue[T]) Enqueue(v T) { q.d.must(q.TryEnqueue(v)) }
 
 // Dequeue removes and returns the oldest value; ok is false when empty.
-func (q *boxQueue[T]) Dequeue() (v T, ok bool) {
+func (q *nodeQueue[T]) Dequeue() (v T, ok bool) {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.DequeueGuarded(g)
 }
 
 // Len counts queued values; meaningful only quiescently.
-func (q *boxQueue[T]) Len() int {
+func (q *nodeQueue[T]) Len() int {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.LenGuarded(g)
@@ -74,61 +68,55 @@ func (q *boxQueue[T]) Len() int {
 // TryEnqueue is Enqueue with backpressure: when the arena stays
 // exhausted after the Domain's emergency-reclamation pipeline it returns
 // ErrArenaExhausted instead of panicking.
-func (q *boxQueue[T]) TryEnqueue(v T) error {
+func (q *nodeQueue[T]) TryEnqueue(v T) error {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.TryEnqueueGuarded(g, v)
 }
 
 // EnqueueGuarded is Enqueue on a caller-held guard.
-func (q *boxQueue[T]) EnqueueGuarded(g *Guard[T], v T) { q.d.must(q.TryEnqueueGuarded(g, v)) }
+func (q *nodeQueue[T]) EnqueueGuarded(g *Guard[T], v T) { q.d.must(q.TryEnqueueGuarded(g, v)) }
 
-// TryEnqueueGuarded is TryEnqueue on a caller-held guard. The value box
-// and the queue node are both allocated before the queue's protected
-// section; when the node cannot be had the box goes back to the arena, so
-// a failed enqueue leaves the queue and the arena unchanged.
-func (q *boxQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
-	box, err := g.TryAlloc(v)
-	if err != nil {
-		return err
-	}
+// TryEnqueueGuarded is TryEnqueue on a caller-held guard. The node is
+// allocated before the queue's protected section, so a failed enqueue
+// leaves the queue and the arena unchanged.
+func (q *nodeQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
 	node, err := q.d.allocHandle(g.tid)
 	if err != nil {
-		g.Dealloc(box)
 		return err
 	}
-	q.q.EnqueueNode(g.tid, node, box.handle())
+	*q.d.vals.At(node - 1) = v
+	q.q.EnqueueNode(g.tid, node)
 	return nil
 }
 
 // DequeueGuarded is Dequeue on a caller-held guard.
-func (q *boxQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
+func (q *nodeQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 	h, ok := q.q.Dequeue(g.tid)
 	if !ok {
 		return v, false
 	}
-	// h is the value box's handle, delivered to exactly one dequeuer. The
-	// box was never published as a traversable node, so no other goroutine
-	// can hold it: unbox and free it directly, without a retire round trip.
-	box := Ref[T]{h}
-	v = g.Value(box)
-	g.Dealloc(box)
+	// The node stays allocated until this tid's next dequeue: zero its
+	// value entry once read, so a node the queue holds pins no value.
+	v = g.Value(Ref[T]{h})
+	var zero T
+	*q.d.vals.At(h - 1) = zero
 	return v, true
 }
 
 // EnqueueAll appends every value in slice order under one guard lease.
 // The helping protocol manages protection per operation internally, so
-// this batch amortizes the lease (and the per-op value-box allocation
-// stays as is); it panics when the arena stays exhausted after the
+// this batch amortizes the lease (each value still allocates its own node
+// per enqueue); it panics when the arena stays exhausted after the
 // emergency-reclamation pipeline, with values already enqueued staying
 // enqueued (use TryEnqueueAll to observe partial progress).
-func (q *boxQueue[T]) EnqueueAll(vs []T) {
+func (q *nodeQueue[T]) EnqueueAll(vs []T) {
 	_, err := q.TryEnqueueAll(vs)
 	q.d.must(err)
 }
 
 // EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *boxQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
+func (q *nodeQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
 	_, err := q.TryEnqueueAllGuarded(g, vs)
 	q.d.must(err)
 }
@@ -136,14 +124,14 @@ func (q *boxQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
 // TryEnqueueAll is EnqueueAll with backpressure: on exhaustion mid-run
 // it stops, reporting the enqueued prefix length alongside
 // ErrArenaExhausted — callers resume from vs[enqueued:].
-func (q *boxQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
+func (q *nodeQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
 	return q.TryEnqueueAllGuarded(g, vs)
 }
 
 // TryEnqueueAllGuarded is TryEnqueueAll on a caller-held guard.
-func (q *boxQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
+func (q *nodeQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
 	enqueued = g.runLeaseBatch(len(vs), func(i int) bool {
 		err = q.TryEnqueueGuarded(g, vs[i])
 		return err == nil
@@ -153,15 +141,15 @@ func (q *boxQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, e
 
 // DequeueN removes up to n values under one guard lease, stopping early
 // when the queue empties. Values come back in FIFO order.
-func (q *boxQueue[T]) DequeueN(n int) []T {
+func (q *nodeQueue[T]) DequeueN(n int) []T {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
 	return q.DequeueNGuarded(g, n)
 }
 
 // DequeueNGuarded is DequeueN on a caller-held guard.
-func (q *boxQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
-	out := make([]T, 0, n)
+func (q *nodeQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
+	out := g.d.batchResult(n)
 	g.runLeaseBatch(n, func(int) bool {
 		v, ok := q.DequeueGuarded(g)
 		if ok {
@@ -173,4 +161,4 @@ func (q *boxQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
 }
 
 // LenGuarded is Len on a caller-held guard.
-func (q *boxQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
+func (q *nodeQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
