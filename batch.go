@@ -2,8 +2,9 @@ package wfe
 
 import "wfe/internal/trace"
 
-// Batch context: the machinery behind the Multi*/PushAll/PopN/EnqueueAll/
-// DequeueN entry points on the public structures.
+// Batch context: the machinery behind the batch entry points on the public
+// structures (MultiGet, MultiDelete, TryMulti*, TryPushAll, PopN,
+// TryEnqueueAll, DequeueN).
 //
 // A per-op Guarded call pays four amortizable costs every time: a lease
 // claim (guardless paths), a protection span (Begin/End), retire-ring
@@ -86,9 +87,10 @@ func (g *Guard[T]) endBatch(items int) {
 }
 
 // runBatch runs fn(i) for each i in [0, n) inside one batch context and
-// returns how many items completed. fn is expected to call a per-op
-// Guarded method, whose batch-aware Begin/End handle protection rotation
-// per item. fn reports whether its item did any work; the first false
+// returns how many items completed. Each item must run inside its own
+// Begin/End, as every per-op body does: inside the batch they rotate
+// protection per item, and a batch of one relies on them. fn reports
+// whether its item did any work; the first false
 // stops the batch early without counting it (PopN on an emptied stack,
 // DequeueN on a drained queue). It is the shared skeleton for the batch
 // APIs whose per-item work cannot fail on allocation.

@@ -1,5 +1,5 @@
 // Batched-operation benchmarks and the CI guard asserting the
-// acceptance bar: at batch width 32 the MultiPut/MultiDelete path must
+// acceptance bar: at batch width 32 the TryMultiPut/MultiDelete path must
 // reach at least 1.3x the per-op guardless throughput on the hash-map
 // churn mix for the era schemes, while width 1 — the batch machinery
 // with nothing to amortize — must stay within 1.1x of per-op cost. The
@@ -18,7 +18,7 @@ import (
 
 // batchChurn drives the 50% put / 50% delete mix over 512 keys through
 // the guardless HashMap API: per operation at width 0, or as
-// MultiPut/MultiDelete bursts of the given width. b.N counts items
+// TryMultiPut/MultiDelete bursts of the given width. b.N counts items
 // either way, so ns/op compares directly across widths.
 func batchChurn(b *testing.B, kind wfe.SchemeKind, width int) {
 	b.Helper()
@@ -36,7 +36,9 @@ func batchChurn(b *testing.B, kind wfe.SchemeKind, width int) {
 		for i := 0; i < b.N; i++ {
 			k := uint64(i) & mask
 			if i&1 == 0 {
-				m.Put(k, uint64(i))
+				if err := m.TryPut(k, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
 			} else {
 				m.Delete(k)
 			}
@@ -53,7 +55,9 @@ func batchChurn(b *testing.B, kind wfe.SchemeKind, width int) {
 			vals[j] = uint64(i + j)
 		}
 		if insert {
-			m.MultiPut(keys, vals)
+			if _, err := m.TryMultiPut(keys, vals); err != nil {
+				b.Fatal(err)
+			}
 		} else {
 			m.MultiDelete(keys)
 		}

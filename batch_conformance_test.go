@@ -1,6 +1,6 @@
 // Batched-operation conformance: the batch entry points (MultiGet,
-// MultiPut, MultiDelete, MultiInsert, PushAll, PopN, EnqueueAll,
-// DequeueN and their Try* twins) run through the same structure × scheme
+// MultiDelete, TryMultiPut, TryMultiInsert, TryPushAll, PopN,
+// TryEnqueueAll and DequeueN) run through the same structure × scheme
 // × acquisition-path matrix as the per-op conformance harness, under the
 // same invariants — exactly-once delivery for the sequences, membership
 // against an exact oracle for the kv structures — plus the batch-only
@@ -25,15 +25,17 @@ import (
 // guard selects the plain guardless batch methods; a non-nil one the
 // Guarded variants. Sequences implement insertAll/removeN; kv structures
 // putAll/deleteAll (and getAll where the structure has a batch read).
+// The writes are the Try forms and pass their error back for the caller
+// to fail on.
 type batchAPI interface {
 	kind() conformKind
 	// insertAll pushes/enqueues vs in slice order (sequences only).
-	insertAll(g *wfe.Guard[uint64], vs []uint64)
+	insertAll(g *wfe.Guard[uint64], vs []uint64) error
 	// removeN pops/dequeues up to n values (sequences only).
 	removeN(g *wfe.Guard[uint64], n int) []uint64
 	// putAll upserts ks[i]→vs[i]; for the Tree (no unconditional batch
-	// write) it is MultiInsert, so repeated keys keep their first value.
-	putAll(g *wfe.Guard[uint64], ks, vs []uint64)
+	// write) it is TryMultiInsert, so repeated keys keep their first value.
+	putAll(g *wfe.Guard[uint64], ks, vs []uint64) error
 	// deleteAll removes every key, reporting per-key presence.
 	deleteAll(g *wfe.Guard[uint64], ks []uint64) []bool
 	// getOne reads one key through the per-op path (every kv structure
@@ -45,12 +47,13 @@ type batchAPI interface {
 type stackBatchAPI struct{ s *wfe.Stack[uint64] }
 
 func (a stackBatchAPI) kind() conformKind { return lifoKind }
-func (a stackBatchAPI) insertAll(g *wfe.Guard[uint64], vs []uint64) {
+func (a stackBatchAPI) insertAll(g *wfe.Guard[uint64], vs []uint64) (err error) {
 	if g == nil {
-		a.s.PushAll(vs)
+		_, err = a.s.TryPushAll(vs)
 	} else {
-		a.s.PushAllGuarded(g, vs)
+		_, err = a.s.TryPushAllGuarded(g, vs)
 	}
+	return err
 }
 func (a stackBatchAPI) removeN(g *wfe.Guard[uint64], n int) []uint64 {
 	if g == nil {
@@ -58,7 +61,9 @@ func (a stackBatchAPI) removeN(g *wfe.Guard[uint64], n int) []uint64 {
 	}
 	return a.s.PopNGuarded(g, n)
 }
-func (a stackBatchAPI) putAll(*wfe.Guard[uint64], []uint64, []uint64) { panic("stack: no putAll") }
+func (a stackBatchAPI) putAll(*wfe.Guard[uint64], []uint64, []uint64) error {
+	panic("stack: no putAll")
+}
 func (a stackBatchAPI) deleteAll(*wfe.Guard[uint64], []uint64) []bool { panic("stack: no deleteAll") }
 func (a stackBatchAPI) getOne(*wfe.Guard[uint64], uint64) (uint64, bool) {
 	panic("stack: no getOne")
@@ -72,8 +77,8 @@ func (a stackBatchAPI) length(g *wfe.Guard[uint64]) int {
 
 // batchFifo is the shared batch method set of the three FIFO queues.
 type batchFifo interface {
-	EnqueueAll(vs []uint64)
-	EnqueueAllGuarded(g *wfe.Guard[uint64], vs []uint64)
+	TryEnqueueAll(vs []uint64) (int, error)
+	TryEnqueueAllGuarded(g *wfe.Guard[uint64], vs []uint64) (int, error)
 	DequeueN(n int) []uint64
 	DequeueNGuarded(g *wfe.Guard[uint64], n int) []uint64
 	Len() int
@@ -83,12 +88,13 @@ type batchFifo interface {
 type fifoBatchAPI struct{ q batchFifo }
 
 func (a fifoBatchAPI) kind() conformKind { return fifoKind }
-func (a fifoBatchAPI) insertAll(g *wfe.Guard[uint64], vs []uint64) {
+func (a fifoBatchAPI) insertAll(g *wfe.Guard[uint64], vs []uint64) (err error) {
 	if g == nil {
-		a.q.EnqueueAll(vs)
+		_, err = a.q.TryEnqueueAll(vs)
 	} else {
-		a.q.EnqueueAllGuarded(g, vs)
+		_, err = a.q.TryEnqueueAllGuarded(g, vs)
 	}
+	return err
 }
 func (a fifoBatchAPI) removeN(g *wfe.Guard[uint64], n int) []uint64 {
 	if g == nil {
@@ -96,7 +102,9 @@ func (a fifoBatchAPI) removeN(g *wfe.Guard[uint64], n int) []uint64 {
 	}
 	return a.q.DequeueNGuarded(g, n)
 }
-func (a fifoBatchAPI) putAll(*wfe.Guard[uint64], []uint64, []uint64) { panic("fifo: no putAll") }
+func (a fifoBatchAPI) putAll(*wfe.Guard[uint64], []uint64, []uint64) error {
+	panic("fifo: no putAll")
+}
 func (a fifoBatchAPI) deleteAll(*wfe.Guard[uint64], []uint64) []bool { panic("fifo: no deleteAll") }
 func (a fifoBatchAPI) getOne(*wfe.Guard[uint64], uint64) (uint64, bool) {
 	panic("fifo: no getOne")
@@ -110,17 +118,18 @@ func (a fifoBatchAPI) length(g *wfe.Guard[uint64]) int {
 
 type hashMapBatchAPI struct{ m *wfe.HashMap[uint64] }
 
-func (a hashMapBatchAPI) kind() conformKind                      { return kvKind }
-func (a hashMapBatchAPI) insertAll(*wfe.Guard[uint64], []uint64) { panic("map: no insertAll") }
+func (a hashMapBatchAPI) kind() conformKind                            { return kvKind }
+func (a hashMapBatchAPI) insertAll(*wfe.Guard[uint64], []uint64) error { panic("map: no insertAll") }
 func (a hashMapBatchAPI) removeN(*wfe.Guard[uint64], int) []uint64 {
 	panic("map: no removeN")
 }
-func (a hashMapBatchAPI) putAll(g *wfe.Guard[uint64], ks, vs []uint64) {
+func (a hashMapBatchAPI) putAll(g *wfe.Guard[uint64], ks, vs []uint64) (err error) {
 	if g == nil {
-		a.m.MultiPut(ks, vs)
+		_, err = a.m.TryMultiPut(ks, vs)
 	} else {
-		a.m.MultiPutGuarded(g, ks, vs)
+		_, err = a.m.TryMultiPutGuarded(g, ks, vs)
 	}
+	return err
 }
 func (a hashMapBatchAPI) deleteAll(g *wfe.Guard[uint64], ks []uint64) []bool {
 	if g == nil {
@@ -147,17 +156,18 @@ func (a hashMapBatchAPI) length(g *wfe.Guard[uint64]) int {
 
 type treeBatchAPI struct{ t *wfe.Tree[uint64] }
 
-func (a treeBatchAPI) kind() conformKind                      { return kvKind }
-func (a treeBatchAPI) insertAll(*wfe.Guard[uint64], []uint64) { panic("tree: no insertAll") }
+func (a treeBatchAPI) kind() conformKind                            { return kvKind }
+func (a treeBatchAPI) insertAll(*wfe.Guard[uint64], []uint64) error { panic("tree: no insertAll") }
 func (a treeBatchAPI) removeN(*wfe.Guard[uint64], int) []uint64 {
 	panic("tree: no removeN")
 }
-func (a treeBatchAPI) putAll(g *wfe.Guard[uint64], ks, vs []uint64) {
+func (a treeBatchAPI) putAll(g *wfe.Guard[uint64], ks, vs []uint64) (err error) {
 	if g == nil {
-		a.t.MultiInsert(ks, vs)
+		_, _, err = a.t.TryMultiInsert(ks, vs)
 	} else {
-		a.t.MultiInsertGuarded(g, ks, vs)
+		_, _, err = a.t.TryMultiInsertGuarded(g, ks, vs)
 	}
+	return err
 }
 func (a treeBatchAPI) deleteAll(g *wfe.Guard[uint64], ks []uint64) []bool {
 	if g == nil {
@@ -235,7 +245,9 @@ func TestBatchReadSizesResultByStructure(t *testing.T) {
 			continue
 		}
 		t.Run(st.name, func(t *testing.T) {
-			api.insertAll(nil, []uint64{42})
+			if err := api.insertAll(nil, []uint64{42}); err != nil {
+				t.Fatal(err)
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			got := api.removeN(nil, 1<<24)
@@ -246,7 +258,9 @@ func TestBatchReadSizesResultByStructure(t *testing.T) {
 			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 				t.Errorf("removeN(1<<24) allocated %d bytes to return one value, want < 1 MB", grew)
 			}
-			api.insertAll(nil, []uint64{7})
+			if err := api.insertAll(nil, []uint64{7}); err != nil {
+				t.Fatal(err)
+			}
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
@@ -311,8 +325,12 @@ func batchModelPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI) {
 			t.Fatalf("removeN on empty = %v, want []", got)
 		}
 		vs := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-		api.insertAll(g, vs)
-		api.insertAll(g, nil) // empty batch: a no-op, not a panic
+		if err := api.insertAll(g, vs); err != nil {
+			t.Fatal(err)
+		}
+		if err := api.insertAll(g, nil); err != nil { // empty batch: a no-op, not a panic
+			t.Fatal(err)
+		}
 		if n := api.length(g); n != 10 {
 			t.Fatalf("Len after insertAll = %d, want 10", n)
 		}
@@ -339,7 +357,9 @@ func batchModelPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI) {
 	case kvKind:
 		ks := []uint64{3, 1, 4, 1, 5} // key 1 repeats within the batch
 		vs := []uint64{30, 10, 40, 11, 50}
-		api.putAll(g, ks, vs)
+		if err := api.putAll(g, ks, vs); err != nil {
+			t.Fatal(err)
+		}
 		for _, k := range []uint64{3, 4, 5} {
 			if _, ok := api.getOne(g, k); !ok {
 				t.Fatalf("key %d missing after putAll", k)
@@ -363,7 +383,7 @@ func batchModelPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI) {
 }
 
 // batchSequencePhase checks exactly-once delivery under concurrent
-// PushAll/PopN (EnqueueAll/DequeueN) bursts: every value inserted by any
+// TryPushAll/PopN (TryEnqueueAll/DequeueN) bursts: every value inserted by any
 // burst is removed exactly once across all bursts plus the final drain.
 func batchSequencePhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI,
 	run func(d *wfe.Domain[uint64], bursts int, body func(int, *wfe.Guard[uint64]))) {
@@ -379,11 +399,15 @@ func batchSequencePhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI,
 			vs := make([]uint64, width)
 			run(d, bursts, func(b int, g *wfe.Guard[uint64]) {
 				for j := range vs {
-					v := uint64(w*bursts*width+b*width+j) + 1
-					vs[j] = v
+					vs[j] = uint64(w*bursts*width+b*width+j) + 1
+				}
+				if err := api.insertAll(g, vs); err != nil {
+					t.Errorf("insertAll: %v", err)
+					return
+				}
+				for _, v := range vs {
 					produced[w] += v
 				}
-				api.insertAll(g, vs)
 				inserted[w] += width
 				for _, v := range api.removeN(g, width/2) {
 					consumed[w] += v
@@ -447,7 +471,10 @@ func batchKVPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI,
 					vs[j] = uint64(b*width+j) + 1
 				}
 				if rng.Intn(2) == 0 {
-					api.putAll(g, ks, vs)
+					if err := api.putAll(g, ks, vs); err != nil {
+						werrs[w] = fmt.Errorf("worker %d burst %d: putAll: %v", w, b, err)
+						return
+					}
 					// The HashMap upserts, the Tree keeps the first value;
 					// track membership only, which both guarantee.
 					for j := range ks {
@@ -668,7 +695,9 @@ func TestBatchTraceBracket(t *testing.T) {
 	m := wfe.NewHashMap[uint64](d, 8)
 	keys := []uint64{1, 2, 3, 4}
 	vals := []uint64{10, 20, 30, 40}
-	m.MultiPut(keys, vals)
+	if _, err := m.TryMultiPut(keys, vals); err != nil {
+		t.Fatal(err)
+	}
 	m.MultiDelete(keys)
 
 	var begins, ends int

@@ -63,7 +63,9 @@ func benchKV(b *testing.B, dsName, schemeName string, w bench.Workload) {
 	}
 	d := newBenchDomain(b, schemeName, threads, capacity)
 	kv := bench.BuildPublicKV(dsName, d, benchKeyRange)
-	bench.Prefill(d, kv, dsName, benchPrefill, benchKeyRange)
+	if err := bench.Prefill(d, kv, dsName, benchPrefill, benchKeyRange); err != nil {
+		b.Fatal(err)
+	}
 
 	var seeds atomic.Int64
 	b.ResetTimer()
@@ -72,7 +74,10 @@ func benchKV(b *testing.B, dsName, schemeName string, w bench.Workload) {
 		defer d.Unpin(g)
 		rng := rand.New(rand.NewSource(seeds.Add(1)*99991 + 7))
 		for pb.Next() {
-			w.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(benchKeyRange)))
+			if err := w.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(benchKeyRange))); err != nil {
+				b.Error(err)
+				return
+			}
 		}
 	})
 	b.StopTimer()
@@ -171,7 +176,10 @@ func BenchmarkStackPushPop(b *testing.B) {
 				g := d.Pin()
 				defer d.Unpin(g)
 				for pb.Next() {
-					st.PushGuarded(g, 1)
+					if err := st.TryPushGuarded(g, 1); err != nil {
+						b.Error(err)
+						return
+					}
 					st.PopGuarded(g)
 				}
 			})

@@ -26,7 +26,7 @@
 //
 //	wfebench -ablation scan
 //
-// Batched operations (MultiPut/MultiDelete widths 1..128 against the
+// Batched operations (TryMultiPut/MultiDelete widths 1..128 against the
 // per-op baseline, per scheme):
 //
 //	wfebench -ablation batch
@@ -346,7 +346,7 @@ func runScan(opt bench.Options, csv bool) {
 }
 
 // runBatch renders the batched-operations ablation: per-op baseline vs
-// MultiPut/MultiDelete at each batch width, per scheme and goroutine
+// TryMultiPut/MultiDelete at each batch width, per scheme and goroutine
 // count, with the speedup factor and the batch lease-cache hit rate.
 func runBatch(opt bench.Options, csv bool) {
 	results := bench.AblationBatch(opt)

@@ -65,7 +65,7 @@ type Point struct {
 // their Guarded methods, run on a pre-acquired guard so the measured pair
 // excludes lease cost.
 type pairQueue interface {
-	EnqueueGuarded(g *wfe.Guard[uint64], v uint64)
+	TryEnqueueGuarded(g *wfe.Guard[uint64], v uint64) error
 	DequeueGuarded(g *wfe.Guard[uint64]) (uint64, bool)
 }
 
@@ -159,11 +159,15 @@ func measure(kind wfe.SchemeKind, name, progress string, workers int, duration t
 	// A small standing population so dequeues rarely hit empty.
 	seedG := d.Guard()
 	for i := uint64(0); i < 1024; i++ {
-		q.EnqueueGuarded(seedG, i)
+		if err := q.TryEnqueueGuarded(seedG, i); err != nil {
+			seedG.Release()
+			return Point{}, fmt.Errorf("%s: seed enqueue: %w", name, err)
+		}
 	}
 	seedG.Release()
 
 	var stop atomic.Bool
+	var workerErr atomic.Pointer[error]
 	perWorker := make([][]time.Duration, workers)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -176,7 +180,11 @@ func measure(kind wfe.SchemeKind, name, progress string, workers int, duration t
 			lats := make([]time.Duration, 0, 1<<20)
 			for !stop.Load() {
 				t0 := time.Now()
-				q.EnqueueGuarded(g, uint64(id))
+				if err := q.TryEnqueueGuarded(g, uint64(id)); err != nil {
+					workerErr.CompareAndSwap(nil, &err)
+					stop.Store(true)
+					break
+				}
 				q.DequeueGuarded(g)
 				lats = append(lats, time.Since(t0))
 				if len(lats)&255 == 0 && time.Since(start) > duration {
@@ -188,6 +196,9 @@ func measure(kind wfe.SchemeKind, name, progress string, workers int, duration t
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	if err := workerErr.Load(); err != nil {
+		return Point{}, fmt.Errorf("%s: enqueue: %w", name, *err)
+	}
 
 	var all []time.Duration
 	for _, l := range perWorker {

@@ -34,11 +34,11 @@
 //
 // The -batch mode is the batched-operations correctness twin of the
 // bench ablation: 8x more goroutines than guards drive the batch entry
-// points (MultiPut/MultiDelete/MultiGet, PushAll/PopN and their Try*
-// twins, guardless and pinned) at mixed widths while Domain.Switch
-// rotates through every scheme and the arena-alloc failpoint injects
-// probabilistic allocation faults — an exhaustion storm that forces the
-// Try* partial-progress paths mid-burst. The debug arena is armed; the
+// points (TryMultiPut/MultiDelete/MultiGet, TryPushAll/PopN, guardless
+// and pinned) at mixed widths while Domain.Switch rotates through every
+// scheme and the arena-alloc failpoint injects probabilistic allocation
+// faults — an exhaustion storm that forces the batch writes' partial
+// progress paths mid-burst. The debug arena is armed; the
 // run ends with a clean quiesce census and asserts the batch telemetry
 // actually counted the bursts.
 //
@@ -305,13 +305,14 @@ func switchStorm(threads int, duration time.Duration, keyRange uint64,
 		History:  int(duration/interval) + 64,
 	})
 	st := wfe.NewStack[uint64](d)
-	m := wfe.NewMap[uint64](d, 64)
+	m := wfe.NewHashMap[uint64](d, 64)
 
 	goroutines := 8 * threads
 	var (
-		stop atomic.Bool
-		ops  atomic.Uint64
-		wg   sync.WaitGroup
+		stop      atomic.Bool
+		ops       atomic.Uint64
+		wg        sync.WaitGroup
+		workerErr atomic.Pointer[error]
 	)
 	start := time.Now()
 	for w := 0; w < goroutines; w++ {
@@ -320,23 +321,10 @@ func switchStorm(threads int, duration time.Duration, keyRange uint64,
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*9901 + 7))
 			for !stop.Load() {
-				key := uint64(rng.Int63n(int64(keyRange)))
-				switch rng.Intn(6) {
-				case 0:
-					st.Push(key)
-				case 1:
-					st.Pop()
-				case 2:
-					m.Put(key, key)
-				case 3:
-					m.Delete(key)
-				case 4:
-					m.Get(key)
-				default: // pinned batch: a guard held across the gate's path
-					g := d.Pin()
-					m.InsertGuarded(g, key, key)
-					m.DeleteGuarded(g, key)
-					d.Unpin(g)
+				if err := churnOp(d, st, m, rng, keyRange); err != nil {
+					workerErr.CompareAndSwap(nil, &err)
+					stop.Store(true)
+					return
 				}
 				ops.Add(1)
 			}
@@ -382,6 +370,9 @@ func switchStorm(threads int, duration time.Duration, keyRange uint64,
 	}
 	stop.Store(true)
 	wg.Wait()
+	if werr := workerErr.Load(); werr != nil {
+		return fmt.Errorf("worker: %w", *werr)
+	}
 	for {
 		if _, ok := st.Pop(); !ok {
 			break
@@ -427,9 +418,9 @@ func switchStorm(threads int, duration time.Duration, keyRange uint64,
 // on a HashMap and a Stack at mixed widths — guardless Try*/Multi*
 // bursts plus pinned Guarded bursts — while a switcher cycles
 // Domain.Switch through every scheme and the arena-alloc failpoint
-// makes roughly one allocation in 500 fail, forcing the Try* paths to
-// surface partial progress mid-burst and the plain paths through the
-// emergency-reclamation pipeline. The retirer-scan failpoint skips an
+// makes roughly one allocation in 500 fail, forcing the batch writes to
+// surface partial progress mid-burst or ride the emergency-reclamation
+// pipeline. The retirer-scan failpoint skips an
 // occasional scan so the backlog breathes between bursts. The debug
 // arena is armed throughout; after the storm the failpoints are
 // disarmed, the structures drained, and the run must pass a full
@@ -623,6 +614,35 @@ func batchStorm(threads int, duration time.Duration, keyRange uint64,
 	return nil
 }
 
+// churnOp runs one random operation of the guardless churn mix the
+// -switch and -churn storms share: a stack push or pop, a map put, delete
+// or get, or a short pinned insert-delete pair, which holds a guard
+// across the switch gate's path. It returns the write's error.
+func churnOp(d *wfe.Domain[uint64], st *wfe.Stack[uint64], m *wfe.HashMap[uint64],
+	rng *rand.Rand, keyRange uint64) error {
+	key := uint64(rng.Int63n(int64(keyRange)))
+	switch rng.Intn(6) {
+	case 0:
+		return st.TryPush(key)
+	case 1:
+		st.Pop()
+	case 2:
+		return m.TryPut(key, key)
+	case 3:
+		m.Delete(key)
+	case 4:
+		m.Get(key)
+	default:
+		g := d.Pin()
+		defer d.Unpin(g)
+		if _, err := m.TryInsertGuarded(g, key, key); err != nil {
+			return err
+		}
+		m.DeleteGuarded(g, key)
+	}
+	return nil
+}
+
 // churnStress hammers the guard runtime: guards = threads, goroutines =
 // 8x that, every operation leasing a guard through the public guardless
 // API with the debug arena armed. After quiescing, the lease cache is
@@ -658,13 +678,14 @@ func churnStress(schemeName string, threads int, duration time.Duration,
 	}
 	observe("churn/"+schemeName, d.Telemetry)
 	st := wfe.NewStack[uint64](d)
-	m := wfe.NewMap[uint64](d, 64)
+	m := wfe.NewHashMap[uint64](d, 64)
 
 	goroutines := 8 * threads
 	var (
-		stop atomic.Bool
-		ops  atomic.Uint64
-		wg   sync.WaitGroup
+		stop      atomic.Bool
+		ops       atomic.Uint64
+		wg        sync.WaitGroup
+		workerErr atomic.Pointer[error]
 	)
 	start := time.Now()
 	for w := 0; w < goroutines; w++ {
@@ -673,23 +694,10 @@ func churnStress(schemeName string, threads int, duration time.Duration,
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*7717 + 3))
 			for !stop.Load() {
-				key := uint64(rng.Int63n(int64(keyRange)))
-				switch rng.Intn(6) {
-				case 0:
-					st.Push(key)
-				case 1:
-					st.Pop()
-				case 2:
-					m.Put(key, key)
-				case 3:
-					m.Delete(key)
-				case 4:
-					m.Get(key)
-				default: // a short pinned batch mixed into the churn
-					g := d.Pin()
-					m.InsertGuarded(g, key, key)
-					m.DeleteGuarded(g, key)
-					d.Unpin(g)
+				if err := churnOp(d, st, m, rng, keyRange); err != nil {
+					workerErr.CompareAndSwap(nil, &err)
+					stop.Store(true)
+					return
 				}
 				ops.Add(1)
 			}
@@ -698,6 +706,9 @@ func churnStress(schemeName string, threads int, duration time.Duration,
 	time.Sleep(duration)
 	stop.Store(true)
 	wg.Wait()
+	if werr := workerErr.Load(); werr != nil {
+		return fmt.Errorf("worker: %w", *werr)
+	}
 
 	if err := quiesce.Check(d, false); err != nil {
 		return err
@@ -776,11 +787,11 @@ func storm(dsName, schemeName string, threads int, duration time.Duration,
 
 	goroutines := 8 * threads
 	var (
-		stop        atomic.Bool
-		ops         atomic.Uint64
-		wg          sync.WaitGroup
-		workerPanic atomic.Pointer[string]
-		exhausted   atomic.Bool
+		stop       atomic.Bool
+		ops        atomic.Uint64
+		wg         sync.WaitGroup
+		workerFail atomic.Pointer[string]
+		exhausted  atomic.Bool
 	)
 	for i := 0; i < stall; i++ {
 		wg.Add(1)
@@ -797,25 +808,31 @@ func storm(dsName, schemeName string, threads int, duration time.Duration,
 			defer func() {
 				// A worker panic (a debug-arena use-after-free, a guard
 				// leak — the failures the storm exists to surface) must
-				// become this cell's FAIL, not kill the whole matrix. The
-				// one expected panic is the leak baseline filling its
-				// fixed arena on a long run: that ends the cell early but
-				// passes it.
+				// become this cell's FAIL, not kill the whole matrix.
 				if r := recover(); r != nil {
-					if bench.LeakExhausted(r, kind) {
-						exhausted.Store(true)
-					} else {
-						msg := fmt.Sprintf("worker panic: %v", r)
-						workerPanic.CompareAndSwap(nil, &msg)
-					}
+					msg := fmt.Sprintf("worker panic: %v", r)
+					workerFail.CompareAndSwap(nil, &msg)
 					stop.Store(true)
 				}
 			}()
 			rng := rand.New(rand.NewSource(int64(w)*6271 + 5))
 			for !stop.Load() {
 				g := d.Pin()
-				mix.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(int64(keyRange))))
+				err := mix.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(int64(keyRange))))
 				d.Unpin(g)
+				if err != nil {
+					// The one expected error is the leak baseline filling
+					// its fixed arena on a long run: that ends the cell
+					// early but passes it. Any other fails the cell.
+					if kind == wfe.Leak && errors.Is(err, wfe.ErrArenaExhausted) {
+						exhausted.Store(true)
+					} else {
+						msg := fmt.Sprintf("worker: %v", err)
+						workerFail.CompareAndSwap(nil, &msg)
+					}
+					stop.Store(true)
+					return
+				}
 				ops.Add(1)
 			}
 		}(w)
@@ -823,12 +840,12 @@ func storm(dsName, schemeName string, threads int, duration time.Duration,
 	time.Sleep(duration)
 	stop.Store(true)
 	wg.Wait()
-	if msg := workerPanic.Load(); msg != nil {
+	if msg := workerFail.Load(); msg != nil {
 		return fmt.Errorf("%s", *msg)
 	}
 	if exhausted.Load() {
-		// Nothing left to assert: the drain/settle churn below would only
-		// panic again on the full arena.
+		// Nothing left to assert: a full leak arena is the outcome this
+		// cell was allowed to reach.
 		fmt.Printf("PASS %-9s %-12s: %d ops, arena exhausted (expected for Leak) in %v\n",
 			dsName, schemeName, ops.Load(), time.Since(start).Round(time.Millisecond))
 		return nil

@@ -15,6 +15,7 @@ package wfe_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -32,29 +33,30 @@ const (
 )
 
 // conformAPI adapts one public structure to the matrix. A nil guard selects
-// the plain guardless methods; a non-nil one the Guarded variants.
+// the plain guardless methods; a non-nil one the Guarded variants. The
+// writes are the Try forms and pass their error back for the caller to
+// fail on.
 type conformAPI interface {
 	kind() conformKind
-	// insert pushes/enqueues k (sequences, always true) or Inserts k→k (kv).
-	insert(g *wfe.Guard[uint64], k uint64) bool
+	// insert pushes/enqueues k (sequences, always true) or inserts k→k*10
+	// (kv).
+	insert(g *wfe.Guard[uint64], k uint64) (bool, error)
 	// remove pops/dequeues (k ignored; returns the value) or Deletes k.
 	remove(g *wfe.Guard[uint64], k uint64) (uint64, bool)
 	// get and put are kv-only; sequences never see them.
 	get(g *wfe.Guard[uint64], k uint64) (uint64, bool)
-	put(g *wfe.Guard[uint64], k, v uint64)
+	put(g *wfe.Guard[uint64], k, v uint64) error
 	length(g *wfe.Guard[uint64]) int
 }
 
 type stackAPI struct{ s *wfe.Stack[uint64] }
 
 func (a stackAPI) kind() conformKind { return lifoKind }
-func (a stackAPI) insert(g *wfe.Guard[uint64], k uint64) bool {
+func (a stackAPI) insert(g *wfe.Guard[uint64], k uint64) (bool, error) {
 	if g == nil {
-		a.s.Push(k)
-	} else {
-		a.s.PushGuarded(g, k)
+		return true, a.s.TryPush(k)
 	}
-	return true
+	return true, a.s.TryPushGuarded(g, k)
 }
 func (a stackAPI) remove(g *wfe.Guard[uint64], _ uint64) (uint64, bool) {
 	if g == nil {
@@ -63,7 +65,7 @@ func (a stackAPI) remove(g *wfe.Guard[uint64], _ uint64) (uint64, bool) {
 	return a.s.PopGuarded(g)
 }
 func (a stackAPI) get(*wfe.Guard[uint64], uint64) (uint64, bool) { panic("stack: no get") }
-func (a stackAPI) put(*wfe.Guard[uint64], uint64, uint64)        { panic("stack: no put") }
+func (a stackAPI) put(*wfe.Guard[uint64], uint64, uint64) error  { panic("stack: no put") }
 func (a stackAPI) length(g *wfe.Guard[uint64]) int {
 	if g == nil {
 		return a.s.Len()
@@ -74,8 +76,8 @@ func (a stackAPI) length(g *wfe.Guard[uint64]) int {
 // fifoQueue is the shared method set of the three public FIFO queues
 // (Queue, WFQueue, TurnQueue); one adapter covers them all.
 type fifoQueue interface {
-	Enqueue(v uint64)
-	EnqueueGuarded(g *wfe.Guard[uint64], v uint64)
+	TryEnqueue(v uint64) error
+	TryEnqueueGuarded(g *wfe.Guard[uint64], v uint64) error
 	Dequeue() (uint64, bool)
 	DequeueGuarded(g *wfe.Guard[uint64]) (uint64, bool)
 	Len() int
@@ -85,13 +87,11 @@ type fifoQueue interface {
 type fifoAPI struct{ q fifoQueue }
 
 func (a fifoAPI) kind() conformKind { return fifoKind }
-func (a fifoAPI) insert(g *wfe.Guard[uint64], k uint64) bool {
+func (a fifoAPI) insert(g *wfe.Guard[uint64], k uint64) (bool, error) {
 	if g == nil {
-		a.q.Enqueue(k)
-	} else {
-		a.q.EnqueueGuarded(g, k)
+		return true, a.q.TryEnqueue(k)
 	}
-	return true
+	return true, a.q.TryEnqueueGuarded(g, k)
 }
 func (a fifoAPI) remove(g *wfe.Guard[uint64], _ uint64) (uint64, bool) {
 	if g == nil {
@@ -100,7 +100,7 @@ func (a fifoAPI) remove(g *wfe.Guard[uint64], _ uint64) (uint64, bool) {
 	return a.q.DequeueGuarded(g)
 }
 func (a fifoAPI) get(*wfe.Guard[uint64], uint64) (uint64, bool) { panic("queue: no get") }
-func (a fifoAPI) put(*wfe.Guard[uint64], uint64, uint64)        { panic("queue: no put") }
+func (a fifoAPI) put(*wfe.Guard[uint64], uint64, uint64) error  { panic("queue: no put") }
 func (a fifoAPI) length(g *wfe.Guard[uint64]) int {
 	if g == nil {
 		return a.q.Len()
@@ -111,11 +111,11 @@ func (a fifoAPI) length(g *wfe.Guard[uint64]) int {
 type hashMapAPI struct{ m *wfe.HashMap[uint64] }
 
 func (a hashMapAPI) kind() conformKind { return kvKind }
-func (a hashMapAPI) insert(g *wfe.Guard[uint64], k uint64) bool {
+func (a hashMapAPI) insert(g *wfe.Guard[uint64], k uint64) (bool, error) {
 	if g == nil {
-		return a.m.Insert(k, k*10)
+		return a.m.TryInsert(k, k*10)
 	}
-	return a.m.InsertGuarded(g, k, k*10)
+	return a.m.TryInsertGuarded(g, k, k*10)
 }
 func (a hashMapAPI) remove(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
 	if g == nil {
@@ -129,12 +129,11 @@ func (a hashMapAPI) get(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
 	}
 	return a.m.GetGuarded(g, k)
 }
-func (a hashMapAPI) put(g *wfe.Guard[uint64], k, v uint64) {
+func (a hashMapAPI) put(g *wfe.Guard[uint64], k, v uint64) error {
 	if g == nil {
-		a.m.Put(k, v)
-	} else {
-		a.m.PutGuarded(g, k, v)
+		return a.m.TryPut(k, v)
 	}
+	return a.m.TryPutGuarded(g, k, v)
 }
 func (a hashMapAPI) length(g *wfe.Guard[uint64]) int {
 	if g == nil {
@@ -146,11 +145,11 @@ func (a hashMapAPI) length(g *wfe.Guard[uint64]) int {
 type treeAPI struct{ t *wfe.Tree[uint64] }
 
 func (a treeAPI) kind() conformKind { return kvKind }
-func (a treeAPI) insert(g *wfe.Guard[uint64], k uint64) bool {
+func (a treeAPI) insert(g *wfe.Guard[uint64], k uint64) (bool, error) {
 	if g == nil {
-		return a.t.Insert(k, k*10)
+		return a.t.TryInsert(k, k*10)
 	}
-	return a.t.InsertGuarded(g, k, k*10)
+	return a.t.TryInsertGuarded(g, k, k*10)
 }
 func (a treeAPI) remove(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
 	if g == nil {
@@ -164,12 +163,11 @@ func (a treeAPI) get(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
 	}
 	return a.t.GetGuarded(g, k)
 }
-func (a treeAPI) put(g *wfe.Guard[uint64], k, v uint64) {
+func (a treeAPI) put(g *wfe.Guard[uint64], k, v uint64) error {
 	if g == nil {
-		a.t.Put(k, v)
-	} else {
-		a.t.PutGuarded(g, k, v)
+		return a.t.TryPut(k, v)
 	}
+	return a.t.TryPutGuarded(g, k, v)
 }
 func (a treeAPI) length(g *wfe.Guard[uint64]) int {
 	if g == nil {
@@ -178,8 +176,7 @@ func (a treeAPI) length(g *wfe.Guard[uint64]) int {
 	return a.t.LenGuarded(g)
 }
 
-// conformStructures is the structure axis of the matrix. Map is an alias
-// of HashMap (see TestMapIsHashMap) and needs no row of its own.
+// conformStructures is the structure axis of the matrix.
 var conformStructures = []struct {
 	name  string
 	build func(d *wfe.Domain[uint64]) conformAPI
@@ -278,7 +275,9 @@ func conformModelPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI) {
 			t.Fatal("remove from empty structure succeeded")
 		}
 		for v := uint64(1); v <= 100; v++ {
-			api.insert(g, v)
+			if _, err := api.insert(g, v); err != nil {
+				t.Fatalf("insert(%d): %v", v, err)
+			}
 		}
 		if n := api.length(g); n != 100 {
 			t.Fatalf("Len = %d, want 100", n)
@@ -321,16 +320,16 @@ func conformModelPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI) {
 // oracleStep applies one kv operation (op 0..3: insert/delete/get/put) to
 // both the structure and a plain Go-map oracle, failing on any divergence.
 // The conformance model phase and the fuzz targets share it so both check
-// the same contract: Insert stores key*10 and reports first-insertion,
-// Put stores op-index+1 unconditionally.
+// the same contract: insert stores key*10 and reports first-insertion,
+// put stores op-index+1 unconditionally, and neither returns an error.
 func oracleStep(t *testing.T, api conformAPI, g *wfe.Guard[uint64],
 	model map[uint64]uint64, i, op int, key uint64) {
 	t.Helper()
 	switch op {
 	case 0: // insert
 		_, dup := model[key]
-		if got := api.insert(g, key); got == dup {
-			t.Fatalf("op %d: insert(%d) = %v, model has key: %v", i, key, got, dup)
+		if got, err := api.insert(g, key); got == dup || err != nil {
+			t.Fatalf("op %d: insert(%d) = %v, %v, model has key: %v", i, key, got, err, dup)
 		}
 		if !dup {
 			model[key] = key * 10
@@ -348,7 +347,9 @@ func oracleStep(t *testing.T, api conformAPI, g *wfe.Guard[uint64],
 			t.Fatalf("op %d: get(%d) = %d,%v, model says %d,%v", i, key, gotV, got, wantV, want)
 		}
 	case 3: // put
-		api.put(g, key, uint64(i)+1)
+		if err := api.put(g, key, uint64(i)+1); err != nil {
+			t.Fatalf("op %d: put(%d): %v", i, key, err)
+		}
 		model[key] = uint64(i) + 1
 	}
 }
@@ -369,7 +370,10 @@ func conformSequencePhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI,
 			defer wg.Done()
 			run(d, perWorker, func(i int, g *wfe.Guard[uint64]) {
 				v := uint64(w*perWorker+i) + 1
-				api.insert(g, v)
+				if _, err := api.insert(g, v); err != nil {
+					t.Errorf("insert(%d): %v", v, err)
+					return
+				}
 				produced[w] += v
 				if v, ok := api.remove(g, 0); ok {
 					consumed[w] += v
@@ -422,7 +426,12 @@ func conformKVPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI,
 				key := uint64(rng.Intn(conformKeyRange))
 				switch rng.Intn(3) {
 				case 0:
-					if api.insert(g, key) {
+					ok, err := api.insert(g, key)
+					if err != nil {
+						t.Errorf("insert(%d): %v", key, err)
+						return
+					}
+					if ok {
 						c.ins[key]++
 					}
 				case 1:
@@ -509,14 +518,14 @@ func conformDrainPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI, kind
 func TestTreeKeyRange(t *testing.T) {
 	d := testDomain(t, wfe.WFE, 2, 1<<10, false)
 	tr := wfe.NewTree[uint64](d)
-	if !tr.Insert(wfe.TreeKeyMax, 1) {
-		t.Fatal("TreeKeyMax itself must be insertable")
+	if ok, err := tr.TryInsert(wfe.TreeKeyMax, 1); !ok || err != nil {
+		t.Fatalf("TreeKeyMax itself must be insertable: %v, %v", ok, err)
 	}
 	for name, op := range map[string]func(){
-		"Insert": func() { tr.Insert(wfe.TreeKeyMax+1, 0) },
-		"Delete": func() { tr.Delete(^uint64(0)) },
-		"Get":    func() { tr.Get(^uint64(0)) },
-		"Put":    func() { tr.Put(wfe.TreeKeyMax+1, 0) },
+		"TryInsert": func() { tr.TryInsert(wfe.TreeKeyMax+1, 0) },
+		"Delete":    func() { tr.Delete(^uint64(0)) },
+		"Get":       func() { tr.Get(^uint64(0)) },
+		"TryPut":    func() { tr.TryPut(wfe.TreeKeyMax+1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -532,14 +541,30 @@ func TestTreeKeyRange(t *testing.T) {
 	}
 }
 
-// TestMapIsHashMap pins the Map = HashMap alias: the original name and the
-// canonical paper name are one type, not two implementations.
-func TestMapIsHashMap(t *testing.T) {
-	d := testDomain(t, wfe.WFE, 2, 1<<10, false)
-	var m *wfe.Map[uint64] = wfe.NewHashMap[uint64](d, 8) // assignability is the alias proof
-	var h *wfe.HashMap[uint64] = m
-	h.Put(1, 10)
-	if v, ok := m.Get(1); !ok || v != 10 {
-		t.Fatalf("alias round trip: Get = %d,%v", v, ok)
+// TestStructureMethodCounts pins the structures' public surface: one
+// method per operation form, with every write in its error-returning Try
+// form. A method added to any structure fails here, so surface growth
+// shows in review.
+func TestStructureMethodCounts(t *testing.T) {
+	total := 0
+	for _, tc := range []struct {
+		typ  any
+		want int
+	}{
+		{(*wfe.HashMap[uint64])(nil), 16},
+		{(*wfe.Tree[uint64])(nil), 14},
+		{(*wfe.Stack[uint64])(nil), 10},
+		{(*wfe.Queue[uint64])(nil), 10},
+		{(*wfe.WFQueue[uint64])(nil), 10},
+		{(*wfe.TurnQueue[uint64])(nil), 10},
+	} {
+		typ := reflect.TypeOf(tc.typ)
+		if got := typ.NumMethod(); got != tc.want {
+			t.Errorf("%v has %d exported methods, want %d", typ, got, tc.want)
+		}
+		total += typ.NumMethod()
+	}
+	if total != 70 {
+		t.Errorf("the six structures have %d exported methods, want 70", total)
 	}
 }

@@ -26,9 +26,13 @@
 //   - WFQueue[T] and TurnQueue[T] — the paper's two wait-free queues
 //     (Kogan–Petrank and CRTurn, Figure 5): combined with the WFE scheme
 //     they are wait-free end to end, reclamation included.
-//   - HashMap[T] (alias Map[T]) and Tree[T] — Michael's hash map and the
+//   - HashMap[T] and Tree[T] — Michael's hash map and the
 //     Natarajan–Mittal external BST, the paper's search-structure
 //     workloads (Figures 7, 8, 10, 11).
+//
+// Every structure write (TryPush, TryEnqueue, TryInsert, TryPut and their
+// batch forms) reports an arena that stays full after the Domain's
+// emergency-reclamation pipeline as ErrArenaExhausted, never as a panic.
 //
 // The guard runtime decouples goroutines from the paper's fixed thread
 // slots: the structures' plain methods are guardless (each operation
@@ -43,8 +47,9 @@
 // # Layout
 //
 //	domain.go           Domain[T], Guard, Ref[T], Atomic[T], SchemeKind
-//	batch.go            the batch context behind the Multi*, PushAll, PopN,
-//	                    EnqueueAll and DequeueN entry points
+//	batch.go            the batch context behind the Multi*, TryMulti*,
+//	                    TryPushAll, PopN, TryEnqueueAll and DequeueN
+//	                    entry points
 //	sampler.go          the background Sampler: tick rows, rates, advice
 //	stack.go            public Treiber stack
 //	queue.go            public Michael–Scott queue
@@ -53,7 +58,6 @@
 //	                    per value
 //	turnqueue.go        public CRTurn wait-free queue (type and constructor)
 //	hashmap.go          public lock-free hash map (HashMap)
-//	map.go              Map, the hash map's original alias
 //	tree.go             public Natarajan–Mittal BST
 //	internal/core       WFE, the paper's contribution (Figure 4)
 //	internal/he         Hazard Eras (Figure 1)

@@ -111,17 +111,17 @@ type Options struct {
 	// the workload uses it. Exhaustion is not instantly fatal: an
 	// allocation that finds the arena full triggers emergency reclamation
 	// scans and retries under backoff (see AllocRetries), and only a
-	// pipeline that stays dry panics — or, through the structures' Try*
-	// variants, returns ErrArenaExhausted. Still size it for the workload,
-	// generously for Leak, which never recycles.
+	// pipeline that stays dry makes the structures' writes return
+	// ErrArenaExhausted. Still size it for the workload, generously for
+	// Leak, which never recycles.
 	Capacity int
 	// MaxGuards bounds the number of concurrently held Guards (default
 	// runtime.GOMAXPROCS(0)).
 	MaxGuards int
 	// MaxSlots is the number of protection slots per guard (paper: max_hes;
 	// default 8). Of the built-in structures, Stack needs 1, Queue and
-	// TurnQueue 2, Map/HashMap and WFQueue 3, and Tree 4; the default
-	// covers them all.
+	// TurnQueue 2, HashMap and WFQueue 3, and Tree 4; the default covers
+	// them all.
 	MaxSlots int
 	// EraFreq is ν, the allocations per guard between era-clock increments
 	// (default 150, the paper's §5 value). Lower values reclaim faster at
@@ -193,7 +193,7 @@ type Options struct {
 	// Every round ticks the scheme's era clock, scans the allocating
 	// guard's own retire ring out of the CleanupFreq cadence, and retries;
 	// only after the last round does the allocation surface
-	// ErrArenaExhausted (Try* variants) or panic (plain variants). The
+	// ErrArenaExhausted (Guard.Alloc alone panics with it instead). The
 	// retry budget bounds the worst-case stall, so a Domain under pressure
 	// degrades to bounded latency, never to an unbounded wait.
 	AllocRetries int
@@ -210,12 +210,12 @@ type Options struct {
 // error (caught in Debug mode when handles go out of range).
 //
 // A Domain is the public face of the paper's reclamation API. The built-in
-// structures (Stack, Queue, WFQueue, TurnQueue, HashMap/Map, Tree) lease
+// structures (Stack, Queue, WFQueue, TurnQueue, HashMap, Tree) lease
 // guards from the Domain internally, so simple use never touches a Guard:
 //
 //	d, _ := wfe.NewDomain[string](wfe.Options{Scheme: wfe.WFE})
 //	s := wfe.NewStack[string](d)
-//	s.Push("hello")
+//	err := s.TryPush("hello") // ErrArenaExhausted only if the arena stays full
 //
 // Hot loops skip the per-operation lease by pinning a guard (Pin/Unpin) or
 // holding an explicit one (Guard/AcquireGuard + Release) and calling the
@@ -619,7 +619,7 @@ func (d *Domain[T]) Pin() *Guard[T] {
 }
 
 // pinBatch is Pin for the guardless batch entry points (MultiGet,
-// PushAll, ...): the same lease, with the hit/miss split also recorded on
+// TryPushAll, ...): the same lease, with the hit/miss split also recorded on
 // the batch-path counters so Telemetry can report the batch lease-cache
 // hit rate on its own.
 func (d *Domain[T]) pinBatch() *Guard[T] {
@@ -705,24 +705,24 @@ func (d *Domain[T]) FlushGuardCache() int {
 // the paper's reclamation-speed metric. Approximate under concurrency.
 func (d *Domain[T]) Unreclaimed() int { return d.scheme().s.Unreclaimed() }
 
-// ErrArenaExhausted is returned by the structures' Try* methods (and
-// Guard.TryAlloc) when an allocation found the arena full and the
-// emergency-reclamation pipeline — out-of-cadence scans of the
+// ErrArenaExhausted is returned by the structures' writes (the Try*
+// methods) and Guard.TryAlloc when an allocation found the arena full
+// and the emergency-reclamation pipeline — out-of-cadence scans of the
 // allocating guard's retire ring, retried under capped exponential
 // backoff (Options.AllocRetries / AllocBackoff) — could not free a
-// block. The non-Try methods panic with an error wrapping it instead.
-// It is a backpressure verdict, not a corruption: the Domain stays fully
-// usable, and the same allocation may succeed once concurrent guards
-// retire and scan their own backlogs.
+// block. Guard.Alloc panics with an error wrapping it instead. It is a
+// backpressure verdict, not a corruption: the Domain stays fully usable,
+// and the same allocation may succeed once concurrent guards retire and
+// scan their own backlogs.
 var ErrArenaExhausted = errors.New("wfe: arena exhausted after emergency reclamation")
 
-// must turns the error of a Try method into the panic of its plain twin:
-// every panicking structure method is its Try form plus must. The panic
-// value wraps ErrArenaExhausted, the only error the Try forms return, so
-// recover-side classifiers can errors.Is it.
+// must turns an allocation error into a panic for the two allocations
+// that have no error to return it through: Guard.Alloc, and the sentinel
+// the wait-free queue constructors allocate (liveScheme.Alloc). The panic
+// value wraps ErrArenaExhausted, so a recover can errors.Is it.
 func (d *Domain[T]) must(err error) {
 	if err != nil {
-		panic(fmt.Errorf("%w (capacity %d); size the arena for the workload or switch to the Try* variants", ErrArenaExhausted, d.arena.Capacity()))
+		panic(fmt.Errorf("%w (capacity %d); size the arena for the workload or use Guard.TryAlloc", ErrArenaExhausted, d.arena.Capacity()))
 	}
 }
 
@@ -905,7 +905,7 @@ type Telemetry struct {
 	GuardCacheHits   uint64 // guards claimed out of the lease cache
 	GuardCacheMisses uint64 // Pin/guardless ops that had to hit the pool
 
-	// Batched-operation counters (MultiGet, PushAll, DequeueN, ...):
+	// Batched-operation counters (MultiGet, TryPushAll, DequeueN, ...):
 	// BatchOps counts completed batches, BatchedItems the operations they
 	// carried (BatchedItems/BatchOps is the realized mean batch size).
 	// BatchGuardCacheHits/Misses split out the lease-cache traffic of the
@@ -1407,10 +1407,11 @@ func (a *Atomic[T]) CompareAndSwap(old, new Ref[T]) bool {
 //
 // The guard runtime offers three acquisition paths, cheapest first:
 //
-//   - Guardless: call the structures' plain methods (Stack.Push, Map.Get,
-//     ...). Each operation leases a guard from the Domain's per-P cache
-//     and returns it — no Guard in sight, goroutines may outnumber
-//     MaxGuards arbitrarily, and exhaustion parks instead of failing.
+//   - Guardless: call the structures' plain methods (Stack.TryPush,
+//     HashMap.Get, ...). Each operation leases a guard from the Domain's
+//     per-P cache and returns it — no Guard in sight, goroutines may
+//     outnumber MaxGuards arbitrarily, and exhaustion parks instead of
+//     failing.
 //   - Pinned: Domain.Pin / Domain.Unpin bracket a batch of Guarded-variant
 //     calls with one lease — the guardless path's cost, paid once per
 //     batch instead of once per operation.
@@ -1540,8 +1541,10 @@ func (g *Guard[T]) End() {
 // When the arena is exhausted Alloc runs the Domain's emergency
 // reclamation pipeline (out-of-cadence scans with backoff, see
 // Options.AllocRetries) and panics with an error wrapping
-// ErrArenaExhausted only once that pipeline is spent. Callers that want
-// the error instead use TryAlloc.
+// ErrArenaExhausted only once that pipeline is spent. It is the one
+// allocation in the public API that panics; callers that want the error
+// instead use TryAlloc, which every built-in structure's write is built
+// on.
 func (g *Guard[T]) Alloc(v T) Ref[T] {
 	r, err := g.TryAlloc(v)
 	g.d.must(err)
@@ -1550,8 +1553,7 @@ func (g *Guard[T]) Alloc(v T) Ref[T] {
 
 // TryAlloc is Alloc with backpressure: when the arena stays exhausted
 // after the Domain's emergency-reclamation pipeline it returns
-// ErrArenaExhausted instead of panicking. The structures' Try* methods
-// are built on it.
+// ErrArenaExhausted instead of panicking.
 func (g *Guard[T]) TryAlloc(v T) (Ref[T], error) {
 	h, err := g.d.allocHandle(g.tid)
 	if err != nil {

@@ -27,7 +27,9 @@ func TestFreedValuesDropped(t *testing.T) {
 	defer g.Release()
 	s := NewStack[string](d)
 	for i := 0; i < 2000; i++ {
-		s.PushGuarded(g, "payload")
+		if err := s.TryPushGuarded(g, "payload"); err != nil {
+			t.Fatal(err)
+		}
 		s.PopGuarded(g)
 	}
 
@@ -80,7 +82,9 @@ func TestQueueNodeValuesMaterialised(t *testing.T) {
 			}
 			const n = 64
 			for i := 0; i < n; i++ {
-				q.EnqueueGuarded(g, i)
+				if err := q.TryEnqueueGuarded(g, i); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := d.arena.Stats().Bumped; got != mem.ChunkSize+n {
 				t.Fatalf("bump high-water %d, want %d: the enqueues did not take one chunk-1 block each", got, mem.ChunkSize+n)
@@ -122,7 +126,9 @@ func TestQueueOneBlockPerValue(t *testing.T) {
 			const n = 100
 			before := d.Telemetry().Allocs
 			for i := 1; i <= n; i++ {
-				q.EnqueueGuarded(g, i)
+				if err := q.TryEnqueueGuarded(g, i); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := d.Telemetry().Allocs - before; got != n {
 				t.Fatalf("%d enqueues allocated %d blocks, want %d", n, got, n)

@@ -53,7 +53,9 @@ func TestValueTypes(t *testing.T) {
 	g := d.Guard()
 	defer g.Release()
 	s := wfe.NewStack[payload](d)
-	s.PushGuarded(g, payload{name: "x", data: []byte{1, 2, 3}})
+	if err := s.TryPushGuarded(g, payload{name: "x", data: []byte{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
 	got, ok := s.PopGuarded(g)
 	if !ok || got.name != "x" || len(got.data) != 3 {
 		t.Fatalf("Pop = %+v,%v", got, ok)
@@ -104,7 +106,9 @@ func TestReleaseDropsProtections(t *testing.T) {
 	leaker.Release()
 	const churn = 5000
 	for i := uint64(0); i < churn; i++ {
-		s.PushGuarded(g, i)
+		if err := s.TryPushGuarded(g, i); err != nil {
+			t.Fatal(err)
+		}
 		s.PopGuarded(g)
 	}
 	if backlog := d.Unreclaimed(); backlog > churn/2 {
@@ -163,7 +167,9 @@ func TestSpillTelemetryAndCensus(t *testing.T) {
 	consumer := d.Guard()
 	for round := 0; round < 24; round++ {
 		for i := uint64(0); i < 256; i++ {
-			s.PushGuarded(producer, i)
+			if err := s.TryPushGuarded(producer, i); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for {
 			if _, ok := s.PopGuarded(consumer); !ok {
@@ -197,7 +203,9 @@ func TestTelemetry(t *testing.T) {
 	defer g.Release()
 	s := wfe.NewStack[uint64](d)
 	for i := uint64(0); i < 200; i++ {
-		s.PushGuarded(g, i)
+		if err := s.TryPushGuarded(g, i); err != nil {
+			t.Fatal(err)
+		}
 		s.PopGuarded(g)
 	}
 	tel := d.Telemetry()

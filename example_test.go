@@ -15,7 +15,8 @@ import (
 // the guard runtime leases reclamation slots per operation, so no Guard
 // appears at all. Swapping wfe.WFE for any other SchemeKind changes the
 // reclamation algorithm, not a line of data-structure code — the
-// "universal" in universal memory reclamation.
+// "universal" in universal memory reclamation. Writes return
+// ErrArenaExhausted if the arena stays full; this one never fills.
 func ExampleDomain() {
 	d, err := wfe.NewDomain[string](wfe.Options{
 		Scheme:   wfe.WFE, // or HE, HP, EBR, TwoGEIBR, Leak, WFEIBR
@@ -26,8 +27,11 @@ func ExampleDomain() {
 	}
 
 	s := wfe.NewStack[string](d)
-	s.Push("world")
-	s.Push("hello")
+	for _, v := range []string{"world", "hello"} {
+		if err := s.TryPush(v); err != nil {
+			panic(err)
+		}
+	}
 	for {
 		v, ok := s.Pop()
 		if !ok {
@@ -36,8 +40,10 @@ func ExampleDomain() {
 		fmt.Println(v)
 	}
 
-	m := wfe.NewMap[string](d, 16)
-	m.Put(42, "answer")
+	m := wfe.NewHashMap[string](d, 16)
+	if err := m.TryPut(42, "answer"); err != nil {
+		panic(err)
+	}
 	if v, ok := m.Get(42); ok {
 		fmt.Println(v)
 	}
@@ -73,7 +79,9 @@ func ExampleDomain_StartSampler() {
 			case <-stop:
 				return
 			default:
-				st.Push(i)
+				if err := st.TryPush(i); err != nil {
+					panic(err)
+				}
 				st.Pop()
 			}
 		}
@@ -118,7 +126,9 @@ func ExampleDomain_Switch() {
 	defer d.Close()
 
 	s := wfe.NewStack[string](d)
-	s.Push("survives the swap")
+	if err := s.TryPush("survives the swap"); err != nil {
+		panic(err)
+	}
 
 	// The workload turned hostile for EBR (say the advisor reported a
 	// stalled-reader signature): move to the wait-free scheme, live.
@@ -148,7 +158,9 @@ func ExampleStack() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s.Push(w)
+			if err := s.TryPush(w); err != nil {
+				panic(err)
+			}
 			s.Pop()
 		}(w)
 	}
@@ -164,8 +176,11 @@ func ExampleQueue() {
 	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10})
 	q := wfe.NewQueue[string](d)
 
-	q.Enqueue("first")
-	q.Enqueue("second")
+	for _, v := range []string{"first", "second"} {
+		if err := q.TryEnqueue(v); err != nil {
+			panic(err)
+		}
+	}
 	for {
 		v, ok := q.Dequeue()
 		if !ok {
@@ -178,24 +193,6 @@ func ExampleQueue() {
 	// second
 }
 
-// ExampleMap: guardless hash-map use.
-func ExampleMap() {
-	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10})
-	m := wfe.NewMap[string](d, 16)
-
-	m.Put(1, "one")
-	m.Insert(2, "two")
-	if v, ok := m.Get(1); ok {
-		fmt.Println(v)
-	}
-	m.Delete(1)
-	_, ok := m.Get(1)
-	fmt.Println("deleted:", !ok)
-	// Output:
-	// one
-	// deleted: true
-}
-
 // ExampleWFQueue: the Kogan–Petrank wait-free queue — with the WFE scheme
 // every operation, memory reclamation included, completes in a bounded
 // number of steps. Values of any type travel through the queue's helping
@@ -204,8 +201,11 @@ func ExampleWFQueue() {
 	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10})
 	q := wfe.NewWFQueue[string](d)
 
-	q.Enqueue("first")
-	q.Enqueue("second")
+	for _, v := range []string{"first", "second"} {
+		if err := q.TryEnqueue(v); err != nil {
+			panic(err)
+		}
+	}
 	for {
 		v, ok := q.Dequeue()
 		if !ok {
@@ -228,8 +228,11 @@ func ExampleTurnQueue() {
 	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10, MaxGuards: 4})
 	q := wfe.NewTurnQueue[string](d)
 
-	q.Enqueue("first")
-	q.Enqueue("second")
+	for _, v := range []string{"first", "second"} {
+		if err := q.TryEnqueue(v); err != nil {
+			panic(err)
+		}
+	}
 	for {
 		v, ok := q.Dequeue()
 		if !ok {
@@ -242,14 +245,18 @@ func ExampleTurnQueue() {
 	// second
 }
 
-// ExampleHashMap: Michael's lock-free hash map under its canonical name
-// (Map is an alias). Guardless use from any number of goroutines.
+// ExampleHashMap: Michael's lock-free hash map. Guardless use from any
+// number of goroutines.
 func ExampleHashMap() {
 	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10})
 	m := wfe.NewHashMap[string](d, 16)
 
-	m.Put(1, "one")
-	m.Insert(2, "two")
+	if err := m.TryPut(1, "one"); err != nil {
+		panic(err)
+	}
+	if _, err := m.TryInsert(2, "two"); err != nil {
+		panic(err)
+	}
 	if v, ok := m.Get(1); ok {
 		fmt.Println(v)
 	}
@@ -261,11 +268,11 @@ func ExampleHashMap() {
 	// deleted: true
 }
 
-// ExampleHashMap_TryPut: the Try* variants convert arena exhaustion into
-// an error instead of a panic. The arena here is sized far below the key
-// range, so once every block backs a live node the emergency-reclamation
-// pipeline has nothing to free and TryPut surfaces ErrArenaExhausted —
-// the caller's backpressure signal to shed load or free something.
+// ExampleHashMap_TryPut: a full arena surfaces as an error, never a
+// panic. The arena here is sized far below the key range, so once every
+// block backs a live node the emergency-reclamation pipeline has nothing
+// to free and TryPut returns ErrArenaExhausted — the caller's
+// backpressure signal to shed load or free something.
 func ExampleHashMap_TryPut() {
 	d, _ := wfe.NewDomain[uint64](wfe.Options{
 		Scheme:       wfe.WFE,
@@ -300,7 +307,9 @@ func ExampleHashMap_MultiGet() {
 	d, _ := wfe.NewDomain[string](wfe.Options{Scheme: wfe.WFE, Capacity: 1 << 10})
 	m := wfe.NewHashMap[string](d, 16)
 
-	m.MultiPut([]uint64{1, 2, 3}, []string{"one", "two", "three"})
+	if _, err := m.TryMultiPut([]uint64{1, 2, 3}, []string{"one", "two", "three"}); err != nil {
+		panic(err)
+	}
 	vals, oks := m.MultiGet([]uint64{2, 7, 1})
 	for i, v := range vals {
 		fmt.Println(v, oks[i])
@@ -320,9 +329,12 @@ func ExampleTree() {
 	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10})
 	t := wfe.NewTree[string](d)
 
-	t.Insert(2, "two")
-	t.Insert(1, "one")
-	t.Insert(3, "three")
+	names := map[uint64]string{1: "one", 2: "two", 3: "three"}
+	for _, k := range []uint64{2, 1, 3} {
+		if _, err := t.TryInsert(k, names[k]); err != nil {
+			panic(err)
+		}
+	}
 	if v, ok := t.Get(2); ok {
 		fmt.Println(v)
 	}
@@ -346,7 +358,9 @@ func ExampleDomain_Pin() {
 
 	g := d.Pin()
 	for i := 0; i < 1000; i++ {
-		s.PushGuarded(g, i)
+		if err := s.TryPushGuarded(g, i); err != nil {
+			panic(err)
+		}
 		s.PopGuarded(g)
 	}
 	d.Unpin(g)
@@ -378,7 +392,9 @@ func ExampleDomain_AcquireGuard() {
 		done <- v
 	}()
 
-	s.PushGuarded(g, 7)
+	if err := s.TryPushGuarded(g, 7); err != nil {
+		panic(err)
+	}
 	g.Release() // hands off to the parked acquirer
 	fmt.Println(<-done)
 	// Output:

@@ -1,4 +1,4 @@
-// A concurrent key-value store on the public lock-free Map, with the
+// A concurrent key-value store on the public lock-free HashMap, with the
 // reclamation scheme chosen at the command line — the "universal" in
 // universal memory reclamation: the same data structure code runs under
 // WFE, Hazard Eras, Hazard Pointers, EBR, 2GEIBR or the leaky baseline,
@@ -10,7 +10,9 @@
 // runtime, which is how a server with thousands of request goroutines
 // would use the library. A reporter goroutine samples the reclamation
 // backlog live (try -scheme EBR -stall to watch an epoch scheme stop
-// reclaiming while a stalled reader holds its guard mid-operation).
+// reclaiming while a stalled reader holds its guard mid-operation). A
+// put that finds the arena full gets ErrArenaExhausted back and is
+// rejected, as a server would shed the write; the summary counts them.
 //
 // Run with:
 //
@@ -70,12 +72,13 @@ func main() {
 		os.Exit(1)
 	}
 	defer d.Close()
-	store := wfe.NewMap[uint64](d, int(*keyRange))
+	store := wfe.NewHashMap[uint64](d, int(*keyRange))
 
 	var (
-		stop sync.WaitGroup
-		quit atomic.Bool
-		ops  atomic.Uint64
+		stop     sync.WaitGroup
+		quit     atomic.Bool
+		ops      atomic.Uint64
+		rejected atomic.Uint64
 	)
 	for w := 0; w < *workers; w++ {
 		stop.Add(1)
@@ -101,7 +104,9 @@ func main() {
 				key := uint64(rng.Int63n(int64(*keyRange)))
 				switch rng.Intn(10) {
 				case 0, 1, 2:
-					store.Put(key, key*2)
+					if err := store.TryPut(key, key*2); err != nil {
+						rejected.Add(1)
+					}
 				case 3:
 					store.Delete(key)
 				default:
@@ -134,9 +139,9 @@ loop:
 	ticker.Stop()
 
 	t := d.Telemetry()
-	fmt.Printf("\n%s: %.2f Mops/s, final backlog %d, arena in use %d/%d\n",
+	fmt.Printf("\n%s: %.2f Mops/s, final backlog %d, arena in use %d/%d, %d puts rejected\n",
 		t.Scheme, float64(ops.Load())/time.Since(start).Seconds()/1e6,
-		t.Unreclaimed, t.InUse, t.Capacity)
+		t.Unreclaimed, t.InUse, t.Capacity, rejected.Load())
 	fmt.Printf("guard pool: %d acquisitions, %d cache hits (%.1f%% hit rate), %d parks\n",
 		t.GuardAcquires, t.GuardCacheHits,
 		100*float64(t.GuardCacheHits)/float64(t.GuardCacheHits+t.GuardCacheMisses+1),

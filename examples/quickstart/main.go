@@ -3,7 +3,7 @@
 //
 // It shows the guard runtime's three acquisition paths in one sitting:
 //
-//   - guardless: s.Push(v) / s.Pop() lease a reclamation slot per
+//   - guardless: s.TryPush(v) / s.Pop() lease a reclamation slot per
 //     operation from the Domain's lock-free guard pool — no Guard in
 //     sight, and goroutines may vastly outnumber MaxGuards,
 //   - pinned: d.Pin()/d.Unpin(g) hoist that lease out of a hot loop and
@@ -13,7 +13,8 @@
 //
 // Freed blocks are recycled: the arena census stays flat no matter how
 // many operations run, and Debug mode turns any use-after-free into a
-// panic.
+// panic. A push returns ErrArenaExhausted only if the arena stays full,
+// which this workload never approaches.
 //
 // Run with:
 //
@@ -46,9 +47,11 @@ func main() {
 	s := wfe.NewStack[uint64](d)
 
 	// Guardless taste: LIFO order, no Guard anywhere.
-	s.Push(1)
-	s.Push(2)
-	s.Push(3)
+	for v := uint64(1); v <= 3; v++ {
+		if err := s.TryPush(v); err != nil {
+			panic(err)
+		}
+	}
 	for {
 		v, ok := s.Pop()
 		if !ok {
@@ -68,7 +71,9 @@ func main() {
 			g := d.Pin()
 			defer d.Unpin(g)
 			for i := 0; i < 100_000; i++ {
-				s.PushGuarded(g, uint64(w)<<32|uint64(i))
+				if err := s.TryPushGuarded(g, uint64(w)<<32|uint64(i)); err != nil {
+					panic(err)
+				}
 				s.PopGuarded(g)
 			}
 		}(w)

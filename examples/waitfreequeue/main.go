@@ -62,7 +62,9 @@ func main() {
 			defer d.Unpin(g)
 			for i := uint64(0); i < perProd; i++ {
 				v := uint64(p)<<32 | i
-				q.EnqueueGuarded(g, v)
+				if err := q.TryEnqueueGuarded(g, v); err != nil {
+					panic(err)
+				}
 				produced.Add(v) // commutative sum as a cheap checksum
 			}
 		}(p)

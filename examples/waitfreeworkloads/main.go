@@ -47,11 +47,11 @@ func main() {
 	turn := wfe.NewTurnQueue[uint64](d)
 	queues := []struct {
 		name string
-		enq  func(uint64)
+		enq  func(uint64) error
 		deq  func() (uint64, bool)
 	}{
-		{"WFQueue (Kogan–Petrank)", wf.Enqueue, wf.Dequeue},
-		{"TurnQueue (CRTurn)", turn.Enqueue, turn.Dequeue},
+		{"WFQueue (Kogan–Petrank)", wf.TryEnqueue, wf.Dequeue},
+		{"TurnQueue (CRTurn)", turn.TryEnqueue, turn.Dequeue},
 	}
 	for _, q := range queues {
 		var produced, consumed, delivered atomic.Uint64
@@ -62,7 +62,9 @@ func main() {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
 					v := uint64(w)<<32 | uint64(i+1)
-					q.enq(v)
+					if err := q.enq(v); err != nil {
+						panic(err)
+					}
 					produced.Add(v)
 					if v, ok := q.deq(); ok {
 						consumed.Add(v)
@@ -90,12 +92,12 @@ func main() {
 	tr := wfe.NewTree[uint64](d)
 	maps := []struct {
 		name   string
-		insert func(uint64) bool
+		insert func(uint64) (bool, error)
 		del    func(uint64) bool
 		get    func(uint64) (uint64, bool)
 	}{
-		{"HashMap (Michael)", func(k uint64) bool { return m.Insert(k, k) }, m.Delete, m.Get},
-		{"Tree (Natarajan–Mittal)", func(k uint64) bool { return tr.Insert(k, k) }, tr.Delete, tr.Get},
+		{"HashMap (Michael)", func(k uint64) (bool, error) { return m.TryInsert(k, k) }, m.Delete, m.Get},
+		{"Tree (Natarajan–Mittal)", func(k uint64) (bool, error) { return tr.TryInsert(k, k) }, tr.Delete, tr.Get},
 	}
 	for _, s := range maps {
 		var inserted atomic.Int64
@@ -110,7 +112,11 @@ func main() {
 					key := rng >> 33 & (keyRange - 1)
 					switch rng % 3 {
 					case 0:
-						if s.insert(key) {
+						ok, err := s.insert(key)
+						if err != nil {
+							panic(err)
+						}
+						if ok {
 							inserted.Add(1)
 						}
 					case 1:

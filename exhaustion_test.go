@@ -2,10 +2,10 @@ package wfe_test
 
 // Allocation backpressure acceptance tests: the emergency-reclamation
 // pipeline must keep a workload alive on an arena sized at roughly half
-// its working set under every judged scheme, the Try* API must surface
-// ErrArenaExhausted instead of panicking when the pipeline genuinely
-// cannot help, and the pressure gauge must be visible end to end through
-// Telemetry and the OpenMetrics exposition.
+// its working set under every judged scheme, every structure write must
+// surface ErrArenaExhausted when the pipeline genuinely cannot help, and
+// the pressure gauge must be visible end to end through Telemetry and the
+// OpenMetrics exposition.
 
 import (
 	"bytes"
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"wfe"
-	"wfe/internal/bench"
 	"wfe/internal/quiesce"
 	"wfe/metrics"
 )
@@ -215,113 +214,101 @@ func TestTryVariantsSurfaceExhaustion(t *testing.T) {
 	}
 }
 
-// TestPanicVariantsWrapSentinel pins the duality: the panicking methods
-// throw a value that errors.Is-matches ErrArenaExhausted and that the
-// bench harness's LeakExhausted classifier recognizes on both its paths
-// (the error-typed value here, the arena's raw string from the pre-Domain
-// path).
+// TestPanicVariantsWrapSentinel pins the two panicking allocations left
+// in the public API, Guard.Alloc and the sentinel a wait-free queue
+// constructor allocates: on an exhausted arena each panics with a value
+// that errors.Is-matches ErrArenaExhausted and keeps the "arena
+// exhausted" substring in its message.
 func TestPanicVariantsWrapSentinel(t *testing.T) {
-	s := wfe.NewStack[uint64](smallDomain(t, wfe.Leak, 16))
+	d := smallDomain(t, wfe.Leak, 16)
+	s := wfe.NewStack[uint64](d)
 	for {
 		if err := s.TryPush(1); err != nil {
 			break
 		}
 	}
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		s.Push(2)
-	}()
-	if recovered == nil {
-		t.Fatal("Push on an exhausted Leak arena did not panic")
-	}
-	err, ok := recovered.(error)
-	if !ok || !errors.Is(err, wfe.ErrArenaExhausted) {
-		t.Fatalf("panic value %v is not an error wrapping ErrArenaExhausted", recovered)
-	}
-	if !strings.Contains(err.Error(), "arena exhausted") {
-		t.Fatalf("panic message %q lost the %q substring older tooling matches on", err, "arena exhausted")
-	}
-	if !bench.LeakExhausted(recovered, wfe.Leak) {
-		t.Error("bench.LeakExhausted does not recognize the error-typed exhaustion panic")
-	}
-	if bench.LeakExhausted(recovered, wfe.WFE) {
-		t.Error("bench.LeakExhausted must only excuse the Leak baseline")
-	}
-	if !bench.LeakExhausted("mem: arena exhausted (capacity 16)", wfe.Leak) {
-		t.Error("bench.LeakExhausted lost the raw-string arena panic path")
+	g := d.Guard()
+	defer g.Release()
+	for _, tc := range []struct {
+		name  string
+		alloc func()
+	}{
+		{"Guard.Alloc", func() { g.Alloc(2) }},
+		{"NewWFQueue", func() { wfe.NewWFQueue[uint64](d) }},
+	} {
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			tc.alloc()
+		}()
+		if recovered == nil {
+			t.Fatalf("%s on an exhausted Leak arena did not panic", tc.name)
+		}
+		err, ok := recovered.(error)
+		if !ok || !errors.Is(err, wfe.ErrArenaExhausted) {
+			t.Fatalf("%s: panic value %v is not an error wrapping ErrArenaExhausted", tc.name, recovered)
+		}
+		if !strings.Contains(err.Error(), "arena exhausted") {
+			t.Fatalf("%s: panic message %q lost the %q substring", tc.name, err, "arena exhausted")
+		}
 	}
 }
 
-// TestPanicVariantsLeakNothing holds each panicking write to its Try
-// twin's cleanup: once the Try form has exhausted a Leak arena, one
-// recovered panic from the plain method must leave the live block count
-// where the Try form left it. A write that allocates more than one block
-// (a tree insert's leaf and routing node) must hand back the blocks it did
-// get; a queue enqueue allocates one block, its node.
+// TestPanicVariantsLeakNothing holds every structure write to its cleanup
+// on failure: once a Leak arena is exhausted, one more write must return
+// ErrArenaExhausted and leave the live block count where it was. A write
+// that allocates more than one block (a tree insert's leaf and routing
+// node) must hand back the blocks it did get; a queue enqueue allocates
+// one block, its node. Each row is named for the operation it writes,
+// through that operation's Try form.
 func TestPanicVariantsLeakNothing(t *testing.T) {
-	type ops struct {
-		try   func() error // one Try write; nil until the arena runs dry
-		write func()       // one panicking write
-	}
 	for _, tc := range []struct {
 		name  string
-		build func(d *wfe.Domain[uint64]) ops
+		build func(d *wfe.Domain[uint64]) func() error // one write
 	}{
-		{"Stack.Push", func(d *wfe.Domain[uint64]) ops {
+		{"Stack.Push", func(d *wfe.Domain[uint64]) func() error {
 			s := wfe.NewStack[uint64](d)
-			return ops{func() error { return s.TryPush(7) }, func() { s.Push(7) }}
+			return func() error { return s.TryPush(7) }
 		}},
-		{"Queue.Enqueue", func(d *wfe.Domain[uint64]) ops {
+		{"Queue.Enqueue", func(d *wfe.Domain[uint64]) func() error {
 			q := wfe.NewQueue[uint64](d)
-			return ops{func() error { return q.TryEnqueue(7) }, func() { q.Enqueue(7) }}
+			return func() error { return q.TryEnqueue(7) }
 		}},
-		{"WFQueue.Enqueue", func(d *wfe.Domain[uint64]) ops {
+		{"WFQueue.Enqueue", func(d *wfe.Domain[uint64]) func() error {
 			q := wfe.NewWFQueue[uint64](d)
-			return ops{func() error { return q.TryEnqueue(7) }, func() { q.Enqueue(7) }}
+			return func() error { return q.TryEnqueue(7) }
 		}},
-		{"TurnQueue.Enqueue", func(d *wfe.Domain[uint64]) ops {
+		{"TurnQueue.Enqueue", func(d *wfe.Domain[uint64]) func() error {
 			q := wfe.NewTurnQueue[uint64](d)
-			return ops{func() error { return q.TryEnqueue(7) }, func() { q.Enqueue(7) }}
+			return func() error { return q.TryEnqueue(7) }
 		}},
-		{"HashMap.Put", func(d *wfe.Domain[uint64]) ops {
+		{"HashMap.Put", func(d *wfe.Domain[uint64]) func() error {
 			m := wfe.NewHashMap[uint64](d, 8)
 			key := uint64(0)
-			return ops{
-				func() error { key++; return m.TryPut(key, key) },
-				func() { m.Put(key+1, 7) },
-			}
+			return func() error { key++; return m.TryPut(key, key) }
 		}},
-		{"Tree.Insert", func(d *wfe.Domain[uint64]) ops {
+		{"Tree.Insert", func(d *wfe.Domain[uint64]) func() error {
 			tr := wfe.NewTree[uint64](d)
 			key := uint64(0)
-			return ops{
-				func() error { key++; _, err := tr.TryInsert(key, key); return err },
-				func() { tr.Insert(key+1, 7) },
-			}
+			return func() error { key++; _, err := tr.TryInsert(key, key); return err }
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := smallDomain(t, wfe.Leak, 128)
-			o := tc.build(d)
-			for i := 0; o.try() == nil; i++ {
+			write := tc.build(d)
+			for i := 0; write() == nil; i++ {
 				if i == 1<<12 {
 					t.Fatal("arena never exhausted")
 				}
 			}
 			d.FlushGuardCache()
 			before := d.ArenaCensus().Live
-			var recovered any
-			func() {
-				defer func() { recovered = recover() }()
-				o.write()
-			}()
-			if err, ok := recovered.(error); !ok || !errors.Is(err, wfe.ErrArenaExhausted) {
-				t.Fatalf("write on the exhausted arena recovered %v, want a panic wrapping ErrArenaExhausted", recovered)
+			if err := write(); !errors.Is(err, wfe.ErrArenaExhausted) {
+				t.Fatalf("write on the exhausted arena = %v, want ErrArenaExhausted", err)
 			}
 			d.FlushGuardCache()
 			if after := d.ArenaCensus().Live; after != before {
-				t.Errorf("live blocks %d -> %d across one recovered panic: the write leaked %d block(s)",
+				t.Errorf("live blocks %d -> %d across one failed write: the write leaked %d block(s)",
 					before, after, after-before)
 			}
 		})
@@ -392,7 +379,9 @@ func TestScavengeCollapsesLazyBacklog(t *testing.T) {
 	}
 	s := wfe.NewStack[uint64](d)
 	for i := 0; i < 512; i++ {
-		s.Push(uint64(i))
+		if err := s.TryPush(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 512; i++ {
 		s.Pop()

@@ -40,7 +40,9 @@ func TestFailpointSwitchDrainAborts(t *testing.T) {
 	}
 	// The pause gate must be lifted: guardless operations proceed.
 	s := wfe.NewStack[uint64](d)
-	s.Push(7)
+	if err := s.TryPush(7); err != nil {
+		t.Fatal(err)
+	}
 	if v, ok := s.Pop(); !ok || v != 7 {
 		t.Fatalf("structure broken after aborted switch: got (%d, %v)", v, ok)
 	}

@@ -85,7 +85,7 @@ func runKVFuzz(t *testing.T, d *wfe.Domain[uint64], api conformAPI, data []byte)
 
 // runKVBatchFuzz is runKVFuzz for the HashMap's batch entry points:
 // consecutive ops of the same class are coalesced into runs of at most
-// width and flushed through MultiDelete/MultiGet/MultiPut, validating
+// width and flushed through MultiDelete/MultiGet/TryMultiPut, validating
 // every positional result against the oracle. The batch items run
 // sequentially on one guard, so per-item expectations are exactly the
 // per-op ones — duplicates within a run included. Inserts have no batch
@@ -123,7 +123,9 @@ func runKVBatchFuzz(t *testing.T, d *wfe.Domain[uint64], m *wfe.HashMap[uint64],
 				}
 			}
 		case 3: // put run
-			m.MultiPutGuarded(g, ks, vs)
+			if _, err := m.TryMultiPutGuarded(g, ks, vs); err != nil {
+				t.Fatalf("TryMultiPut(%v): %v", ks, err)
+			}
 			for j, k := range ks { // sequential application: last value wins
 				model[k] = vs[j]
 			}
@@ -159,7 +161,7 @@ func runKVBatchFuzz(t *testing.T, d *wfe.Domain[uint64], m *wfe.HashMap[uint64],
 func FuzzHashMap(f *testing.F) {
 	fuzzSeeds(f)
 	// Batch-mode seeds: byte 1 with the top bit set routes op runs
-	// through the Multi* entry points (low nibble picks the width).
+	// through the batch entry points (low nibble picks the width).
 	f.Add([]byte{0, 0x81, 0xC1, 0xC2, 0xC3, 0x41, 0x42, 0x81, 0x82, 0x83})
 	f.Add([]byte{1, 0x8E, 0x01, 0x01, 0xC1, 0xC1, 0x41, 0x41, 0x81, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -169,7 +171,7 @@ func FuzzHashMap(f *testing.F) {
 		d := fuzzDomain(t, data[0], 1)
 		m := wfe.NewHashMap[uint64](d, 8) // few buckets: long chains
 		// The second byte is the batch selector: top bit on sends op runs
-		// through MultiPut/MultiDelete/MultiGet instead of the per-op
+		// through TryMultiPut/MultiDelete/MultiGet instead of the per-op
 		// methods, with the low nibble sizing the coalescing window.
 		if len(data) > 1 && data[1]&0x80 != 0 {
 			runKVBatchFuzz(t, d, m, int(data[1]&0x0F)+2, data[2:])

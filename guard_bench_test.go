@@ -108,7 +108,10 @@ func BenchmarkGuardedOps(b *testing.B) {
 			g := d.Pin()
 			defer d.Unpin(g)
 			for pb.Next() {
-				s.PushGuarded(g, 1)
+				if err := s.TryPushGuarded(g, 1); err != nil {
+					b.Error(err)
+					return
+				}
 				s.PopGuarded(g)
 			}
 		})
@@ -117,7 +120,10 @@ func BenchmarkGuardedOps(b *testing.B) {
 		_, s := newStack(b)
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				s.Push(1)
+				if err := s.TryPush(1); err != nil {
+					b.Error(err)
+					return
+				}
 				s.Pop()
 			}
 		})
@@ -130,9 +136,13 @@ func BenchmarkGuardedOps(b *testing.B) {
 				if !ok {
 					continue
 				}
-				s.PushGuarded(g, 1)
+				err := s.TryPushGuarded(g, 1)
 				s.PopGuarded(g)
 				g.Release()
+				if err != nil {
+					b.Error(err)
+					return
+				}
 			}
 		})
 	})

@@ -27,7 +27,7 @@ func TestGoroutineChurn(t *testing.T) {
 		}
 		d := testDomain(t, kind, guards, capacity, forceSlow)
 		s := wfe.NewStack[uint64](d)
-		m := wfe.NewMap[uint64](d, 64)
+		m := wfe.NewHashMap[uint64](d, 64)
 
 		var wg sync.WaitGroup
 		for w := 0; w < goroutines; w++ {
@@ -37,17 +37,22 @@ func TestGoroutineChurn(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(w)*271 + 1))
 				for i := 0; i < iters; i++ {
 					key := uint64(rng.Intn(128))
+					var err error
 					switch rng.Intn(5) {
 					case 0:
-						s.Push(key)
+						err = s.TryPush(key)
 					case 1:
 						s.Pop()
 					case 2:
-						m.Put(key, key)
+						err = m.TryPut(key, key)
 					case 3:
 						m.Delete(key)
 					default:
 						m.Get(key)
+					}
+					if err != nil {
+						t.Error(err)
+						return
 					}
 				}
 			}(w)
@@ -147,7 +152,9 @@ func TestAcquireGuardClaimsCachedLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := wfe.NewStack[int](d)
-	s.Push(1) // leaves the only guard in the lease cache
+	if err := s.TryPush(1); err != nil { // leaves the only guard in the lease cache
+		t.Fatal(err)
+	}
 	g, ok := d.TryGuard()
 	if !ok {
 		t.Fatal("TryGuard failed while the only guard sat idle in the cache")
@@ -228,7 +235,9 @@ func TestFlushIgnoresHeldGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := wfe.NewStack[int](d)
-	s.Push(1) // parks the only guard in the cache with a sticky slot
+	if err := s.TryPush(1); err != nil { // parks the only guard in the cache with a sticky slot
+		t.Fatal(err)
+	}
 	g, ok := d.TryGuard()
 	if !ok {
 		t.Fatal("TryGuard failed to claim the cached guard")

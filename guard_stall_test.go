@@ -48,7 +48,9 @@ func TestStalledGuardSurvivesFlushAndDrain(t *testing.T) {
 		// Drive plenty of cleanup scans past the stalled reservation.
 		scratch := wfe.NewStack[uint64](d)
 		for i := 0; i < 512; i++ {
-			scratch.PushGuarded(worker, uint64(i))
+			if err := scratch.TryPushGuarded(worker, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
 			scratch.PopGuarded(worker)
 		}
 
@@ -58,7 +60,9 @@ func TestStalledGuardSurvivesFlushAndDrain(t *testing.T) {
 			t.Fatalf("FlushGuardCache recovered %d guards while all are explicitly held", stranded)
 		}
 		for i := 0; i < 512; i++ {
-			scratch.PushGuarded(worker, uint64(i))
+			if err := scratch.TryPushGuarded(worker, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
 			scratch.PopGuarded(worker)
 		}
 

@@ -21,11 +21,12 @@ const (
 // It needs 3 protection slots per guard (Options.MaxSlots >= 3, which the
 // default satisfies).
 //
-// The plain methods (Insert, Delete, Get, Put, Len) are guardless: each
-// leases a guard from the Domain's guard runtime for the duration of the
-// operation, so any number of goroutines may call them. The Guarded
+// The plain methods (TryInsert, Delete, Get, TryPut, Len) are guardless:
+// each leases a guard from the Domain's guard runtime for the duration of
+// the operation, so any number of goroutines may call them. The Guarded
 // variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops.
+// in hot loops. The writes return ErrArenaExhausted when the arena stays
+// full after the Domain's emergency-reclamation pipeline.
 type HashMap[T any] struct {
 	d       *Domain[T]
 	buckets []Atomic[T]
@@ -134,14 +135,6 @@ retry:
 	}
 }
 
-// Insert adds key→val; it reports false (leaving the map unchanged) when
-// the key is already present.
-func (m *HashMap[T]) Insert(key uint64, val T) bool {
-	ok, err := m.TryInsert(key, val)
-	m.d.must(err)
-	return ok
-}
-
 // Delete removes key, reporting whether it was present. The victim is
 // marked first (the linearization point) and unlinked here or by a later
 // traversal.
@@ -158,12 +151,6 @@ func (m *HashMap[T]) Get(key uint64) (v T, ok bool) {
 	return m.GetGuarded(g, key)
 }
 
-// Put inserts key→val, or replaces an existing key's node with a freshly
-// allocated one (mark, swing, retire). Replacement rather than in-place
-// mutation is what keeps values safely immutable for concurrent readers —
-// and why read-mostly workloads still exercise reclamation (paper §5).
-func (m *HashMap[T]) Put(key uint64, val T) { m.d.must(m.TryPut(key, val)) }
-
 // Len counts reachable, unmarked nodes; meaningful only quiescently.
 func (m *HashMap[T]) Len() int {
 	g := m.d.Pin()
@@ -171,22 +158,14 @@ func (m *HashMap[T]) Len() int {
 	return m.LenGuarded(g)
 }
 
-// TryInsert is Insert with backpressure: when the key is absent and the
-// arena stays exhausted after the Domain's emergency-reclamation
-// pipeline, it returns ErrArenaExhausted instead of panicking. ok
-// reports the insert outcome (false with a nil error means the key was
-// already present).
+// TryInsert adds key→val; ok is false (leaving the map unchanged) when
+// the key is already present. When the key is absent and the arena stays
+// exhausted after the Domain's emergency-reclamation pipeline, it returns
+// ErrArenaExhausted.
 func (m *HashMap[T]) TryInsert(key uint64, val T) (ok bool, err error) {
 	g := m.d.Pin()
 	defer m.d.unpin(g)
 	return m.TryInsertGuarded(g, key, val)
-}
-
-// InsertGuarded is Insert on a caller-held guard.
-func (m *HashMap[T]) InsertGuarded(g *Guard[T], key uint64, val T) bool {
-	ok, err := m.TryInsertGuarded(g, key, val)
-	m.d.must(err)
-	return ok
 }
 
 // TryInsertGuarded is TryInsert on a caller-held guard.
@@ -254,23 +233,22 @@ func (m *HashMap[T]) GetGuarded(g *Guard[T], key uint64) (v T, ok bool) {
 	return g.Value(w.cur), true
 }
 
-// TryPut is Put with backpressure: when the arena stays exhausted after
-// the Domain's emergency-reclamation pipeline it returns
-// ErrArenaExhausted (leaving the map unchanged) instead of panicking.
+// TryPut inserts key→val, or replaces an existing key's node with a
+// freshly allocated one (mark, swing, retire). Replacement rather than
+// in-place mutation is what keeps values safely immutable for concurrent
+// readers — and why read-mostly workloads still exercise reclamation
+// (paper §5). When the arena stays exhausted after the Domain's
+// emergency-reclamation pipeline it returns ErrArenaExhausted, leaving
+// the map unchanged.
 func (m *HashMap[T]) TryPut(key uint64, val T) error {
 	g := m.d.Pin()
 	defer m.d.unpin(g)
 	return m.TryPutGuarded(g, key, val)
 }
 
-// PutGuarded is Put on a caller-held guard.
-func (m *HashMap[T]) PutGuarded(g *Guard[T], key uint64, val T) {
-	m.d.must(m.TryPutGuarded(g, key, val))
-}
-
 // TryPutGuarded is TryPut on a caller-held guard.
 func (m *HashMap[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
-	// Put always consumes a node (insert and replace both link a fresh
+	// A put always consumes a node (insert and replace both link a fresh
 	// one), so allocate before entering the protected section: an
 	// exhausted-arena stall then runs the emergency pipeline with no
 	// reservations held and no epoch announced, leaving every block
@@ -279,16 +257,16 @@ func (m *HashMap[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
 	if err != nil {
 		return err
 	}
-	g.Begin()
-	defer g.End()
 	m.putNode(g, key, n)
 	return nil
 }
 
 // putNode stamps the pre-allocated node n with key and links it,
-// replacing any existing node (mark, swing, retire). The caller owns the
-// protected section; n is consumed unconditionally.
+// replacing any existing node (mark, swing, retire), inside its own
+// Begin/End section; n is consumed unconditionally.
 func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
+	g.Begin()
+	defer g.End()
 	g.StoreMeta(n, mapKey, key)
 	head := m.bucket(key)
 	for {
@@ -356,24 +334,9 @@ func (m *HashMap[T]) MultiDeleteGuarded(g *Guard[T], keys []uint64) (oks []bool)
 	return oks
 }
 
-// MultiPut stores every key→val pair in one batch. Like Put it panics
-// when the arena stays exhausted after the emergency-reclamation
-// pipeline; pairs already applied stay applied (use TryMultiPut to
-// observe partial progress instead).
-func (m *HashMap[T]) MultiPut(keys []uint64, vals []T) {
-	_, err := m.TryMultiPut(keys, vals)
-	m.d.must(err)
-}
-
-// MultiPutGuarded is MultiPut on a caller-held guard.
-func (m *HashMap[T]) MultiPutGuarded(g *Guard[T], keys []uint64, vals []T) {
-	_, err := m.TryMultiPutGuarded(g, keys, vals)
-	m.d.must(err)
-}
-
-// TryMultiPut is MultiPut with backpressure: every node the batch needs
-// is allocated up front, before any protection is announced (the PR 9
-// discipline, batch-wide). When the arena runs out mid-run the pairs
+// TryMultiPut stores every key→val pair in one batch, each as TryPut
+// would. Every node the batch needs is allocated up front, before any
+// protection is announced. When the arena runs out mid-run the pairs
 // whose nodes were obtained are still applied, and TryMultiPut reports
 // that prefix length alongside ErrArenaExhausted — callers resume from
 // keys[applied:].
@@ -386,7 +349,7 @@ func (m *HashMap[T]) TryMultiPut(keys []uint64, vals []T) (applied int, err erro
 // TryMultiPutGuarded is TryMultiPut on a caller-held guard.
 func (m *HashMap[T]) TryMultiPutGuarded(g *Guard[T], keys []uint64, vals []T) (applied int, err error) {
 	if len(keys) != len(vals) {
-		panic("wfe: MultiPut keys/vals length mismatch")
+		panic("wfe: TryMultiPut keys/vals length mismatch")
 	}
 	nodes, err := g.allocRun(vals)
 	applied = g.runBatch(len(nodes), func(i int) bool {

@@ -75,11 +75,11 @@ func TestSingleBucketDegeneratesToList(t *testing.T) {
 		if _, ok := m.GetGuarded(g, 10); ok {
 			t.Fatal("empty map contains 10")
 		}
-		if !m.InsertGuarded(g, 10, 100) {
-			t.Fatal("insert into empty map failed")
+		if ok, err := m.TryInsertGuarded(g, 10, 100); !ok || err != nil {
+			t.Fatalf("insert into empty map = %v, %v", ok, err)
 		}
-		if m.InsertGuarded(g, 10, 101) {
-			t.Fatal("duplicate insert succeeded")
+		if ok, err := m.TryInsertGuarded(g, 10, 101); ok || err != nil {
+			t.Fatalf("duplicate insert = %v, %v", ok, err)
 		}
 		if v, ok := m.GetGuarded(g, 10); !ok || v != 100 {
 			t.Fatalf("Get(10) = %d, %v; want 100, true", v, ok)
@@ -93,15 +93,18 @@ func TestSingleBucketDegeneratesToList(t *testing.T) {
 		if _, ok := m.GetGuarded(g, 10); ok {
 			t.Fatal("deleted key still present")
 		}
-		m.PutGuarded(g, 20, 1)
-		m.PutGuarded(g, 20, 2)
+		for _, v := range []uint64{1, 2} {
+			if err := m.TryPutGuarded(g, 20, v); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if v, ok := m.GetGuarded(g, 20); !ok || v != 2 {
 			t.Fatalf("Get(20) after two puts = %d, %v; want 2, true", v, ok)
 		}
 		// Descending inserts land at the head of the sorted chain.
 		for k := uint64(300); k >= 3; k -= 3 {
-			if !m.InsertGuarded(g, k, k) {
-				t.Fatalf("bulk insert %d failed", k)
+			if ok, err := m.TryInsertGuarded(g, k, k); !ok || err != nil {
+				t.Fatalf("bulk insert %d = %v, %v", k, ok, err)
 			}
 		}
 		if n := m.LenGuarded(g); n != 101 {
@@ -134,8 +137,8 @@ func TestSingleBucketDegeneratesToList(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					_, present := model[key]
-					if got := m.InsertGuarded(g, key, val); got == present {
-						t.Fatalf("seed %d op %d: Insert(%d) = %v, model has it: %v", seed, i, key, got, present)
+					if got, err := m.TryInsertGuarded(g, key, val); got == present || err != nil {
+						t.Fatalf("seed %d op %d: Insert(%d) = %v, %v, model has it: %v", seed, i, key, got, err, present)
 					}
 					if !present {
 						model[key] = val
@@ -152,7 +155,9 @@ func TestSingleBucketDegeneratesToList(t *testing.T) {
 						t.Fatalf("seed %d op %d: Get(%d) = %d, %v; model %d, %v", seed, i, key, got, ok, want, present)
 					}
 				case 3:
-					m.PutGuarded(g, key, val)
+					if err := m.TryPutGuarded(g, key, val); err != nil {
+						t.Fatalf("seed %d op %d: Put(%d): %v", seed, i, key, err)
+					}
 					model[key] = val
 				}
 			}

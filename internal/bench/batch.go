@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -17,7 +18,7 @@ var BatchSizes = []int{1, 8, 32, 128}
 // BatchResult is one point of the batched-operations ablation
 // (cmd/wfebench -ablation batch): the write-heavy 50% put / 50% delete
 // hash-map mix driven guardlessly either per operation (BatchSize 0) or
-// through the MultiPut/MultiDelete batch APIs at one width. Speedup is
+// through the TryMultiPut/MultiDelete batch APIs at one width. Speedup is
 // against the per-op baseline at the same scheme and goroutine count —
 // the amortization the batch context buys (one lease, one protection
 // span on the era/epoch/interval schemes, one retire burst).
@@ -85,7 +86,9 @@ func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Batc
 		opt.Observe(fmt.Sprintf("batch/%s/b%d/t%d", kind, width, goroutines), d.Telemetry)
 	}
 	m := wfe.NewHashMap[uint64](d, int(opt.KeyRange))
-	Prefill(d, pubHashMap{m}, "hashmap", opt.Prefill, opt.KeyRange)
+	if err := Prefill(d, pubHashMap{m}, "hashmap", opt.Prefill, opt.KeyRange); err != nil {
+		panic(err)
+	}
 
 	var (
 		stop      atomic.Bool
@@ -100,22 +103,29 @@ func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Batc
 			defer wg.Done()
 			ops := uint64(0)
 			defer func() { opsByW[w] = ops }()
-			defer func() {
-				if r := recover(); r != nil {
-					if !LeakExhausted(r, kind) {
-						panic(r)
-					}
-					exhausted.Store(true)
-					stop.Store(true)
+			// done ends the worker on a write's error: the leak baseline
+			// filling its fixed arena is a measured Exhausted row, and any
+			// other error means the arena was sized wrong.
+			done := func(err error) bool {
+				if err == nil {
+					return false
 				}
-			}()
+				if kind != wfe.Leak || !errors.Is(err, wfe.ErrArenaExhausted) {
+					panic(err)
+				}
+				exhausted.Store(true)
+				stop.Store(true)
+				return true
+			}
 			r := rand.New(rand.NewSource(int64(w)*7919 + 1))
 			if width == 0 {
 				// Per-op baseline: every item its own guardless call.
 				for !stop.Load() {
 					key := uint64(r.Int63n(int64(opt.KeyRange)))
 					if r.Intn(2) == 0 {
-						m.Put(key, key)
+						if done(m.TryPut(key, key)) {
+							return
+						}
 					} else {
 						m.Delete(key)
 					}
@@ -140,7 +150,9 @@ func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Batc
 					bvals[i] = bkeys[i]
 				}
 				if insert {
-					m.MultiPut(bkeys, bvals)
+					if _, err := m.TryMultiPut(bkeys, bvals); done(err) {
+						return
+					}
 				} else {
 					m.MultiDelete(bkeys)
 				}

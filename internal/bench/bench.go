@@ -7,6 +7,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -34,17 +35,21 @@ var (
 
 // Do applies one operation of the mix to kv through g: pick, drawn from
 // [0, 100), selects insert, delete, get or put by the mix's percentages.
-func (w Workload) Do(kv PublicKV, g *wfe.Guard[uint64], pick int, key uint64) {
+// It returns the write's error, wfe.ErrArenaExhausted when the arena
+// stays full.
+func (w Workload) Do(kv PublicKV, g *wfe.Guard[uint64], pick int, key uint64) error {
 	switch {
 	case pick < w.Insert:
-		kv.Insert(g, key)
+		_, err := kv.Insert(g, key)
+		return err
 	case pick < w.Insert+w.Delete:
 		kv.Remove(g, key)
 	case pick < w.Insert+w.Delete+w.GetPct:
 		kv.Get(g, key)
 	default:
-		kv.Put(g, key)
+		return kv.Put(g, key)
 	}
+	return nil
 }
 
 // Experiment describes one paper figure (one data structure × workload).
@@ -237,16 +242,19 @@ func prefillKeys(n int, keyRange uint64, rng *rand.Rand) []uint64 {
 // and each insert lands at its chain's head — the one-chain list of
 // Figures 6/9 fills in linear rather than quadratic time. The tree gets
 // them shuffled: sorted insertion would degenerate the external BST into
-// a list, and the measurement with it.
-func Prefill(d *wfe.Domain[uint64], kv PublicKV, ds string, n int, keyRange uint64) {
+// a list, and the measurement with it. An arena too small for the
+// prefill stops it with wfe.ErrArenaExhausted.
+func Prefill(d *wfe.Domain[uint64], kv PublicKV, ds string, n int, keyRange uint64) error {
 	g := d.Pin()
 	defer d.Unpin(g)
 	rng := rand.New(rand.NewSource(12345))
 	if IsQueue(ds) {
 		for i := 0; i < n; i++ {
-			kv.Insert(g, uint64(rng.Int63n(int64(keyRange))))
+			if _, err := kv.Insert(g, uint64(rng.Int63n(int64(keyRange)))); err != nil {
+				return fmt.Errorf("bench: prefill %s: %w", ds, err)
+			}
 		}
-		return
+		return nil
 	}
 	keys := prefillKeys(n, keyRange, rng)
 	if ds == "tree" {
@@ -255,8 +263,11 @@ func Prefill(d *wfe.Domain[uint64], kv PublicKV, ds string, n int, keyRange uint
 		slices.Reverse(keys)
 	}
 	for _, k := range keys {
-		kv.Insert(g, k)
+		if _, err := kv.Insert(g, k); err != nil {
+			return fmt.Errorf("bench: prefill %s: %w", ds, err)
+		}
 	}
+	return nil
 }
 
 func arenaCapacity(scheme string, opt Options, threads int) int {
@@ -321,7 +332,9 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options, sortCut
 		opt.Observe(fmt.Sprintf("%s/%s/t%d", exp.ID, schemeName, threads), d.Telemetry)
 	}
 	kv := BuildPublicKV(exp.DS, d, opt.KeyRange)
-	Prefill(d, kv, exp.DS, opt.Prefill, opt.KeyRange)
+	if err := Prefill(d, kv, exp.DS, opt.Prefill, opt.KeyRange); err != nil {
+		panic(err)
+	}
 
 	var (
 		stop      atomic.Bool
@@ -358,23 +371,7 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options, sortCut
 				defer runtime.UnlockOSThread()
 			}
 			ops := uint64(0)
-			// Record the count even on the panic path below, so Exhausted
-			// rows are not undercounted by the dying worker's share.
 			defer func() { opsByTid[tid] = ops }()
-			defer func() {
-				if r := recover(); r != nil {
-					// A full arena is a measured outcome where memory is
-					// unbounded by design: the leak baseline, and EBR behind
-					// a stalled reader. Any other panic is a real bug and
-					// must crash the sweep, not be masked as an Exhausted
-					// row.
-					if !arenaExhausted(r) || (kind != wfe.Leak && opt.StallThreads == 0) {
-						panic(r)
-					}
-					exhausted.Store(true)
-					stop.Store(true)
-				}
-			}()
 			// pprof labels tag every profile sample a -metrics scrape
 			// collects with which sweep point it belongs to.
 			phase := "measure"
@@ -397,7 +394,19 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options, sortCut
 				defer d.Unpin(g)
 				r := rand.New(rand.NewSource(int64(tid)*7919 + 1))
 				for !stop.Load() {
-					exp.Workload.Do(kv, g, r.Intn(100), uint64(r.Int63n(int64(opt.KeyRange))))
+					if err := exp.Workload.Do(kv, g, r.Intn(100), uint64(r.Int63n(int64(opt.KeyRange)))); err != nil {
+						// A full arena is a measured outcome where memory is
+						// unbounded by design: the leak baseline, and EBR
+						// behind a stalled reader. Anywhere else the arena
+						// was sized wrong, and the sweep must crash rather
+						// than print an Exhausted row.
+						if !errors.Is(err, wfe.ErrArenaExhausted) || (kind != wfe.Leak && opt.StallThreads == 0) {
+							panic(err)
+						}
+						exhausted.Store(true)
+						stop.Store(true)
+						return
+					}
 					ops++
 					if ops&63 == 0 && time.Since(start) > opt.Duration {
 						stop.Store(true)

@@ -105,7 +105,9 @@ func TestPrefillLoadsEveryStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		kv := BuildPublicKV(ds, d, 1000)
-		Prefill(d, kv, ds, 300, 1000)
+		if err := Prefill(d, kv, ds, 300, 1000); err != nil {
+			t.Fatalf("%s: prefill: %v", ds, err)
+		}
 		if n := kv.Len(); n != 300 {
 			t.Errorf("%s: Len after prefill = %d, want 300", ds, n)
 		}

@@ -68,18 +68,26 @@ func runGuardMode(mode string, goroutines, guards int, opt Options) GuardOverhea
 			}
 			ops := uint64(0)
 			defer func() { total.Add(ops) }()
+			// Every push is popped straight back, so the live set stays
+			// at one block per worker: a push error means the harness
+			// itself is broken.
+			check := func(err error) {
+				if err != nil {
+					panic(err)
+				}
+			}
 			switch mode {
 			case "pinned":
 				g := d.Pin()
 				defer d.Unpin(g)
 				for !stop.Load() {
-					s.PushGuarded(g, uint64(w))
+					check(s.TryPushGuarded(g, uint64(w)))
 					s.PopGuarded(g)
 					ops += 2
 				}
 			case "guardless", "guardless-8x":
 				for !stop.Load() {
-					s.Push(uint64(w))
+					check(s.TryPush(uint64(w)))
 					s.Pop()
 					ops += 2
 				}
@@ -89,7 +97,7 @@ func runGuardMode(mode string, goroutines, guards int, opt Options) GuardOverhea
 					if err != nil {
 						return
 					}
-					s.PushGuarded(g, uint64(w))
+					check(s.TryPushGuarded(g, uint64(w)))
 					s.PopGuarded(g)
 					g.Release()
 					ops += 2

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -15,54 +14,61 @@ var DSNames = []string{"wfqueue", "turnqueue", "list", "hashmap", "tree"}
 // the figure runner, the root package's BenchmarkFig* and cmd/wfestress's
 // storms. Every call goes through the structure's Guarded method on the
 // caller's guard. Queues ignore the key on Remove and panic on Get/Put;
-// keys double as values everywhere.
+// keys double as values everywhere. The writes return the structure's
+// error: wfe.ErrArenaExhausted when the arena stays full.
 type PublicKV interface {
-	Insert(g *wfe.Guard[uint64], k uint64) bool
+	Insert(g *wfe.Guard[uint64], k uint64) (bool, error)
 	Remove(g *wfe.Guard[uint64], k uint64) bool
 	Get(g *wfe.Guard[uint64], k uint64) bool
-	Put(g *wfe.Guard[uint64], k uint64)
+	Put(g *wfe.Guard[uint64], k uint64) error
 	Len() int
 }
 
 // guardedQueue is the method set WFQueue and TurnQueue share.
 type guardedQueue interface {
-	EnqueueGuarded(g *wfe.Guard[uint64], v uint64)
+	TryEnqueueGuarded(g *wfe.Guard[uint64], v uint64) error
 	DequeueGuarded(g *wfe.Guard[uint64]) (uint64, bool)
 	Len() int
 }
 
 type pubQueue struct{ q guardedQueue }
 
-func (p pubQueue) Insert(g *wfe.Guard[uint64], k uint64) bool { p.q.EnqueueGuarded(g, k); return true }
+func (p pubQueue) Insert(g *wfe.Guard[uint64], k uint64) (bool, error) {
+	return true, p.q.TryEnqueueGuarded(g, k)
+}
 func (p pubQueue) Remove(g *wfe.Guard[uint64], k uint64) bool {
 	_, ok := p.q.DequeueGuarded(g)
 	return ok
 }
-func (p pubQueue) Get(*wfe.Guard[uint64], uint64) bool { panic("bench: queues have no get") }
-func (p pubQueue) Put(*wfe.Guard[uint64], uint64)      { panic("bench: queues have no put") }
-func (p pubQueue) Len() int                            { return p.q.Len() }
+func (p pubQueue) Get(*wfe.Guard[uint64], uint64) bool  { panic("bench: queues have no get") }
+func (p pubQueue) Put(*wfe.Guard[uint64], uint64) error { panic("bench: queues have no put") }
+func (p pubQueue) Len() int                             { return p.q.Len() }
 
 type pubHashMap struct{ m *wfe.HashMap[uint64] }
 
-func (p pubHashMap) Insert(g *wfe.Guard[uint64], k uint64) bool { return p.m.InsertGuarded(g, k, k) }
+func (p pubHashMap) Insert(g *wfe.Guard[uint64], k uint64) (bool, error) {
+	return p.m.TryInsertGuarded(g, k, k)
+}
 func (p pubHashMap) Remove(g *wfe.Guard[uint64], k uint64) bool { return p.m.DeleteGuarded(g, k) }
 func (p pubHashMap) Get(g *wfe.Guard[uint64], k uint64) bool {
 	_, ok := p.m.GetGuarded(g, k)
 	return ok
 }
-func (p pubHashMap) Put(g *wfe.Guard[uint64], k uint64) { p.m.PutGuarded(g, k, k) }
-func (p pubHashMap) Len() int                           { return p.m.Len() }
+func (p pubHashMap) Put(g *wfe.Guard[uint64], k uint64) error { return p.m.TryPutGuarded(g, k, k) }
+func (p pubHashMap) Len() int                                 { return p.m.Len() }
 
 type pubTree struct{ t *wfe.Tree[uint64] }
 
-func (p pubTree) Insert(g *wfe.Guard[uint64], k uint64) bool { return p.t.InsertGuarded(g, k, k) }
+func (p pubTree) Insert(g *wfe.Guard[uint64], k uint64) (bool, error) {
+	return p.t.TryInsertGuarded(g, k, k)
+}
 func (p pubTree) Remove(g *wfe.Guard[uint64], k uint64) bool { return p.t.DeleteGuarded(g, k) }
 func (p pubTree) Get(g *wfe.Guard[uint64], k uint64) bool {
 	_, ok := p.t.GetGuarded(g, k)
 	return ok
 }
-func (p pubTree) Put(g *wfe.Guard[uint64], k uint64) { p.t.PutGuarded(g, k, k) }
-func (p pubTree) Len() int                           { return p.t.Len() }
+func (p pubTree) Put(g *wfe.Guard[uint64], k uint64) error { return p.t.TryPutGuarded(g, k, k) }
+func (p pubTree) Len() int                                 { return p.t.Len() }
 
 // BuildPublicKV instantiates one public structure on the Domain: the
 // paper's Figure 5 queues (wfqueue, turnqueue), its sorted linked list as
@@ -97,24 +103,6 @@ func ParseScheme(name string) (kind wfe.SchemeKind, forceSlow bool, err error) {
 	}
 	kind, err = wfe.ParseScheme(base)
 	return kind, forceSlow, err
-}
-
-// LeakExhausted reports whether a recovered worker panic is the leak
-// baseline legitimately filling its fixed arena — the one panic the bench
-// sweeps and cmd/wfestress treat as a benign early end rather than a bug.
-func LeakExhausted(r any, kind wfe.SchemeKind) bool {
-	return kind == wfe.Leak && arenaExhausted(r)
-}
-
-// arenaExhausted reports whether a panic value is an arena-exhaustion
-// verdict: either the arena's own string (the raw mem.Arena path) or an
-// error wrapping wfe.ErrArenaExhausted (the Domain's backpressure path,
-// which skips emergency scans for Leak — there is no judge to scan with).
-func arenaExhausted(r any) bool {
-	if err, ok := r.(error); ok && errors.Is(err, wfe.ErrArenaExhausted) {
-		return true
-	}
-	return strings.Contains(fmt.Sprint(r), "arena exhausted")
 }
 
 // MaxTurnGuards is the CRTurn claim word's tid capacity: TurnQueue domains

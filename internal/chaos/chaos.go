@@ -89,12 +89,12 @@ type Scenario struct {
 	Stalls     []StallSpec `json:"stalls,omitempty"`
 
 	// PutHeavy selects the exhaustion-storm op mix: workers churn the map
-	// through the error-returning TryPutGuarded (put-dominated, no
-	// reader stalls) and surfaced ErrArenaExhausted results are counted
-	// in Summary.AllocFailures instead of panicking the run. Pair it with
-	// an undersized Capacity and a lazy CleanupFreq so allocation outruns
-	// the scan cadence and the Domain's emergency-reclamation pipeline is
-	// the only thing keeping the workload alive.
+	// through TryPutGuarded (put-dominated, no reader stalls). Every mix
+	// counts the writes that surface ErrArenaExhausted in
+	// Summary.AllocFailures. Pair it with an undersized Capacity and a
+	// lazy CleanupFreq so allocation outruns the scan cadence and the
+	// Domain's emergency-reclamation pipeline is the only thing keeping
+	// the workload alive.
 	PutHeavy bool `json:"put_heavy,omitempty"`
 
 	// Domain tuning. Zero values take the chaos defaults below (not the
@@ -399,7 +399,9 @@ func run(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 				}
 				switch w.rng.next() % 10 {
 				case 0, 1, 2, 3:
-					m.InsertGuarded(w.g, key, key)
+					if _, err := m.TryInsertGuarded(w.g, key, key); err != nil {
+						traj.Summary.AllocFailures++
+					}
 				case 4, 5, 6, 7:
 					m.DeleteGuarded(w.g, key)
 				default:

@@ -29,7 +29,8 @@ type Canned struct {
 	// pipeline (Summary.EmergencyScans > 0) and resolved every stall
 	// without surfacing an error (Summary.AllocFailures == 0), while the
 	// judge-less Leak baseline — which the pipeline cannot help — recorded
-	// failures instead of panicking.
+	// failures instead of panicking. Without it no write may surface
+	// ErrArenaExhausted at all.
 	WantPressure bool
 }
 
@@ -238,8 +239,9 @@ func Catalog() []Canned {
 // matrix, and returns every violation (nil when the cell holds): the
 // domain settled clean, a bounded scheme stayed under its ceiling, an
 // exempt scheme visibly grew past the floor, the advisor shown the EBR
-// trajectory picked WantAdvice, and an exhaustion scenario's pressure
-// resolved as WantPressure promises. The root chaos tests and
+// trajectory picked WantAdvice, an exhaustion scenario's pressure
+// resolved as WantPressure promises, and any other scenario's writes all
+// found room in the arena. The root chaos tests and
 // cmd/wfestress -chaos share it, so the matrix's verdict is written once.
 func (c Canned) Check(kind wfe.SchemeKind, tr *Trajectory) []string {
 	var bad []string
@@ -284,6 +286,8 @@ func (c Canned) Check(kind wfe.SchemeKind, tr *Trajectory) []string {
 				fail("%d allocation(s) surfaced ErrArenaExhausted despite emergency reclamation", sum.AllocFailures)
 			}
 		}
+	} else if sum.AllocFailures != 0 {
+		fail("%d write(s) surfaced ErrArenaExhausted in a scenario with no pressure", sum.AllocFailures)
 	}
 	return bad
 }

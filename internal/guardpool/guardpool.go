@@ -232,7 +232,7 @@ func (p *Pool) obtained(tid int) bool {
 func (p *Pool) TryAcquire() (int, bool) { return p.tryAcquire(0) }
 
 // TryAcquireBatch is TryAcquire on behalf of a batch entry point
-// (MultiGet, PushAll, ...): identical semantics, but the acquire
+// (MultiGet, TryPushAll, ...): identical semantics, but the acquire
 // lifecycle event carries the batch marker in its B payload, so a trace
 // can attribute pool traffic to batch leases — with one lease per burst,
 // batch-marked acquires should stay rare next to the per-op kind.

@@ -61,7 +61,7 @@ const (
 	// the Domain's emergency-reclamation pipeline. A is the arena's
 	// allocated-block count at the stall, B its capacity.
 	KindAllocStall
-	// KindBatchBegin: a batched operation (MultiGet, PushAll, ...) opened
+	// KindBatchBegin: a batched operation (MultiGet, TryPushAll, ...) opened
 	// its batch context. A is the number of items the batch intends to
 	// run (0 when open-ended, e.g. PopN draining early).
 	KindBatchBegin

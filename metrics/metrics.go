@@ -195,7 +195,7 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.GuardCacheMisses }),
 	counter("wfe_scheme_switches", "Live scheme swaps completed by Domain.Switch.",
 		func(t wfe.Telemetry) uint64 { return t.SchemeSwitches }),
-	counter("wfe_batch_ops", "Batched operations (MultiGet, PushAll, ...) completed.",
+	counter("wfe_batch_ops", "Batched operations (MultiGet, TryPushAll, ...) completed.",
 		func(t wfe.Telemetry) uint64 { return t.BatchOps }),
 	counter("wfe_batch_items", "Items run inside batched operations.",
 		func(t wfe.Telemetry) uint64 { return t.BatchedItems }),

@@ -18,7 +18,9 @@ func churn(t *testing.T, d *wfe.Domain[int]) {
 	t.Helper()
 	s := wfe.NewStack[int](d)
 	for i := 0; i < 2000; i++ {
-		s.Push(i)
+		if err := s.TryPush(i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 2000; i++ {
 		if _, ok := s.Pop(); !ok {

@@ -37,7 +37,9 @@ func TestSampleAllocFree(t *testing.T) {
 			// Dirty the counters first so Sample walks real state, not zeros.
 			s := wfe.NewStack[uint64](d)
 			for i := uint64(0); i < 256; i++ {
-				s.Push(i)
+				if err := s.TryPush(i); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for i := 0; i < 256; i++ {
 				s.Pop()
@@ -53,7 +55,7 @@ func TestSampleAllocFree(t *testing.T) {
 }
 
 // TestSampleCountsCachedGuardBatches pins Sample's batch columns to
-// Telemetry's: a guardless MultiPut returns its leased guard to the lease
+// Telemetry's: a guardless TryMultiPut returns its leased guard to the lease
 // cache with the burst still counted on the guard, and the tick row must
 // see it there too, or the Sampler's batch rates read 0 on guardless
 // batch workloads.
@@ -64,7 +66,9 @@ func TestSampleCountsCachedGuardBatches(t *testing.T) {
 	}
 	m := wfe.NewHashMap[uint64](d, 64)
 	for i := uint64(0); i < 10; i++ {
-		m.MultiPut([]uint64{i, i + 10}, []uint64{i, i})
+		if _, err := m.TryMultiPut([]uint64{i, i + 10}, []uint64{i, i}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tel, row := d.Telemetry(), d.Sample()
 	if tel.BatchOps != 10 || tel.BatchedItems != 20 {
@@ -170,10 +174,16 @@ func TestTraceSnapshotDuringChurn(t *testing.T) {
 		go func(id uint64) {
 			defer wg.Done()
 			for i := uint64(0); !stop.Load(); i++ {
-				s.Push(id<<32 | i)
+				err := s.TryPush(id<<32 | i)
 				s.Pop()
-				m.Insert(id<<8|i%97, i)
+				if err == nil {
+					_, err = m.TryInsert(id<<8|i%97, i)
+				}
 				m.Delete(id<<8 | i%97)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(uint64(w))
 	}

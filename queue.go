@@ -14,11 +14,12 @@ const (
 // Queue is a Michael–Scott lock-free MPMC FIFO queue of T on the typed
 // Domain façade. It needs 2 protection slots per guard.
 //
-// The plain methods (Enqueue, Dequeue, Len) are guardless: each leases a
-// guard from the Domain's guard runtime for the duration of the
+// The plain methods (TryEnqueue, Dequeue, Len) are guardless: each leases
+// a guard from the Domain's guard runtime for the duration of the
 // operation, so any number of goroutines may call them. The Guarded
 // variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops.
+// in hot loops. The writes return ErrArenaExhausted when the arena stays
+// full after the Domain's emergency-reclamation pipeline.
 type Queue[T any] struct {
 	d    *Domain[T]
 	head Atomic[T]
@@ -38,9 +39,6 @@ func NewQueue[T any](d *Domain[T]) *Queue[T] {
 	return q
 }
 
-// Enqueue appends v.
-func (q *Queue[T]) Enqueue(v T) { q.d.must(q.TryEnqueue(v)) }
-
 // Dequeue removes and returns the oldest value; ok is false when empty.
 func (q *Queue[T]) Dequeue() (v T, ok bool) {
 	g := q.d.Pin()
@@ -55,17 +53,14 @@ func (q *Queue[T]) Len() int {
 	return q.LenGuarded(g)
 }
 
-// TryEnqueue is Enqueue with backpressure: when the arena stays
-// exhausted after the Domain's emergency-reclamation pipeline it returns
-// ErrArenaExhausted instead of panicking.
+// TryEnqueue appends v. When the arena stays exhausted after the
+// Domain's emergency-reclamation pipeline it returns ErrArenaExhausted,
+// leaving the queue unchanged.
 func (q *Queue[T]) TryEnqueue(v T) error {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.TryEnqueueGuarded(g, v)
 }
-
-// EnqueueGuarded is Enqueue on a caller-held guard.
-func (q *Queue[T]) EnqueueGuarded(g *Guard[T], v T) { q.d.must(q.TryEnqueueGuarded(g, v)) }
 
 // TryEnqueueGuarded is TryEnqueue on a caller-held guard.
 func (q *Queue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
@@ -74,15 +69,15 @@ func (q *Queue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
 	if err != nil {
 		return err
 	}
-	g.Begin()
-	defer g.End()
 	q.enqueueNode(g, node)
 	return nil
 }
 
 // enqueueNode links the pre-allocated node after the current tail,
-// helping a lagging tail along. The caller owns the protected section.
+// helping a lagging tail along, inside its own Begin/End section.
 func (q *Queue[T]) enqueueNode(g *Guard[T], node Ref[T]) {
+	g.Begin()
+	defer g.End()
 	for {
 		last := g.Protect(&q.tail, queueSlotLast)
 		next := g.Load(last, queueNext)
@@ -131,28 +126,13 @@ func (q *Queue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 	}
 }
 
-// EnqueueAll appends every value in slice order in one batch: one guard
-// lease, one protection span where the scheme allows it, nodes allocated
-// up front (see batch.go). Like Enqueue it panics when the arena stays
-// exhausted after the emergency-reclamation pipeline; values already
-// enqueued stay enqueued (use TryEnqueueAll to observe partial
-// progress).
-func (q *Queue[T]) EnqueueAll(vs []T) {
-	_, err := q.TryEnqueueAll(vs)
-	q.d.must(err)
-}
-
-// EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *Queue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
-	_, err := q.TryEnqueueAllGuarded(g, vs)
-	q.d.must(err)
-}
-
-// TryEnqueueAll is EnqueueAll with backpressure: the whole run is
-// allocated before any protection is announced; on exhaustion mid-run
-// the values whose nodes were obtained are still enqueued and
-// TryEnqueueAll reports that prefix length alongside ErrArenaExhausted —
-// callers resume from vs[enqueued:].
+// TryEnqueueAll appends every value in slice order in one batch: one
+// guard lease, one protection span where the scheme allows it, nodes
+// allocated up front (see batch.go). The whole run is allocated before
+// any protection is announced; on exhaustion mid-run the values whose
+// nodes were obtained are still enqueued and TryEnqueueAll reports that
+// prefix length alongside ErrArenaExhausted — callers resume from
+// vs[enqueued:].
 func (q *Queue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)

@@ -7,10 +7,12 @@ const stackNext = 0
 // the reclamation API (Figure 2), here on the typed Domain façade. It
 // needs 1 protection slot per guard.
 //
-// The plain methods (Push, Pop, Len) are guardless: each leases a guard
-// from the Domain's guard runtime for the duration of the operation, so
-// any number of goroutines may call them. The Guarded variants take an
-// explicit or pinned Guard and skip the lease — use them in hot loops.
+// The plain methods (TryPush, Pop, Len) are guardless: each leases a
+// guard from the Domain's guard runtime for the duration of the
+// operation, so any number of goroutines may call them. The Guarded
+// variants take an explicit or pinned Guard and skip the lease — use them
+// in hot loops. The writes return ErrArenaExhausted when the arena stays
+// full after the Domain's emergency-reclamation pipeline.
 type Stack[T any] struct {
 	d   *Domain[T]
 	top Atomic[T]
@@ -20,9 +22,6 @@ type Stack[T any] struct {
 func NewStack[T any](d *Domain[T]) *Stack[T] {
 	return &Stack[T]{d: d}
 }
-
-// Push adds v to the top of the stack.
-func (s *Stack[T]) Push(v T) { s.d.must(s.TryPush(v)) }
 
 // Pop removes and returns the top value; ok is false on an empty stack.
 func (s *Stack[T]) Pop() (v T, ok bool) {
@@ -38,17 +37,14 @@ func (s *Stack[T]) Len() int {
 	return s.LenGuarded(g)
 }
 
-// TryPush is Push with backpressure: when the arena stays exhausted
+// TryPush adds v to the top of the stack. When the arena stays exhausted
 // after the Domain's emergency-reclamation pipeline it returns
-// ErrArenaExhausted instead of panicking.
+// ErrArenaExhausted, leaving the stack unchanged.
 func (s *Stack[T]) TryPush(v T) error {
 	g := s.d.Pin()
 	defer s.d.unpin(g)
 	return s.TryPushGuarded(g, v)
 }
-
-// PushGuarded is Push on a caller-held guard.
-func (s *Stack[T]) PushGuarded(g *Guard[T], v T) { s.d.must(s.TryPushGuarded(g, v)) }
 
 // TryPushGuarded is TryPush on a caller-held guard.
 func (s *Stack[T]) TryPushGuarded(g *Guard[T], v T) error {
@@ -60,15 +56,15 @@ func (s *Stack[T]) TryPushGuarded(g *Guard[T], v T) error {
 	if err != nil {
 		return err
 	}
-	g.Begin()
-	defer g.End()
 	s.pushNode(g, n)
 	return nil
 }
 
-// pushNode links the pre-allocated node n as the new top. The caller
-// owns the protected section.
+// pushNode links the pre-allocated node n as the new top, inside its own
+// Begin/End section.
 func (s *Stack[T]) pushNode(g *Guard[T], n Ref[T]) {
+	g.Begin()
+	defer g.End()
 	for {
 		old := s.top.Load()
 		g.Store(n, stackNext, old)
@@ -96,28 +92,13 @@ func (s *Stack[T]) PopGuarded(g *Guard[T]) (v T, ok bool) {
 	}
 }
 
-// PushAll pushes every value in one batch: one guard lease, one
+// TryPushAll pushes every value in one batch: one guard lease, one
 // protection span where the scheme allows it, nodes allocated up front
 // (see batch.go). Values land on the stack in slice order, so vs[len-1]
-// ends up on top. Like Push it panics when the arena stays exhausted
-// after the emergency-reclamation pipeline; values already pushed stay
-// pushed (use TryPushAll to observe partial progress).
-func (s *Stack[T]) PushAll(vs []T) {
-	_, err := s.TryPushAll(vs)
-	s.d.must(err)
-}
-
-// PushAllGuarded is PushAll on a caller-held guard.
-func (s *Stack[T]) PushAllGuarded(g *Guard[T], vs []T) {
-	_, err := s.TryPushAllGuarded(g, vs)
-	s.d.must(err)
-}
-
-// TryPushAll is PushAll with backpressure: the whole run is allocated
-// before any protection is announced; on exhaustion mid-run the values
-// whose nodes were obtained are still pushed and TryPushAll reports that
-// prefix length alongside ErrArenaExhausted — callers resume from
-// vs[pushed:].
+// ends up on top. The whole run is allocated before any protection is
+// announced; on exhaustion mid-run the values whose nodes were obtained
+// are still pushed and TryPushAll reports that prefix length alongside
+// ErrArenaExhausted — callers resume from vs[pushed:].
 func (s *Stack[T]) TryPushAll(vs []T) (pushed int, err error) {
 	g := s.d.pinBatch()
 	defer s.d.unpin(g)

@@ -73,23 +73,36 @@ func stressOne(t *testing.T, name string, build func(*wfe.Domain[uint64]) confor
 				switch {
 				case isQueue:
 					if rng.Intn(2) == 0 {
-						api.insert(nil, key)
+						if _, err := api.insert(nil, key); err != nil {
+							t.Errorf("insert(%d): %v", key, err)
+							return
+						}
 					} else {
 						api.remove(nil, 0)
 					}
 				default:
 					switch rng.Intn(8) {
 					case 0, 1:
-						api.insert(nil, key)
+						if _, err := api.insert(nil, key); err != nil {
+							t.Errorf("insert(%d): %v", key, err)
+							return
+						}
 					case 2, 3:
 						api.remove(nil, key)
 					case 4, 5:
 						api.get(nil, key)
 					case 6:
-						api.put(nil, key, uint64(i))
+						if err := api.put(nil, key, uint64(i)); err != nil {
+							t.Errorf("put(%d): %v", key, err)
+							return
+						}
 					default: // a short pinned batch mixed into the churn
 						g := d.Pin()
-						api.insert(g, key)
+						if _, err := api.insert(g, key); err != nil {
+							d.Unpin(g)
+							t.Errorf("pinned insert(%d): %v", key, err)
+							return
+						}
 						api.get(g, key)
 						api.remove(g, key)
 						d.Unpin(g)

@@ -52,7 +52,10 @@ func switchChurn(t *testing.T, from, to wfe.SchemeKind) {
 		go func() {
 			defer wg.Done()
 			for ops := 0; !stop.Load() && ops < opsPerWorker; ops++ {
-				s.Push(ops)
+				if err := s.TryPush(ops); err != nil {
+					t.Error(err)
+					return
+				}
 				if ops%2 == 1 {
 					s.Pop()
 				}
@@ -141,7 +144,9 @@ func TestSwitchChainEraFloor(t *testing.T) {
 		// Survivors allocated under the previous scheme stay live across
 		// the swap; churn retires a few under the new one right after.
 		for i := 0; i < 64; i++ {
-			s.Push(hop*1000 + i)
+			if err := s.TryPush(hop*1000 + i); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := d.Switch(kind); err != nil {
 			t.Fatalf("hop %d -> %v: %v", hop, kind, err)
@@ -298,7 +303,9 @@ func TestTelemetryMonotoneAcrossSwitch(t *testing.T) {
 	}
 	s := wfe.NewStack[int](d)
 	for i := 0; i < 4000; i++ {
-		s.Push(i)
+		if err := s.TryPush(i); err != nil {
+			t.Fatal(err)
+		}
 		s.Pop()
 	}
 	before := d.Telemetry()

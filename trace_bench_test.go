@@ -32,7 +32,9 @@ func hashMapChurn(b *testing.B, opts wfe.Options) {
 	for i := 0; i < b.N; i++ {
 		k := uint64(i) & 511
 		if i&1 == 0 {
-			m.Insert(k, uint64(i))
+			if _, err := m.TryInsert(k, uint64(i)); err != nil {
+				b.Fatal(err)
+			}
 		} else {
 			m.Delete(k)
 		}

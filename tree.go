@@ -43,12 +43,13 @@ func treeFrozen[T any](edge Ref[T]) bool { return edge.Marked() || edge.Flagged(
 // internal node and one leaf, and the thread whose grandparent CAS
 // succeeds retires both, exactly once.
 //
-// The plain methods (Insert, Delete, Get, Put, Len) are guardless: each
-// leases a guard from the Domain's guard runtime for the duration of the
-// operation, so any number of goroutines may call them. The Guarded
+// The plain methods (TryInsert, Delete, Get, TryPut, Len) are guardless:
+// each leases a guard from the Domain's guard runtime for the duration of
+// the operation, so any number of goroutines may call them. The Guarded
 // variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops. Keys above TreeKeyMax collide with the sentinel skeleton
-// and panic at the call.
+// in hot loops. The writes return ErrArenaExhausted when the arena stays
+// full after the Domain's emergency-reclamation pipeline. Keys above
+// TreeKeyMax collide with the sentinel skeleton and panic at the call.
 type Tree[T any] struct {
 	d *Domain[T]
 	// root ("R") and its left child ("S") are sentinels that are never
@@ -187,13 +188,6 @@ func (t *Tree[T]) cleanup(g *Guard[T], anc, par Ref[T]) bool {
 	return true
 }
 
-// Insert adds key→val, reporting false if the key is already present.
-func (t *Tree[T]) Insert(key uint64, val T) bool {
-	ok, err := t.TryInsert(key, val)
-	t.d.must(err)
-	return ok
-}
-
 // Delete removes key, reporting whether it was present. The flag CAS on
 // the parent→leaf edge is the linearization point; the unlink may be
 // completed by any helper.
@@ -209,11 +203,6 @@ func (t *Tree[T]) Get(key uint64) (v T, ok bool) {
 	defer t.d.unpin(g)
 	return t.GetGuarded(g, key)
 }
-
-// Put inserts key→val, or replaces an existing key's leaf with a fresh one
-// and retires the old leaf — the paper benchmark's put semantics, keeping
-// read-mostly workloads on the reclamation path.
-func (t *Tree[T]) Put(key uint64, val T) { t.d.must(t.TryPut(key, val)) }
 
 // Len counts real-key leaves; meaningful only quiescently.
 func (t *Tree[T]) Len() int {
@@ -232,40 +221,32 @@ func (t *Tree[T]) checkKey(key uint64) {
 	}
 }
 
-// TryInsert is Insert with backpressure: when the key is absent and the
-// arena stays exhausted after the Domain's emergency-reclamation
-// pipeline, it returns ErrArenaExhausted instead of panicking. ok
-// reports the insert outcome (false with a nil error means the key was
-// already present).
+// TryInsert adds key→val; ok is false (leaving the tree unchanged) when
+// the key is already present. When the key is absent and the arena stays
+// exhausted after the Domain's emergency-reclamation pipeline, it returns
+// ErrArenaExhausted.
 func (t *Tree[T]) TryInsert(key uint64, val T) (ok bool, err error) {
 	g := t.d.Pin()
 	defer t.d.unpin(g)
 	return t.TryInsertGuarded(g, key, val)
 }
 
-// InsertGuarded is Insert on a caller-held guard.
-func (t *Tree[T]) InsertGuarded(g *Guard[T], key uint64, val T) bool {
-	ok, err := t.TryInsertGuarded(g, key, val)
-	t.d.must(err)
-	return ok
-}
-
 // TryInsertGuarded is TryInsert on a caller-held guard.
 func (t *Tree[T]) TryInsertGuarded(g *Guard[T], key uint64, val T) (ok bool, err error) {
 	t.checkKey(key)
-	g.Begin()
-	defer g.End()
 	return t.insert(g, key, val, Ref[T]{}, Ref[T]{})
 }
 
-// insert is the seek-and-link loop of every insert. It needs two blocks,
-// a leaf holding val and a routing node. The batch inserts pass both in,
-// allocated before their protection span, and then insert cannot fail;
-// the per-op path passes nil Refs, and each block is allocated once the
-// key is known absent, so a duplicate-key insert pays nothing. On a
-// duplicate key the blocks in hand, never published, go back to the
-// arena.
+// insert is the seek-and-link loop of every insert, run inside its own
+// Begin/End section. It needs two blocks, a leaf holding val and a
+// routing node. The batch inserts pass both in, allocated before their
+// protection span, and then insert cannot fail; the per-op path passes
+// nil Refs, and each block is allocated once the key is known absent, so
+// a duplicate-key insert pays nothing. On a duplicate key the blocks in
+// hand, never published, go back to the arena.
 func (t *Tree[T]) insert(g *Guard[T], key uint64, val T, newLeaf, newInt Ref[T]) (ok bool, err error) {
+	g.Begin()
+	defer g.End()
 	var sr treeSeek[T]
 	var zero T
 	for {
@@ -378,17 +359,16 @@ func (t *Tree[T]) GetGuarded(g *Guard[T], key uint64) (v T, ok bool) {
 	return g.Value(sr.leaf), true
 }
 
-// TryPut is Put with backpressure: when the arena stays exhausted after
-// the Domain's emergency-reclamation pipeline it returns
-// ErrArenaExhausted (leaving the tree unchanged) instead of panicking.
+// TryPut inserts key→val, or replaces an existing key's leaf with a fresh
+// one and retires the old leaf — the paper benchmark's put semantics,
+// keeping read-mostly workloads on the reclamation path. When the arena
+// stays exhausted after the Domain's emergency-reclamation pipeline it
+// returns ErrArenaExhausted, leaving the tree unchanged.
 func (t *Tree[T]) TryPut(key uint64, val T) error {
 	g := t.d.Pin()
 	defer t.d.unpin(g)
 	return t.TryPutGuarded(g, key, val)
 }
-
-// PutGuarded is Put on a caller-held guard.
-func (t *Tree[T]) PutGuarded(g *Guard[T], key uint64, val T) { t.d.must(t.TryPutGuarded(g, key, val)) }
 
 // TryPutGuarded is TryPut on a caller-held guard.
 func (t *Tree[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
@@ -415,9 +395,9 @@ func (t *Tree[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
 
 // tryReplace swaps the key's leaf for a fresh one, retrying its CAS for
 // as long as the key stays on the search path. The replacement leaf is
-// allocated once and reused across attempts (as InsertGuarded does), so a
-// contended Put pays one alloc, not one per CAS retry. found reports
-// whether the key was present (false directs Put to the insert path);
+// allocated once and reused across attempts (as insert does), so a
+// contended put pays one alloc, not one per CAS retry. found reports
+// whether the key was present (false directs the put to the insert path);
 // done reports whether the replacement landed.
 func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, err error) {
 	g.Begin()
@@ -454,34 +434,17 @@ func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, 
 	}
 }
 
-// MultiInsert inserts every key→val pair in one batch: one guard lease,
-// one protection span where the scheme allows it, and both blocks of
-// every insert allocated up front (see batch.go). inserted[i] reports
-// whether keys[i] was absent and went in. Like Insert it panics when the
-// arena stays exhausted after the emergency-reclamation pipeline; pairs
-// already inserted stay inserted (use TryMultiInsert to observe partial
-// progress).
-func (t *Tree[T]) MultiInsert(keys []uint64, vals []T) (inserted []bool) {
-	inserted, _, err := t.TryMultiInsert(keys, vals)
-	t.d.must(err)
-	return inserted
-}
-
-// MultiInsertGuarded is MultiInsert on a caller-held guard.
-func (t *Tree[T]) MultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (inserted []bool) {
-	inserted, _, err := t.TryMultiInsertGuarded(g, keys, vals)
-	t.d.must(err)
-	return inserted
-}
-
-// TryMultiInsert is MultiInsert with backpressure: the whole run — a
-// leaf and a routing node per key — is allocated before any protection
-// is announced (the per-op lazy-allocation optimization cannot be used
-// under an open batch span, since an exhaustion stall must never run
-// with reservations held). When the arena runs out mid-run the pairs
-// whose blocks were obtained are still attempted; attempted reports that
-// prefix length alongside ErrArenaExhausted, and inserted[i] is false
-// for every unattempted i — callers resume from keys[attempted:].
+// TryMultiInsert inserts every key→val pair in one batch: one guard
+// lease, one protection span where the scheme allows it, and both blocks
+// of every insert allocated up front (see batch.go). inserted[i] reports
+// whether keys[i] was absent and went in. The whole run — a leaf and a
+// routing node per key — is allocated before any protection is announced
+// (the per-op lazy-allocation optimization cannot be used under an open
+// batch span, since an exhaustion stall must never run with reservations
+// held). When the arena runs out mid-run the pairs whose blocks were
+// obtained are still attempted; attempted reports that prefix length
+// alongside ErrArenaExhausted, and inserted[i] is false for every
+// unattempted i — callers resume from keys[attempted:].
 func (t *Tree[T]) TryMultiInsert(keys []uint64, vals []T) (inserted []bool, attempted int, err error) {
 	g := t.d.pinBatch()
 	defer t.d.unpin(g)
@@ -491,7 +454,7 @@ func (t *Tree[T]) TryMultiInsert(keys []uint64, vals []T) (inserted []bool, atte
 // TryMultiInsertGuarded is TryMultiInsert on a caller-held guard.
 func (t *Tree[T]) TryMultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (inserted []bool, attempted int, err error) {
 	if len(keys) != len(vals) {
-		panic("wfe: MultiInsert keys/vals length mismatch")
+		panic("wfe: TryMultiInsert keys/vals length mismatch")
 	}
 	// Validate every key before allocating: a sentinel-range key must
 	// panic with no blocks in flight.

@@ -10,14 +10,16 @@ import "wfe/internal/ds/crturn"
 // regardless of scheduling. It needs 2 protection slots per guard.
 //
 // Like WFQueue, each value travels in its own queue node's value-slab
-// entry: Enqueue allocates one block, and the dequeue the node is handed
+// entry: TryEnqueue allocates one block, and the dequeue the node is handed
 // to reads the T back and zeroes the entry. The receiver keeps the handed
 // node allocated until the same guard's next successful dequeue.
 //
-// The plain methods (Enqueue, Dequeue, Len) are guardless: each leases a
-// guard from the Domain's guard runtime for the duration of the operation,
-// so any number of goroutines may call them. The Guarded variants take an
-// explicit or pinned Guard and skip the lease — use them in hot loops.
+// The plain methods (TryEnqueue, Dequeue, Len) are guardless: each leases
+// a guard from the Domain's guard runtime for the duration of the
+// operation, so any number of goroutines may call them. The Guarded
+// variants take an explicit or pinned Guard and skip the lease — use them
+// in hot loops. The writes return ErrArenaExhausted when the arena stays
+// full after the Domain's emergency-reclamation pipeline.
 type TurnQueue[T any] struct{ nodeQueue[T] }
 
 // NewTurnQueue creates an empty CRTurn queue on the Domain. It leases a

@@ -11,15 +11,17 @@ import (
 // bounded number of steps (Figures 5a/5b). It needs 3 protection slots per
 // guard.
 //
-// Each value travels in its own queue node: Enqueue allocates one block
+// Each value travels in its own queue node: TryEnqueue allocates one block
 // and writes the T into the node's value-slab entry before publishing it.
 // The dequeue the node is returned to reads the T back and zeroes the
 // entry; the node stays allocated until that guard's next dequeue.
 //
-// The plain methods (Enqueue, Dequeue, Len) are guardless: each leases a
-// guard from the Domain's guard runtime for the duration of the operation,
-// so any number of goroutines may call them. The Guarded variants take an
-// explicit or pinned Guard and skip the lease — use them in hot loops.
+// The plain methods (TryEnqueue, Dequeue, Len) are guardless: each leases
+// a guard from the Domain's guard runtime for the duration of the
+// operation, so any number of goroutines may call them. The Guarded
+// variants take an explicit or pinned Guard and skip the lease — use them
+// in hot loops. The writes return ErrArenaExhausted when the arena stays
+// full after the Domain's emergency-reclamation pipeline.
 type WFQueue[T any] struct{ nodeQueue[T] }
 
 // NewWFQueue creates an empty wait-free queue on the Domain. It leases a
@@ -48,9 +50,6 @@ type nodeQueue[T any] struct {
 	q queueCore
 }
 
-// Enqueue appends v.
-func (q *nodeQueue[T]) Enqueue(v T) { q.d.must(q.TryEnqueue(v)) }
-
 // Dequeue removes and returns the oldest value; ok is false when empty.
 func (q *nodeQueue[T]) Dequeue() (v T, ok bool) {
 	g := q.d.Pin()
@@ -65,17 +64,14 @@ func (q *nodeQueue[T]) Len() int {
 	return q.LenGuarded(g)
 }
 
-// TryEnqueue is Enqueue with backpressure: when the arena stays
-// exhausted after the Domain's emergency-reclamation pipeline it returns
-// ErrArenaExhausted instead of panicking.
+// TryEnqueue appends v. When the arena stays exhausted after the
+// Domain's emergency-reclamation pipeline it returns ErrArenaExhausted,
+// leaving the queue unchanged.
 func (q *nodeQueue[T]) TryEnqueue(v T) error {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.TryEnqueueGuarded(g, v)
 }
-
-// EnqueueGuarded is Enqueue on a caller-held guard.
-func (q *nodeQueue[T]) EnqueueGuarded(g *Guard[T], v T) { q.d.must(q.TryEnqueueGuarded(g, v)) }
 
 // TryEnqueueGuarded is TryEnqueue on a caller-held guard. The node is
 // allocated before the queue's protected section, so a failed enqueue
@@ -104,26 +100,12 @@ func (q *nodeQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 	return v, true
 }
 
-// EnqueueAll appends every value in slice order under one guard lease.
-// The helping protocol manages protection per operation internally, so
-// this batch amortizes the lease (each value still allocates its own node
-// per enqueue); it panics when the arena stays exhausted after the
-// emergency-reclamation pipeline, with values already enqueued staying
-// enqueued (use TryEnqueueAll to observe partial progress).
-func (q *nodeQueue[T]) EnqueueAll(vs []T) {
-	_, err := q.TryEnqueueAll(vs)
-	q.d.must(err)
-}
-
-// EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *nodeQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
-	_, err := q.TryEnqueueAllGuarded(g, vs)
-	q.d.must(err)
-}
-
-// TryEnqueueAll is EnqueueAll with backpressure: on exhaustion mid-run
-// it stops, reporting the enqueued prefix length alongside
-// ErrArenaExhausted — callers resume from vs[enqueued:].
+// TryEnqueueAll appends every value in slice order under one guard
+// lease. The helping protocol manages protection per operation
+// internally, so this batch amortizes the lease (each value still
+// allocates its own node per enqueue). On exhaustion mid-run it stops,
+// reporting the enqueued prefix length alongside ErrArenaExhausted —
+// callers resume from vs[enqueued:].
 func (q *nodeQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
