@@ -24,9 +24,9 @@
 //     cannot starve reclamation however long it lasts.
 //
 // The kernel is pure — plain data in, a Recommendation out, no clocks, no
-// goroutines — so it is equally usable on a live Domain's samples, on an
-// internal/chaos trajectory, or on a deserialized artifact (cmd/wfeadvise
-// reads both wfe-chaos/v1 and wfe-bench/v1 files).
+// goroutines — so it is equally usable on a live Domain's Telemetry rows,
+// on an internal/chaos trajectory, or on a deserialized artifact
+// (cmd/wfemon reads both wfe-chaos/v1 and wfe-bench/v1 files).
 package advisor
 
 import (
@@ -35,8 +35,8 @@ import (
 )
 
 // A Sample is one tick of a recorded trajectory: the Domain's cumulative
-// telemetry counters at that tick (wfe.Domain.Sample, or the matching
-// fields of a wfe-chaos/v1 tick). Cumulative fields must be monotone
+// telemetry counters at that tick (the matching fields of a
+// wfe.Domain.Telemetry row or of a wfe-chaos/v1 tick). Cumulative fields must be monotone
 // across the slice; the kernel works on their deltas.
 type Sample struct {
 	Tick        int    `json:"tick"`

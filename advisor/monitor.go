@@ -3,10 +3,9 @@ package advisor
 // A Monitor streams trajectory samples through the pure Advise kernel and
 // reports when the recommendation changes — the live half of the advisor.
 // Where Advise judges a complete recorded trajectory, a Monitor is fed one
-// Sample per tick (by wfe's background Sampler, or any recorder) and
-// re-derives the recommendation over its window after each push; the
-// change signal it returns is the trigger ROADMAP names for live scheme
-// switching.
+// Sample per tick and re-derives the recommendation over its window after
+// each push. wfe's background Sampler feeds it one Domain Telemetry row a
+// tick; the change signal it returns fires SamplerConfig.OnRecommendation.
 //
 // A Monitor is not safe for concurrent use; callers that sample from one
 // goroutine and read from another (the Sampler) serialize around it.

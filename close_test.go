@@ -1,8 +1,8 @@
 package wfe_test
 
-// Domain.Close lifecycle: the auto-started sampler goroutine must die
-// with the Domain instead of leaking, and Close must be idempotent and
-// safe on Domains that never started one.
+// Domain.Close lifecycle: the sampler goroutine must die with the Domain
+// instead of leaking, and Close must be idempotent and safe on Domains
+// that never started one.
 
 import (
 	"runtime"
@@ -34,13 +34,13 @@ func waitGoroutines(t *testing.T, want int) {
 
 func TestDomainCloseStopsSamplerGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 12, SampleEvery: time.Millisecond})
+	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.Sampler()
-	if s == nil || !s.Running() {
-		t.Fatal("SampleEvery did not auto-start a running sampler")
+	s := d.StartSampler(wfe.SamplerConfig{Interval: time.Millisecond})
+	if !s.Running() {
+		t.Fatal("StartSampler did not return a running sampler")
 	}
 	// Let it actually sample before teardown.
 	deadline := time.Now().Add(2 * time.Second)
@@ -70,11 +70,5 @@ func TestDomainCloseWithoutSampler(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close on a sampler-less Domain: %v", err)
-	}
-}
-
-func TestAutoSwitchRequiresSampleEvery(t *testing.T) {
-	if _, err := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 12, AutoSwitch: true}); err == nil {
-		t.Fatal("AutoSwitch without SampleEvery must be a configuration error")
 	}
 }

@@ -10,12 +10,17 @@
 //	wfemon -url http://127.0.0.1:9100 -once
 //	wfemon -url http://127.0.0.1:9100 -validate   # scrape /metrics, check OpenMetrics shape
 //
-// Artifact mode reads a recorded file, dispatching on its schema field
-// like cmd/wfeadvise but rendering the trajectory as the live table
-// would have shown it:
+// Artifact mode reads a recorded file, dispatching on its schema field,
+// and renders it as the live table would have shown it, ending with the
+// advisor's recommendation and its evidence: for a wfe-chaos/v1
+// trajectory the stall/spike/park signature analysis (advisor.Advise),
+// for a wfe-bench/v1 sweep the fastest scheme whose backlog stayed
+// bounded per figure×threads group (advisor.AdviseSweep). -json prints
+// only the full Recommendation, as JSON:
 //
 //	wfemon chaos-out/stalled-reader-EBR.json   # wfe-chaos/v1
 //	wfemon BENCH_BASELINE.json                 # wfe-bench/v1
+//	wfemon -json chaos-out/stalled-reader-EBR.json
 //
 // Exit status: 0 on success, 1 when -validate finds a malformed
 // exposition, 2 on a usage, IO or schema error.
@@ -44,10 +49,11 @@ func main() {
 		once     = flag.Bool("once", false, "poll a single time and exit")
 		validate = flag.Bool("validate", false, "scrape /metrics once and validate the OpenMetrics exposition")
 		count    = flag.Int("count", 0, "stop after this many polls (0 = forever)")
+		jsonOut  = flag.Bool("json", false, "artifact mode: emit the full Recommendation as JSON instead of the table")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: wfemon -url http://host:port [-interval 1s] [-once] [-validate]\n")
-		fmt.Fprintf(os.Stderr, "       wfemon <artifact.json>   (schemas: %s, %s)\n", chaos.Schema, bench.ReportSchema)
+		fmt.Fprintf(os.Stderr, "       wfemon [-json] <artifact.json>   (schemas: %s, %s)\n", chaos.Schema, bench.ReportSchema)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -65,7 +71,7 @@ func main() {
 			os.Exit(2)
 		}
 	case flag.NArg() == 1:
-		if err := replay(flag.Arg(0)); err != nil {
+		if err := replay(flag.Arg(0), *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "wfemon: %v\n", err)
 			os.Exit(2)
 		}
@@ -155,8 +161,9 @@ func render(w io.Writer, vars []metrics.Vars) {
 }
 
 // replay loads a recorded artifact and renders it: the per-tick rate
-// table a live monitor would have shown, then the advisor's verdict.
-func replay(path string) error {
+// table a live monitor would have shown, then the advisor's verdict — or,
+// with jsonOut, the verdict alone as indented JSON.
+func replay(path string, jsonOut bool) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -173,11 +180,17 @@ func replay(path string) error {
 		if err := json.Unmarshal(blob, &tr); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
+		if jsonOut {
+			return writeJSON(advisor.Advise(tr.Samples()))
+		}
 		return replayChaos(&tr)
 	case bench.ReportSchema:
 		var rep bench.Report
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
+		}
+		if jsonOut {
+			return writeJSON(advisor.AdviseSweep(sweepPoints(&rep)))
 		}
 		return replayBench(&rep)
 	case "":
@@ -186,6 +199,13 @@ func replay(path string) error {
 		return fmt.Errorf("%s: unsupported schema %q (want %s or %s)",
 			path, head.Schema, chaos.Schema, bench.ReportSchema)
 	}
+}
+
+// writeJSON prints a recommendation as indented JSON.
+func writeJSON(rec advisor.Recommendation) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rec)
 }
 
 // replayChaos streams the trajectory through a Monitor tick by tick,
@@ -240,6 +260,19 @@ func replayBench(rep *bench.Report) error {
 	fmt.Printf("bench sweep: %d points, %s/%s, %d CPUs\n",
 		len(rep.Figures), rep.GOOS, rep.GOARCH, rep.NumCPU)
 	fmt.Printf("  %-12s %-8s %8s %10s %12s\n", "figure", "scheme", "threads", "Mops", "backlog-max")
+	for _, r := range rep.Figures {
+		fmt.Printf("  %-12s %-8s %8d %10.2f %12d\n", r.Figure, r.Scheme, r.Threads, r.Mops, r.UnreclaimedMax)
+	}
+	rec := advisor.AdviseSweep(sweepPoints(rep))
+	fmt.Printf("\nrecommendation: %s\n", rec.Scheme)
+	for _, r := range rec.Reasons {
+		fmt.Printf("  - %s\n", r)
+	}
+	return nil
+}
+
+// sweepPoints converts a measured sweep to the sweep advisor's input.
+func sweepPoints(rep *bench.Report) []advisor.SweepPoint {
 	points := make([]advisor.SweepPoint, len(rep.Figures))
 	for i, r := range rep.Figures {
 		points[i] = advisor.SweepPoint{
@@ -249,12 +282,6 @@ func replayBench(rep *bench.Report) error {
 			Mops:           r.Mops,
 			UnreclaimedMax: r.UnreclaimedMax,
 		}
-		fmt.Printf("  %-12s %-8s %8d %10.2f %12d\n", r.Figure, r.Scheme, r.Threads, r.Mops, r.UnreclaimedMax)
 	}
-	rec := advisor.AdviseSweep(points)
-	fmt.Printf("\nrecommendation: %s\n", rec.Scheme)
-	for _, r := range rec.Reasons {
-		fmt.Printf("  - %s\n", r)
-	}
-	return nil
+	return points
 }

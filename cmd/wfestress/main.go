@@ -22,7 +22,7 @@
 // the exhaustion storm) across the schemes, judges every trajectory with
 // the verdict the chaos tests use (chaos.Canned.Check), and with
 // -chaosdir writes every per-(scenario, scheme) trajectory as
-// wfe-chaos/v1 JSON for artifact upload and cmd/wfeadvise.
+// wfe-chaos/v1 JSON for artifact upload and cmd/wfemon.
 //
 // The -switch mode is the live-switching storm: one Domain under
 // guardless churn from 8x more goroutines than guards has Domain.Switch
@@ -30,7 +30,8 @@
 // debug arena armed and a sampler recording the trajectory. Any ordering
 // bug between the guard gate, the backlog drain and the scheme swap
 // panics or fails the final census; -switchout writes the per-hop log
-// and sampler rows as wfe-switch/v1 JSON for artifact upload.
+// and the sampler's Telemetry rows as wfe-switch/v2 JSON for artifact
+// upload.
 //
 // The -batch mode is the batched-operations correctness twin of the
 // bench ablation: 8x more goroutines than guards drive the batch entry
@@ -108,7 +109,7 @@ func main() {
 		chaosName = flag.String("scenario", "", "with -chaos: run only the named scenario (default: the whole catalog)")
 		switchRun = flag.Bool("switch", false, "live-switching storm: cycle Domain.Switch through every scheme under guardless churn")
 		batchRun  = flag.Bool("batch", false, "batched-operations storm: batch bursts at mixed widths racing Domain.Switch and injected allocation faults")
-		switchOut = flag.String("switchout", "", "with -switch: write the storm's hop log and sampler trajectory as wfe-switch/v1 JSON to this file")
+		switchOut = flag.String("switchout", "", "with -switch: write the storm's hop log and sampler trajectory as wfe-switch/v2 JSON to this file")
 		maddr     = flag.String("metrics", "", "serve OpenMetrics/pprof on this address while stressing (e.g. 127.0.0.1:9100)")
 		traceOut  = flag.String("trace", "", "with -churn: record the domain's event trace and write it as Chrome trace-event JSON (wfe-trace/v1) to this file")
 	)
@@ -260,16 +261,16 @@ type switchHop struct {
 	Unreclaimed int    `json:"unreclaimed"`
 }
 
-// switchTrajectory is the wfe-switch/v1 artifact: the hop log plus the
-// sampler's telemetry rows across the whole storm, enough for offline
+// switchTrajectory is the wfe-switch/v2 artifact: the hop log plus the
+// sampler's Telemetry rows across the whole storm, enough for offline
 // tools to plot backlog and scan behaviour around every swap.
 type switchTrajectory struct {
-	Format   string                `json:"format"`
-	Threads  int                   `json:"threads"`
-	Duration string                `json:"duration"`
-	Hops     []switchHop           `json:"hops"`
-	Samples  []wfe.TelemetrySample `json:"samples"`
-	Final    wfe.Telemetry         `json:"final"`
+	Format   string          `json:"format"`
+	Threads  int             `json:"threads"`
+	Duration string          `json:"duration"`
+	Hops     []switchHop     `json:"hops"`
+	Samples  []wfe.Telemetry `json:"samples"`
+	Final    wfe.Telemetry   `json:"final"`
 }
 
 // switchStorm cycles one Domain through every scheme via Domain.Switch
@@ -392,7 +393,7 @@ func switchStorm(threads int, duration time.Duration, keyRange uint64,
 	}
 	if out != "" {
 		blob, jerr := json.MarshalIndent(switchTrajectory{
-			Format:   "wfe-switch/v1",
+			Format:   "wfe-switch/v2",
 			Threads:  threads,
 			Duration: duration.String(),
 			Hops:     hops,

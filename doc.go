@@ -86,8 +86,8 @@
 //	cmd/wfestress       correctness stress tool (forced slow path, stalls,
 //	                    the chaos matrix)
 //	cmd/wfelat          per-operation latency comparison of the queues
-//	cmd/wfemon          live monitor of a metrics endpoint or an artifact
-//	cmd/wfeadvise       the advisor's recommendation for a recorded artifact
+//	cmd/wfemon          live monitor of a metrics endpoint, or an artifact
+//	                    replayed with the advisor's recommendation
 //	cmd/wfetraj         compares two wfebench -json artifacts point by point
 //	examples/...        runnable walkthroughs of the public API
 //

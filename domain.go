@@ -169,25 +169,6 @@ type Options struct {
 	// two (default trace.DefaultDepth = 1024). Older records are
 	// overwritten in place; writers never block or allocate.
 	TraceDepth int
-	// SampleEvery, when positive, auto-starts the Domain's background
-	// Sampler at that tick (see StartSampler). Stop it with Domain.Close
-	// (or Domain.Sampler().Stop()) before teardown.
-	SampleEvery time.Duration
-	// AutoSwitch arms the adaptive runtime: the auto-started Sampler calls
-	// Domain.SwitchWithin whenever the live advisor recommendation has
-	// named the same non-current scheme for AutoSwitchAfter consecutive
-	// ticks. It requires SampleEvery (the sampler is the trigger source).
-	// The switch runs on the sampler goroutine and briefly gates guard
-	// acquisition with a bounded drain wait: explicit Guards held across
-	// sampler ticks make the attempt abort (and retry on a later streak)
-	// instead of stalling the Domain. See Switch for the drain-and-swap
-	// semantics.
-	AutoSwitch bool
-	// AutoSwitchAfter is the hysteresis depth: consecutive identical
-	// verdicts required before AutoSwitch acts (default 3). A flapping
-	// advisor — alternating recommendations tick over tick — never
-	// accumulates a streak, so it can never thrash the Domain.
-	AutoSwitchAfter int
 	// AllocRetries is how many backoff-then-rescan rounds an allocation
 	// that found the arena exhausted runs before giving up (default 16).
 	// Every round ticks the scheme's era clock, scans the allocating
@@ -279,7 +260,7 @@ type Domain[T any] struct {
 	schemeSwitches atomic.Uint64
 
 	// Allocation-backpressure state: the resolved retry knobs and the
-	// pressure gauges Pressure() reports. allocStalls counts allocations
+	// pressure gauges Telemetry reports. allocStalls counts allocations
 	// that found the arena exhausted, emergencyScans the out-of-cadence
 	// scans they triggered, lastResolve the nanoseconds the most recent
 	// resolved stall spent inside the pipeline.
@@ -291,9 +272,14 @@ type Domain[T any] struct {
 }
 
 // schemeBox pairs a scheme with its kind so both swap atomically.
+// slowPathBase is the slow-path count every earlier scheme of the Domain
+// finished with; it rides in the box, not beside it, so a Telemetry read
+// racing a swap sees the outgoing count either in the old scheme or in
+// the new base, never in both or neither.
 type schemeBox struct {
-	s    reclaim.Scheme
-	kind SchemeKind
+	s            reclaim.Scheme
+	kind         SchemeKind
+	slowPathBase uint64
 }
 
 // scheme returns the live scheme box.
@@ -379,15 +365,11 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 		{"SpillSize", opts.SpillSize},
 		{"SortCutoff", opts.SortCutoff},
 		{"TraceDepth", opts.TraceDepth},
-		{"AutoSwitchAfter", opts.AutoSwitchAfter},
 		{"AllocRetries", opts.AllocRetries},
 	} {
 		if tune.v < 0 {
 			return nil, fmt.Errorf("wfe: %s %d must be non-negative (0 selects the default)", tune.name, tune.v)
 		}
-	}
-	if opts.SampleEvery < 0 {
-		return nil, fmt.Errorf("wfe: SampleEvery %v must be non-negative (0 disables the auto-started sampler)", opts.SampleEvery)
 	}
 	if opts.AllocBackoff < 0 {
 		return nil, fmt.Errorf("wfe: AllocBackoff %v must be non-negative (0 selects the default)", opts.AllocBackoff)
@@ -397,9 +379,6 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 	}
 	if opts.AllocBackoff == 0 {
 		opts.AllocBackoff = 50 * time.Microsecond
-	}
-	if opts.AutoSwitch && opts.SampleEvery == 0 {
-		return nil, fmt.Errorf("wfe: AutoSwitch requires SampleEvery (the background sampler is its trigger source)")
 	}
 	// The rings cost real memory (~40KiB per guard at the default depth),
 	// so they exist only on request — benchmark sweeps construct hundreds
@@ -453,13 +432,6 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 		var zero T
 		*d.vals.At(h - 1) = zero
 	})
-	if opts.SampleEvery > 0 {
-		d.StartSampler(SamplerConfig{
-			Interval:        opts.SampleEvery,
-			AutoSwitch:      opts.AutoSwitch,
-			AutoSwitchAfter: opts.AutoSwitchAfter,
-		})
-	}
 	return d, nil
 }
 
@@ -789,44 +761,6 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	}
 }
 
-// Pressure is the Domain's allocation-backpressure gauge: how full the
-// arena is and what the emergency-reclamation pipeline has had to do
-// about it. Live/Capacity is the instantaneous occupancy (Ratio derives
-// the fraction); AllocStalls counts allocations that found the arena
-// exhausted, EmergencyScans the out-of-cadence scans they forced, and
-// LastResolve how long the most recent resolved stall spent inside the
-// pipeline. A Domain that never sees pressure reports zeros everywhere
-// but Live/Capacity.
-type Pressure struct {
-	Live           int           // blocks currently allocated (live or retired)
-	Capacity       int           // arena size in blocks
-	AllocStalls    uint64        // allocations that entered the emergency pipeline
-	EmergencyScans uint64        // out-of-cadence scans the pipeline ran
-	LastResolve    time.Duration // pipeline latency of the last resolved stall
-}
-
-// Ratio returns Live/Capacity, the occupancy fraction the advisor's
-// exhaustion-pressure signature watches (0 when Capacity is 0).
-func (p Pressure) Ratio() float64 {
-	if p.Capacity == 0 {
-		return 0
-	}
-	return float64(p.Live) / float64(p.Capacity)
-}
-
-// Pressure samples the allocation-backpressure gauge. Approximate under
-// concurrency, like Telemetry.
-func (d *Domain[T]) Pressure() Pressure {
-	st := d.arena.Stats()
-	return Pressure{
-		Live:           int(st.InUse),
-		Capacity:       d.arena.Capacity(),
-		AllocStalls:    d.allocStalls.Load(),
-		EmergencyScans: d.emergencyScans.Load(),
-		LastResolve:    time.Duration(d.lastResolve.Load()),
-	}
-}
-
 // Scavenge runs one judged cleanup scan over every tid's retire ring,
 // out of cadence, after ticking the scheme's era clock past any retired
 // block's lifespan — the strongest reclamation pass available without
@@ -863,12 +797,17 @@ func (d *Domain[T]) Scavenge() int {
 	return int(d.arena.Stats().Frees - before)
 }
 
-// Telemetry is a point-in-time census of a Domain's reclamation machinery
-// and its guard runtime.
+// Telemetry is the one telemetry row a Domain reports: a point-in-time
+// census of its reclamation machinery, arena and guard runtime. Every
+// reader takes the same row — the background Sampler's history and
+// advisor feed, the chaos harness's per-tick trajectory, the metrics
+// export and the monitors. Counters are cumulative over the Domain's
+// lifetime and carry across Switch, so the deltas between rows taken at a
+// fixed tick are the rates of a time series.
 type Telemetry struct {
 	Scheme      string // scheme legend name
-	Era         uint64 // global era/epoch clock (0 for clock-less schemes)
-	SlowPaths   uint64 // protected reads that requested helping (WFE/WFEIBR)
+	Era         uint64 // global era/epoch clock (0 for the clock-less HP and Leak)
+	SlowPaths   uint64 // protected reads that requested helping (WFE/WFEIBR), over every scheme run
 	MaxSteps    uint64 // worst protect-loop iteration count seen by any guard
 	P99Steps    uint64 // p99 protect-loop iteration count (every protecting scheme; sample quiescently)
 	Unreclaimed int    // retired blocks not yet recycled
@@ -920,25 +859,31 @@ type Telemetry struct {
 	// over the Domain's lifetime.
 	SchemeSwitches uint64
 
-	// Allocation-backpressure counters (see Domain.Pressure): allocations
-	// that found the arena exhausted, and the out-of-cadence emergency
-	// scans they forced. Zero on a Domain that never ran out of blocks.
+	// Allocation-backpressure counters: allocations that found the arena
+	// exhausted, the out-of-cadence emergency scans they forced, and how
+	// long the most recent resolved stall spent inside the pipeline. Zero
+	// on a Domain that never ran out of blocks; InUse/Capacity is the
+	// occupancy they answer.
 	AllocStalls    uint64
 	EmergencyScans uint64
+	LastResolve    time.Duration
 }
 
 // Telemetry samples the Domain's counters. The snapshot is approximate
 // under concurrency, which is fine for its monitoring purpose. The
 // retire-side counters (steps, scans, backlog) read through the scheme's
-// shared runtime, one path for all seven schemes.
+// shared runtime, one path for all seven schemes. It allocates nothing,
+// so a recorder can take a row every scheduler tick.
 func (d *Domain[T]) Telemetry() Telemetry {
 	st := d.arena.Stats()
 	gp := d.guards.Stats()
 	box := d.scheme()
 	probe := box.s.Retirer().Probe()
 	bops, bitems := d.batchTotals()
-	t := Telemetry{
+	return Telemetry{
 		Scheme:      box.kind.String(),
+		Era:         clock(box.s),
+		SlowPaths:   box.slowPathBase + slowPaths(box.s),
 		MaxSteps:    probe.MaxSteps,
 		P99Steps:    probe.P99Steps,
 		Unreclaimed: probe.Unreclaimed,
@@ -971,20 +916,35 @@ func (d *Domain[T]) Telemetry() Telemetry {
 
 		AllocStalls:    d.allocStalls.Load(),
 		EmergencyScans: d.emergencyScans.Load(),
+		LastResolve:    time.Duration(d.lastResolve.Load()),
 	}
-	if e, ok := box.s.(interface{ Era() uint64 }); ok {
-		t.Era = e.Era()
-	}
-	if s, ok := box.s.(interface{ SlowPaths() uint64 }); ok {
-		t.SlowPaths = s.SlowPaths()
-	}
-	return t
 }
 
-// batchTotals sums the batch counters Telemetry and Sample report: the
-// Domain counters hold what released guards folded in; live guards
-// (cached or leased) still carry theirs locally, so they are summed
-// through the lease-cache registry.
+// clock reads a scheme's global clock: the era of the era and interval
+// schemes, EBR's epoch, and 0 for the clock-less HP and Leak.
+func clock(s reclaim.Scheme) uint64 {
+	switch c := s.(type) {
+	case interface{ Era() uint64 }:
+		return c.Era()
+	case interface{ Epoch() uint64 }:
+		return c.Epoch()
+	}
+	return 0
+}
+
+// slowPaths reads a scheme's helping slow-path count (WFE and WFE-IBR;
+// 0 for the other schemes).
+func slowPaths(s reclaim.Scheme) uint64 {
+	if c, ok := s.(interface{ SlowPaths() uint64 }); ok {
+		return c.SlowPaths()
+	}
+	return 0
+}
+
+// batchTotals sums the batch counters Telemetry reports: the Domain
+// counters hold what released guards folded in; live guards (cached or
+// leased) still carry theirs locally, so they are summed through the
+// lease-cache registry.
 func (d *Domain[T]) batchTotals() (ops, items uint64) {
 	ops, items = d.batchOps.Load(), d.batchItems.Load()
 	for i := range d.cache {
@@ -994,65 +954,6 @@ func (d *Domain[T]) batchTotals() (ops, items uint64) {
 		}
 	}
 	return ops, items
-}
-
-// A TelemetrySample is the compact per-tick subset of Telemetry a
-// trajectory recorder collects at high frequency: the reclamation backlog,
-// the cumulative scan and step telemetry, the allocation counters and the
-// guard-park count — exactly the signals the advisor package's decision
-// kernel consumes. Where Telemetry is a wide point-in-time census for
-// humans, a TelemetrySample is one row of a time series: sample it every
-// tick, feed the rows to advisor.Advise (via the internal/chaos harness or
-// your own recorder), and the stall/backlog profile of the schedule falls
-// out of the deltas between rows.
-type TelemetrySample struct {
-	Unreclaimed int    `json:"unreclaimed"` // retired blocks not yet recycled
-	ScanScans   uint64 `json:"scan_scans"`  // cumulative cleanup scans
-	ScanBlocks  uint64 `json:"scan_blocks"` // cumulative retired blocks examined
-	MaxSteps    uint64 `json:"max_steps"`   // worst GetProtected step count so far
-	P99Steps    uint64 `json:"p99_steps"`   // p99 GetProtected step count so far
-	Allocs      uint64 `json:"allocs"`      // cumulative block allocations
-	Frees       uint64 `json:"frees"`       // cumulative blocks recycled
-	InUse       uint64 `json:"in_use"`      // Allocs - Frees
-	GuardParks  uint64 `json:"guard_parks"` // cumulative parked guard acquisitions
-
-	// Backpressure columns (omitted from JSON when zero, so trajectories
-	// recorded before the emergency pipeline existed stay byte-identical).
-	Capacity       int    `json:"capacity,omitempty"`        // arena size in blocks
-	EmergencyScans uint64 `json:"emergency_scans,omitempty"` // cumulative out-of-cadence scans
-
-	// Batch columns (omitted when zero for the same reason: pre-batch
-	// trajectories stay byte-identical).
-	BatchOps     uint64 `json:"batch_ops,omitempty"`     // cumulative completed batches
-	BatchedItems uint64 `json:"batched_items,omitempty"` // cumulative items those batches carried
-}
-
-// Sample collects one TelemetrySample in a single pass over the retire
-// runtime's per-thread state (reclaim.Retirer.Probe, the tick-sampling
-// hook) plus the arena, guard-pool and batch counters, the last summed
-// exactly as Telemetry sums them. Approximate under concurrency like
-// Telemetry; cheap enough to call every scheduler tick.
-func (d *Domain[T]) Sample() TelemetrySample {
-	probe := d.scheme().s.Retirer().Probe()
-	st := d.arena.Stats()
-	bops, bitems := d.batchTotals()
-	return TelemetrySample{
-		Unreclaimed: probe.Unreclaimed,
-		ScanScans:   probe.Scans.Scans,
-		ScanBlocks:  probe.Scans.Blocks,
-		MaxSteps:    probe.MaxSteps,
-		P99Steps:    probe.P99Steps,
-		Allocs:      st.Allocs,
-		Frees:       st.Frees,
-		InUse:       st.InUse,
-		GuardParks:  d.guards.Stats().Parks,
-
-		Capacity:       d.arena.Capacity(),
-		EmergencyScans: d.emergencyScans.Load(),
-
-		BatchOps:     bops,
-		BatchedItems: bitems,
-	}
 }
 
 // ArenaCensus is a quiescent-only accounting snapshot of the Domain's
@@ -1145,8 +1046,8 @@ func (d *Domain[T]) WriteTrace(w io.Writer) error {
 }
 
 // StartSampler starts the Domain's background Sampler, the streaming tier
-// of its observability: a goroutine collecting Sample rows at cfg.Interval
-// into a bounded history, deriving rate EWMAs, and keeping a live
+// of its observability: a goroutine collecting Telemetry rows at
+// cfg.Interval into a bounded history, deriving rate EWMAs, and keeping a live
 // advisor recommendation current (see Sampler). At most one sampler runs
 // per Domain: while one is running, StartSampler returns it untouched
 // (idempotent); after Stop, a new call starts a fresh one. Stop the
@@ -1157,7 +1058,7 @@ func (d *Domain[T]) StartSampler(cfg SamplerConfig) *Sampler {
 		if cur := d.sampler.Load(); cur != nil && cur.Running() {
 			return cur
 		} else {
-			s := newSampler(d.Sample, cfg)
+			s := newSampler(d.Telemetry, cfg)
 			if cfg.AutoSwitch {
 				// Wired here, not in newSampler: the sampler is generic
 				// over its sample source, and only the Domain knows how to
@@ -1190,16 +1091,17 @@ func (d *Domain[T]) StartSampler(cfg SamplerConfig) *Sampler {
 }
 
 // Sampler returns the Domain's most recently started Sampler, or nil if
-// StartSampler (or Options.SampleEvery) never ran. The returned sampler
-// may already be stopped; check Running.
+// StartSampler never ran. The returned sampler may already be stopped;
+// check Running.
 func (d *Domain[T]) Sampler() *Sampler { return d.sampler.Load() }
 
 // Close stops the Domain's background machinery — today that is the
-// Sampler, whether auto-started by Options.SampleEvery or explicitly by
-// StartSampler. It is idempotent and safe to defer at construction:
+// Sampler StartSampler started. It is idempotent and safe to defer at
+// construction:
 //
-//	d, _ := wfe.NewDomain[int](wfe.Options{SampleEvery: time.Millisecond})
+//	d, _ := wfe.NewDomain[int](wfe.Options{})
 //	defer d.Close()
+//	d.StartSampler(wfe.SamplerConfig{Interval: time.Millisecond})
 //
 // Close does not wait for outstanding Guards; releasing those is still the
 // caller's job. A closed Domain remains usable for data-structure
@@ -1232,8 +1134,9 @@ func (d *Domain[T]) Close() error {
 // seeds each new scheme at that floor (reclaim.Config.InitialEra), so a
 // stale stamp can only widen a lifespan estimate, never invert one.
 //
-// Cumulative telemetry (scan counts, step histograms) carries across the
-// swap, so Sampler histories and Monitor trajectories stay monotone.
+// Cumulative telemetry (scan counts, step histograms, slow paths) carries
+// across the swap and the era clock never moves back, so Sampler
+// histories and Monitor trajectories stay monotone.
 // Telemetry.SchemeSwitches counts completed swaps, and the tracer (when
 // armed) records a scheme-switch event with the outgoing and incoming
 // kinds.
@@ -1256,7 +1159,7 @@ var ErrSwitchBusy = errors.New("wfe: scheme switch aborted: held guards did not 
 // operation wedged on something external — the switch aborts with
 // ErrSwitchBusy instead of gating the Domain indefinitely. A drainWait of
 // zero or less waits forever (plain Switch). This is the variant
-// AutoSwitch uses: a sampler must never wedge the Domain (and Close) on a
+// SamplerConfig.AutoSwitch uses: a sampler must never wedge the Domain (and Close) on a
 // switch that cannot complete because the program legitimately holds
 // guards across ticks.
 func (d *Domain[T]) SwitchWithin(kind SchemeKind, drainWait time.Duration) error {
@@ -1326,18 +1229,15 @@ func (d *Domain[T]) switchWithin(kind SchemeKind, drainWait time.Duration) error
 
 	// Advance the era floor past every clock the outgoing scheme ran, then
 	// build the incoming scheme with its clock seeded at the floor.
-	if e, ok := old.s.(interface{ Era() uint64 }); ok && e.Era() > d.eraFloor {
-		d.eraFloor = e.Era()
-	}
-	if e, ok := old.s.(interface{ Epoch() uint64 }); ok && e.Epoch() > d.eraFloor {
-		d.eraFloor = e.Epoch()
+	if e := clock(old.s); e > d.eraFloor {
+		d.eraFloor = e
 	}
 	cfg := d.cfg
 	cfg.InitialEra = d.eraFloor
 	next := factory(d.arena, cfg)
 	next.Retirer().CarryFrom(oldRet)
 
-	d.smr.Store(&schemeBox{s: next, kind: kind})
+	d.smr.Store(&schemeBox{s: next, kind: kind, slowPathBase: old.slowPathBase + slowPaths(old.s)})
 	d.schemeSwitches.Add(1)
 	d.tracer.Emit(trace.SharedTid, trace.KindSchemeSwitch, uint64(old.kind), uint64(kind))
 	return nil

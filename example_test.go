@@ -57,7 +57,7 @@ func ExampleDomain() {
 }
 
 // ExampleDomain_StartSampler runs the background observability sampler:
-// one goroutine collecting the allocation-free Domain.Sample row every
+// one goroutine collecting the allocation-free Domain.Telemetry row every
 // Interval, deriving EWMA rates and streaming the rows through the live
 // scheme advisor. Production code would set SamplerConfig.OnRecommendation
 // (or poll Rates) instead of sleeping.
@@ -113,8 +113,8 @@ func ExampleDomain_StartSampler() {
 // acquisitions, waits for in-flight guards, drains the outgoing scheme's
 // retired backlog, and installs the new scheme over the same arena.
 // Values stored before the switch survive it — only the reclamation
-// algorithm changed. Options.AutoSwitch wires the streaming advisor to
-// this call for hands-off operation.
+// algorithm changed. SamplerConfig.AutoSwitch wires the streaming
+// advisor to this call for hands-off operation.
 func ExampleDomain_Switch() {
 	d, err := wfe.NewDomain[string](wfe.Options{
 		Scheme:   wfe.EBR, // cheap while readers never stall

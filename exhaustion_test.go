@@ -101,8 +101,7 @@ func TestExhaustionStormAllSchemes(t *testing.T) {
 			if n := surfaced.Load(); n != 0 {
 				t.Errorf("%d operation(s) surfaced ErrArenaExhausted despite emergency reclamation", n)
 			}
-			pr := d.Pressure()
-			if pr.EmergencyScans == 0 {
+			if d.Telemetry().EmergencyScans == 0 {
 				t.Error("storm never entered the emergency pipeline — arena not undersized for the workload")
 			}
 			for key := uint64(0); key < keyRange; key++ {
@@ -316,8 +315,8 @@ func TestPanicVariantsLeakNothing(t *testing.T) {
 }
 
 // TestPressureGaugeAndMetrics drives a Domain into sustained pressure and
-// follows the gauge end to end: Pressure(), Telemetry, and the
-// OpenMetrics exposition with its two new families.
+// follows the gauge end to end: Telemetry's backpressure columns and the
+// OpenMetrics exposition with its pressure families.
 func TestPressureGaugeAndMetrics(t *testing.T) {
 	d := smallDomain(t, wfe.WFE, 256)
 	s := wfe.NewStack[uint64](d)
@@ -336,16 +335,15 @@ func TestPressureGaugeAndMetrics(t *testing.T) {
 			break
 		}
 	}
-	pr := d.Pressure()
-	if pr.AllocStalls == 0 || pr.EmergencyScans == 0 {
-		t.Fatalf("pressure gauge empty after an exhausted fill: %+v", pr)
-	}
-	if pr.Ratio() < 0.5 {
-		t.Fatalf("occupancy ratio %.2f implausibly low for a filled arena", pr.Ratio())
-	}
 	tel := d.Telemetry()
-	if tel.AllocStalls != pr.AllocStalls || tel.EmergencyScans == 0 {
-		t.Fatalf("Telemetry backpressure counters diverge from Pressure: %+v vs %+v", tel, pr)
+	if tel.AllocStalls == 0 || tel.EmergencyScans == 0 {
+		t.Fatalf("pressure counters empty after an exhausted fill: %+v", tel)
+	}
+	if tel.LastResolve <= 0 {
+		t.Fatalf("LastResolve = %v after a stall resolved inside the pipeline, want > 0", tel.LastResolve)
+	}
+	if ratio := float64(tel.InUse) / float64(tel.Capacity); ratio < 0.5 {
+		t.Fatalf("occupancy ratio %.2f implausibly low for a filled arena", ratio)
 	}
 
 	reg := metrics.NewRegistry()

@@ -25,8 +25,9 @@
 // robustness matrix a unit test instead of a flaky stress.
 //
 // Trajectories serialize as "wfe-chaos/v1" JSON (cmd/wfestress -chaos
-// writes them; cmd/wfeadvise reads them) and convert losslessly to the
-// advisor package's sample stream.
+// writes them; cmd/wfemon reads them) and convert losslessly to the
+// advisor package's sample stream. Each tick row declares its columns
+// here and fills them from the Domain's Telemetry.
 package chaos
 
 import (
@@ -152,12 +153,50 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// A TickSample is the Domain's cumulative telemetry at the end of one
-// tick, plus whether any injected stall was active during it.
+// A TickSample is one wfe-chaos/v1 tick row: the Domain's cumulative
+// telemetry at the end of the tick, plus whether any injected stall was
+// active during it.
 type TickSample struct {
-	Tick    int  `json:"tick"`
-	Stalled bool `json:"stalled"`
-	wfe.TelemetrySample
+	Tick        int    `json:"tick"`
+	Stalled     bool   `json:"stalled"`
+	Unreclaimed int    `json:"unreclaimed"` // retired blocks not yet recycled
+	ScanScans   uint64 `json:"scan_scans"`  // cumulative cleanup scans
+	ScanBlocks  uint64 `json:"scan_blocks"` // cumulative retired blocks examined
+	MaxSteps    uint64 `json:"max_steps"`   // worst GetProtected step count so far
+	P99Steps    uint64 `json:"p99_steps"`   // p99 GetProtected step count so far
+	Allocs      uint64 `json:"allocs"`      // cumulative block allocations
+	Frees       uint64 `json:"frees"`       // cumulative blocks recycled
+	InUse       uint64 `json:"in_use"`      // Allocs - Frees
+	GuardParks  uint64 `json:"guard_parks"` // cumulative parked guard acquisitions
+
+	// Backpressure and batch columns are omitted from JSON when zero, so
+	// trajectories recorded before the emergency pipeline and the batch
+	// paths existed stay byte-identical.
+	Capacity       int    `json:"capacity,omitempty"`        // arena size in blocks
+	EmergencyScans uint64 `json:"emergency_scans,omitempty"` // cumulative out-of-cadence scans
+	BatchOps       uint64 `json:"batch_ops,omitempty"`       // cumulative completed batches
+	BatchedItems   uint64 `json:"batched_items,omitempty"`   // cumulative items those batches carried
+}
+
+// tickSample fills one tick row from the Domain's Telemetry.
+func tickSample(tick int, stalled bool, t wfe.Telemetry) TickSample {
+	return TickSample{
+		Tick:           tick,
+		Stalled:        stalled,
+		Unreclaimed:    t.Unreclaimed,
+		ScanScans:      t.ScanScans,
+		ScanBlocks:     t.ScanBlocks,
+		MaxSteps:       t.MaxSteps,
+		P99Steps:       t.P99Steps,
+		Allocs:         t.Allocs,
+		Frees:          t.Frees,
+		InUse:          t.InUse,
+		GuardParks:     t.GuardParks,
+		Capacity:       t.Capacity,
+		EmergencyScans: t.EmergencyScans,
+		BatchOps:       t.BatchOps,
+		BatchedItems:   t.BatchedItems,
+	}
 }
 
 // A Summary is the trajectory's headline numbers, precomputed so matrix
@@ -421,11 +460,7 @@ func run(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 				w.g = nil
 			}
 		}
-		traj.Ticks = append(traj.Ticks, TickSample{
-			Tick:            tick,
-			Stalled:         stallsActive > 0,
-			TelemetrySample: d.Sample(),
-		})
+		traj.Ticks = append(traj.Ticks, tickSample(tick, stallsActive > 0, d.Telemetry()))
 	}
 	// Lift any stall still open at the end, then drain the structure and
 	// the hot cell so the post-run settle can collapse the backlog.
@@ -464,7 +499,7 @@ func summarize(d *wfe.Domain[uint64], kind wfe.SchemeKind, traj *Trajectory) {
 		traj.Summary.ScanBlocks = last.ScanBlocks
 		traj.Summary.Parks = last.GuardParks
 	}
-	pr := d.Pressure()
-	traj.Summary.AllocStalls = pr.AllocStalls
-	traj.Summary.EmergencyScans = pr.EmergencyScans
+	tel := d.Telemetry()
+	traj.Summary.AllocStalls = tel.AllocStalls
+	traj.Summary.EmergencyScans = tel.EmergencyScans
 }

@@ -21,12 +21,12 @@ import (
 )
 
 // sampleSink defeats dead-store elimination in TestSampleAllocFree.
-var sampleSink wfe.TelemetrySample
+var sampleSink wfe.Telemetry
 
-// TestSampleAllocFree pins down the contract Sample's doc comment makes:
-// one row of the telemetry time series costs zero heap allocations, so a
-// recorder (or the background Sampler) can call it every scheduler tick
-// without disturbing the workload it is observing.
+// TestSampleAllocFree pins down the contract Telemetry's doc comment
+// makes: one row of the telemetry time series costs zero heap
+// allocations, so a recorder (or the background Sampler) can take it
+// every scheduler tick without disturbing the workload it is observing.
 func TestSampleAllocFree(t *testing.T) {
 	for _, kind := range wfe.AllSchemes() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -34,7 +34,7 @@ func TestSampleAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Dirty the counters first so Sample walks real state, not zeros.
+			// Dirty the counters first so Telemetry walks real state, not zeros.
 			s := wfe.NewStack[uint64](d)
 			for i := uint64(0); i < 256; i++ {
 				if err := s.TryPush(i); err != nil {
@@ -45,20 +45,19 @@ func TestSampleAllocFree(t *testing.T) {
 				s.Pop()
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				sampleSink = d.Sample()
+				sampleSink = d.Telemetry()
 			})
 			if allocs != 0 {
-				t.Fatalf("Domain.Sample allocated %.1f times per call; want 0", allocs)
+				t.Fatalf("Domain.Telemetry allocated %.1f times per call; want 0", allocs)
 			}
 		})
 	}
 }
 
-// TestSampleCountsCachedGuardBatches pins Sample's batch columns to
-// Telemetry's: a guardless TryMultiPut returns its leased guard to the lease
-// cache with the burst still counted on the guard, and the tick row must
-// see it there too, or the Sampler's batch rates read 0 on guardless
-// batch workloads.
+// TestSampleCountsCachedGuardBatches pins the tick row's batch columns: a
+// guardless TryMultiPut returns its leased guard to the lease cache with
+// the burst still counted on the guard, and Telemetry must see it there
+// too, or the Sampler's batch rates read 0 on guardless batch workloads.
 func TestSampleCountsCachedGuardBatches(t *testing.T) {
 	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 12})
 	if err != nil {
@@ -70,13 +69,9 @@ func TestSampleCountsCachedGuardBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tel, row := d.Telemetry(), d.Sample()
+	tel := d.Telemetry()
 	if tel.BatchOps != 10 || tel.BatchedItems != 20 {
 		t.Fatalf("Telemetry counted %d batches of %d items, want 10 of 20", tel.BatchOps, tel.BatchedItems)
-	}
-	if row.BatchOps != tel.BatchOps || row.BatchedItems != tel.BatchedItems {
-		t.Fatalf("Sample counted %d batches of %d items, Telemetry %d of %d",
-			row.BatchOps, row.BatchedItems, tel.BatchOps, tel.BatchedItems)
 	}
 }
 

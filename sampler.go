@@ -12,7 +12,7 @@ import (
 type SamplerConfig struct {
 	// Interval is the sampling tick (default 10ms, minimum 1ms).
 	Interval time.Duration
-	// History bounds the ring of retained TelemetrySamples and the
+	// History bounds the ring of retained Telemetry rows and the
 	// advisor window (default 600 ticks — six seconds at the default
 	// tick).
 	History int
@@ -25,9 +25,8 @@ type SamplerConfig struct {
 	// AutoSwitchAfter consecutive ticks, the sampler calls the Domain's
 	// SwitchWithin (on the sampler goroutine) with a bounded drain wait,
 	// so guards held across ticks abort the switch (retried on the next
-	// streak) rather than gating the Domain indefinitely. Set by
-	// Options.AutoSwitch; it has no effect on a Sampler the Domain did
-	// not wire a switch hook into.
+	// streak) rather than gating the Domain indefinitely. See Switch for
+	// the drain-and-swap semantics.
 	AutoSwitch bool
 	// AutoSwitchAfter is the hysteresis depth (default 3 when AutoSwitch
 	// is set). A streak resets whenever the recommendation returns to the
@@ -70,13 +69,13 @@ const ewmaAlpha = 0.2
 const autoSwitchDrainBound = 50 * time.Millisecond
 
 // A Sampler is the streaming half of the observability runtime: a
-// background goroutine collecting Domain.Sample rows at a fixed tick into
-// a bounded ring history, deriving per-second rates, and feeding an
+// background goroutine collecting Domain.Telemetry rows at a fixed tick
+// into a bounded ring history, deriving per-second rates, and feeding an
 // advisor.Monitor so the live scheme recommendation is always one method
-// call away. Start one with Domain.StartSampler or Options.SampleEvery;
-// stop it with Stop (idempotent — so is starting, while one runs).
+// call away. Start one with Domain.StartSampler; stop it with Stop or
+// Domain.Close (idempotent — so is starting, while one runs).
 type Sampler struct {
-	sample   func() TelemetrySample
+	sample   func() Telemetry
 	interval time.Duration
 	history  int
 	onRec    func(advisor.Recommendation)
@@ -98,7 +97,7 @@ type Sampler struct {
 	// the history bound, then head marks the oldest entry and each tick
 	// overwrites in place — O(1) per tick where a slide would memmove the
 	// whole window.
-	hist   []TelemetrySample
+	hist   []Telemetry
 	head   int
 	n      int // total ticks collected
 	rates  SamplerRates
@@ -107,7 +106,7 @@ type Sampler struct {
 	rec    advisor.Recommendation
 	hasRec bool
 
-	prev     TelemetrySample
+	prev     Telemetry
 	prevTime time.Time
 
 	stop     chan struct{}
@@ -115,7 +114,7 @@ type Sampler struct {
 	stopOnce sync.Once
 }
 
-func newSampler(sample func() TelemetrySample, cfg SamplerConfig) *Sampler {
+func newSampler(sample func() Telemetry, cfg SamplerConfig) *Sampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Millisecond
 	}
@@ -281,10 +280,10 @@ func (s *Sampler) Ticks() int {
 // History returns a copy of the retained samples, oldest first. The
 // internal buffer is circular; the copy unrolls it, so callers never see
 // the wrap point.
-func (s *Sampler) History() []TelemetrySample {
+func (s *Sampler) History() []Telemetry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TelemetrySample, len(s.hist))
+	out := make([]Telemetry, len(s.hist))
 	n := copy(out, s.hist[s.head:])
 	copy(out[n:], s.hist[:s.head])
 	return out

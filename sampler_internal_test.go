@@ -1,11 +1,12 @@
 package wfe
 
-// White-box tests for the Sampler's circular history, EWMA seeding and
-// auto-switch hysteresis — the pieces with deterministic synthetic
-// drivers. The black-box sampler behaviour (real Domain, real goroutine)
-// lives in observability_test.go.
+// White-box tests for the Sampler's circular history, EWMA seeding,
+// recommendation callback and auto-switch hysteresis — the pieces with
+// deterministic synthetic inputs. The black-box sampler behaviour (real
+// Domain, real goroutine) lives in observability_test.go.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -15,11 +16,11 @@ import (
 // syntheticRows returns a sample source yielding rows with Allocs
 // counting up by step per call — enough signal to tell rows apart and to
 // derive an exact constant rate.
-func syntheticRows(step uint64) func() TelemetrySample {
+func syntheticRows(step uint64) func() Telemetry {
 	var n uint64
-	return func() TelemetrySample {
+	return func() Telemetry {
 		n += step
-		return TelemetrySample{Allocs: n, Frees: n, InUse: 0}
+		return Telemetry{Allocs: n, Frees: n, InUse: 0}
 	}
 }
 
@@ -71,6 +72,37 @@ func TestSamplerEWMASeedsFromFirstRate(t *testing.T) {
 	}
 }
 
+// TestSamplerOnRecommendationFiresOnSchemeChange pins the
+// OnRecommendation contract: the callback runs on the first tick and then
+// only on a tick whose recommended scheme differs from the last one,
+// however many ticks repeat a verdict.
+func TestSamplerOnRecommendationFiresOnSchemeChange(t *testing.T) {
+	var row Telemetry
+	tick := 0
+	var fired []string
+	s := newSampler(func() Telemetry { return row }, SamplerConfig{
+		OnRecommendation: func(r advisor.Recommendation) {
+			fired = append(fired, fmt.Sprintf("%d:%s", tick, r.Scheme))
+		},
+	})
+	// Four idle ticks (no retire activity reads as EBR), then a backlog
+	// growing 100 blocks a tick while scans run: the stalled-reader
+	// signature, WFE once the growth streak from tick 3 reaches
+	// StallStreakTicks.
+	base := time.Unix(0, 0)
+	for ; tick < 16; tick++ {
+		if tick >= 4 {
+			row.Unreclaimed += 100
+			row.ScanScans++
+		}
+		s.tick(base.Add(time.Duration(tick) * time.Second))
+	}
+	want := []string{"0:EBR", fmt.Sprintf("%d:WFE", 3+advisor.StallStreakTicks)}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("OnRecommendation fired %v, want %v", fired, want)
+	}
+}
+
 // rec builds a minimal recommendation naming a scheme.
 func rec(scheme string) advisor.Recommendation {
 	return advisor.Recommendation{Scheme: scheme}
@@ -80,7 +112,7 @@ func rec(scheme string) advisor.Recommendation {
 // switch hooks stubbed, recording every fired switch.
 func autoSampler(after int, current string) (*Sampler, *[]string) {
 	fired := &[]string{}
-	s := newSampler(func() TelemetrySample { return TelemetrySample{} },
+	s := newSampler(func() Telemetry { return Telemetry{} },
 		SamplerConfig{AutoSwitch: true, AutoSwitchAfter: after})
 	cur := current
 	s.current = func() string { return cur }
@@ -157,7 +189,7 @@ func TestAutoSwitchHysteresisResetOnCurrent(t *testing.T) {
 // without the Domain's switch hooks (or without AutoSwitch) never acts,
 // whatever the advisor says.
 func TestAutoSwitchDisabledWithoutHooks(t *testing.T) {
-	s := newSampler(func() TelemetrySample { return TelemetrySample{} }, SamplerConfig{})
+	s := newSampler(func() Telemetry { return Telemetry{} }, SamplerConfig{})
 	for i := 0; i < 10; i++ {
 		s.maybeSwitch(rec("WFE")) // must not panic on nil hooks
 	}
@@ -167,24 +199,20 @@ func TestAutoSwitchDisabledWithoutHooks(t *testing.T) {
 }
 
 // TestAutoSwitchWiringDrivesDomainSwitch pins the StartSampler wiring
-// end to end: a Domain built with AutoSwitch hands its sampler hooks
-// that really switch the scheme. The sampler goroutine is stopped first
-// so the hysteresis can be driven deterministically by hand.
+// end to end: a sampler started with AutoSwitch gets hooks that really
+// switch the Domain's scheme. The sampler goroutine is stopped first so
+// the hysteresis can be driven deterministically by hand.
 func TestAutoSwitchWiringDrivesDomainSwitch(t *testing.T) {
-	d, err := NewDomain[int](Options{
-		Capacity:        1 << 12,
-		SampleEvery:     time.Hour, // auto-started but effectively inert
-		AutoSwitch:      true,
-		AutoSwitchAfter: 2,
-	})
+	d, err := NewDomain[int](Options{Capacity: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := d.Sampler()
-	if s == nil {
-		t.Fatal("SampleEvery did not auto-start a sampler")
-	}
+	s := d.StartSampler(SamplerConfig{
+		Interval:        time.Hour, // started but effectively inert
+		AutoSwitch:      true,
+		AutoSwitchAfter: 2,
+	})
 	s.Stop()
 	if s.switchTo == nil || s.current == nil {
 		t.Fatal("AutoSwitch did not wire the sampler's switch hooks")

@@ -129,7 +129,10 @@ func TestSwitchToSameKindIsNoop(t *testing.T) {
 // each hop, then frees them all. The era-floor seeding is what keeps the
 // stale allocation stamps on those survivors below each new clock; a
 // regression here shows up as a premature free under Debug's
-// use-after-free tripwire or a stuck backlog at the end.
+// use-after-free tripwire or a stuck backlog at the end. Telemetry's Era
+// must show the same floor: every clocked scheme, EBR's epoch included,
+// reads at least the previous clocked reading, and the clock-less HP and
+// Leak read 0.
 func TestSwitchChainEraFloor(t *testing.T) {
 	d, err := wfe.NewDomain[int](wfe.Options{
 		Scheme: wfe.WFE, Capacity: 1 << 14, MaxGuards: 4,
@@ -140,6 +143,7 @@ func TestSwitchChainEraFloor(t *testing.T) {
 	}
 	s := wfe.NewStack[int](d)
 	chain := []wfe.SchemeKind{wfe.EBR, wfe.HP, wfe.HE, wfe.Leak, wfe.TwoGEIBR, wfe.WFEIBR, wfe.WFE}
+	floor := d.Telemetry().Era
 	for hop, kind := range chain {
 		// Survivors allocated under the previous scheme stay live across
 		// the swap; churn retires a few under the new one right after.
@@ -154,6 +158,17 @@ func TestSwitchChainEraFloor(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			s.Pop()
 		}
+		era := d.Telemetry().Era
+		if kind == wfe.HP || kind == wfe.Leak {
+			if era != 0 {
+				t.Errorf("hop %d -> %v: Telemetry().Era = %d, want 0 for a clock-less scheme", hop, kind, era)
+			}
+			continue
+		}
+		if era < floor {
+			t.Errorf("hop %d -> %v: Telemetry().Era = %d, below the previous clocked reading %d", hop, kind, era, floor)
+		}
+		floor = era
 	}
 	for {
 		if _, ok := s.Pop(); !ok {
@@ -293,36 +308,60 @@ func TestGuardNoSpuriousPanicUnderSwitchStorm(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTelemetryMonotoneAcrossSwitch pins the carry: cumulative scan
-// counters must never step backwards over a swap, or every Sampler
-// trajectory recorded across one turns to garbage.
+// TestTelemetryMonotoneAcrossSwitch pins the carry: cumulative counters
+// must never step backwards over a swap, or every Sampler trajectory
+// recorded across one turns to garbage. The slow-path row forces WFE's
+// helping path, so SlowPaths must survive a hop to a scheme without one
+// and the hop back to a fresh WFE.
 func TestTelemetryMonotoneAcrossSwitch(t *testing.T) {
-	d, err := wfe.NewDomain[int](wfe.Options{Scheme: wfe.HE, Capacity: 1 << 14, MaxGuards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := wfe.NewStack[int](d)
-	for i := 0; i < 4000; i++ {
-		if err := s.TryPush(i); err != nil {
-			t.Fatal(err)
-		}
-		s.Pop()
-	}
-	before := d.Telemetry()
-	if before.ScanScans == 0 {
-		t.Fatal("churn produced no cleanup scans; the carry assertion below would be vacuous")
-	}
-	if err := d.Switch(wfe.TwoGEIBR); err != nil {
-		t.Fatal(err)
-	}
-	after := d.Telemetry()
-	if after.ScanScans < before.ScanScans {
-		t.Errorf("ScanScans went backwards across the switch: %d -> %d", before.ScanScans, after.ScanScans)
-	}
-	if after.ScanBlocks < before.ScanBlocks {
-		t.Errorf("ScanBlocks went backwards across the switch: %d -> %d", before.ScanBlocks, after.ScanBlocks)
-	}
-	if after.MaxSteps < before.MaxSteps {
-		t.Errorf("MaxSteps went backwards across the switch: %d -> %d", before.MaxSteps, after.MaxSteps)
+	for _, tc := range []struct {
+		name  string
+		opts  wfe.Options
+		chain []wfe.SchemeKind
+	}{
+		{"scans", wfe.Options{Scheme: wfe.HE}, []wfe.SchemeKind{wfe.TwoGEIBR}},
+		{"slow-paths", wfe.Options{Scheme: wfe.WFE, ForceSlowPath: true}, []wfe.SchemeKind{wfe.HE, wfe.WFE}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Capacity, tc.opts.MaxGuards = 1<<14, 4
+			d, err := wfe.NewDomain[int](tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := wfe.NewStack[int](d)
+			for i := 0; i < 4000; i++ {
+				if err := s.TryPush(i); err != nil {
+					t.Fatal(err)
+				}
+				s.Pop()
+			}
+			before := d.Telemetry()
+			if before.ScanScans == 0 {
+				t.Fatal("churn produced no cleanup scans; the carry assertion below would be vacuous")
+			}
+			if tc.opts.ForceSlowPath && before.SlowPaths == 0 {
+				t.Fatal("forced slow path recorded no slow paths; the carry assertion below would be vacuous")
+			}
+			for _, kind := range tc.chain {
+				if err := d.Switch(kind); err != nil {
+					t.Fatal(err)
+				}
+				after := d.Telemetry()
+				for _, c := range []struct {
+					name          string
+					before, after uint64
+				}{
+					{"ScanScans", before.ScanScans, after.ScanScans},
+					{"ScanBlocks", before.ScanBlocks, after.ScanBlocks},
+					{"MaxSteps", before.MaxSteps, after.MaxSteps},
+					{"SlowPaths", before.SlowPaths, after.SlowPaths},
+				} {
+					if c.after < c.before {
+						t.Errorf("%s went backwards across the switch to %v: %d -> %d", c.name, kind, c.before, c.after)
+					}
+				}
+				before = after
+			}
+		})
 	}
 }
