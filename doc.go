@@ -25,7 +25,8 @@
 //     pre-built on the Domain primitives.
 //   - WFQueue[T] and TurnQueue[T] — the paper's two wait-free queues
 //     (Kogan–Petrank and CRTurn, Figure 5): combined with the WFE scheme
-//     they are wait-free end to end, reclamation included.
+//     they are wait-free end to end on a held guard, reclamation and
+//     allocation included (see Progress below).
 //   - HashMap[T] and Tree[T] — Michael's hash map and the
 //     Natarajan–Mittal external BST, the paper's search-structure
 //     workloads (Figures 7, 8, 10, 11).
@@ -43,6 +44,27 @@
 //
 // See ExampleDomain for the quickstart and ExampleGuard for building a
 // custom structure on the primitives.
+//
+// # Progress
+//
+// Under the WFE scheme these paths finish in a bounded number of steps,
+// whatever the other goroutines do:
+//
+//   - a held guard's protected reads (Protect, ProtectWord);
+//   - both queue cores: WFQueue's and TurnQueue's enqueue and dequeue;
+//   - allocation: a pop from the guard's free cache, a claim of a whole
+//     free segment in at most MaxGuards mailbox swaps, or a bump of the
+//     never-used region; and the free that returns a block, whose
+//     segment publish takes at most two CAS attempts;
+//   - retire, and the scan of the guard's own retire list it runs.
+//
+// Two paths are not wait-free. A guardless call leases a guard, and the
+// lease (like Pin and AcquireGuard) parks when every guard is held, until
+// one is released; a goroutine that holds its guard never parks. And an
+// allocation that finds the arena exhausted enters the emergency
+// reclamation pipeline, which sleeps a doubling backoff between rounds
+// and returns ErrArenaExhausted after Options.AllocRetries of them: its
+// bound is a count of sleeps, not of steps alone.
 //
 // # Layout
 //

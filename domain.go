@@ -137,12 +137,15 @@ type Options struct {
 	// internal scheme config.
 	CleanupFreq int
 	// SpillSize is the number of blocks the arena moves between a guard's
-	// free cache and the global free list in one batched segment transfer
-	// (default 2048). A cache spills once it exceeds 2×SpillSize, so the
-	// contended global list head is touched once per SpillSize frees on
-	// producer/consumer workloads; Telemetry's ArenaSegPushes/ArenaSegPops
-	// show the traffic. Smaller values return memory to other guards
-	// sooner, larger values cut contention further.
+	// free cache and the guards' mailboxes in one segment transfer
+	// (default 256). A guard's cache holds at most 2×SpillSize free
+	// blocks: once SpillSize more blocks are freed on top of a full
+	// segment, the segment is published to the guard's mailbox, where an
+	// allocation miss on any guard claims it whole. Each transfer is O(1)
+	// and wait-free, so SpillSize does not change its cost, only how
+	// often it happens; Telemetry's ArenaSegPushes/ArenaSegPops show the
+	// traffic. Smaller values hold fewer free blocks per guard and return
+	// them to other guards sooner.
 	SpillSize int
 	// MaxAttempts bounds WFE's fast path before it requests helping
 	// (default 16).
@@ -717,11 +720,11 @@ func (d *Domain[T]) allocHandle(tid int) (mem.Handle, error) {
 // rings are single-writer, and reaching into another guard's ring would
 // race its owner — so rescue from the other rings is arranged
 // indirectly: registering as an arena waiter makes every concurrent
-// retire run its own out-of-cadence scan and makes frees spill eagerly
-// past the private caches to the global list, where this tid's retry
-// can claim them. A guard whose own ring is empty (it just started, or
-// has only read) is therefore still rescued, as long as some guard
-// somewhere is retiring.
+// retire run its own out-of-cadence scan and makes every free publish
+// its cache's sealed segment at once to its guard's mailbox, where this
+// tid's retry can claim it. A guard whose own ring is empty (it just
+// started, or has only read) is therefore still rescued, as long as some
+// guard somewhere is retiring.
 func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	d.allocStalls.Add(1)
 	st := d.arena.Stats()
@@ -825,11 +828,12 @@ type Telemetry struct {
 	ScanBlocks uint64
 	ScanNanos  uint64
 
-	// Arena fast-path counters. SegPushes/SegPops count whole-segment
-	// transfers on the global free list (each moving Options.SpillSize
-	// blocks in one CAS); BumpHighwater is how many distinct blocks the
-	// bump allocator has ever handed out — the workload's true footprint,
-	// where InUse only shows the instantaneous one.
+	// Arena fast-path counters. SegPushes counts segments published to
+	// the guards' mailboxes and SegPops segments an allocation miss
+	// claimed from them, each moving Options.SpillSize blocks;
+	// BumpHighwater is how many distinct blocks the bump allocator has
+	// ever handed out — the workload's true footprint, where InUse only
+	// shows the instantaneous one.
 	ArenaSegPushes     uint64
 	ArenaSegPops       uint64
 	ArenaBumpHighwater uint64
@@ -960,11 +964,11 @@ func (d *Domain[T]) batchTotals() (ops, items uint64) {
 // block arena: every block is in exactly one of the four places, so
 // Cached+Global+Live+BumpFree always equals Capacity on a quiescent
 // Domain. quiesce.Check and the arena invariant tests assert this; a
-// violation means the segmented free list lost or duplicated a block.
+// violation means a segment transfer lost or duplicated a block.
 type ArenaCensus struct {
 	Cached   int // blocks in per-guard free caches
-	Global   int // blocks in global spill segments
-	Segments int // segments on the global list
+	Global   int // blocks in published segments, which any guard can claim
+	Segments int // published segments in the guards' mailboxes
 	Live     int // allocated blocks (live or retired)
 	BumpFree int // blocks the bump allocator has never handed out
 	Capacity int

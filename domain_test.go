@@ -147,7 +147,7 @@ func TestNewDomainValidation(t *testing.T) {
 
 // TestSpillTelemetryAndCensus drives a producer/consumer imbalance (one
 // guard allocates what another frees) through a tiny SpillSize so blocks
-// must round-trip the global segment list, then asserts the batched
+// must round-trip through the guards' mailboxes, then asserts the segment
 // transfers surface in Telemetry and the quiescent census accounts for
 // every block.
 func TestSpillTelemetryAndCensus(t *testing.T) {

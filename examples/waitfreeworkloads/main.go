@@ -4,10 +4,18 @@
 // paper's Figures 5–11 measure — all sharing one WFE Domain.
 //
 // The headline property: combined with WFE, the two queues are wait-free
-// end to end, reclamation included — every operation, every protected
-// read and every retire completes in a bounded number of steps. The
-// program storms each structure through the guardless API from far more
-// goroutines than the Domain has guards (the lease/parking path), checks
+// end to end on a held guard, reclamation included. These paths finish in
+// a bounded number of steps: a held guard's protected reads, both queue
+// cores' enqueue and dequeue, allocation (a free-cache pop, a segment
+// claim of at most MaxGuards mailbox swaps, or a bump) and the free that
+// returns a block (at most two CAS attempts), and retire with the scan it
+// runs. Two paths are not: a guardless call parks while every guard is
+// held, and an allocation on an exhausted arena sleeps a backoff between
+// at most Options.AllocRetries emergency rounds.
+//
+// This program does not stay on those paths: it storms each structure
+// through the guardless API from 16 goroutines on 4 guards, so its
+// operations lease guards and park (the lease/parking path). It checks
 // exactly-once delivery on the queues and membership on the maps, and
 // prints the reclamation census.
 //

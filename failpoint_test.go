@@ -191,8 +191,8 @@ func TestFailpointRefillMissEntersPipeline(t *testing.T) {
 	s := wfe.NewStack[uint64](d)
 	// Burn the bump region (push to exhaustion), then pop everything so
 	// the whole arena cycles through retire scans into the caches and the
-	// global spill list: from here on, a cache miss can only be served by
-	// refill, the path the site fails.
+	// mailboxes: from here on, a cache miss can only be served by refill,
+	// the path the site fails.
 	for {
 		if err := s.TryPush(1); err != nil {
 			break

@@ -40,7 +40,7 @@ var (
 	// allocation report exhaustion even when slots remain.
 	fpAlloc = failpoint.New("arena-alloc")
 	// fpRefill fires at refill entry: an injected error makes the miss
-	// path skip the global list, as if every segment were already claimed.
+	// path skip the mailboxes, as if every segment were already claimed.
 	fpRefill = failpoint.New("arena-refill")
 )
 
@@ -64,39 +64,59 @@ const (
 const poison = uint64(0xDEADBEEFDEADBEEF)
 
 type slot struct {
-	allocEra  atomic.Uint64
+	allocEra atomic.Uint64
+	// retireEra is the retirement era while the slot is retired. A free
+	// slot has none, so while it heads a published segment the word holds
+	// the handle of the next segment in its mailbox's chain (0 ends the
+	// chain); makeLive resets it. Only the tid whose swap took the chain
+	// reads the link, so the value needs no stamp.
 	retireEra atomic.Uint64
 	state     atomic.Uint32
 	version   atomic.Uint32
 	words     [NumWords]atomic.Uint64
 	key       uint64 // immutable after publication
 	// nextFree is the free-list link. It is written only by the slot's
-	// current owner (the freeing thread building its cache, or the
-	// spilling thread cutting a segment) and read only after ownership is
-	// re-acquired through the global head CAS, so it needs no atomics.
+	// current owner (the freeing thread building its cache) and read only
+	// by the cache's owner or, once the segment is published, by the tid
+	// whose mailbox swap took it, so it needs no atomics.
 	nextFree Handle
-	// segMeta is set on a segment's head slot while the segment sits on
-	// the global list: packed {length:40 | next-segment handle:24}. It is
-	// atomic because refill must read it before winning the head CAS, when
-	// a racing pop/recycle/re-push may rewrite it concurrently (the
-	// stamped head CAS then fails and the stale read is discarded).
-	segMeta atomic.Uint64
 }
 
-// threadMem is per-registered-thread allocator state, padded to a cache
-// line multiple so neighbouring threads do not false-share.
+// threadMem is per-registered-thread allocator state, padded to two
+// cache lines so neighbouring threads do not false-share and the fields
+// an allocation or free touches sit on one line. Its free cache is a
+// filling list of at most spillSize slots plus at most one sealed
+// segment of exactly spillSize slots; only the owning tid touches either.
 type threadMem struct {
-	freeHead Handle
-	freeLen  int
+	fillHead Handle
+	fillLen  int
+	sealed   Handle // head of the sealed segment, or 0
 	allocs   atomic.Uint64
 	frees    atomic.Uint64
-	_        [64]byte
+	pushes   atomic.Uint64 // segments this tid published
+	pops     atomic.Uint64 // segments this tid's refills claimed
+	// Owner-only high-water marks of the CAS attempts one publish took and
+	// the mailbox swaps one refill made. Tests read them after the
+	// workers join, to check the bounds publish and refill promise.
+	maxPublishCASes int
+	maxRefillSwaps  int
+	_               [56]byte
 }
 
-// defaultSpillSize is the default batched-transfer segment size: a
-// thread's free cache holds up to twice this many slots before spilling
-// its oldest defaultSpillSize as one segment.
-const defaultSpillSize = 2048
+// mailbox is one tid's chain of published segments: the handle of the
+// top segment's head slot, or 0. Only its tid pushes onto it; every
+// other tid only swaps it to 0. The padding keeps each mailbox word off
+// its neighbours' cache lines.
+type mailbox struct {
+	head atomic.Uint64
+	_    [56]byte
+}
+
+// defaultSpillSize is the default segment size. A transfer costs a few
+// uncontended atomics whatever its size, so the default is sized for
+// footprint: a thread's free cache holds at most 2×defaultSpillSize
+// slots.
+const defaultSpillSize = 256
 
 // Config configures an Arena.
 type Config struct {
@@ -105,11 +125,11 @@ type Config struct {
 	// MaxThreads is the number of registered threads (tids 0..MaxThreads-1).
 	MaxThreads int
 	// SpillSize is the number of slots moved between a thread's free cache
-	// and the global list in one batched segment transfer (default 2048).
-	// A cache spills its oldest SpillSize slots once it exceeds
-	// 2×SpillSize, and an allocation miss refills a whole segment, so the
-	// contended global head is CASed once per SpillSize frees instead of
-	// once per free on producer/consumer workloads.
+	// and the mailboxes in one segment transfer (default 256). A free that
+	// finds the cache's filling list at SpillSize slots publishes the
+	// sealed segment to the thread's mailbox and seals the filling list,
+	// so a cache holds at most 2×SpillSize slots; an allocation miss
+	// claims a whole segment. Either transfer is O(1) and wait-free.
 	SpillSize int
 	// Debug enables state checking and poisoning on every access.
 	Debug bool
@@ -118,22 +138,28 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// Arena is a bounded slab of slots with per-thread free caches, a global
-// list of batched spill segments, and a bump allocator for never-used
-// slots. Only the chunks of the slab the bump allocator has reached exist.
+// Arena is a bounded slab of slots with per-thread free caches, one
+// mailbox of published segments per thread, and a bump allocator for
+// never-used slots. Only the chunks of the slab the bump allocator has
+// reached exist. Every allocation and free is wait-free: a cache
+// operation is O(1), a publish takes at most two CAS attempts, a refill
+// at most MaxThreads swaps, and the bump allocator one fetch-and-add.
 type Arena struct {
-	slots     Slab[slot]
-	bump      atomic.Uint64 // next never-allocated slot index
-	global    atomic.Uint64 // packed {stamp:40 | segment-head handle:24} Treiber head
+	slots Slab[slot]
+	bump  atomic.Uint64 // next never-allocated slot index
+	// published is never below the number of segments in the mailboxes:
+	// a publish adds 1 before its CAS and a claim subtracts 1 after its
+	// swap. So a miss that reads 0 skips the mailbox scan, and a bump
+	// allocation costs one load here instead of a load per mailbox.
+	published atomic.Int64
 	threads   []threadMem
+	mailboxes []mailbox
 	cap       uint64
 	spillSize int
 	debug     bool
 	growHook  func(idx uint64)
 	freeHook  func(h Handle)
 	tracer    *trace.Tracer
-	segPushes atomic.Uint64
-	segPops   atomic.Uint64
 	waiters   atomic.Int64 // allocations stalled on exhaustion (AddWaiter)
 }
 
@@ -155,6 +181,7 @@ func New(cfg Config) *Arena {
 	return &Arena{
 		slots:     NewSlab[slot](cfg.Capacity),
 		threads:   make([]threadMem, cfg.MaxThreads),
+		mailboxes: make([]mailbox, cfg.MaxThreads),
 		cap:       uint64(cfg.Capacity),
 		spillSize: cfg.SpillSize,
 		debug:     cfg.Debug,
@@ -191,8 +218,8 @@ func (a *Arena) slot(h Handle) *slot {
 
 // TryAlloc returns a fresh live slot for thread tid, reusing freed slots
 // when available, or (0, false) when the arena is exhausted: tid's free
-// cache is empty, the global segment list has nothing to refill from, and
-// the bump region is spent. Exhaustion is a backpressure signal, not a
+// cache is empty, no mailbox holds a segment to refill from, and the bump
+// region is spent. Exhaustion is a backpressure signal, not a
 // verdict — retired-but-unscanned blocks may become free after the next
 // reclamation scan, which is exactly what the Domain's emergency
 // allocation pipeline arranges before giving up.
@@ -201,13 +228,17 @@ func (a *Arena) TryAlloc(tid int) (Handle, bool) {
 		return 0, false
 	}
 	t := &a.threads[tid]
-	if t.freeHead == 0 {
-		a.refill(tid, t)
+	if t.fillHead == 0 {
+		if t.sealed != 0 {
+			t.fillHead, t.fillLen, t.sealed = t.sealed, a.spillSize, 0
+		} else {
+			a.refill(tid, t)
+		}
 	}
-	if h := t.freeHead; h != 0 {
+	if h := t.fillHead; h != 0 {
 		s := a.slot(h)
-		t.freeHead = s.nextFree
-		t.freeLen--
+		t.fillHead = s.nextFree
+		t.fillLen--
 		a.makeLive(h, s)
 		t.allocs.Add(1)
 		return h, true
@@ -251,11 +282,12 @@ func (a *Arena) makeLive(h Handle, s *slot) {
 }
 
 // AddWaiter registers (delta +1) or unregisters (-1) an allocation
-// stalled on the exhausted arena. While any waiter is registered, Free
-// spills past SpillSize instead of 2×SpillSize: under pressure a free
-// block hiding in a private cache is a block the stalled thread cannot
-// reach, so the caches keep only their working margin and everything
-// else flows to the global list where any thread can claim it.
+// stalled on the exhausted arena. While any waiter is registered, a Free
+// publishes its cache's sealed segment at once instead of when the
+// filling list is full: under pressure a free block hiding in a private
+// cache is a block the stalled thread cannot reach, so the caches keep
+// only their filling lists and everything else goes to a mailbox, where
+// any thread can claim it.
 func (a *Arena) AddWaiter(delta int64) { a.waiters.Add(delta) }
 
 // Pressured reports whether any allocation is currently stalled on the
@@ -289,12 +321,18 @@ func (a *Arena) Free(tid int, h Handle) {
 	s.version.Add(1)
 	s.state.Store(slotFree)
 	t := &a.threads[tid]
-	if t.freeLen >= 2*a.spillSize || (t.freeLen > a.spillSize && a.waiters.Load() > 0) {
-		a.spillSegment(tid, t)
+	if t.fillLen == a.spillSize {
+		if t.sealed != 0 {
+			a.publish(tid, t)
+		}
+		t.sealed, t.fillHead, t.fillLen = t.fillHead, 0, 0
 	}
-	s.nextFree = t.freeHead
-	t.freeHead = h
-	t.freeLen++
+	if t.sealed != 0 && a.waiters.Load() > 0 {
+		a.publish(tid, t)
+	}
+	s.nextFree = t.fillHead
+	t.fillHead = h
+	t.fillLen++
 	t.frees.Add(1)
 }
 
@@ -319,62 +357,73 @@ func (a *Arena) FreeRetired(tid int) int {
 	return n
 }
 
-// Global spill list: a Treiber stack of whole segments. The head word
-// packs a 40-bit stamp with the 24-bit handle of the top segment's first
-// slot; the stamp defeats ABA on concurrent transfers. Each segment is a
-// nextFree-linked chain cut from a per-thread cache, its head slot
-// carrying the segment length and next-segment link in segMeta, so both
-// directions move SpillSize slots per CAS instead of one.
+// Segment transfers. A thread's free cache moves whole segments, linked
+// through nextFree, to and from the mailboxes, one word per thread. Only
+// a full filling list is sealed, so every segment is exactly spillSize
+// slots long, and its head slot carries only the link to the next
+// segment of its mailbox's chain, in retireEra. Only a mailbox's own
+// thread pushes onto it, with a CAS; every other thread only swaps it to
+// 0. So a push fails only when its mailbox was just emptied, and a
+// claim never fails: both directions are O(1) and wait-free.
 
-// spillSegment cuts the oldest spillSize slots off tid's free cache —
-// everything past the spillSize most recently freed — and pushes them to
-// the global list as one segment.
-func (a *Arena) spillSegment(tid int, t *threadMem) {
-	cut := a.slot(t.freeHead)
-	for i := 1; i < a.spillSize; i++ {
-		cut = a.slot(cut.nextFree)
-	}
-	head := cut.nextFree
-	n := t.freeLen - a.spillSize
-	cut.nextFree = 0
-	t.freeLen = a.spillSize
-	for {
-		old := a.global.Load()
-		a.slot(head).segMeta.Store(uint64(n)<<pack.HandleBits | old&pack.HandleMask)
-		next := (old>>pack.HandleBits+1)<<pack.HandleBits | head
-		if a.global.CompareAndSwap(old, next) {
-			a.segPushes.Add(1)
-			a.tracer.Emit(tid, trace.KindSegSpill, uint64(n), 0)
+// publish pushes tid's sealed segment onto tid's mailbox and empties
+// the sealed slot. A failed CAS saw another thread swap the mailbox to 0,
+// and only tid makes it non-empty again, so the second attempt, from 0,
+// cannot fail.
+func (a *Arena) publish(tid int, t *threadMem) {
+	a.published.Add(1)
+	mb := &a.mailboxes[tid].head
+	head := a.slot(t.sealed)
+	for attempt := 1; attempt <= 2; attempt++ {
+		next := mb.Load()
+		head.retireEra.Store(next)
+		if mb.CompareAndSwap(next, t.sealed) {
+			t.sealed = 0
+			t.maxPublishCASes = max(t.maxPublishCASes, attempt)
+			t.pushes.Add(1)
+			a.tracer.Emit(tid, trace.KindSegSpill, uint64(a.spillSize), 0)
 			return
 		}
 	}
+	panic(fmt.Sprintf("mem: mailbox %d filled by a thread other than its owner", tid))
 }
 
-// refill claims one whole segment off the global list in a single CAS and
-// installs it as tid's free cache. The segMeta read may race a concurrent
-// pop/recycle/re-push of the observed head slot, but any such cycle
-// advances the head stamp, so the CAS only succeeds when the read was of
-// the current cycle.
+// refill claims one published segment and installs it as tid's filling
+// list. It visits each mailbox once, tid's own first and then tid+1,
+// tid+2 and so on, wrapping, and swaps only one it saw non-empty: at
+// most MaxThreads swaps. Of the chain it takes it keeps the first
+// segment and stores the rest into its own mailbox, which is empty then
+// (seen empty or just swapped empty, and only tid fills it), so that CAS
+// cannot fail.
 func (a *Arena) refill(tid int, t *threadMem) {
 	if err := fpRefill.Eval(tid); err != nil {
 		return
 	}
-	for {
-		old := a.global.Load()
-		h := old & pack.HandleMask
-		if h == 0 {
-			return
-		}
-		meta := a.slot(h).segMeta.Load()
-		next := (old>>pack.HandleBits+1)<<pack.HandleBits | meta&pack.HandleMask
-		if a.global.CompareAndSwap(old, next) {
-			t.freeHead = h
-			t.freeLen = int(meta >> pack.HandleBits)
-			a.segPops.Add(1)
-			a.tracer.Emit(tid, trace.KindSegRefill, uint64(t.freeLen), 0)
-			return
-		}
+	if a.published.Load() == 0 {
+		return // no mailbox holds a segment
 	}
+	n := len(a.mailboxes)
+	swaps := 0
+	for i := range n {
+		mb := &a.mailboxes[(tid+i)%n].head
+		if mb.Load() == 0 {
+			continue
+		}
+		swaps++
+		seg := mb.Swap(0)
+		if seg == 0 {
+			continue // another thread took the chain after the load
+		}
+		if rest := a.slot(seg).retireEra.Load(); rest != 0 && !a.mailboxes[tid].head.CompareAndSwap(0, rest) {
+			panic(fmt.Sprintf("mem: mailbox %d filled by a thread other than its owner", tid))
+		}
+		a.published.Add(-1)
+		t.fillHead, t.fillLen = seg, a.spillSize
+		t.pops.Add(1)
+		a.tracer.Emit(tid, trace.KindSegRefill, uint64(a.spillSize), 0)
+		break
+	}
+	t.maxRefillSwaps = max(t.maxRefillSwaps, swaps)
 }
 
 // check guards every slot access in debug mode. It is small enough to
@@ -499,8 +548,8 @@ type Stats struct {
 	Frees     uint64 // total frees
 	InUse     uint64 // Allocs - Frees
 	Bumped    uint64 // bump-allocator highwater: slots ever handed out
-	SegPushes uint64 // batched segments spilled to the global free list
-	SegPops   uint64 // segments claimed back by allocation misses
+	SegPushes uint64 // segments published to the mailboxes
+	SegPops   uint64 // segments claimed from the mailboxes by allocation misses
 }
 
 // Stats sums the per-thread counters. The snapshot is approximate under
@@ -508,8 +557,11 @@ type Stats struct {
 func (a *Arena) Stats() Stats {
 	var st Stats
 	for i := range a.threads {
-		st.Allocs += a.threads[i].allocs.Load()
-		st.Frees += a.threads[i].frees.Load()
+		t := &a.threads[i]
+		st.Allocs += t.allocs.Load()
+		st.Frees += t.frees.Load()
+		st.SegPushes += t.pushes.Load()
+		st.SegPops += t.pops.Load()
 	}
 	st.InUse = st.Allocs - st.Frees
 	b := a.bump.Load()
@@ -517,8 +569,6 @@ func (a *Arena) Stats() Stats {
 		b = a.cap
 	}
 	st.Bumped = b
-	st.SegPushes = a.segPushes.Load()
-	st.SegPops = a.segPops.Load()
 	return st
 }
 
@@ -529,31 +579,31 @@ func (a *Arena) Stats() Stats {
 type Census struct {
 	Cached    int // slots walked in per-thread free caches
 	CachedLen int // sum of the caches' length counters (must equal Cached)
-	Global    int // slots walked in global spill segments
-	Segments  int // segments on the global list
+	Global    int // slots walked in published segments, which any thread can claim
+	Segments  int // published segments in the mailboxes
 	Live      int // allocated slots (live or retired)
 	BumpFree  int // slots the bump allocator has never handed out
 	Capacity  int
 }
 
-// Census walks the free caches, the global segment list and the slot
-// states. It must only be called on a quiescent arena: the walks take no
-// locks and tolerate no concurrent Alloc/Free.
+// Census walks the free caches, the mailboxes' segment chains and the
+// slot states. It must only be called on a quiescent arena: the walks
+// take no locks and tolerate no concurrent Alloc/Free.
 func (a *Arena) Census() Census {
 	c := Census{Capacity: int(a.cap)}
 	for i := range a.threads {
 		t := &a.threads[i]
-		c.CachedLen += t.freeLen
-		for h := t.freeHead; h != 0; h = a.slot(h).nextFree {
-			c.Cached++
+		c.CachedLen += t.fillLen
+		if t.sealed != 0 {
+			c.CachedLen += a.spillSize
 		}
+		c.Cached += a.listLen(t.fillHead) + a.listLen(t.sealed)
 	}
-	for h := a.global.Load() & pack.HandleMask; h != 0; {
-		c.Segments++
-		for s := h; s != 0; s = a.slot(s).nextFree {
-			c.Global++
+	for i := range a.mailboxes {
+		for seg := a.mailboxes[i].head.Load(); seg != 0; seg = a.slot(seg).retireEra.Load() {
+			c.Segments++
+			c.Global += a.listLen(seg)
 		}
-		h = a.slot(h).segMeta.Load() & pack.HandleMask
 	}
 	b := min(a.bump.Load(), a.cap)
 	c.BumpFree = int(a.cap - b)
@@ -565,4 +615,13 @@ func (a *Arena) Census() Census {
 		}
 	}
 	return c
+}
+
+// listLen counts the slots of the nextFree chain starting at h.
+func (a *Arena) listLen(h Handle) int {
+	n := 0
+	for ; h != 0; h = a.slot(h).nextFree {
+		n++
+	}
+	return n
 }

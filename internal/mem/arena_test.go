@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newTestArena(capacity, threads int) *Arena {
@@ -187,9 +188,9 @@ func TestConcurrentAllocFree(t *testing.T) {
 }
 
 func TestGlobalSpillBatched(t *testing.T) {
-	// Free past 2×SpillSize on one thread: the cache must splice its
-	// oldest SpillSize slots onto the global list as one segment, which
-	// another thread (empty cache, exhausted bump space) claims whole.
+	// Free past 2×SpillSize on one thread: the cache must publish its
+	// oldest SpillSize slots to its mailbox as one segment, which another
+	// thread (empty cache, exhausted bump space) claims whole.
 	const spill = 16
 	capacity := 3 * spill
 	a := New(Config{Capacity: capacity, MaxThreads: 2, Debug: true, SpillSize: spill})
@@ -300,6 +301,10 @@ func TestCensusInvariantUnderChurn(t *testing.T) {
 			t.Fatalf("round %d: census leak: %d cached + %d global + %d live + %d bump-free = %d != capacity %d",
 				round, c.Cached, c.Global, c.Live, c.BumpFree, got, c.Capacity)
 		}
+		if st := a.Stats(); uint64(c.Segments) != st.SegPushes-st.SegPops {
+			t.Fatalf("round %d: %d segments published, want SegPushes-SegPops = %d-%d",
+				round, c.Segments, st.SegPushes, st.SegPops)
+		}
 	}
 	if st := a.Stats(); st.InUse != 0 || st.SegPushes == 0 {
 		t.Fatalf("after churn: InUse=%d SegPushes=%d (want 0, >0)", st.InUse, st.SegPushes)
@@ -378,10 +383,9 @@ func TestConcurrentGlobalSpillStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	// Producers free into the global list (via batched spills) while
-	// consumers claim whole segments from it; the stamped head must
-	// prevent ABA-induced double-allocation, which the debug state machine
-	// would catch.
+	// Producers publish their frees to their mailboxes as whole segments
+	// while consumers claim them; a segment handed out twice would be a
+	// double allocation, which the debug state machine would catch.
 	const (
 		threads = 6
 		spill   = 64
@@ -408,5 +412,132 @@ func TestConcurrentGlobalSpillStress(t *testing.T) {
 	wg.Wait()
 	if got := a.Stats().InUse; got != 0 {
 		t.Fatalf("in use = %d after balanced stress", got)
+	}
+}
+
+// TestSlotSize pins the slot layout: allocEra, retireEra, state, version,
+// the payload words, key and nextFree. A published segment's link rides
+// in retireEra, so it costs the slot no field. It also pins threadMem at
+// two cache lines.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 72 {
+		t.Fatalf("slot is %d bytes, want 72", got)
+	}
+	if got := unsafe.Sizeof(threadMem{}); got != 128 {
+		t.Fatalf("threadMem is %d bytes, want two 64-byte cache lines", got)
+	}
+}
+
+// TestPressuredFreeSpillsSealedSegment checks the pressure path: while an
+// allocation waits, a Free publishes its cache's sealed segment at once,
+// so a thread with an empty cache and a spent bump region can allocate
+// from it. Without a waiter the same Free keeps the segment private.
+func TestPressuredFreeSpillsSealedSegment(t *testing.T) {
+	const spill = 4
+	a := New(Config{Capacity: 2 * spill, MaxThreads: 2, Debug: true, SpillSize: spill})
+	hs := make([]Handle, 2*spill)
+	for i := range hs {
+		hs[i] = a.Alloc(0)
+	}
+	for _, h := range hs[:spill+1] { // seals spill blocks, one fills
+		a.Free(0, h)
+	}
+	a.Free(0, hs[spill+1])
+	if st := a.Stats(); st.SegPushes != 0 {
+		t.Fatalf("unpressured free published %d segments, want 0", st.SegPushes)
+	}
+	if _, ok := a.TryAlloc(1); ok {
+		t.Fatal("tid 1 allocated with every free block in tid 0's cache")
+	}
+	a.AddWaiter(1)
+	defer a.AddWaiter(-1)
+	a.Free(0, hs[spill+2])
+	if st := a.Stats(); st.SegPushes != 1 {
+		t.Fatalf("pressured free published %d segments, want 1", st.SegPushes)
+	}
+	for i := 0; i < spill; i++ {
+		if _, ok := a.TryAlloc(1); !ok {
+			t.Fatalf("tid 1 allocation %d failed with a published segment of %d", i, spill)
+		}
+	}
+	if st := a.Stats(); st.SegPops != 1 {
+		t.Fatalf("tid 1 claimed %d segments, want 1", st.SegPops)
+	}
+	if _, ok := a.TryAlloc(1); ok {
+		t.Fatal("tid 1 allocated past the published segment")
+	}
+}
+
+// TestTransferBoundsUnderStorm checks the wait-freedom bounds themselves,
+// not only the outcome: eight producer/consumer tid pairs at SpillSize 1,
+// every block freed on another tid, so nearly every free publishes and
+// nearly every allocation refills. No publish may take more than two CAS
+// attempts and no refill more than MaxThreads mailbox swaps, the
+// quiescent census must account for every slot, and the published count
+// that lets a miss skip the scan must match the segments in the
+// mailboxes.
+func TestTransferBoundsUnderStorm(t *testing.T) {
+	const (
+		pairs   = 8
+		threads = 2 * pairs
+		perPair = 5000
+	)
+	// A refill falls back to the bump region only when it finds no
+	// segment to take, so the bump high-water stays near the blocks in
+	// flight and in caches, far inside the capacity.
+	a := New(Config{Capacity: 1 << 12, MaxThreads: threads, Debug: true, SpillSize: 1})
+	var wg sync.WaitGroup
+	for p := 0; p < pairs; p++ {
+		// A buffer lets a producer run ahead of its consumer, so refills
+		// meet mailboxes that other tids are swapping at the same time.
+		ch := make(chan Handle, 64)
+		wg.Add(2)
+		go func(tid int) {
+			defer wg.Done()
+			defer close(ch)
+			for i := 0; i < perPair; i++ {
+				h := a.Alloc(tid)
+				a.SetRetireEra(h, 1)
+				ch <- h
+			}
+		}(p)
+		go func(tid int) {
+			defer wg.Done()
+			for h := range ch {
+				a.Free(tid, h)
+			}
+		}(pairs + p)
+	}
+	wg.Wait()
+	maxCAS, maxSwaps := 0, 0
+	for tid := range a.threads {
+		tm := &a.threads[tid]
+		maxCAS, maxSwaps = max(maxCAS, tm.maxPublishCASes), max(maxSwaps, tm.maxRefillSwaps)
+		if tm.maxPublishCASes > 2 {
+			t.Errorf("tid %d: a publish took %d CAS attempts, want at most 2", tid, tm.maxPublishCASes)
+		}
+		if tm.maxRefillSwaps > threads {
+			t.Errorf("tid %d: a refill made %d mailbox swaps, want at most %d", tid, tm.maxRefillSwaps, threads)
+		}
+	}
+	st := a.Stats()
+	t.Logf("%d segments published, %d claimed, %d slots bumped; most CAS attempts in one publish %d, most swaps in one refill %d",
+		st.SegPushes, st.SegPops, st.Bumped, maxCAS, maxSwaps)
+	if st.InUse != 0 || st.SegPops == 0 {
+		t.Fatalf("after the storm: InUse=%d SegPops=%d (want 0, >0)", st.InUse, st.SegPops)
+	}
+	c := a.Census()
+	if c.Cached != c.CachedLen {
+		t.Fatalf("cache walk %d disagrees with length counters %d", c.Cached, c.CachedLen)
+	}
+	if got := c.Cached + c.Global + c.Live + c.BumpFree; got != c.Capacity {
+		t.Fatalf("census leak: %d cached + %d global + %d live + %d bump-free = %d != capacity %d",
+			c.Cached, c.Global, c.Live, c.BumpFree, got, c.Capacity)
+	}
+	if uint64(c.Segments) != st.SegPushes-st.SegPops {
+		t.Fatalf("%d segments published, want SegPushes-SegPops = %d-%d", c.Segments, st.SegPushes, st.SegPops)
+	}
+	if got := a.published.Load(); got != int64(c.Segments) {
+		t.Fatalf("published count %d, want the %d segments in the mailboxes", got, c.Segments)
 	}
 }

@@ -70,8 +70,8 @@ const (
 
 // Check asserts the quiescent census after Settle: the lease cache must
 // flush clean, every guard tid must be back on the freelist, the arena's
-// freelist census must account for every block (the segmented spill list
-// can neither lose nor duplicate slots), and — when assertBacklog is set
+// freelist census must account for every block (segment transfers can
+// neither lose nor duplicate slots), and — when assertBacklog is set
 // (every scheme but the leak baseline) — the retired backlog must have
 // collapsed to the per-tid baseline. It returns the first violation as an
 // error so test and CLI harnesses share one recipe.

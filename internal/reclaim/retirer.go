@@ -178,8 +178,8 @@ func (r *Retirer) Retire(tid int, blk mem.Handle) {
 	// While an allocation is stalled on the exhausted arena, every retire
 	// scans out of cadence: rings are single-writer, so the stalled thread
 	// cannot reach this ring's blocks itself — its rescue depends on the
-	// ring's owner draining it. The eager-spill mode AddWaiter switched on
-	// then moves the frees to the global list where the waiter can claim
+	// ring's owner draining it. The eager-publish mode AddWaiter switched
+	// on then moves the frees to a mailbox where the waiter can claim
 	// them. Between stalls this is one relaxed load per retire.
 	if n%r.cleanupFreq == 0 || r.arena.Pressured() {
 		if r.pre != nil {

@@ -47,11 +47,11 @@ const (
 	// KindEraAdvance: the global era/epoch clock advanced. A is the new
 	// value.
 	KindEraAdvance
-	// KindSegSpill: a full local free segment was pushed to the global
-	// list. A is the segment length.
+	// KindSegSpill: a sealed local free segment was published to its
+	// thread's mailbox. A is the segment length.
 	KindSegSpill
-	// KindSegRefill: an empty local cache pulled a segment from the
-	// global list. A is the segment length.
+	// KindSegRefill: an empty local cache claimed a segment from a
+	// mailbox. A is the segment length.
 	KindSegRefill
 	// KindSchemeSwitch: the Domain swapped reclamation schemes. A is the
 	// outgoing SchemeKind, B the incoming one. Emitted on the shared ring

@@ -179,9 +179,9 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.ScanBlocks }),
 	counter("wfe_scan_nanoseconds", "Nanoseconds spent in cleanup scans.",
 		func(t wfe.Telemetry) uint64 { return t.ScanNanos }),
-	counter("wfe_arena_seg_pushes", "Whole-segment spills onto the global free list.",
+	counter("wfe_arena_seg_pushes", "Whole segments published to the guards' mailboxes.",
 		func(t wfe.Telemetry) uint64 { return t.ArenaSegPushes }),
-	counter("wfe_arena_seg_pops", "Whole-segment refills off the global free list.",
+	counter("wfe_arena_seg_pops", "Whole segments claimed from the mailboxes by allocation misses.",
 		func(t wfe.Telemetry) uint64 { return t.ArenaSegPops }),
 	counter("wfe_arena_bump_highwater_blocks", "Distinct blocks ever handed out by the bump allocator.",
 		func(t wfe.Telemetry) uint64 { return t.ArenaBumpHighwater }),
