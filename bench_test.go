@@ -160,6 +160,54 @@ func BenchmarkNewDomain(b *testing.B) {
 	}
 }
 
+// BenchmarkGuardAlloc is the allocation layer's row, on one guard of a
+// WFE Domain. fresh is one TryAlloc of a block the bump allocator hands
+// out for the first time, the path every structure fill takes; once the
+// bump region is spent the Domain is rebuilt with the timer stopped.
+// recycled is a TryAlloc plus Dealloc pair, which hands the same block
+// back and forth through the guard's free cache.
+func BenchmarkGuardAlloc(b *testing.B) {
+	const capacity = 1 << 16
+	newGuard := func(b *testing.B) *wfe.Guard[uint64] {
+		b.Helper()
+		d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: capacity, MaxGuards: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d.Guard()
+	}
+	b.Run("fresh", func(b *testing.B) {
+		g := newGuard(b)
+		left := capacity
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if left == 0 {
+				b.StopTimer()
+				g.Release()
+				g, left = newGuard(b), capacity
+				b.StartTimer()
+			}
+			if _, err := g.TryAlloc(1); err != nil {
+				b.Fatal(err)
+			}
+			left--
+		}
+		b.StopTimer()
+		g.Release()
+	})
+	b.Run("recycled", func(b *testing.B) {
+		g := newGuard(b)
+		defer g.Release()
+		for b.Loop() {
+			r, err := g.TryAlloc(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Dealloc(r)
+		}
+	})
+}
+
 // Treiber stack sanity benchmark (the paper's usage example, Figure 2).
 func BenchmarkStackPushPop(b *testing.B) {
 	for _, scheme := range benchSchemes {

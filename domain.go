@@ -1437,10 +1437,11 @@ func (g *Guard[T]) End() {
 }
 
 // Alloc allocates a block holding v and returns an owned (not yet
-// published) Ref to it. All NumWords link/metadata words are zeroed (the
-// arena recycles blocks without clearing them). Stamp metadata with
-// StoreMeta and links with Store before publishing the block by CAS-ing
-// its Ref into the structure.
+// published) Ref to it. All NumWords link/metadata words read zero: a
+// block allocated for the first time comes zeroed from its arena chunk,
+// and Alloc zeroes a recycled one (the arena recycles blocks without
+// clearing them). Stamp metadata with StoreMeta and links with Store
+// before publishing the block by CAS-ing its Ref into the structure.
 //
 // When the arena is exhausted Alloc runs the Domain's emergency
 // reclamation pipeline (out-of-cadence scans with backoff, see
@@ -1466,10 +1467,16 @@ func (g *Guard[T]) TryAlloc(v T) (Ref[T], error) {
 	return g.initBlock(h, v), nil
 }
 
-// initBlock zeroes a fresh block's words and stores its value.
+// initBlock zeroes a recycled block's words and stores its value. A
+// block whose version is 0 was never freed, so its words still hold the
+// zeroes of its arena chunk and need no stores. The check stays here,
+// not in the arena's recycle path: the wait-free queue cores write all
+// four words of their nodes themselves and never pass initBlock.
 func (g *Guard[T]) initBlock(h mem.Handle, v T) Ref[T] {
-	for i := 0; i < NumWords; i++ {
-		g.d.arena.StoreWord(h, i, 0)
+	if g.d.arena.Version(h) != 0 {
+		for i := 0; i < NumWords; i++ {
+			g.d.arena.StoreWord(h, i, 0)
+		}
 	}
 	*g.d.vals.At(h - 1) = v
 	return Ref[T]{h}

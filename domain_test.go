@@ -4,6 +4,7 @@
 package wfe_test
 
 import (
+	"fmt"
 	"testing"
 
 	"wfe"
@@ -223,5 +224,62 @@ func TestTelemetry(t *testing.T) {
 	}
 	if tel.Capacity != 1<<12 {
 		t.Fatalf("Capacity = %d", tel.Capacity)
+	}
+}
+
+// TestAllocReturnsZeroedWords pins Alloc's contract that a block's
+// NumWords words read zero, on both of its paths: a fresh block, which
+// the allocation leaves as its arena chunk zeroed it, and a recycled
+// one, which the allocation zeroes. Every block of a one-guard Domain is
+// allocated, so each recycled allocation must hand back the one block
+// just freed: first by Dealloc (live to free, words left as written),
+// then by Retire and Scavenge (retired to free, which Debug poisons).
+func TestAllocReturnsZeroedWords(t *testing.T) {
+	const capacity = 8
+	for _, kind := range wfe.AllSchemes() {
+		for _, debug := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/debug=%v", kind, debug), func(t *testing.T) {
+				d, err := wfe.NewDomain[uint64](wfe.Options{Scheme: kind, Capacity: capacity, MaxGuards: 1, Debug: debug})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := d.Guard()
+				defer func() { g.Release() }()
+				alloc := func(what string) wfe.Ref[uint64] {
+					t.Helper()
+					r, err := g.TryAlloc(7)
+					if err != nil {
+						t.Fatalf("%s allocation: %v", what, err)
+					}
+					for w := 0; w < wfe.NumWords; w++ {
+						if v := g.LoadMeta(r, w); v != 0 {
+							t.Fatalf("%s block: word %d = %#x, want 0", what, w, v)
+						}
+					}
+					for w := 0; w < wfe.NumWords; w++ {
+						g.StoreMeta(r, w, 0xF00D+uint64(w))
+					}
+					return r
+				}
+				var r wfe.Ref[uint64]
+				for range capacity {
+					r = alloc("fresh")
+				}
+				g.Dealloc(r)
+				if got := alloc("deallocated"); got != r {
+					t.Fatalf("allocation after Dealloc returned %v, want the freed %v", got, r)
+				}
+				if kind == wfe.Leak {
+					return // Leak never frees a retired block
+				}
+				g.Retire(r)
+				g.Release()
+				d.Scavenge()
+				g = d.Guard()
+				if got := alloc("scavenged"); got != r {
+					t.Fatalf("allocation after Scavenge returned %v, want the freed %v", got, r)
+				}
+			})
+		}
 	}
 }

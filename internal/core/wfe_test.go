@@ -76,10 +76,9 @@ func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 }
 
 func TestFastPathStableEra(t *testing.T) {
-	w, a := newWFE(t, 1, reclaim.Config{})
+	w, _ := newWFE(t, 1, reclaim.Config{})
 	var root atomic.Uint64
 	h := w.Alloc(0)
-	a.SetKey(h, 5)
 	root.Store(h)
 
 	before := w.SlowPaths()
@@ -317,10 +316,13 @@ func TestClearPreservesTags(t *testing.T) {
 func TestCountersBalanceUnderConcurrency(t *testing.T) {
 	const workers = 4
 	w, a := newWFE(t, workers, reclaim.Config{EraFreq: 2, CleanupFreq: 2, MaxAttempts: 2})
+	// keys is indexed by handle and written with plain stores before each
+	// publish, so the race detector flags a block recycled under a reader.
+	keys := make([]uint64, a.Capacity()+1)
 	var roots [8]atomic.Uint64
 	for i := range roots {
 		h := w.Alloc(0)
-		a.SetKey(h, h)
+		keys[h] = h
 		roots[i].Store(h)
 	}
 	var wg sync.WaitGroup
@@ -336,14 +338,14 @@ func TestCountersBalanceUnderConcurrency(t *testing.T) {
 				idx := int(rng % uint64(len(roots)))
 				if rng&3 == 0 {
 					n := w.Alloc(tid)
-					a.SetKey(n, n)
+					keys[n] = n
 					old := roots[idx].Swap(n)
 					if h := pack.Handle(old); h != 0 {
 						w.Retire(tid, h)
 					}
 				} else {
 					v := w.GetProtected(tid, &roots[idx], 0, 0)
-					if h := pack.Handle(v); h != 0 && a.Key(h) != h {
+					if h := pack.Handle(v); h != 0 && keys[h] != h {
 						panic("corrupted read")
 					}
 				}
@@ -364,9 +366,12 @@ func TestForcedSlowPathConcurrent(t *testing.T) {
 	w, a := newWFE(t, workers, reclaim.Config{
 		ForceSlowPath: true, EraFreq: 1, CleanupFreq: 1,
 	})
+	// keys is indexed by handle and written with plain stores before each
+	// publish, so the race detector flags a block recycled under a reader.
+	keys := make([]uint64, a.Capacity()+1)
 	var root atomic.Uint64
 	h0 := w.Alloc(0)
-	a.SetKey(h0, h0)
+	keys[h0] = h0
 	root.Store(h0)
 
 	var wg sync.WaitGroup
@@ -377,13 +382,13 @@ func TestForcedSlowPathConcurrent(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				if tid%2 == 0 { // readers: always slow path
 					v := w.GetProtected(tid, &root, 0, 0)
-					if h := pack.Handle(v); h != 0 && a.Key(h) != h {
+					if h := pack.Handle(v); h != 0 && keys[h] != h {
 						panic("corrupted read on slow path")
 					}
 					w.Clear(tid)
 				} else { // writers: every alloc/retire moves the era + helps
 					n := w.Alloc(tid)
-					a.SetKey(n, n)
+					keys[n] = n
 					old := root.Swap(n)
 					if h := pack.Handle(old); h != 0 {
 						w.Retire(tid, h)
@@ -469,15 +474,16 @@ func TestSlowPathOnHigherIndex(t *testing.T) {
 	// Reservation indices beyond 0 must work identically on the slow path
 	// (state is per [thread][index]).
 	w, a := newWFE(t, 1, reclaim.Config{ForceSlowPath: true, MaxHEs: 4})
+	keys := make([]uint64, a.Capacity()+1)
 	var roots [4]atomic.Uint64
 	for i := range roots {
 		h := w.Alloc(0)
-		a.SetKey(h, uint64(i))
+		keys[h] = uint64(i)
 		roots[i].Store(h)
 	}
 	for i := range roots {
 		got := w.GetProtected(0, &roots[i], i, 0)
-		if a.Key(pack.Handle(got)) != uint64(i) {
+		if keys[pack.Handle(got)] != uint64(i) {
 			t.Fatalf("index %d: wrong block", i)
 		}
 	}
@@ -499,10 +505,9 @@ func TestMaxStepsBoundedUnderStorm(t *testing.T) {
 	// were in flight at loop entry, but the bound must not scale with the
 	// number of reads.
 	const stormers = 3
-	w, a := newWFE(t, stormers+1, reclaim.Config{EraFreq: 1, CleanupFreq: 4, MaxAttempts: 4})
+	w, _ := newWFE(t, stormers+1, reclaim.Config{EraFreq: 1, CleanupFreq: 4, MaxAttempts: 4})
 	var root atomic.Uint64
 	h := w.Alloc(stormers)
-	a.SetKey(h, 7)
 	root.Store(h)
 
 	stop := make(chan struct{})

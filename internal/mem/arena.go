@@ -63,18 +63,23 @@ const (
 // stale readers observe obviously-wrong values instead of plausible ones.
 const poison = uint64(0xDEADBEEFDEADBEEF)
 
+// slot is one block: exactly 64 bytes, one cache line (TestSlotSize and
+// TestSlabChunksCacheLineAligned pin both). A slot the bump allocator
+// hands out for the first time holds its chunk's zeroes in every field.
 type slot struct {
 	allocEra atomic.Uint64
 	// retireEra is the retirement era while the slot is retired. A free
 	// slot has none, so while it heads a published segment the word holds
 	// the handle of the next segment in its mailbox's chain (0 ends the
-	// chain); makeLive resets it. Only the tid whose swap took the chain
-	// reads the link, so the value needs no stamp.
+	// chain); TryAlloc resets it when it recycles the slot. Only the tid
+	// whose swap took the chain reads the link, so the value needs no
+	// stamp.
 	retireEra atomic.Uint64
 	state     atomic.Uint32
-	version   atomic.Uint32
-	words     [NumWords]atomic.Uint64
-	key       uint64 // immutable after publication
+	// version counts the slot's frees, skipping 0 on wrap, so 0 means the
+	// slot was never freed and its words still hold their chunk's zeroes.
+	version atomic.Uint32
+	words   [NumWords]atomic.Uint64
 	// nextFree is the free-list link. It is written only by the slot's
 	// current owner (the freeing thread building its cache) and read only
 	// by the cache's owner or, once the segment is published, by the tid
@@ -90,8 +95,8 @@ type slot struct {
 type threadMem struct {
 	fillHead Handle
 	fillLen  int
-	sealed   Handle // head of the sealed segment, or 0
-	allocs   atomic.Uint64
+	sealed   Handle        // head of the sealed segment, or 0
+	allocs   atomic.Uint64 // allocations from the free cache; Stats adds the bump word
 	frees    atomic.Uint64
 	pushes   atomic.Uint64 // segments this tid published
 	pops     atomic.Uint64 // segments this tid's refills claimed
@@ -239,6 +244,7 @@ func (a *Arena) TryAlloc(tid int) (Handle, bool) {
 		s := a.slot(h)
 		t.fillHead = s.nextFree
 		t.fillLen--
+		s.retireEra.Store(0) // its last retire era, or a segment link
 		a.makeLive(h, s)
 		t.allocs.Add(1)
 		return h, true
@@ -253,9 +259,10 @@ func (a *Arena) TryAlloc(tid int) (Handle, bool) {
 		}
 		a.slots.Grow(idx)
 	}
+	// A slot handed out for the first time still holds its chunk's
+	// zeroes, retireEra included, and the bump word counts it.
 	h := idx + 1
 	a.makeLive(h, a.slot(h))
-	t.allocs.Add(1)
 	return h, true
 }
 
@@ -277,7 +284,6 @@ func (a *Arena) makeLive(h Handle, s *slot) {
 			panic(fmt.Sprintf("mem: alloc of non-free slot %d (state %d)", h, st))
 		}
 	}
-	s.retireEra.Store(0)
 	s.state.Store(slotLive)
 }
 
@@ -318,7 +324,9 @@ func (a *Arena) Free(tid int, h Handle) {
 	if a.freeHook != nil {
 		a.freeHook(h)
 	}
-	s.version.Add(1)
+	if s.version.Add(1) == 0 {
+		s.version.Store(1) // 0 is reserved for never freed
+	}
 	s.state.Store(slotFree)
 	t := &a.threads[tid]
 	if t.fillLen == a.spillSize {
@@ -519,20 +527,12 @@ func (a *Arena) WordAddr(h Handle, i int) *atomic.Uint64 {
 	return &a.slot(h).words[i]
 }
 
-// Key returns the slot's immutable key.
-func (a *Arena) Key(h Handle) uint64 {
-	a.check(h, "Key")
-	return a.slot(h).key
-}
-
-// SetKey initialises the key. It must happen before the node is published.
-func (a *Arena) SetKey(h Handle, k uint64) {
-	a.check(h, "SetKey")
-	a.slot(h).key = k
-}
-
-// Version returns the slot's reuse version; tests use it to detect that a
-// handle observed earlier now refers to a recycled slot.
+// Version returns the slot's reuse version: the number of times it was
+// freed, skipping 0 on wrap. 0 means the slot was never freed, so its
+// words still hold their chunk's zeroes; the public Guard's allocation
+// zeroes a block's words only when its version is not 0. Tests also use
+// it to detect that a handle observed earlier now refers to a recycled
+// slot.
 func (a *Arena) Version(h Handle) uint32 {
 	return a.slot(h).version.Load()
 }
@@ -544,7 +544,7 @@ func (a *Arena) Live(h Handle) bool {
 
 // Stats is a point-in-time allocation census.
 type Stats struct {
-	Allocs    uint64 // total allocations
+	Allocs    uint64 // total allocations: free-cache ones plus Bumped
 	Frees     uint64 // total frees
 	InUse     uint64 // Allocs - Frees
 	Bumped    uint64 // bump-allocator highwater: slots ever handed out
@@ -552,8 +552,12 @@ type Stats struct {
 	SegPops   uint64 // segments claimed from the mailboxes by allocation misses
 }
 
-// Stats sums the per-thread counters. The snapshot is approximate under
-// concurrency, which is fine for its monitoring purpose.
+// Stats sums the per-thread counters and adds the bump highwater to
+// Allocs, since a bump allocation is counted by the bump word alone. A
+// failed allocation past Capacity moves the bump word but not the
+// clamped highwater, so the counts are exact at quiescence; under
+// concurrency the snapshot is approximate, which is fine for its
+// monitoring purpose.
 func (a *Arena) Stats() Stats {
 	var st Stats
 	for i := range a.threads {
@@ -563,12 +567,9 @@ func (a *Arena) Stats() Stats {
 		st.SegPushes += t.pushes.Load()
 		st.SegPops += t.pops.Load()
 	}
+	st.Bumped = min(a.bump.Load(), a.cap)
+	st.Allocs += st.Bumped
 	st.InUse = st.Allocs - st.Frees
-	b := a.bump.Load()
-	if b > a.cap {
-		b = a.cap
-	}
-	st.Bumped = b
 	return st
 }
 

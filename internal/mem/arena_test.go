@@ -1,10 +1,13 @@
 package mem
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"wfe/internal/pack"
 )
 
 func newTestArena(capacity, threads int) *Arena {
@@ -17,9 +20,9 @@ func TestAllocFreeReuse(t *testing.T) {
 	if h1 == 0 {
 		t.Fatal("nil handle from Alloc")
 	}
-	a.SetKey(h1, 42)
-	if a.Key(h1) != 42 {
-		t.Fatal("key lost")
+	a.StoreWord(h1, 0, 42)
+	if a.LoadWord(h1, 0) != 42 {
+		t.Fatal("word lost")
 	}
 	v1 := a.Version(h1)
 	a.SetRetireEra(h1, 1)
@@ -153,6 +156,10 @@ func TestConcurrentAllocFree(t *testing.T) {
 	const threads = 8
 	const perThread = 5000
 	a := New(Config{Capacity: threads * 64, MaxThreads: threads, Debug: true})
+	// owner is written with plain stores by whichever goroutine holds
+	// the handle, so the race detector flags a slot handed to two
+	// threads at once.
+	owner := make([]uint64, threads*64+1)
 	var wg sync.WaitGroup
 	for tid := 0; tid < threads; tid++ {
 		wg.Add(1)
@@ -168,7 +175,7 @@ func TestConcurrentAllocFree(t *testing.T) {
 					live = live[:0]
 				}
 				h := a.Alloc(tid)
-				a.SetKey(h, uint64(tid))
+				owner[h] = uint64(tid)
 				live = append(live, h)
 			}
 			for _, h := range live {
@@ -416,12 +423,12 @@ func TestConcurrentGlobalSpillStress(t *testing.T) {
 }
 
 // TestSlotSize pins the slot layout: allocEra, retireEra, state, version,
-// the payload words, key and nextFree. A published segment's link rides
-// in retireEra, so it costs the slot no field. It also pins threadMem at
-// two cache lines.
+// the payload words and nextFree, one 64-byte cache line. A published
+// segment's link rides in retireEra, so it costs the slot no field. It
+// also pins threadMem at two cache lines.
 func TestSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 72 {
-		t.Fatalf("slot is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(slot{}); got != 64 {
+		t.Fatalf("slot is %d bytes, want 64", got)
 	}
 	if got := unsafe.Sizeof(threadMem{}); got != 128 {
 		t.Fatalf("threadMem is %d bytes, want two 64-byte cache lines", got)
@@ -539,5 +546,127 @@ func TestTransferBoundsUnderStorm(t *testing.T) {
 	}
 	if got := a.published.Load(); got != int64(c.Segments) {
 		t.Fatalf("published count %d, want the %d segments in the mailboxes", got, c.Segments)
+	}
+}
+
+// TestSlabChunksCacheLineAligned checks that the first chunks of a large
+// arena start on 64-byte boundaries, so that with TestSlotSize's 64-byte
+// slot every slot the bump allocator hands out sits on one cache line.
+// A chunk is a 64 KiB large object, which Go's allocator places at the
+// start of its own page-aligned span.
+func TestSlabChunksCacheLineAligned(t *testing.T) {
+	a := New(Config{Capacity: int(pack.HandleMask - 1), MaxThreads: 1})
+	for range 8 * ChunkSize {
+		h := a.Alloc(0)
+		if p := uintptr(unsafe.Pointer(a.slot(h))); p%64 != 0 {
+			t.Fatalf("slot %d (chunk %d) starts at %#x, off a 64-byte boundary", h, (h-1)/ChunkSize, p)
+		}
+	}
+}
+
+// TestFreeVersionWrapSkipsZero checks that Free never leaves a slot at
+// version 0, which Version reserves for a slot never freed: the public
+// Guard skips zeroing the words of a block at version 0.
+func TestFreeVersionWrapSkipsZero(t *testing.T) {
+	a := newTestArena(4, 1)
+	h := a.Alloc(0)
+	if v := a.Version(h); v != 0 {
+		t.Fatalf("never-freed slot at version %d, want 0", v)
+	}
+	a.slot(h).version.Store(math.MaxUint32)
+	a.SetRetireEra(h, 1)
+	a.Free(0, h)
+	if v := a.Version(h); v != 1 {
+		t.Fatalf("version after the wrapping free = %d, want 1", v)
+	}
+}
+
+// TestAllocCountDerivedFromBump checks the count Stats derives: the
+// per-thread counters hold only free-cache allocations and the bump
+// highwater supplies the rest. Across bump allocations, fill-list
+// allocations, a mailbox refill and failed TryAllocs past Capacity (which
+// move the bump word), Allocs must equal the successful allocations,
+// InUse must equal Allocs-Frees, and the census must account for every
+// slot.
+func TestAllocCountDerivedFromBump(t *testing.T) {
+	const (
+		spill    = 4
+		capacity = 4 * spill
+	)
+	a := New(Config{Capacity: capacity, MaxThreads: 2, Debug: true, SpillSize: spill})
+	var live []Handle
+	allocs, frees := 0, 0
+	alloc := func(tid, n int) {
+		t.Helper()
+		for range n {
+			h, ok := a.TryAlloc(tid)
+			if !ok {
+				t.Fatalf("tid %d: allocation %d of %d failed", tid, allocs+1, n)
+			}
+			live = append(live, h)
+			allocs++
+		}
+	}
+	free := func(tid, n int) {
+		for range n {
+			h := live[len(live)-1]
+			live = live[:len(live)-1]
+			a.SetRetireEra(h, 1)
+			a.Free(tid, h)
+			frees++
+		}
+	}
+	failPastCapacity := func() {
+		t.Helper()
+		for tid := range 2 {
+			for range 3 {
+				if h, ok := a.TryAlloc(tid); ok {
+					t.Fatalf("tid %d allocated slot %d from a spent arena", tid, h)
+				}
+			}
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		st := a.Stats()
+		if st.Allocs != uint64(allocs) || st.Frees != uint64(frees) {
+			t.Fatalf("%s: Allocs=%d Frees=%d, want %d and %d", stage, st.Allocs, st.Frees, allocs, frees)
+		}
+		if st.InUse != st.Allocs-st.Frees {
+			t.Fatalf("%s: InUse=%d, want Allocs-Frees = %d", stage, st.InUse, st.Allocs-st.Frees)
+		}
+		c := a.Census()
+		if c.Live != len(live) {
+			t.Fatalf("%s: census counts %d live slots, want %d", stage, c.Live, len(live))
+		}
+		if got := c.Cached + c.Global + c.Live + c.BumpFree; got != c.Capacity {
+			t.Fatalf("%s: census %d cached + %d global + %d live + %d bump-free = %d, want capacity %d",
+				stage, c.Cached, c.Global, c.Live, c.BumpFree, got, c.Capacity)
+		}
+	}
+
+	alloc(0, capacity)
+	check("bump region spent")
+	failPastCapacity()
+	check("failed past capacity")
+	// 2×spill+1 frees seal one segment and then publish it.
+	free(0, 2*spill+1)
+	if st := a.Stats(); st.SegPushes != 1 {
+		t.Fatalf("%d segments published, want 1", st.SegPushes)
+	}
+	check("after frees")
+	alloc(1, spill) // tid 1 refills from tid 0's mailbox
+	if st := a.Stats(); st.SegPops != 1 {
+		t.Fatalf("%d segments claimed, want 1", st.SegPops)
+	}
+	check("after the refill")
+	alloc(0, spill+1) // the filling list, then the sealed segment
+	check("after fill-list allocations")
+	failPastCapacity()
+	check("failed again")
+	free(1, len(live))
+	check("drained")
+	if st := a.Stats(); st.InUse != 0 {
+		t.Fatalf("InUse=%d after freeing every block", st.InUse)
 	}
 }

@@ -54,17 +54,18 @@ func TestLifecycle(t *testing.T) {
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 1, CleanupFreq: 1, EraFreq: 1})
 			var root atomic.Uint64
 
+			keys := make([]uint64, a.Capacity()+1)
 			s.Begin(0)
 			h := s.Alloc(0)
-			a.SetKey(h, 77)
+			keys[h] = 77
 			root.Store(h)
 
 			got := s.GetProtected(0, &root, 0, 0)
 			if got != h {
 				t.Fatalf("GetProtected = %d, want %d", got, h)
 			}
-			if a.Key(got) != 77 {
-				t.Fatalf("key = %d", a.Key(got))
+			if keys[got] != 77 {
+				t.Fatalf("key = %d", keys[got])
 			}
 			root.Store(0) // unlink
 			s.Retire(0, h)
@@ -95,8 +96,11 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 2, CleanupFreq: 1, EraFreq: 1})
 			var root atomic.Uint64
 
+			// keys is indexed by handle; a scratch block stores 0, so a
+			// protected block recycled as one reads back as corrupted.
+			keys := make([]uint64, a.Capacity()+1)
 			h := s.Alloc(1)
-			a.SetKey(h, 123)
+			keys[h] = 123
 			root.Store(h)
 
 			// Thread 0 protects h.
@@ -112,12 +116,13 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				s.Begin(1)
 				x := s.Alloc(1)
+				keys[x] = 0
 				s.Retire(1, x)
 				s.Clear(1)
 				if !a.Live(h) {
 					t.Fatalf("block freed while protected (iteration %d)", i)
 				}
-				if a.Key(h) != 123 {
+				if keys[h] != 123 {
 					t.Fatalf("protected block corrupted")
 				}
 			}
@@ -218,10 +223,14 @@ func TestConcurrentChurn(t *testing.T) {
 			a := newArena(t, 1<<16, workers)
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: workers, EraFreq: 16, CleanupFreq: 8})
 
+			// keys is indexed by handle and written with plain stores
+			// before each publish, so the race detector flags a block
+			// recycled under a reader.
+			keys := make([]uint64, a.Capacity()+1)
 			var slots [bank]atomic.Uint64
 			for i := range slots {
 				h := s.Alloc(0)
-				a.SetKey(h, h)
+				keys[h] = h
 				slots[i].Store(h)
 			}
 
@@ -241,13 +250,13 @@ func TestConcurrentChurn(t *testing.T) {
 						if rng&1 == 0 { // reader
 							v := s.GetProtected(tid, src, 0, 0)
 							if h := pack.Handle(v); h != 0 {
-								if a.Key(h) != h {
+								if keys[h] != h {
 									panic("observed corrupted node")
 								}
 							}
 						} else { // replacer
 							n := s.Alloc(tid)
-							a.SetKey(n, n)
+							keys[n] = n
 							old := src.Swap(n)
 							if h := pack.Handle(old); h != 0 {
 								s.Retire(tid, h)
@@ -337,9 +346,12 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 	a := newArena(t, 1<<16, 2)
 	s := mustNew(t, "WFE", a, reclaim.Config{MaxThreads: 2, EraFreq: 1, CleanupFreq: 1, MaxAttempts: 4})
 
+	// keys is indexed by handle; the storm's blocks store 0, so the
+	// protected block recycled as one reads back as corrupted.
+	keys := make([]uint64, a.Capacity()+1)
 	var root atomic.Uint64
 	h := s.Alloc(1)
-	a.SetKey(h, 99)
+	keys[h] = 99
 	root.Store(h)
 
 	stop := make(chan struct{})
@@ -352,6 +364,7 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 			default:
 			}
 			x := s.Alloc(1)
+			keys[x] = 0
 			s.Retire(1, x)
 			stormOps.Add(1)
 		}
@@ -364,7 +377,7 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 		if got != h {
 			t.Fatalf("GetProtected = %d, want %d", got, h)
 		}
-		if a.Key(got) != 99 {
+		if keys[got] != 99 {
 			t.Fatal("protected block corrupted")
 		}
 		s.Clear(0)

@@ -161,9 +161,12 @@ func TestForcedSlowConcurrentChurn(t *testing.T) {
 	w, a := newWFEIBR(t, workers, reclaim.Config{
 		ForceSlowPath: true, EraFreq: 1, CleanupFreq: 1,
 	})
+	// keys is indexed by handle and written with plain stores before each
+	// publish, so the race detector flags a block recycled under a reader.
+	keys := make([]uint64, a.Capacity()+1)
 	var root atomic.Uint64
 	h0 := w.Alloc(0)
-	a.SetKey(h0, h0)
+	keys[h0] = h0
 	root.Store(h0)
 
 	var wg sync.WaitGroup
@@ -175,12 +178,12 @@ func TestForcedSlowConcurrentChurn(t *testing.T) {
 				w.Begin(tid)
 				if tid%2 == 0 {
 					v := w.GetProtected(tid, &root, 0, 0)
-					if h := pack.Handle(v); h != 0 && a.Key(h) != h {
+					if h := pack.Handle(v); h != 0 && keys[h] != h {
 						panic("corrupted read on slow path")
 					}
 				} else {
 					n := w.Alloc(tid)
-					a.SetKey(n, n)
+					keys[n] = n
 					old := root.Swap(n)
 					if h := pack.Handle(old); h != 0 {
 						w.Retire(tid, h)
