@@ -126,7 +126,7 @@ func benchGetProtected(b *testing.B, scheme string) {
 	threads := runtime.GOMAXPROCS(0)
 	smr := newBenchScheme(b, scheme, threads, 1024)
 	var root atomic.Uint64
-	root.Store(smr.Alloc(0))
+	root.Store(reclaim.MustAlloc(smr, 0))
 
 	var tids atomic.Int64
 	b.ResetTimer()

@@ -81,12 +81,9 @@
 //	turnqueue.go        public CRTurn wait-free queue (type and constructor)
 //	hashmap.go          public lock-free hash map (HashMap)
 //	tree.go             public Natarajan–Mittal BST
-//	internal/core       WFE, the paper's contribution (Figure 4)
-//	internal/he         Hazard Eras (Figure 1)
+//	internal/core       HE (Fig. 1), WFE (Fig. 4), 2GEIBR, WFE-IBR (§2.4)
 //	internal/hp         Hazard Pointers
 //	internal/ebr        epoch-based reclamation
-//	internal/ibr        2GEIBR interval-based reclamation
-//	internal/wfeibr     WFE's construction applied to 2GEIBR (§2.4, §6)
 //	internal/leak       leaky baseline
 //	internal/schemes    the registry building any scheme by kind or name
 //	internal/mem        manual-memory arena substrate

@@ -309,16 +309,6 @@ func (l liveScheme[T]) RetireBatch(tid int, blks []mem.Handle) {
 	l.d.scheme().s.RetireBatch(tid, blks)
 }
 
-// Alloc routes an internal structure's allocation through the Domain's
-// backpressure pipeline. Only the WFQueue and TurnQueue constructors'
-// sentinels come through here: every enqueue allocates its node itself,
-// ahead of the protected section (see nodeQueue.TryEnqueueGuarded).
-func (l liveScheme[T]) Alloc(tid int) mem.Handle {
-	h, err := l.d.allocHandle(tid)
-	l.d.must(err)
-	return h
-}
-
 func (l liveScheme[T]) TryAlloc(tid int) (mem.Handle, bool) {
 	h, err := l.d.allocHandle(tid)
 	return h, err == nil
@@ -693,8 +683,8 @@ var ErrArenaExhausted = errors.New("wfe: arena exhausted after emergency reclama
 
 // must turns an allocation error into a panic for the two allocations
 // that have no error to return it through: Guard.Alloc, and the sentinel
-// the wait-free queue constructors allocate (liveScheme.Alloc). The panic
-// value wraps ErrArenaExhausted, so a recover can errors.Is it.
+// the wait-free queue constructors allocate. The panic value wraps
+// ErrArenaExhausted, so a recover can errors.Is it.
 func (d *Domain[T]) must(err error) {
 	if err != nil {
 		panic(fmt.Errorf("%w (capacity %d); size the arena for the workload or use Guard.TryAlloc", ErrArenaExhausted, d.arena.Capacity()))

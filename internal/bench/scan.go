@@ -97,7 +97,7 @@ func scanCutoff(linear bool) int {
 // reservation matrix (G = threads×MaxHEs eras for the era schemes,
 // threads intervals for the interval schemes — the density a machine
 // with `threads` hardware contexts sustains mid-operation), then drives
-// a single churner through Alloc/Retire so every CleanupFreq-th retire
+// a single churner through TryAlloc/Retire so every CleanupFreq-th retire
 // runs a real scan over the accumulated backlog. Deterministic and
 // single-threaded, so the linear/sorted comparison is clean even on a
 // small CI host.
@@ -122,13 +122,13 @@ func microScan(scheme string, threads, rounds int, linear bool) ScanResult {
 	}
 	churner := threads // tids 0..threads-1 hold the reservations
 	var root atomic.Uint64
-	root.Store(smr.Alloc(churner))
+	root.Store(reclaim.MustAlloc(smr, churner))
 
-	// Warm up past the count-0 era advances of Alloc and Retire so the
+	// Warm up past the count-0 era advances of TryAlloc and Retire so the
 	// reservations published next sit at the era the churn blocks are
 	// stamped with, keeping a backlog protected across the measured scans.
 	for i := 0; i < 65; i++ {
-		smr.Retire(churner, smr.Alloc(churner))
+		smr.Retire(churner, reclaim.MustAlloc(smr, churner))
 	}
 	for t := 0; t < threads; t++ {
 		smr.Begin(t)
@@ -140,7 +140,7 @@ func microScan(scheme string, threads, rounds int, linear bool) ScanResult {
 
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
-		smr.Retire(churner, smr.Alloc(churner))
+		smr.Retire(churner, reclaim.MustAlloc(smr, churner))
 	}
 	elapsed := time.Since(start)
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,30 +19,6 @@ func newWFE(t *testing.T, threads int, cfg reclaim.Config) (*WFE, *mem.Arena) {
 	return New(a, cfg), a
 }
 
-func TestSortedScanMatchesLinearOracle(t *testing.T) {
-	// Property: on randomized phase snapshots (normal + special
-	// reservations mixed), the sorted-snapshot membership test reaches
-	// exactly the decision of the pre-overhaul linear sweep.
-	rng := rand.New(rand.NewSource(20260729))
-	for iter := 0; iter < 500; iter++ {
-		snap := make([]uint64, rng.Intn(65))
-		for i := range snap {
-			snap[i] = uint64(rng.Intn(120)) + 1
-		}
-		sorted := slices.Clone(snap)
-		slices.Sort(sorted)
-		for b := 0; b < 32; b++ {
-			lo := uint64(rng.Intn(120)) + 1
-			hi := lo + uint64(rng.Intn(16))
-			want := overlapsLinear(snap, lo, hi)
-			if got := reclaim.ReservedInRange(sorted, lo, hi); got != want {
-				t.Fatalf("lifespan [%d,%d] vs snapshot %v: sorted=%v linear=%v",
-					lo, hi, snap, got, want)
-			}
-		}
-	}
-}
-
 func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 	// The same deterministic single-threaded churn — tid 0 allocating and
 	// retiring against roots that tid 1 protects and clears on a fixed
@@ -58,7 +33,7 @@ func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 		var roots [4]atomic.Uint64
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < 400; i++ {
-			h := w.Alloc(0)
+			h := reclaim.MustAlloc(w, 0)
 			roots[i%4].Store(h)
 			if i%7 == 0 {
 				w.GetProtected(1, &roots[rng.Intn(4)], rng.Intn(4), 0)
@@ -78,7 +53,7 @@ func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 func TestFastPathStableEra(t *testing.T) {
 	w, _ := newWFE(t, 1, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(0)
+	h := reclaim.MustAlloc(w, 0)
 	root.Store(h)
 
 	before := w.SlowPaths()
@@ -101,7 +76,7 @@ func TestSlowPathSelfCompletion(t *testing.T) {
 	// own request on the first iteration.
 	w, _ := newWFE(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	h := w.Alloc(0)
+	h := reclaim.MustAlloc(w, 0)
 	root.Store(h)
 
 	tagBefore := pack.EraTag(w.resv(0, 0).Load()).Tag()
@@ -130,7 +105,7 @@ func TestSlowPathSelfCompletion(t *testing.T) {
 func TestTagAdvancesPerCycle(t *testing.T) {
 	w, _ := newWFE(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	root.Store(w.Alloc(0))
+	root.Store(reclaim.MustAlloc(w, 0))
 	for i := uint64(1); i <= 5; i++ {
 		w.GetProtected(0, &root, 0, 0)
 		if tag := pack.EraTag(w.resv(0, 0).Load()).Tag(); tag != i {
@@ -158,7 +133,7 @@ func postRequest(w *WFE, tid, index int, src *atomic.Uint64, parentEra uint64) u
 func TestHelpThreadProducesResult(t *testing.T) {
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := reclaim.MustAlloc(w, 1)
 	root.Store(h)
 
 	tag := postRequest(w, 0, 0, &root, pack.Inf)
@@ -190,7 +165,7 @@ func TestHelpThreadProducesResult(t *testing.T) {
 func TestHelpThreadStaleTagExits(t *testing.T) {
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := reclaim.MustAlloc(w, 1)
 	root.Store(h)
 
 	postRequest(w, 0, 0, &root, pack.Inf)
@@ -215,7 +190,7 @@ func TestHelpThreadStaleTagExits(t *testing.T) {
 func TestIncrementEraHelpsPendingRequests(t *testing.T) {
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := reclaim.MustAlloc(w, 1)
 	root.Store(h)
 
 	postRequest(w, 0, 0, &root, pack.Inf)
@@ -236,8 +211,8 @@ func TestParentProtectedDuringHelp(t *testing.T) {
 	// reservation, so cleanup refuses to free it.
 	w, a := newWFE(t, 2, reclaim.Config{CleanupFreq: 1, EraFreq: 1})
 
-	parent := w.Alloc(1)
-	child := w.Alloc(1)
+	parent := reclaim.MustAlloc(w, 1)
+	child := reclaim.MustAlloc(w, 1)
 	a.StoreWord(parent, 0, child)
 	parentEra := a.AllocEra(parent)
 
@@ -249,7 +224,7 @@ func TestParentProtectedDuringHelp(t *testing.T) {
 	// retire cadence, so Retire's own incrementEra cannot help — and
 	// thereby complete — the posted request).
 	w.resv(1, w.cfg.MaxHEs).Store(uint64(pack.MakeEraTag(parentEra, 0)))
-	w.arena.SetRetireEra(parent, w.globalEra.Load())
+	w.arena.SetRetireEra(parent, w.era.Load())
 	w.rt.Add(1, parent)
 
 	w.rt.Scan(1)
@@ -274,7 +249,7 @@ func TestCleanupGateWhileSlowPathInFlight(t *testing.T) {
 	// reservation covering the block, cleanup must keep the block.
 	w, a := newWFE(t, 2, reclaim.Config{CleanupFreq: 1, EraFreq: 1})
 
-	blk := w.Alloc(1)
+	blk := reclaim.MustAlloc(w, 1)
 	blkEra := a.AllocEra(blk)
 	var root atomic.Uint64
 	root.Store(blk)
@@ -300,7 +275,7 @@ func TestCleanupGateWhileSlowPathInFlight(t *testing.T) {
 func TestClearPreservesTags(t *testing.T) {
 	w, _ := newWFE(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	root.Store(w.Alloc(0))
+	root.Store(reclaim.MustAlloc(w, 0))
 	w.GetProtected(0, &root, 0, 0)
 	tag := pack.EraTag(w.resv(0, 0).Load()).Tag()
 	w.Clear(0)
@@ -321,7 +296,7 @@ func TestCountersBalanceUnderConcurrency(t *testing.T) {
 	keys := make([]uint64, a.Capacity()+1)
 	var roots [8]atomic.Uint64
 	for i := range roots {
-		h := w.Alloc(0)
+		h := reclaim.MustAlloc(w, 0)
 		keys[h] = h
 		roots[i].Store(h)
 	}
@@ -337,7 +312,7 @@ func TestCountersBalanceUnderConcurrency(t *testing.T) {
 				rng ^= rng << 17
 				idx := int(rng % uint64(len(roots)))
 				if rng&3 == 0 {
-					n := w.Alloc(tid)
+					n := reclaim.MustAlloc(w, tid)
 					keys[n] = n
 					old := roots[idx].Swap(n)
 					if h := pack.Handle(old); h != 0 {
@@ -370,7 +345,7 @@ func TestForcedSlowPathConcurrent(t *testing.T) {
 	// publish, so the race detector flags a block recycled under a reader.
 	keys := make([]uint64, a.Capacity()+1)
 	var root atomic.Uint64
-	h0 := w.Alloc(0)
+	h0 := reclaim.MustAlloc(w, 0)
 	keys[h0] = h0
 	root.Store(h0)
 
@@ -387,7 +362,7 @@ func TestForcedSlowPathConcurrent(t *testing.T) {
 					}
 					w.Clear(tid)
 				} else { // writers: every alloc/retire moves the era + helps
-					n := w.Alloc(tid)
+					n := reclaim.MustAlloc(w, tid)
 					keys[n] = n
 					old := root.Swap(n)
 					if h := pack.Handle(old); h != 0 {
@@ -410,10 +385,10 @@ func TestUnreclaimedTracksRetireLists(t *testing.T) {
 	w, _ := newWFE(t, 1, reclaim.Config{CleanupFreq: 1 << 30})
 	// The very first Retire scans (counter starts at zero); warm it up so
 	// the next ten retirements accumulate without a cleanup.
-	w.Retire(0, w.Alloc(0))
+	w.Retire(0, reclaim.MustAlloc(w, 0))
 	base := w.Unreclaimed()
 	for i := 0; i < 10; i++ {
-		w.Retire(0, w.Alloc(0))
+		w.Retire(0, reclaim.MustAlloc(w, 0))
 	}
 	if got := w.Unreclaimed(); got != base+10 {
 		t.Fatalf("unreclaimed = %d, want %d", got, base+10)
@@ -427,7 +402,7 @@ func TestStaleHelperReservationCASFailsAfterCycleEnds(t *testing.T) {
 	// a reservation.
 	w, _ := newWFE(t, 2, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	h := w.Alloc(0)
+	h := reclaim.MustAlloc(w, 0)
 	root.Store(h)
 
 	// Complete one slow-path cycle; reservation now carries tag 1.
@@ -452,8 +427,8 @@ func TestHelpThreadPointerRedirection(t *testing.T) {
 	// observing the latest value stored there.
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var loc atomic.Uint64
-	first := w.Alloc(1)
-	second := w.Alloc(1)
+	first := reclaim.MustAlloc(w, 1)
+	second := reclaim.MustAlloc(w, 1)
 	loc.Store(first)
 
 	postRequest(w, 0, 0, &loc, pack.Inf)
@@ -477,7 +452,7 @@ func TestSlowPathOnHigherIndex(t *testing.T) {
 	keys := make([]uint64, a.Capacity()+1)
 	var roots [4]atomic.Uint64
 	for i := range roots {
-		h := w.Alloc(0)
+		h := reclaim.MustAlloc(w, 0)
 		keys[h] = uint64(i)
 		roots[i].Store(h)
 	}
@@ -507,7 +482,7 @@ func TestMaxStepsBoundedUnderStorm(t *testing.T) {
 	const stormers = 3
 	w, _ := newWFE(t, stormers+1, reclaim.Config{EraFreq: 1, CleanupFreq: 4, MaxAttempts: 4})
 	var root atomic.Uint64
-	h := w.Alloc(stormers)
+	h := reclaim.MustAlloc(w, stormers)
 	root.Store(h)
 
 	stop := make(chan struct{})
@@ -522,7 +497,7 @@ func TestMaxStepsBoundedUnderStorm(t *testing.T) {
 					return
 				default:
 				}
-				w.Retire(tid, w.Alloc(tid))
+				w.Retire(tid, reclaim.MustAlloc(w, tid))
 			}
 		}(s + 1)
 	}

@@ -1,8 +1,6 @@
-package wfeibr
+package core
 
 import (
-	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,42 +14,13 @@ func newWFEIBR(t *testing.T, threads int, cfg reclaim.Config) (*WFEIBR, *mem.Are
 	t.Helper()
 	cfg.MaxThreads = threads
 	a := mem.New(mem.Config{Capacity: 1 << 14, MaxThreads: threads, Debug: true})
-	return New(a, cfg), a
+	return NewWFEIBR(a, cfg), a
 }
 
-func TestSortedScanMatchesLinearOracle(t *testing.T) {
-	// Property: on randomized special+normal interval sets, the
-	// sorted-endpoint counting test reaches exactly the free/keep decision
-	// of the pre-overhaul paired linear sweep (the retained oracle).
-	rng := rand.New(rand.NewSource(20260729))
-	for iter := 0; iter < 500; iter++ {
-		n := rng.Intn(48)
-		los := make([]uint64, n)
-		his := make([]uint64, n)
-		for i := range los {
-			los[i] = uint64(rng.Intn(120)) + 1
-			his[i] = los[i] + uint64(rng.Intn(20))
-		}
-		sortedLos := slices.Clone(los)
-		sortedHis := slices.Clone(his)
-		slices.Sort(sortedLos)
-		slices.Sort(sortedHis)
-		for b := 0; b < 32; b++ {
-			birth := uint64(rng.Intn(120)) + 1
-			retire := birth + uint64(rng.Intn(16))
-			want := intervalReservedLinear(los, his, birth, retire)
-			if got := reclaim.IntervalsOverlap(sortedLos, sortedHis, birth, retire); got != want {
-				t.Fatalf("lifespan [%d,%d] vs intervals (%v,%v): sorted=%v linear=%v",
-					birth, retire, los, his, got, want)
-			}
-		}
-	}
-}
-
-func TestSlowPathSelfCompletion(t *testing.T) {
+func TestWFEIBRSlowPathSelfCompletion(t *testing.T) {
 	w, _ := newWFEIBR(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	h := w.Alloc(0)
+	h := reclaim.MustAlloc(w, 0)
 	root.Store(h)
 
 	w.Begin(0)
@@ -75,16 +44,16 @@ func TestSlowPathSelfCompletion(t *testing.T) {
 func TestHelperProducesResultAndRaisesUpper(t *testing.T) {
 	w, _ := newWFEIBR(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := reclaim.MustAlloc(w, 1)
 	root.Store(h)
 
 	// Post a request as the slow path would.
 	w.Begin(0)
 	lower := w.intervals[0].lower.Load()
 	w.counterStart.Add(1)
-	st := &w.state[0]
+	st := &w.slots[0]
 	st.pointer.Store(&root)
-	st.birth.Store(pack.Inf)
+	st.era.Store(pack.Inf)
 	st.result.Store(uint64(pack.MakeRes(pack.InvPtr, 7)))
 
 	w.helpThread(0, 1)
@@ -113,13 +82,13 @@ func TestHelperProducesResultAndRaisesUpper(t *testing.T) {
 func TestIncrementEraHelps(t *testing.T) {
 	w, _ := newWFEIBR(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	root.Store(w.Alloc(1))
+	root.Store(reclaim.MustAlloc(w, 1))
 
 	w.Begin(0)
 	w.counterStart.Add(1)
-	st := &w.state[0]
+	st := &w.slots[0]
 	st.pointer.Store(&root)
-	st.birth.Store(pack.Inf)
+	st.era.Store(pack.Inf)
 	st.result.Store(uint64(pack.MakeRes(pack.InvPtr, 3)))
 
 	before := w.Era()
@@ -165,7 +134,7 @@ func TestForcedSlowConcurrentChurn(t *testing.T) {
 	// publish, so the race detector flags a block recycled under a reader.
 	keys := make([]uint64, a.Capacity()+1)
 	var root atomic.Uint64
-	h0 := w.Alloc(0)
+	h0 := reclaim.MustAlloc(w, 0)
 	keys[h0] = h0
 	root.Store(h0)
 
@@ -182,7 +151,7 @@ func TestForcedSlowConcurrentChurn(t *testing.T) {
 						panic("corrupted read on slow path")
 					}
 				} else {
-					n := w.Alloc(tid)
+					n := reclaim.MustAlloc(w, tid)
 					keys[n] = n
 					old := root.Swap(n)
 					if h := pack.Handle(old); h != 0 {

@@ -98,8 +98,9 @@ type Queue struct {
 }
 
 // New creates an empty queue for up to maxThreads (< 255) registered
-// threads, with the initial sentinel allocated on behalf of tid.
-func New(smr reclaim.Scheme, maxThreads, tid int) *Queue {
+// threads around the sentinel block s, which the caller allocated from
+// smr's arena.
+func New(smr reclaim.Scheme, maxThreads int, s mem.Handle) *Queue {
 	if maxThreads >= 255 {
 		panic("crturn: claim word holds at most 254 thread ids")
 	}
@@ -110,7 +111,6 @@ func New(smr reclaim.Scheme, maxThreads, tid int) *Queue {
 		owners:     make([]ownerState, maxThreads),
 	}
 	a := smr.Arena()
-	s := smr.Alloc(tid)
 	a.StoreWord(s, nextWord, 0)
 	a.StoreWord(s, claimWord, 0)
 	a.StoreWord(s, enqTidWord, 0)

@@ -13,7 +13,7 @@ import (
 
 func TestCRTurnSuite(t *testing.T) {
 	queuetest.RunQueueSuite(t, func(smr reclaim.Scheme, maxThreads int) queuetest.Queue {
-		return crturn.New(smr, maxThreads, 0)
+		return crturn.New(smr, maxThreads, reclaim.MustAlloc(smr, 0))
 	})
 }
 
@@ -24,7 +24,7 @@ func newWFEQueue(t *testing.T, threads int) *queuetest.Payloads {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return queuetest.WithPayloads(crturn.New(s, threads, 0), s)
+	return queuetest.WithPayloads(crturn.New(s, threads, reclaim.MustAlloc(s, 0)), s)
 }
 
 // TestEmptyRace hammers the give-up path: consumers repeatedly poll an

@@ -77,12 +77,11 @@ type Queue struct {
 	state      []stateSlot
 }
 
-// New creates an empty queue for up to maxThreads registered threads, with
-// the initial sentinel allocated on behalf of tid.
-func New(smr reclaim.Scheme, maxThreads, tid int) *Queue {
+// New creates an empty queue for up to maxThreads registered threads
+// around the sentinel block s, which the caller allocated from smr's arena.
+func New(smr reclaim.Scheme, maxThreads int, s mem.Handle) *Queue {
 	q := &Queue{smr: smr, maxThreads: maxThreads, state: make([]stateSlot, maxThreads)}
 	a := smr.Arena()
-	s := smr.Alloc(tid)
 	a.StoreWord(s, nextWord, 0)
 	a.StoreWord(s, deqTidWord, 0)
 	a.StoreWord(s, enqTidWord, 0)

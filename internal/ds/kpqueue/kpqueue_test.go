@@ -12,7 +12,7 @@ import (
 
 func TestKPQueueSuite(t *testing.T) {
 	queuetest.RunQueueSuite(t, func(smr reclaim.Scheme, maxThreads int) queuetest.Queue {
-		return kpqueue.New(smr, maxThreads, 0)
+		return kpqueue.New(smr, maxThreads, reclaim.MustAlloc(smr, 0))
 	})
 }
 
@@ -22,9 +22,9 @@ func TestKPQueueLen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := kpqueue.New(s, 1, 0)
+	q := kpqueue.New(s, 1, reclaim.MustAlloc(s, 0))
 	for i := 0; i < 10; i++ {
-		q.EnqueueNode(0, s.Alloc(0))
+		q.EnqueueNode(0, reclaim.MustAlloc(s, 0))
 	}
 	if q.Len() != 10 {
 		t.Fatalf("Len = %d", q.Len())

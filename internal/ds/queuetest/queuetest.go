@@ -42,7 +42,7 @@ func WithPayloads(q Queue, smr reclaim.Scheme) *Payloads {
 
 // Enqueue appends v in a node allocated on tid's behalf.
 func (p *Payloads) Enqueue(tid int, v uint64) {
-	node := p.smr.Alloc(tid)
+	node := reclaim.MustAlloc(p.smr, tid)
 	p.vals[node] = v
 	p.q.EnqueueNode(tid, node)
 }

@@ -122,20 +122,10 @@ func (e *EBR) RetireBatch(tid int, blks []mem.Handle) {
 	e.rt.RetireBatch(tid, blks)
 }
 
-// Alloc allocates a block; epochs need no allocation stamp, but the epoch
-// advance attempt keeps the clock moving on allocation-heavy phases, in line
-// with the benchmark's ν parameter.
-func (e *EBR) Alloc(tid int) mem.Handle {
-	t := &e.threads[tid]
-	if t.allocCount%uint64(e.cfg.EraFreq) == 0 {
-		e.tryAdvance(tid)
-	}
-	t.allocCount++
-	return e.arena.Alloc(tid)
-}
-
-// TryAlloc is Alloc with backpressure: the epoch cadence still ticks, but
-// arena exhaustion reports (0, false) instead of panicking.
+// TryAlloc allocates a block; epochs need no allocation stamp, but the
+// epoch advance attempt keeps the clock moving on allocation-heavy phases,
+// in line with the benchmark's ν parameter. Arena exhaustion reports
+// (0, false).
 func (e *EBR) TryAlloc(tid int) (mem.Handle, bool) {
 	t := &e.threads[tid]
 	if t.allocCount%uint64(e.cfg.EraFreq) == 0 {

@@ -44,7 +44,7 @@ func TestEpochAdvanceRequiresAllActiveCurrent(t *testing.T) {
 
 func TestTwoEpochGracePeriod(t *testing.T) {
 	e, a := newEBR(t, 1)
-	blk := e.Alloc(0)
+	blk := reclaim.MustAlloc(e, 0)
 	ep := e.Epoch()
 	a.SetRetireEra(blk, ep)
 	// Stage the retired block directly (no cadence hooks, no epoch
@@ -69,7 +69,7 @@ func TestTwoEpochGracePeriod(t *testing.T) {
 
 func TestGetProtectedIsPlainLoad(t *testing.T) {
 	e, _ := newEBR(t, 1)
-	var root = e.Alloc(0)
+	var root = reclaim.MustAlloc(e, 0)
 	loc := e.Arena().WordAddr(root, 0)
 	loc.Store(42)
 	e.Begin(0)
@@ -84,7 +84,7 @@ func TestUnreclaimedGrowsWhileStalled(t *testing.T) {
 	e.Begin(0) // stalled
 	for i := 0; i < 100; i++ {
 		e.Begin(1)
-		e.Retire(1, e.Alloc(1))
+		e.Retire(1, reclaim.MustAlloc(e, 1))
 		e.Clear(1)
 	}
 	if got := e.Unreclaimed(); got < 90 {

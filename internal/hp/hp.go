@@ -96,13 +96,9 @@ func (h *HP) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Han
 	}
 }
 
-// Alloc stamps no era: Hazard Pointers tracks identities, not lifespans.
-func (h *HP) Alloc(tid int) mem.Handle {
-	return h.arena.Alloc(tid)
-}
-
-// TryAlloc is Alloc with backpressure: arena exhaustion reports
-// (0, false) instead of panicking. HP has no era clock to tick.
+// TryAlloc stamps no era: Hazard Pointers tracks identities, not
+// lifespans, and has no era clock to tick. Arena exhaustion reports
+// (0, false).
 func (h *HP) TryAlloc(tid int) (mem.Handle, bool) {
 	return h.arena.TryAlloc(tid)
 }

@@ -18,7 +18,7 @@ func newHP(t *testing.T, threads int) (*HP, *mem.Arena) {
 func TestProtectPublishesHandle(t *testing.T) {
 	h, _ := newHP(t, 1)
 	var root atomic.Uint64
-	blk := h.Alloc(0)
+	blk := reclaim.MustAlloc(h, 0)
 	root.Store(blk)
 	got := h.GetProtected(0, &root, 3, 0)
 	if got != blk {
@@ -38,7 +38,7 @@ func TestProtectStripsMarkBits(t *testing.T) {
 	// or the scan would fail to match it against retire-list entries.
 	h, _ := newHP(t, 1)
 	var root atomic.Uint64
-	blk := h.Alloc(0)
+	blk := reclaim.MustAlloc(h, 0)
 	root.Store(blk | pack.MarkBit)
 	got := h.GetProtected(0, &root, 0, 0)
 	if got != blk|pack.MarkBit {
@@ -54,8 +54,8 @@ func TestProtectFollowsConcurrentChange(t *testing.T) {
 	// must converge on the latest value, never returning a stale one.
 	h, _ := newHP(t, 1)
 	var root atomic.Uint64
-	first := h.Alloc(0)
-	second := h.Alloc(0)
+	first := reclaim.MustAlloc(h, 0)
+	second := reclaim.MustAlloc(h, 0)
 	root.Store(first)
 	// Simulate the change by swapping before the call (single-threaded
 	// determinism; the concurrent interleaving is covered by the scheme
@@ -69,14 +69,14 @@ func TestProtectFollowsConcurrentChange(t *testing.T) {
 func TestScanFreesOnlyUnprotected(t *testing.T) {
 	h, a := newHP(t, 2)
 	var root atomic.Uint64
-	protected := h.Alloc(0)
+	protected := reclaim.MustAlloc(h, 0)
 	root.Store(protected)
 	h.GetProtected(1, &root, 0, 0) // thread 1 pins it
 
-	loose := h.Alloc(0)
+	loose := reclaim.MustAlloc(h, 0)
 	h.Retire(0, protected) // first retire triggers a scan
 	h.Retire(0, loose)
-	h.Retire(0, h.Alloc(0)) // scan again
+	h.Retire(0, reclaim.MustAlloc(h, 0)) // scan again
 	h.rt.Scan(0)
 
 	if !a.Live(protected) {
@@ -96,9 +96,9 @@ func TestScanFreesOnlyUnprotected(t *testing.T) {
 func TestUnreclaimedCountsRetireLists(t *testing.T) {
 	a := mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: 1, Debug: true})
 	h := New(a, reclaim.Config{MaxThreads: 1, CleanupFreq: 1 << 30})
-	h.Retire(0, h.Alloc(0)) // first retire scans (and frees)
+	h.Retire(0, reclaim.MustAlloc(h, 0)) // first retire scans (and frees)
 	for i := 0; i < 5; i++ {
-		h.Retire(0, h.Alloc(0))
+		h.Retire(0, reclaim.MustAlloc(h, 0))
 	}
 	if got := h.Unreclaimed(); got != 5 {
 		t.Fatalf("unreclaimed = %d, want 5", got)

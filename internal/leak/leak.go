@@ -72,14 +72,9 @@ func (l *Leak) RetireBatch(tid int, blks []mem.Handle) {
 	l.rt.RetireBatch(tid, blks)
 }
 
-// Alloc implements reclaim.Scheme.
-func (l *Leak) Alloc(tid int) mem.Handle {
-	return l.arena.Alloc(tid)
-}
-
-// TryAlloc is Alloc with backpressure: arena exhaustion reports
-// (0, false) instead of panicking. For the leak baseline exhaustion is
-// terminal — nothing is ever freed — so callers should not retry.
+// TryAlloc implements reclaim.Scheme: arena exhaustion reports (0, false).
+// For the leak baseline exhaustion is terminal — nothing is ever freed —
+// so callers should not retry.
 func (l *Leak) TryAlloc(tid int) (mem.Handle, bool) {
 	return l.arena.TryAlloc(tid)
 }

@@ -17,7 +17,7 @@ func TestLeakBaseline(t *testing.T) {
 	}
 
 	var root atomic.Uint64
-	h := l.Alloc(0)
+	h := reclaim.MustAlloc(l, 0)
 	root.Store(h)
 	l.Begin(0)
 	if got := l.GetProtected(0, &root, 0, 0); got != h {
@@ -26,7 +26,7 @@ func TestLeakBaseline(t *testing.T) {
 	l.Clear(0)
 
 	l.Retire(0, h)
-	l.Retire(1, l.Alloc(1))
+	l.Retire(1, reclaim.MustAlloc(l, 1))
 	if !a.Live(h) {
 		t.Fatal("leak baseline freed a block")
 	}

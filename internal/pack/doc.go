@@ -30,7 +30,15 @@
 //     after 2^26 ≈ 67M slow-path cycles on one slot; a wrap is only harmful
 //     if a helper sleeps across an exact multiple of 2^26 cycles of the same
 //     slot, which the test suite cannot come close to producing. The paper's
-//     64-bit tag has the same wrap argument with a larger constant.
+//     64-bit tag has the same wrap argument with a larger constant. Hazard
+//     Eras stores the same {era, tag} words with tag 0.
+//
+//     WFE-IBR's tag is different: it counts slow-path cycles per thread,
+//     not per reservation, and lives only in ResPair's 38-bit val field
+//     (its interval reservations carry no tag). It takes 38 bits and skips
+//     the Inf value, so a pending request's tag never reads as an era of
+//     ∞; it wraps after 2^38 - 1 cycles of one thread, by the same
+//     argument as the reservation tag.
 //
 //   - Ptr, 26 bits: 24-bit arena handle (16.7M live blocks) plus bit 24
 //     (mark/flag) and bit 25 (tag/second flag) used by Harris–Michael lists

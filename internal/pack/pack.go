@@ -21,7 +21,9 @@ const (
 
 	// Inf is the paper's ∞ era: a reservation holding Inf protects nothing.
 	Inf = 1<<EraBits - 1
-	// MaxEra is the largest era the clock may reach before wrapping into Inf.
+	// MaxEra bounds the era clock: the tick that would reach MaxEra
+	// panics, so every era the clock holds is below it (the largest is
+	// MaxEra-1), and no era ever wraps into Inf.
 	MaxEra = Inf - 1
 
 	// InvPtr is the paper's invptr: a link value that no data structure may

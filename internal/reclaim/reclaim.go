@@ -10,6 +10,7 @@
 package reclaim
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -31,8 +32,9 @@ type Scheme interface {
 	// same index is overwritten by a later GetProtected).
 	//
 	// index selects one of the thread's MaxHEs reservation slots. parent is
-	// the block containing src (0 when src is a structure root); only WFE
-	// uses it, to keep the parent alive for helpers (paper §3.4).
+	// the block containing src (0 when src is a structure root); only the
+	// helping schemes (WFE, WFE-IBR) use it, to keep the parent alive for
+	// helpers (paper §3.4).
 	GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Handle) uint64
 
 	// Retire marks a block, already unlinked from the structure, for
@@ -69,14 +71,9 @@ type Scheme interface {
 	// the block's lifespan.
 	RetireBatch(tid int, blks []mem.Handle)
 
-	// Alloc allocates a block and stamps its allocation era
-	// (paper: alloc_block()). It panics when the arena is exhausted;
-	// callers that can degrade gracefully use TryAlloc.
-	Alloc(tid int) mem.Handle
-
-	// TryAlloc is Alloc with backpressure: it returns (0, false) instead
-	// of panicking when the arena is exhausted, after running the same
-	// era-clock bookkeeping Alloc would. The Domain's emergency
+	// TryAlloc allocates a block and stamps its allocation era (paper:
+	// alloc_block()), after the scheme's era-clock bookkeeping. It returns
+	// (0, false) when the arena is exhausted; the Domain's emergency
 	// reclamation pipeline sits on top of it.
 	TryAlloc(tid int) (mem.Handle, bool)
 
@@ -92,6 +89,16 @@ type Scheme interface {
 	// path through which the Domain and harness layers read the uniform
 	// retire/cleanup/step telemetry every scheme now reports.
 	Retirer() *Retirer
+}
+
+// MustAlloc is TryAlloc for harnesses that size the arena up front: it
+// panics when the arena is exhausted.
+func MustAlloc(s Scheme, tid int) mem.Handle {
+	h, ok := s.TryAlloc(tid)
+	if !ok {
+		panic(fmt.Sprintf("reclaim: %s: arena exhausted (capacity %d)", s.Name(), s.Arena().Capacity()))
+	}
+	return h
 }
 
 // ClockAdvancer is implemented by the era/epoch-clocked schemes (WFE, HE,
@@ -116,10 +123,12 @@ type Config struct {
 	EraFreq int
 	// CleanupFreq is how many retirements pass between retire-list scans.
 	CleanupFreq int
-	// MaxAttempts bounds WFE's fast path before it requests helping.
+	// MaxAttempts bounds the fast path of the helping schemes (WFE,
+	// WFE-IBR) before it requests helping.
 	MaxAttempts int
-	// ForceSlowPath makes WFE take the slow path on every GetProtected,
-	// the stress configuration the paper validates with (§5).
+	// ForceSlowPath makes the helping schemes (WFE, WFE-IBR) take the slow
+	// path on every GetProtected, the stress configuration the paper
+	// validates with (§5).
 	ForceSlowPath bool
 	// SortCutoff is the gathered-reservation count below which a cleanup
 	// scan keeps the linear sweep instead of sorting the snapshot and
@@ -181,14 +190,14 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// ReservedInRange reports whether any era in the sorted snapshot lands in
+// reservedInRange reports whether any era in the sorted snapshot lands in
 // the closed lifespan [lo, hi] — the sorted-scan membership kernel of the
 // era-based schemes (HE, WFE). Sorting the gathered reservation snapshot
 // once and binary-searching it per retired block turns cleanup from
 // O(R×G) into O((R+G)·log G); sorting changes nothing about the
 // snapshot's contents, so the schemes' conservativeness arguments carry
 // over unchanged.
-func ReservedInRange(sorted []uint64, lo, hi uint64) bool {
+func reservedInRange(sorted []uint64, lo, hi uint64) bool {
 	i := searchGE(sorted, lo)
 	return i < len(sorted) && sorted[i] <= hi
 }
@@ -225,7 +234,7 @@ func searchGT(sorted []uint64, v uint64) int {
 	return i
 }
 
-// IntervalsOverlap reports whether any of the gathered reservation
+// intervalsOverlap reports whether any of the gathered reservation
 // intervals overlaps the closed lifespan [birth, retire] — the
 // sorted-scan kernel of the interval-based schemes (2GEIBR, WFE-IBR). It
 // takes the intervals' lower and upper endpoints sorted independently;
@@ -235,7 +244,7 @@ func searchGT(sorted []uint64, v uint64) int {
 // two sets cannot intersect, and every other interval overlaps. So
 // overlap ⇔ #(upper < birth) + #(lower > retire) < n, two binary
 // searches per retired block.
-func IntervalsOverlap(los, his []uint64, birth, retire uint64) bool {
+func intervalsOverlap(los, his []uint64, birth, retire uint64) bool {
 	before := searchGE(his, birth)
 	after := len(los) - searchGT(los, retire)
 	return before+after < len(los)

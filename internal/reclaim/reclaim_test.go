@@ -1,10 +1,13 @@
 package reclaim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
+
+	"wfe/internal/pack"
 )
 
 func TestDefaults(t *testing.T) {
@@ -93,4 +96,122 @@ func TestStepHistMax(t *testing.T) {
 	if m.Max() != 1<<40 {
 		t.Fatalf("merged Max = %d, want %d", m.Max(), uint64(1)<<40)
 	}
+}
+
+// sealed returns a snapshot gathered by add and sealed for the linear
+// sweep or for the sorted kernels.
+func sealed(linear bool, add func(s *Snapshot)) *Snapshot {
+	var s Snapshot
+	add(&s)
+	cutoff := 0 // sort every snapshot, the empty one included
+	if linear {
+		cutoff = math.MaxInt
+	}
+	s.seal(cutoff)
+	return &s
+}
+
+func TestEraReservedBoundaries(t *testing.T) {
+	cases := []struct {
+		era  uint64
+		want bool // free: the era misses the lifespan [10, 20]
+	}{
+		{9, true},   // before lifespan
+		{10, false}, // at alloc era
+		{15, false}, // inside
+		{20, false}, // at retire era
+		{21, true},  // after lifespan
+	}
+	for _, linear := range []bool{true, false} {
+		for _, c := range cases {
+			s := sealed(linear, func(s *Snapshot) { s.AddEra(c.era) })
+			if got := !s.EraReserved(10, 20); got != c.want {
+				t.Errorf("free(linear=%v) with reservation era %d = %v, want %v", linear, c.era, got, c.want)
+			}
+		}
+		if sealed(linear, func(*Snapshot) {}).EraReserved(10, 20) {
+			t.Errorf("linear=%v: reserved with no reservations", linear)
+		}
+	}
+}
+
+func TestIntervalReservedBoundaries(t *testing.T) {
+	cases := []struct {
+		lo, hi uint64
+		want   bool // free: the interval misses the lifespan [10, 20]
+	}{
+		{1, 9, true},    // interval entirely before birth
+		{21, 30, true},  // entirely after retirement
+		{1, 10, false},  // touches birth
+		{20, 25, false}, // touches retirement
+		{12, 15, false}, // nested inside
+		{5, 30, false},  // covers the lifespan
+	}
+	for _, linear := range []bool{true, false} {
+		for _, c := range cases {
+			s := sealed(linear, func(s *Snapshot) { s.AddInterval(c.lo, c.hi) })
+			if got := !s.IntervalReserved(10, 20); got != c.want {
+				t.Errorf("free(linear=%v) vs interval [%d,%d] = %v, want %v", linear, c.lo, c.hi, got, c.want)
+			}
+		}
+		if sealed(linear, func(*Snapshot) {}).IntervalReserved(10, 20) {
+			t.Errorf("linear=%v: reserved with no intervals", linear)
+		}
+	}
+}
+
+// TestSortedScanMatchesLinearOracle checks each reservation shape's sorted
+// kernel against its linear sweep, the retained oracle: on randomized
+// reservation sets both reach exactly the same free/keep decision.
+func TestSortedScanMatchesLinearOracle(t *testing.T) {
+	t.Run("eras", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20260729))
+		for iter := 0; iter < 500; iter++ {
+			eras := make([]uint64, rng.Intn(65))
+			for i := range eras {
+				eras[i] = uint64(rng.Intn(120)) + 1
+			}
+			sorted := slices.Clone(eras)
+			slices.Sort(sorted)
+			for b := 0; b < 32; b++ {
+				lo := uint64(rng.Intn(120)) + 1
+				hi := lo + uint64(rng.Intn(16))
+				want := eraReservedLinear(eras, lo, hi)
+				if got := reservedInRange(sorted, lo, hi); got != want {
+					t.Fatalf("lifespan [%d,%d] vs eras %v: sorted=%v linear=%v",
+						lo, hi, eras, got, want)
+				}
+			}
+		}
+	})
+	t.Run("intervals", func(t *testing.T) {
+		// Includes intervals left half-open at Inf by a racing Clear.
+		rng := rand.New(rand.NewSource(20260729))
+		for iter := 0; iter < 500; iter++ {
+			n := rng.Intn(48)
+			los := make([]uint64, n)
+			his := make([]uint64, n)
+			for i := range los {
+				los[i] = uint64(rng.Intn(120)) + 1
+				if rng.Intn(16) == 0 {
+					his[i] = pack.Inf // gather raced a Begin/Clear hand-over
+				} else {
+					his[i] = los[i] + uint64(rng.Intn(20))
+				}
+			}
+			sortedLos := slices.Clone(los)
+			sortedHis := slices.Clone(his)
+			slices.Sort(sortedLos)
+			slices.Sort(sortedHis)
+			for b := 0; b < 32; b++ {
+				birth := uint64(rng.Intn(120)) + 1
+				retire := birth + uint64(rng.Intn(16))
+				want := intervalReservedLinear(los, his, birth, retire)
+				if got := intervalsOverlap(sortedLos, sortedHis, birth, retire); got != want {
+					t.Fatalf("lifespan [%d,%d] vs intervals (%v,%v): sorted=%v linear=%v",
+						birth, retire, los, his, got, want)
+				}
+			}
+		}
+	})
 }

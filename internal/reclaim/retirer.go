@@ -515,11 +515,12 @@ func (q *ring) resize(n int) {
 
 // Snapshot is the reservation snapshot one cleanup scan gathers and judges
 // against. The Retirer owns and reuses the buffers; a Judge appends eras or
-// intervals during Gather and queries membership during CanFree. After the
-// gather the runtime seals the snapshot: above the sort cutoff the
-// endpoint slices are sorted once (after the gather, preserving any
-// lemma-mandated read order) and membership binary-searches them; below it
-// membership keeps the linear sweep.
+// intervals during Gather and queries membership during CanFree, through
+// the one judge of its reservation shape (EraReserved, IntervalReserved,
+// HandleReserved). After the gather the runtime seals the snapshot: above
+// the sort cutoff the endpoint slices are sorted once (after the gather,
+// preserving any lemma-mandated read order) and membership binary-searches
+// them; below it membership keeps the linear sweep.
 type Snapshot struct {
 	los, his []uint64
 	aux      [2]uint64
@@ -567,34 +568,48 @@ func (s *Snapshot) SetAux(i int, v uint64) { s.aux[i] = v }
 // Aux reads a per-scan scalar stored by SetAux.
 func (s *Snapshot) Aux(i int) uint64 { return s.aux[i] }
 
-// Linear reports whether this scan judges by the linear reference sweep
-// (below the cutoff).
-func (s *Snapshot) Linear() bool { return s.linear }
-
-// Eras returns the gathered point reservations — sorted iff !Linear().
-func (s *Snapshot) Eras() []uint64 { return s.los }
-
-// Intervals returns the gathered interval endpoints — each slice sorted
-// independently iff !Linear().
-func (s *Snapshot) Intervals() (los, his []uint64) { return s.los, s.his }
-
 // EraReserved reports whether any gathered point reservation lands in the
-// closed lifespan [lo, hi], by whichever test seal selected.
+// closed lifespan [lo, hi] — the judge of the era-point schemes (HE, WFE).
 func (s *Snapshot) EraReserved(lo, hi uint64) bool {
 	if s.linear {
-		for _, e := range s.los {
-			if lo <= e && hi >= e {
-				return true
-			}
-		}
-		return false
+		return eraReservedLinear(s.los, lo, hi)
 	}
-	return ReservedInRange(s.los, lo, hi)
+	return reservedInRange(s.los, lo, hi)
+}
+
+// IntervalReserved reports whether any gathered reservation interval
+// overlaps the closed lifespan [birth, retire] — the judge of the interval
+// schemes (2GEIBR, WFE-IBR).
+func (s *Snapshot) IntervalReserved(birth, retire uint64) bool {
+	if s.linear {
+		return intervalReservedLinear(s.los, s.his, birth, retire)
+	}
+	return intervalsOverlap(s.los, s.his, birth, retire)
 }
 
 // HandleReserved reports whether the exact value h was gathered — the
 // identity membership of Hazard Pointers (a degenerate [h, h] lifespan).
-// The interval schemes have no analogous helper by design: their
-// membership tests live in the scheme packages' canDelete, whose linear
-// arm doubles as the property-tested reference oracle.
 func (s *Snapshot) HandleReserved(h uint64) bool { return s.EraReserved(h, h) }
+
+// eraReservedLinear is the O(G) point-reservation sweep: the scan below
+// the sort cutoff, and the reference oracle of reservedInRange.
+func eraReservedLinear(eras []uint64, lo, hi uint64) bool {
+	for _, e := range eras {
+		if lo <= e && hi >= e {
+			return true
+		}
+	}
+	return false
+}
+
+// intervalReservedLinear is the O(G) sweep over paired interval
+// endpoints: the scan below the sort cutoff, and the reference oracle of
+// intervalsOverlap.
+func intervalReservedLinear(los, his []uint64, birth, retire uint64) bool {
+	for i := range los {
+		if birth <= his[i] && retire >= los[i] {
+			return true
+		}
+	}
+	return false
+}

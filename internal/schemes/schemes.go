@@ -9,13 +9,10 @@ import (
 
 	"wfe/internal/core"
 	"wfe/internal/ebr"
-	"wfe/internal/he"
 	"wfe/internal/hp"
-	"wfe/internal/ibr"
 	"wfe/internal/leak"
 	"wfe/internal/mem"
 	"wfe/internal/reclaim"
-	"wfe/internal/wfeibr"
 )
 
 // A Factory constructs one reclamation scheme over an arena. Factories are
@@ -32,15 +29,15 @@ var registry = map[string]Factory{
 		cfg.ForceSlowPath = true
 		return core.New(a, cfg)
 	},
-	"HE":     func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return he.New(a, cfg) },
+	"HE":     func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return core.NewHE(a, cfg) },
 	"HP":     func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return hp.New(a, cfg) },
 	"EBR":    func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return ebr.New(a, cfg) },
-	"2GEIBR": func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return ibr.New(a, cfg) },
+	"2GEIBR": func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return core.NewIBR(a, cfg) },
 	// extension: the paper's §2.4 remark — wait-free 2GEIBR
-	"WFE-IBR": func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return wfeibr.New(a, cfg) },
+	"WFE-IBR": func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return core.NewWFEIBR(a, cfg) },
 	"WFE-IBR-slow": func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme {
 		cfg.ForceSlowPath = true
-		return wfeibr.New(a, cfg)
+		return core.NewWFEIBR(a, cfg)
 	},
 	"Leak": func(a *mem.Arena, cfg reclaim.Config) reclaim.Scheme { return leak.New(a, cfg) },
 }

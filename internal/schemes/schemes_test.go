@@ -56,7 +56,7 @@ func TestLifecycle(t *testing.T) {
 
 			keys := make([]uint64, a.Capacity()+1)
 			s.Begin(0)
-			h := s.Alloc(0)
+			h := reclaim.MustAlloc(s, 0)
 			keys[h] = 77
 			root.Store(h)
 
@@ -75,7 +75,7 @@ func TestLifecycle(t *testing.T) {
 			// scratch blocks to trigger cleanups and epoch/era advances.
 			for i := 0; i < 200 && a.Live(h); i++ {
 				s.Begin(0)
-				x := s.Alloc(0)
+				x := reclaim.MustAlloc(s, 0)
 				s.Retire(0, x)
 				s.Clear(0)
 			}
@@ -99,7 +99,7 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			// keys is indexed by handle; a scratch block stores 0, so a
 			// protected block recycled as one reads back as corrupted.
 			keys := make([]uint64, a.Capacity()+1)
-			h := s.Alloc(1)
+			h := reclaim.MustAlloc(s, 1)
 			keys[h] = 123
 			root.Store(h)
 
@@ -115,7 +115,7 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			s.Retire(1, h)
 			for i := 0; i < 300; i++ {
 				s.Begin(1)
-				x := s.Alloc(1)
+				x := reclaim.MustAlloc(s, 1)
 				keys[x] = 0
 				s.Retire(1, x)
 				s.Clear(1)
@@ -131,7 +131,7 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			s.Clear(0)
 			for i := 0; i < 300 && a.Live(h); i++ {
 				s.Begin(1)
-				x := s.Alloc(1)
+				x := reclaim.MustAlloc(s, 1)
 				s.Retire(1, x)
 				s.Clear(1)
 			}
@@ -157,13 +157,13 @@ func TestStepHistogramsAllSchemes(t *testing.T) {
 			// era/interval protect loops must take re-publication steps.
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 2, CleanupFreq: 4, EraFreq: 1})
 			var root atomic.Uint64
-			root.Store(s.Alloc(1))
+			root.Store(reclaim.MustAlloc(s, 1))
 			for i := 0; i < 200; i++ {
 				s.Begin(0)
 				s.GetProtected(0, &root, 0, 0)
 				s.Clear(0)
 				s.Begin(1)
-				old := root.Swap(s.Alloc(1))
+				old := root.Swap(reclaim.MustAlloc(s, 1))
 				s.Retire(1, pack.Handle(old))
 				s.Clear(1)
 			}
@@ -189,7 +189,7 @@ func TestLeakNeverFrees(t *testing.T) {
 	s := mustNew(t, "Leak", a, reclaim.Config{MaxThreads: 1})
 	hs := make([]mem.Handle, 0, 100)
 	for i := 0; i < 100; i++ {
-		h := s.Alloc(0)
+		h := reclaim.MustAlloc(s, 0)
 		hs = append(hs, h)
 		s.Retire(0, h)
 	}
@@ -229,7 +229,7 @@ func TestConcurrentChurn(t *testing.T) {
 			keys := make([]uint64, a.Capacity()+1)
 			var slots [bank]atomic.Uint64
 			for i := range slots {
-				h := s.Alloc(0)
+				h := reclaim.MustAlloc(s, 0)
 				keys[h] = h
 				slots[i].Store(h)
 			}
@@ -255,7 +255,7 @@ func TestConcurrentChurn(t *testing.T) {
 								}
 							}
 						} else { // replacer
-							n := s.Alloc(tid)
+							n := reclaim.MustAlloc(s, tid)
 							keys[n] = n
 							old := src.Swap(n)
 							if h := pack.Handle(old); h != 0 {
@@ -283,7 +283,7 @@ func TestEBRStallBlocksReclamation(t *testing.T) {
 	before := s.Unreclaimed()
 	for i := 0; i < 500; i++ {
 		s.Begin(1)
-		x := s.Alloc(1)
+		x := reclaim.MustAlloc(s, 1)
 		s.Retire(1, x)
 		s.Clear(1)
 	}
@@ -294,7 +294,7 @@ func TestEBRStallBlocksReclamation(t *testing.T) {
 	s.Clear(0) // stall ends
 	for i := 0; i < 50; i++ {
 		s.Begin(1)
-		x := s.Alloc(1)
+		x := reclaim.MustAlloc(s, 1)
 		s.Retire(1, x)
 		s.Clear(1)
 	}
@@ -313,7 +313,7 @@ func TestBoundedSchemesTolerateStall(t *testing.T) {
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 2, CleanupFreq: 1, EraFreq: 1})
 
 			var root atomic.Uint64
-			h := s.Alloc(1)
+			h := reclaim.MustAlloc(s, 1)
 			root.Store(h)
 
 			// Thread 0 stalls holding one protected block.
@@ -322,7 +322,7 @@ func TestBoundedSchemesTolerateStall(t *testing.T) {
 
 			for i := 0; i < 500; i++ {
 				s.Begin(1)
-				x := s.Alloc(1)
+				x := reclaim.MustAlloc(s, 1)
 				s.Retire(1, x)
 				s.Clear(1)
 			}
@@ -350,7 +350,7 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 	// protected block recycled as one reads back as corrupted.
 	keys := make([]uint64, a.Capacity()+1)
 	var root atomic.Uint64
-	h := s.Alloc(1)
+	h := reclaim.MustAlloc(s, 1)
 	keys[h] = 99
 	root.Store(h)
 
@@ -363,7 +363,7 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 				return
 			default:
 			}
-			x := s.Alloc(1)
+			x := reclaim.MustAlloc(s, 1)
 			keys[x] = 0
 			s.Retire(1, x)
 			stormOps.Add(1)

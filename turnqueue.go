@@ -32,5 +32,7 @@ type TurnQueue[T any] struct{ nodeQueue[T] }
 func NewTurnQueue[T any](d *Domain[T]) *TurnQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
-	return &TurnQueue[T]{nodeQueue[T]{d, crturn.New(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
+	s, err := d.allocHandle(g.tid)
+	d.must(err)
+	return &TurnQueue[T]{nodeQueue[T]{d, crturn.New(liveScheme[T]{d}, d.guards.Cap(), s)}}
 }

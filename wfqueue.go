@@ -31,7 +31,9 @@ type WFQueue[T any] struct{ nodeQueue[T] }
 func NewWFQueue[T any](d *Domain[T]) *WFQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
-	return &WFQueue[T]{nodeQueue[T]{d, kpqueue.New(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
+	s, err := d.allocHandle(g.tid)
+	d.must(err)
+	return &WFQueue[T]{nodeQueue[T]{d, kpqueue.New(liveScheme[T]{d}, d.guards.Cap(), s)}}
 }
 
 // queueCore is a wait-free queue of nodes from internal/ds (kpqueue or
