@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -151,5 +152,115 @@ func TestTickPathsHelp(t *testing.T) {
 				b.counterEnd.Add(1)
 			})
 		}
+	}
+}
+
+// TestSortedScanMatchesLinearOracle checks each scheme's cleanup scan end
+// to end against the linear oracle. Random reservations go into the
+// scheme's own slots, the helping schemes' special ones included, and
+// random lifespans onto retired blocks. A scan that sorts its snapshot
+// must then free exactly the blocks that a plain sweep over the published
+// reservations finds unreserved.
+func TestSortedScanMatchesLinearOracle(t *testing.T) {
+	const threads = 16
+	for _, sc := range allSchemes {
+		t.Run(sc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(20260729))
+			for iter := 0; iter < 100; iter++ {
+				a := testArena(threads)
+				s := sc.new(a, reclaim.Config{MaxThreads: threads, SortCutoff: 1})
+				reserved := publishRandom(rng, s)
+				var blks [32]struct {
+					h             mem.Handle
+					birth, retire uint64
+				}
+				for i := range blks {
+					b := &blks[i]
+					b.birth = uint64(rng.Intn(120)) + 1
+					b.retire = b.birth + uint64(rng.Intn(16))
+					b.h = reclaim.MustAlloc(s, 0)
+					a.SetAllocEra(b.h, b.birth)
+					a.SetRetireEra(b.h, b.retire)
+					s.Retirer().Add(0, b.h)
+				}
+				s.Retirer().Scan(0)
+				for _, b := range blks {
+					if want := reserved(b.birth, b.retire); a.Live(b.h) != want {
+						t.Fatalf("iter %d: lifespan [%d,%d] kept=%v, linear oracle says reserved=%v",
+							iter, b.birth, b.retire, a.Live(b.h), want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// publishRandom publishes reservations in [1, 120] into a random share of
+// s's slots and returns the linear oracle over them: whether a lifespan
+// [birth, retire] meets any published era or interval.
+func publishRandom(rng *rand.Rand, s clocked) func(birth, retire uint64) bool {
+	density := rng.Intn(9) // each slot is published with probability density/16
+	var eras, los, his []uint64
+	eraSlots := func(h *HE, js, je int) {
+		for i := 0; i < h.cfg.MaxThreads; i++ {
+			for j := js; j < je; j++ {
+				if rng.Intn(16) < density {
+					e := uint64(rng.Intn(120)) + 1
+					h.resv(i, j).Store(uint64(pack.MakeEraTag(e, uint64(rng.Intn(4)))))
+					eras = append(eras, e)
+				}
+			}
+		}
+	}
+	intervalSlots := func(set []interval) {
+		for i := range set {
+			if rng.Intn(16) >= density {
+				continue
+			}
+			lo := uint64(rng.Intn(120)) + 1
+			hi := lo + uint64(rng.Intn(20))
+			switch rng.Intn(16) {
+			case 0: // a gather that raced a Clear read the upper bound as Inf
+				hi = pack.Inf
+			case 1: // a Begin or Clear between its two stores: nothing open
+				set[i].upper.Store(hi)
+				continue
+			}
+			set[i].lower.Store(lo)
+			set[i].upper.Store(hi)
+			los = append(los, lo)
+			his = append(his, hi)
+		}
+	}
+	switch s := s.(type) {
+	case *HE:
+		eraSlots(s, 0, s.cfg.MaxHEs)
+	case *WFE:
+		h := s.cfg.MaxHEs
+		eraSlots(&s.HE, 0, h+1) // the normals and special reservation 1
+		if rng.Intn(2) == 0 {
+			// Helping in flight: the scan's second phase also honours
+			// special reservation 2.
+			s.counterStart.Add(1)
+			eraSlots(&s.HE, h+1, h+2)
+		}
+	case *IBR:
+		intervalSlots(s.intervals)
+	case *WFEIBR:
+		intervalSlots(s.specials)
+		intervalSlots(s.intervals)
+	}
+	return func(birth, retire uint64) bool {
+		for _, e := range eras {
+			if birth <= e && e <= retire {
+				return true
+			}
+		}
+		for i := range los {
+			if birth <= his[i] && retire >= los[i] {
+				return true
+			}
+		}
+		return false
 	}
 }
