@@ -3,8 +3,8 @@
 // artifact — and renders a rate table plus the advisor's current scheme
 // recommendation.
 //
-// Live mode polls the /vars endpoint a -metrics flag (wfebench, wfelat,
-// wfestress) or metrics.Serve exposes:
+// Live mode polls the /vars endpoint a -metrics flag (wfebench, wfelat)
+// or metrics.Serve exposes:
 //
 //	wfemon -url http://127.0.0.1:9100 -interval 1s
 //	wfemon -url http://127.0.0.1:9100 -once
@@ -18,9 +18,12 @@
 // bounded per figure×threads group (advisor.AdviseSweep). -json prints
 // only the full Recommendation, as JSON:
 //
-//	wfemon chaos-out/stalled-reader-EBR.json   # wfe-chaos/v1
-//	wfemon BENCH_BASELINE.json                 # wfe-bench/v1
-//	wfemon -json chaos-out/stalled-reader-EBR.json
+//	wfemon stalled-reader-EBR.json         # wfe-chaos/v1
+//	wfemon BENCH_BASELINE.json             # wfe-bench/v1
+//	wfemon -json stalled-reader-EBR.json
+//
+// go test -v -run TestReplay ./cmd/wfemon records the stalled-reader EBR
+// trajectory with internal/chaos and prints its replay.
 //
 // Exit status: 0 on success, 1 when -validate finds a malformed
 // exposition, 2 on a usage, IO or schema error.
@@ -71,7 +74,7 @@ func main() {
 			os.Exit(2)
 		}
 	case flag.NArg() == 1:
-		if err := replay(flag.Arg(0), *jsonOut); err != nil {
+		if err := replay(os.Stdout, flag.Arg(0), *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "wfemon: %v\n", err)
 			os.Exit(2)
 		}
@@ -160,10 +163,10 @@ func render(w io.Writer, vars []metrics.Vars) {
 	}
 }
 
-// replay loads a recorded artifact and renders it: the per-tick rate
+// replay loads a recorded artifact and renders it to w: the per-tick rate
 // table a live monitor would have shown, then the advisor's verdict — or,
 // with jsonOut, the verdict alone as indented JSON.
-func replay(path string, jsonOut bool) error {
+func replay(w io.Writer, path string, jsonOut bool) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -181,18 +184,18 @@ func replay(path string, jsonOut bool) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		if jsonOut {
-			return writeJSON(advisor.Advise(tr.Samples()))
+			return writeJSON(w, advisor.Advise(tr.Samples()))
 		}
-		return replayChaos(&tr)
+		return replayChaos(w, &tr)
 	case bench.ReportSchema:
 		var rep bench.Report
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		if jsonOut {
-			return writeJSON(advisor.AdviseSweep(sweepPoints(&rep)))
+			return writeJSON(w, advisor.AdviseSweep(sweepPoints(&rep)))
 		}
-		return replayBench(&rep)
+		return replayBench(w, &rep)
 	case "":
 		return fmt.Errorf("%s: no schema field; not a wfe artifact", path)
 	default:
@@ -202,8 +205,8 @@ func replay(path string, jsonOut bool) error {
 }
 
 // writeJSON prints a recommendation as indented JSON.
-func writeJSON(rec advisor.Recommendation) error {
-	enc := json.NewEncoder(os.Stdout)
+func writeJSON(w io.Writer, rec advisor.Recommendation) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rec)
 }
@@ -211,14 +214,14 @@ func writeJSON(rec advisor.Recommendation) error {
 // replayChaos streams the trajectory through a Monitor tick by tick,
 // printing the table rows a live session would have produced (decimated
 // to at most 24 rows) and every recommendation change as it happens.
-func replayChaos(tr *chaos.Trajectory) error {
+func replayChaos(w io.Writer, tr *chaos.Trajectory) error {
 	samples := tr.Samples()
 	if len(samples) == 0 {
 		return fmt.Errorf("trajectory has no ticks")
 	}
-	fmt.Printf("scenario %q, scheme %s, %d ticks (seed %d)\n",
+	fmt.Fprintf(w, "scenario %q, scheme %s, %d ticks (seed %d)\n",
 		tr.Scenario, tr.Scheme, len(tr.Ticks), tr.Seed)
-	fmt.Printf("  %6s %10s %10s %10s %8s %8s  %s\n",
+	fmt.Fprintf(w, "  %6s %10s %10s %10s %8s %8s  %s\n",
 		"tick", "backlog", "scans", "p99steps", "parks", "stalled", "advice")
 	m := advisor.NewMonitor(0)
 	step := (len(samples) + 23) / 24
@@ -237,36 +240,36 @@ func replayChaos(tr *chaos.Trajectory) error {
 			if changed {
 				marker = "  <- advice now " + rec.Scheme
 			}
-			fmt.Printf("  %6d %10d %10d %10d %8d %8s  %s%s\n",
+			fmt.Fprintf(w, "  %6d %10d %10d %10d %8d %8s  %s%s\n",
 				s.Tick, s.Unreclaimed, s.ScanScans, s.P99Steps, s.GuardParks, stalled, advice, marker)
 		}
 	}
 	final, _ := m.Current()
-	fmt.Printf("\nfinal recommendation: %s\n", final.Scheme)
+	fmt.Fprintf(w, "\nfinal recommendation: %s\n", final.Scheme)
 	for _, r := range final.Reasons {
-		fmt.Printf("  - %s\n", r)
+		fmt.Fprintf(w, "  - %s\n", r)
 	}
-	fmt.Printf("summary: highwater %d (tick %d), final backlog %d, %d scans, %d parks\n",
+	fmt.Fprintf(w, "summary: highwater %d (tick %d), final backlog %d, %d scans, %d parks\n",
 		tr.Summary.UnreclaimedMax, tr.Summary.UnreclaimedMaxTick,
 		tr.Summary.UnreclaimedFinal, tr.Summary.Scans, tr.Summary.Parks)
 	return nil
 }
 
 // replayBench renders a measured sweep and the sweep-advisor verdict.
-func replayBench(rep *bench.Report) error {
+func replayBench(w io.Writer, rep *bench.Report) error {
 	if len(rep.Figures) == 0 {
 		return fmt.Errorf("report has no figure results")
 	}
-	fmt.Printf("bench sweep: %d points, %s/%s, %d CPUs\n",
+	fmt.Fprintf(w, "bench sweep: %d points, %s/%s, %d CPUs\n",
 		len(rep.Figures), rep.GOOS, rep.GOARCH, rep.NumCPU)
-	fmt.Printf("  %-12s %-8s %8s %10s %12s\n", "figure", "scheme", "threads", "Mops", "backlog-max")
+	fmt.Fprintf(w, "  %-12s %-8s %8s %10s %12s\n", "figure", "scheme", "threads", "Mops", "backlog-max")
 	for _, r := range rep.Figures {
-		fmt.Printf("  %-12s %-8s %8d %10.2f %12d\n", r.Figure, r.Scheme, r.Threads, r.Mops, r.UnreclaimedMax)
+		fmt.Fprintf(w, "  %-12s %-8s %8d %10.2f %12d\n", r.Figure, r.Scheme, r.Threads, r.Mops, r.UnreclaimedMax)
 	}
 	rec := advisor.AdviseSweep(sweepPoints(rep))
-	fmt.Printf("\nrecommendation: %s\n", rec.Scheme)
+	fmt.Fprintf(w, "\nrecommendation: %s\n", rec.Scheme)
 	for _, r := range rec.Reasons {
-		fmt.Printf("  - %s\n", r)
+		fmt.Fprintf(w, "  - %s\n", r)
 	}
 	return nil
 }

@@ -102,8 +102,6 @@
 //	metrics             OpenMetrics/JSON export of Domain telemetry
 //	cmd/wfebench        regenerates Figures 5–11 and the ablations
 //	cmd/wfeperf         end-to-end and per-layer benchmark (own module)
-//	cmd/wfestress       correctness stress tool (forced slow path, stalls,
-//	                    the chaos matrix)
 //	cmd/wfelat          per-operation latency comparison of the queues
 //	cmd/wfemon          live monitor of a metrics endpoint, or an artifact
 //	                    replayed with the advisor's recommendation

@@ -499,8 +499,9 @@ func (d *Domain[T]) AcquireGuard(ctx context.Context) (*Guard[T], error) {
 
 // spareTid lets a parked pool waiter claim an idle cached guard: without
 // it, guards stranded in the lease cache could starve a waiter forever.
-// The claimed guard object is retired (slot vacated, domain cleared) and
-// only its tid handed over; the waiter wraps it in a fresh Guard.
+// The claimed guard object is retired (slot vacated, batch counts folded,
+// domain cleared) and only its tid handed over; the waiter wraps it in a
+// fresh Guard.
 func (d *Domain[T]) spareTid() (int, bool) {
 	g, ok := d.fromCache()
 	if !ok {
@@ -511,6 +512,7 @@ func (d *Domain[T]) spareTid() (int, bool) {
 		d.cache[g.slot].g.CompareAndSwap(g, nil)
 		g.slot = -1
 	}
+	g.foldBatch()
 	g.d = nil
 	return tid, true
 }
@@ -1385,18 +1387,22 @@ func (g *Guard[T]) Release() {
 		g.slot = -1
 	}
 	d.scheme().s.Clear(g.tid)
-	// Fold the guard's batch accounting into the Domain totals: the
-	// registry cell is already vacated, so Telemetry cannot see these
-	// counts twice. Guards idling in the lease cache keep theirs local;
-	// Telemetry sums them through the registry.
+	g.foldBatch()
+	g.d = nil // fail fast on use-after-Release
+	d.guards.Release(g.tid)
+}
+
+// foldBatch moves the guard's batch accounting into the Domain totals as
+// the guard object retires. The caller has already vacated its registry
+// cell, so Telemetry cannot see these counts twice. Guards idling in the
+// lease cache keep theirs local; Telemetry sums them through the registry.
+func (g *Guard[T]) foldBatch() {
 	if n := g.statBatchOps.Load(); n != 0 {
-		d.batchOps.Add(n)
-		d.batchItems.Add(g.statBatchItems.Load())
+		g.d.batchOps.Add(n)
+		g.d.batchItems.Add(g.statBatchItems.Load())
 		g.statBatchOps.Store(0)
 		g.statBatchItems.Store(0)
 	}
-	g.d = nil // fail fast on use-after-Release
-	d.guards.Release(g.tid)
 }
 
 // Begin marks the start of a data-structure operation. Epoch- and

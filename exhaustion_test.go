@@ -60,10 +60,11 @@ func TestExhaustionStormAllSchemes(t *testing.T) {
 				// Fast era clock so a stalled allocator's own reservation
 				// pins only a handful of freshly-retired blocks.
 				EraFreq: 2,
-				// Small spill batches so one goroutine's emergency frees
-				// reach the global pool — and everyone else — quickly. This
-				// is load-bearing arithmetic, not tuning: caches spill past
-				// 2×SpillSize, so 8 tids can strand 8×2×SpillSize frees in
+				// Small segments so one goroutine's emergency frees reach
+				// its mailbox — and everyone else — quickly. This is
+				// load-bearing arithmetic, not tuning: a cache publishes a
+				// sealed segment to its tid's mailbox only past 2×SpillSize,
+				// so 8 tids can strand 8×2×SpillSize frees in
 				// private caches; that figure must stay well under the
 				// circulating pool (capacity minus the live set) or a tid
 				// whose own retire ring is empty can starve while every

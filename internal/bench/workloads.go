@@ -11,11 +11,11 @@ import (
 var DSNames = []string{"wfqueue", "turnqueue", "list", "hashmap", "tree"}
 
 // PublicKV adapts one shipped public structure to the workload drivers:
-// the figure runner, the root package's BenchmarkFig* and cmd/wfestress's
-// storms. Every call goes through the structure's Guarded method on the
-// caller's guard. Queues ignore the key on Remove and panic on Get/Put;
-// keys double as values everywhere. The writes return the structure's
-// error: wfe.ErrArenaExhausted when the arena stays full.
+// the figure runner and the root package's BenchmarkFig*. Every call goes
+// through the structure's Guarded method on the caller's guard. Queues
+// ignore the key on Remove and panic on Get/Put; keys double as values
+// everywhere. The writes return the structure's error:
+// wfe.ErrArenaExhausted when the arena stays full.
 type PublicKV interface {
 	Insert(g *wfe.Guard[uint64], k uint64) (bool, error)
 	Remove(g *wfe.Guard[uint64], k uint64) bool

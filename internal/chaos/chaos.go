@@ -12,8 +12,8 @@
 // hazard-pointer- and era-class schemes cap it (HP at the protected
 // handles, the era/interval schemes at the live set when the stall
 // began). A preempted writer, by contrast, strands only its own ring in
-// every scheme. Canned.Check judges one trajectory against that matrix;
-// the root chaos tests and cmd/wfestress -chaos both call it.
+// every scheme. Canned.Check judges one trajectory against that matrix
+// for the root chaos tests.
 //
 // Determinism: every scenario runs on a single goroutine that
 // round-robins the workers tick by tick, each worker leasing a guard for
@@ -24,10 +24,10 @@
 // identical trajectory byte for byte — the property that makes the
 // robustness matrix a unit test instead of a flaky stress.
 //
-// Trajectories serialize as "wfe-chaos/v1" JSON (cmd/wfestress -chaos
-// writes them; cmd/wfemon reads them) and convert losslessly to the
-// advisor package's sample stream. Each tick row declares its columns
-// here and fills them from the Domain's Telemetry.
+// Trajectories serialize as "wfe-chaos/v1" JSON (cmd/wfemon replays
+// them; TestDeterministicTrajectory pins each cell's digest) and convert
+// losslessly to the advisor package's sample stream. Each tick row
+// declares its columns here and fills them from the Domain's Telemetry.
 package chaos
 
 import (

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -26,26 +28,87 @@ func short() Scenario {
 // (scenario, scheme, seed) reproduces the identical trajectory — every
 // tick sample and the summary, byte for byte — so the robustness matrix
 // is a unit test, not a flaky stress. It covers the whole catalog,
-// oversubscription's parks included.
+// oversubscription's parks included, and pins each trajectory across
+// commits by its digest in trajectoryDigests.
 func TestDeterministicTrajectory(t *testing.T) {
 	for _, c := range Catalog() {
 		for _, kind := range wfe.AllSchemes() {
+			cell := c.Name + "/" + kind.String()
 			a, err := Run(kind, c.Scenario)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", c.Name, kind, err)
+				t.Fatalf("%s: %v", cell, err)
 			}
 			b, err := Run(kind, c.Scenario)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", c.Name, kind, err)
+				t.Fatalf("%s: %v", cell, err)
 			}
 			if !reflect.DeepEqual(a.Ticks, b.Ticks) {
-				t.Errorf("%s/%s: same seed produced different tick samples", c.Name, kind)
+				t.Errorf("%s: same seed produced different tick samples", cell)
 			}
 			if a.Summary != b.Summary {
-				t.Errorf("%s/%s: same seed produced different summaries:\n%+v\n%+v", c.Name, kind, a.Summary, b.Summary)
+				t.Errorf("%s: same seed produced different summaries:\n%+v\n%+v", cell, a.Summary, b.Summary)
+			}
+			blob, err := json.MarshalIndent(a, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got, want := hex.EncodeToString(sum[:8]), trajectoryDigests[cell]; got != want {
+				t.Errorf("%s: trajectory digest %s, pinned %s; if the change is intended, pin the new digest and record the changed cells in CHANGES.md",
+					cell, got, want)
 			}
 		}
 	}
+}
+
+// trajectoryDigests pins every cell of the canned matrix, keyed
+// scenario/scheme: the first 16 hex digits of the SHA-256 of the
+// trajectory's indented JSON, the bytes a recorded wfe-chaos/v1 file
+// holds. A change to the engine, a scenario, a scheme or the arena that
+// moves any tick shows here as a named cell.
+var trajectoryDigests = map[string]string{
+	"cooperative/WFE":          "1dc33bea17f2dd64",
+	"cooperative/HE":           "096cab38507e56d0",
+	"cooperative/HP":           "5d40cdd2db98ec13",
+	"cooperative/EBR":          "1f54280848d79058",
+	"cooperative/2GEIBR":       "4e6a1f06b2814f33",
+	"cooperative/Leak":         "bbeba16ad64564bb",
+	"cooperative/WFE-IBR":      "84a2b399deda2d5b",
+	"stalled-reader/WFE":       "2ac2f27fbee2106f",
+	"stalled-reader/HE":        "e6481e150e91bef3",
+	"stalled-reader/HP":        "6058eb05e3763f50",
+	"stalled-reader/EBR":       "95497ff39348202a",
+	"stalled-reader/2GEIBR":    "2455a0d2c9d60789",
+	"stalled-reader/Leak":      "6b5600351f58c8ea",
+	"stalled-reader/WFE-IBR":   "46fe4eb4e95b3ccb",
+	"preempted-writer/WFE":     "f4b0d04ebf54f888",
+	"preempted-writer/HE":      "8c3b974d470d4250",
+	"preempted-writer/HP":      "1a14544f222b2832",
+	"preempted-writer/EBR":     "ae778eaf1de940bc",
+	"preempted-writer/2GEIBR":  "97e5703cfc7a4ef4",
+	"preempted-writer/Leak":    "e407e8988632ceb3",
+	"preempted-writer/WFE-IBR": "43010b6c539aa850",
+	"bursty-churn/WFE":         "4fe3101edea79676",
+	"bursty-churn/HE":          "66ce60a2940e8e6b",
+	"bursty-churn/HP":          "59b8dead1a2b0ac1",
+	"bursty-churn/EBR":         "d7f26fe8730a400f",
+	"bursty-churn/2GEIBR":      "b30a7ef09ea63d71",
+	"bursty-churn/Leak":        "6c45c6b7519d6290",
+	"bursty-churn/WFE-IBR":     "1c9bf95bcb432f7b",
+	"oversubscription/WFE":     "f7aeff76bb65a9ab",
+	"oversubscription/HE":      "b68f00204fec77ed",
+	"oversubscription/HP":      "5566e8c31be79d94",
+	"oversubscription/EBR":     "e555faf35181be31",
+	"oversubscription/2GEIBR":  "6424866f8dd0d65a",
+	"oversubscription/Leak":    "58633b507191e3e1",
+	"oversubscription/WFE-IBR": "fc17a0c7a598a796",
+	"exhaustion-storm/WFE":     "3bb53c7d7a7fc1e5",
+	"exhaustion-storm/HE":      "1cbfdef767c147fa",
+	"exhaustion-storm/HP":      "eb2ac3f18f30cbd1",
+	"exhaustion-storm/EBR":     "b018b89a8d85110d",
+	"exhaustion-storm/2GEIBR":  "b52da86fa67404f9",
+	"exhaustion-storm/Leak":    "c8f5c61010c04124",
+	"exhaustion-storm/WFE-IBR": "17de5e35c10ac42f",
 }
 
 func TestSeedChangesTrajectory(t *testing.T) {

@@ -223,7 +223,7 @@ func ExhaustionStorm() Canned {
 }
 
 // Catalog is the canned scenario matrix, in the order the docs and the
-// -chaos stress mode present it.
+// tests present it.
 func Catalog() []Canned {
 	return []Canned{
 		Cooperative(),
@@ -241,8 +241,8 @@ func Catalog() []Canned {
 // exempt scheme visibly grew past the floor, the advisor shown the EBR
 // trajectory picked WantAdvice, an exhaustion scenario's pressure
 // resolved as WantPressure promises, and any other scenario's writes all
-// found room in the arena. The root chaos tests and
-// cmd/wfestress -chaos share it, so the matrix's verdict is written once.
+// found room in the arena. The root chaos tests call it, so the matrix's
+// verdict is written once.
 func (c Canned) Check(kind wfe.SchemeKind, tr *Trajectory) []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }

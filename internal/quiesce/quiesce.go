@@ -2,8 +2,8 @@
 // meaningful: retired blocks sit in per-tid retire lists that are only
 // scanned when that tid retires again, so "drained" structures can still
 // show a large Unreclaimed backlog until every tid runs one more cleanup
-// scan. The conformance/stress harnesses and cmd/wfestress share this
-// recipe rather than each hand-rolling it.
+// scan. The conformance, stress, switch and chaos tests share this recipe
+// rather than each hand-rolling it.
 package quiesce
 
 import (
@@ -74,7 +74,7 @@ const (
 // neither lose nor duplicate slots), and — when assertBacklog is set
 // (every scheme but the leak baseline) — the retired backlog must have
 // collapsed to the per-tid baseline. It returns the first violation as an
-// error so test and CLI harnesses share one recipe.
+// error so every harness shares one recipe.
 func Check[T any](d *wfe.Domain[T], assertBacklog bool) error {
 	if stranded := d.FlushGuardCache(); stranded != 0 {
 		return fmt.Errorf("quiesce: %d guards stranded in the lease cache after flush", stranded)

@@ -1,33 +1,46 @@
-// Concurrent stress for the four promoted evaluation workloads (WFQueue,
-// TurnQueue, HashMap, Tree): mixed readers/writers from far more
-// goroutines than the Domain has guards, with the debug arena's
-// use-after-free and double-free detection armed throughout. After the
-// storm every run drains to quiescence and asserts the reclamation
+// Concurrent stress for the evaluation workloads (WFQueue, TurnQueue,
+// HashMap, the one-bucket HashMap that is the paper's linked list, Tree):
+// mixed readers/writers from far more goroutines than the Domain has
+// guards, with the debug arena's use-after-free and double-free detection
+// armed throughout. The -slow rows force every protected read onto the
+// wait-free schemes' helping path, the paper's §5 stress validation. The
+// stalled row parks a reader on one extra guard for the whole storm. After
+// the storm every run drains to quiescence and asserts the reclamation
 // machinery's census: the retired backlog collapses for every reclaiming
 // scheme, the leak baseline's backlog provably never shrinks, and every
-// guard tid is back in the pool. CI runs this file under -race.
+// guard tid is back in the pool. CI runs this file under -race and loops
+// it forty times without.
 package wfe_test
 
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wfe"
+	"wfe/internal/bench"
 	"wfe/internal/quiesce"
 )
 
-// stressStructures is the four-structure axis: the workloads this PR
-// promotes to the public API (Stack/Queue churn is covered by
-// cmd/wfestress -churn and the conformance matrix).
-var stressStructures = []struct {
-	name  string
-	build func(d *wfe.Domain[uint64]) conformAPI
-}{
-	{"WFQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewWFQueue[uint64](d)} }},
-	{"TurnQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewTurnQueue[uint64](d)} }},
-	{"HashMap", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 32)} }},
-	{"Tree", func(d *wfe.Domain[uint64]) conformAPI { return treeAPI{wfe.NewTree[uint64](d)} }},
+// stressStructure is one row of the structure axis. Each of a row's
+// stalls gives the Domain one extra guard, which bench.StallReader holds,
+// protecting a block, from before the first worker starts until the storm
+// ends; EBR's backlog grows behind it and must still collapse once it
+// leaves. Stack churn is TestGoroutineChurn's.
+type stressStructure struct {
+	name   string
+	build  func(d *wfe.Domain[uint64]) conformAPI
+	stalls int
+}
+
+var stressStructures = []stressStructure{
+	{"WFQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewWFQueue[uint64](d)} }, 0},
+	{"TurnQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewTurnQueue[uint64](d)} }, 0},
+	{"HashMap", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 32)} }, 0},
+	{"HashMap/1bucket", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 1)} }, 0},
+	{"HashMap/stalled", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 32)} }, 1},
+	{"Tree", func(d *wfe.Domain[uint64]) conformAPI { return treeAPI{wfe.NewTree[uint64](d)} }, 0},
 }
 
 func TestStressWorkloads(t *testing.T) {
@@ -37,14 +50,13 @@ func TestStressWorkloads(t *testing.T) {
 				if testing.Short() && forceSlow {
 					t.Skip("forced-slow variants are full-mode only")
 				}
-				stressOne(t, st.name, st.build, kind, forceSlow)
+				stressOne(t, st, kind, forceSlow)
 			})
 		})
 	}
 }
 
-func stressOne(t *testing.T, name string, build func(*wfe.Domain[uint64]) conformAPI,
-	kind wfe.SchemeKind, forceSlow bool) {
+func stressOne(t *testing.T, st stressStructure, kind wfe.SchemeKind, forceSlow bool) {
 	t.Helper()
 	const guards = 4
 	goroutines, iters := 8*guards, 300
@@ -55,9 +67,28 @@ func stressOne(t *testing.T, name string, build func(*wfe.Domain[uint64]) confor
 	if kind == wfe.Leak {
 		capacity = 1 << 19
 	}
-	d := testDomain(t, kind, guards, capacity, forceSlow)
-	api := build(d)
+	d := testDomain(t, kind, guards+st.stalls, capacity, forceSlow)
+	api := st.build(d)
 	isQueue := api.kind() == fifoKind
+
+	var lifted atomic.Bool
+	var parked, stalled sync.WaitGroup
+	for i := 0; i < st.stalls; i++ {
+		parked.Add(1)
+		stalled.Add(1)
+		go func() {
+			defer stalled.Done()
+			first := true
+			bench.StallReader(d, func() bool {
+				if first {
+					first = false
+					parked.Done()
+				}
+				return lifted.Load()
+			})
+		}()
+	}
+	parked.Wait()
 
 	// Storm: every operation leases a guard through the guardless public
 	// API (goroutines ≫ MaxGuards exercises parking and the lease cache),
@@ -112,8 +143,16 @@ func stressOne(t *testing.T, name string, build func(*wfe.Domain[uint64]) confor
 		}(w)
 	}
 	wg.Wait()
+	lifted.Store(true)
+	stalled.Wait()
 
 	beforeDrain := d.Unreclaimed()
+	// EBR's epoch cannot pass the parked reader, so its backlog must have
+	// grown past the quiescent census's 256-block floor (about 20 blocks
+	// without the stall).
+	if st.stalls > 0 && kind == wfe.EBR && beforeDrain <= 256 {
+		t.Errorf("EBR backlog %d did not grow behind the stalled reader", beforeDrain)
+	}
 
 	// Quiescent drain back to empty.
 	g := d.Guard()
@@ -130,7 +169,7 @@ func stressOne(t *testing.T, name string, build func(*wfe.Domain[uint64]) confor
 	}
 	if n := api.length(g); n != 0 {
 		g.Release()
-		t.Fatalf("%s not empty after drain: Len = %d", name, n)
+		t.Fatalf("%s not empty after drain: Len = %d", st.name, n)
 	}
 	g.Release()
 

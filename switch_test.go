@@ -10,12 +10,15 @@ package wfe_test
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wfe"
+	"wfe/internal/failpoint"
 	"wfe/internal/quiesce"
 )
 
@@ -364,4 +367,186 @@ func TestTelemetryMonotoneAcrossSwitch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSwitchStorm is the live-switching storm. On one Debug-arena Domain,
+// 32 goroutines over 4 guards run the per-op churn (push, pop, put,
+// delete, get, a pinned insert-delete pair) and the batch entry points at
+// widths 2, 8 and 32 (TryMultiPut, MultiDelete, MultiGet, TryPushAll,
+// PopN, a pinned TryMultiPutGuarded-MultiDeleteGuarded pair). The
+// arena-alloc failpoint injects allocation faults, forcing the batch
+// writes' partial-progress paths, and retirer-scan skips scans. The main
+// goroutine rotates Domain.Switch through every scheme twice, one hop per
+// fixed count of completed worker ops, so the switch gate drains guards
+// that are mid-burst and the Leak dwells' backlog is handed to the next
+// scheme. A 1 ms sampler reads Telemetry while the hops run: its
+// cumulative counters must never step backwards. The storm ends on WFE,
+// drains through the batch paths with the faults disarmed, and must pass
+// the quiescent census with every hop and every batch call counted.
+func TestSwitchStorm(t *testing.T) {
+	t.Cleanup(failpoint.DisarmAll)
+	for name, trig := range map[string]failpoint.Trigger{
+		"arena-alloc":  {Prob: 0.002, Seed: 17, Err: errors.New("injected alloc fault")},
+		"retirer-scan": {Prob: 0.01, Seed: 29, Err: errors.New("injected scan skip")},
+	} {
+		site, ok := failpoint.Lookup(name)
+		if !ok {
+			t.Fatalf("%s site not registered", name)
+		}
+		site.Arm(trig)
+	}
+	const guards, goroutines, keys = 4, 32, 512
+	opsPerWorker := 1000
+	if testing.Short() {
+		opsPerWorker = 250
+	}
+	d, err := wfe.NewDomain[uint64](wfe.Options{
+		Scheme: wfe.WFE, Capacity: 1 << 16, MaxGuards: guards,
+		EraFreq: 8, CleanupFreq: 4, Debug: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := d.StartSampler(wfe.SamplerConfig{Interval: time.Millisecond, History: 1 << 12})
+	m := wfe.NewHashMap[uint64](d, 64)
+	st := wfe.NewStack[uint64](d)
+
+	// The Domain starts on rotation[0], so hop i moves to rotation[i%7] and
+	// the last hop lands on WFE again.
+	rotation := wfe.AllSchemes()
+	hops := 2 * len(rotation)
+	total := goroutines * opsPerWorker
+	opsPerHop := uint64(total / (hops + 1))
+	hop := make(chan struct{}, uint64(total)/opsPerHop) // one slot per send: no worker blocks
+	var ops, bursts, exhausted atomic.Uint64
+	var otherErr atomic.Pointer[error]
+	// write reports whether a write succeeded. ErrArenaExhausted, which the
+	// injected faults provoke, is counted; any other error fails the test.
+	write := func(err error) bool {
+		if errors.Is(err, wfe.ErrArenaExhausted) {
+			exhausted.Add(1)
+		} else if err != nil {
+			otherErr.CompareAndSwap(nil, &err)
+		}
+		return err == nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)*7919 + 3))
+			buf := make([]uint64, 32)
+			for i := 0; i < opsPerWorker; i++ {
+				key := uint64(rng.Intn(keys))
+				k := buf[:[]int{2, 8, 32}[rng.Intn(3)]] // keys double as values
+				for j := range k {
+					k[j] = uint64(rng.Intn(keys))
+				}
+				op := rng.Intn(12)
+				switch op {
+				case 0:
+					write(st.TryPush(key))
+				case 1:
+					st.Pop()
+				case 2:
+					write(m.TryPut(key, key))
+				case 3:
+					m.Delete(key)
+				case 4:
+					m.Get(key)
+				case 5:
+					g := d.Pin()
+					if _, err := m.TryInsertGuarded(g, key, key); write(err) {
+						m.DeleteGuarded(g, key)
+					}
+					d.Unpin(g)
+				case 6:
+					_, err := m.TryMultiPut(k, k)
+					write(err)
+				case 7:
+					m.MultiDelete(k)
+				case 8:
+					m.MultiGet(k)
+				case 9:
+					_, err := st.TryPushAll(k)
+					write(err)
+				case 10:
+					st.PopN(len(k))
+				default:
+					g := d.Pin()
+					if _, err := m.TryMultiPutGuarded(g, k, k); write(err) {
+						m.MultiDeleteGuarded(g, k)
+						bursts.Add(1)
+					}
+					d.Unpin(g)
+				}
+				if op >= 6 {
+					bursts.Add(1) // every batch call counts one BatchOps
+				}
+				if ops.Add(1)%opsPerHop == 0 {
+					hop <- struct{}{}
+				}
+			}
+		}(w)
+	}
+	for i := 1; i <= hops; i++ {
+		<-hop
+		if err := d.Switch(rotation[i%len(rotation)]); err != nil {
+			t.Errorf("hop %d to %v: %v", i, rotation[i%len(rotation)], err)
+			break
+		}
+		// One sampler row on the new scheme before the next hop, so every
+		// hop has rows on both sides.
+		for n := sampler.Ticks(); sampler.Ticks() == n; {
+			runtime.Gosched()
+		}
+	}
+	wg.Wait()
+	sampler.Stop()
+	if p := otherErr.Load(); p != nil {
+		t.Fatalf("a write failed with %v; only ErrArenaExhausted may surface", *p)
+	}
+
+	failpoint.DisarmAll()
+	for len(st.PopN(64)) > 0 {
+	}
+	drain := make([]uint64, 64)
+	for lo := 0; lo < keys; lo += len(drain) {
+		for j := range drain {
+			drain[j] = uint64(lo + j)
+		}
+		m.MultiDelete(drain)
+	}
+	quiesce.Settle(d)
+	if err := quiesce.Check(d, true); err != nil {
+		t.Fatal(err)
+	}
+	tel := d.Telemetry()
+	if tel.SchemeSwitches != uint64(hops) {
+		t.Errorf("SchemeSwitches = %d, want %d", tel.SchemeSwitches, hops)
+	}
+	if b := bursts.Load(); b == 0 || tel.BatchOps < b {
+		t.Errorf("BatchOps = %d after %d bursts", tel.BatchOps, b)
+	}
+
+	rows := sampler.History()
+	if len(rows) < 2 {
+		t.Fatalf("sampler kept %d rows, want at least 2", len(rows))
+	}
+	counters := func(r wfe.Telemetry) [5]uint64 {
+		return [5]uint64{r.ScanScans, r.ScanBlocks, r.SlowPaths, r.MaxSteps, r.SchemeSwitches}
+	}
+	for i := 1; i < len(rows); i++ {
+		a, b := counters(rows[i-1]), counters(rows[i])
+		for j := range a {
+			if b[j] < a[j] {
+				t.Errorf("sampler row %d (%s): [ScanScans ScanBlocks SlowPaths MaxSteps SchemeSwitches] went backwards, %v -> %v",
+					i, rows[i].Scheme, a, b)
+				break
+			}
+		}
+	}
+	t.Logf("%d ops, %d batch calls (BatchOps %d), %d hops, %d ErrArenaExhausted, %d sampler rows",
+		ops.Load(), bursts.Load(), tel.BatchOps, tel.SchemeSwitches, exhausted.Load(), len(rows))
 }
