@@ -26,7 +26,10 @@
 //   - WFQueue[T] and TurnQueue[T] — the paper's two wait-free queues
 //     (Kogan–Petrank and CRTurn, Figure 5): combined with the WFE scheme
 //     they are wait-free end to end on a held guard, reclamation and
-//     allocation included (see Progress below).
+//     allocation included (see Progress below). WFQueue runs an
+//     uncontended operation as a bounded Michael–Scott attempt and falls
+//     back to the phase-and-descriptor protocol only under contention
+//     (Kogan and Petrank's fast-path/slow-path method).
 //   - HashMap[T] and Tree[T] — Michael's hash map and the
 //     Natarajan–Mittal external BST, the paper's search-structure
 //     workloads (Figures 7, 8, 10, 11).
@@ -51,7 +54,10 @@
 // whatever the other goroutines do:
 //
 //   - a held guard's protected reads (Protect, ProtectWord);
-//   - both queue cores: WFQueue's and TurnQueue's enqueue and dequeue;
+//   - both queue cores: WFQueue's and TurnQueue's enqueue and dequeue
+//     (a WFQueue operation makes at most three fast attempts, and every
+//     operation helps the descriptor under its round-robin cursor, so a
+//     slow one completes within MaxGuards operations of each guard);
 //   - allocation: a pop from the guard's free cache, a claim of a whole
 //     free segment in at most MaxGuards mailbox swaps, or a bump of the
 //     never-used region; and the free that returns a block, whose

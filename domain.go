@@ -288,35 +288,6 @@ type schemeBox struct {
 // scheme returns the live scheme box.
 func (d *Domain[T]) scheme() *schemeBox { return d.smr.Load() }
 
-// liveScheme is the Domain's swap-following reclaim.Scheme view, for the
-// internal structures (kpqueue, crturn) that capture a scheme at
-// construction and hold it for life. Every method resolves the current
-// box, so a structure built before a Switch keeps working after it; each
-// call happens under a held guard, and Switch swaps only with every guard
-// released, so no single operation ever straddles two schemes.
-type liveScheme[T any] struct{ d *Domain[T] }
-
-func (l liveScheme[T]) Name() string                 { return l.d.scheme().s.Name() }
-func (l liveScheme[T]) Begin(tid int)                { l.d.scheme().s.Begin(tid) }
-func (l liveScheme[T]) Clear(tid int)                { l.d.scheme().s.Clear(tid) }
-func (l liveScheme[T]) Unreclaimed() int             { return l.d.scheme().s.Unreclaimed() }
-func (l liveScheme[T]) Arena() *mem.Arena            { return l.d.arena }
-func (l liveScheme[T]) Retirer() *reclaim.Retirer    { return l.d.scheme().s.Retirer() }
-func (l liveScheme[T]) Retire(tid int, h mem.Handle) { l.d.scheme().s.Retire(tid, h) }
-func (l liveScheme[T]) BeginBatch(tid int) bool      { return l.d.scheme().s.BeginBatch(tid) }
-func (l liveScheme[T]) EndBatch(tid int)             { l.d.scheme().s.EndBatch(tid) }
-func (l liveScheme[T]) RetireBatch(tid int, blks []mem.Handle) {
-	l.d.scheme().s.RetireBatch(tid, blks)
-}
-
-func (l liveScheme[T]) TryAlloc(tid int) (mem.Handle, bool) {
-	h, err := l.d.allocHandle(tid)
-	return h, err == nil
-}
-func (l liveScheme[T]) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Handle) uint64 {
-	return l.d.scheme().s.GetProtected(tid, src, index, parent)
-}
-
 // cacheSlot is one registry cell of the lease cache, padded so concurrent
 // Unpin/steal traffic on neighbouring slots does not false-share.
 type cacheSlot[T any] struct {
@@ -1463,17 +1434,11 @@ func (g *Guard[T]) TryAlloc(v T) (Ref[T], error) {
 	return g.initBlock(h, v), nil
 }
 
-// initBlock zeroes a recycled block's words and stores its value. A
-// block whose version is 0 was never freed, so its words still hold the
-// zeroes of its arena chunk and need no stores. The check stays here,
-// not in the arena's recycle path: the wait-free queue cores write all
-// four words of their nodes themselves and never pass initBlock.
+// initBlock zeroes a recycled block's words under the arena's one
+// zeroing rule (mem.Arena.ZeroWords: a block never freed needs no
+// stores) and stores its value.
 func (g *Guard[T]) initBlock(h mem.Handle, v T) Ref[T] {
-	if g.d.arena.Version(h) != 0 {
-		for i := 0; i < NumWords; i++ {
-			g.d.arena.StoreWord(h, i, 0)
-		}
-	}
+	g.d.arena.ZeroWords(h)
 	*g.d.vals.At(h - 1) = v
 	return Ref[T]{h}
 }

@@ -1,6 +1,16 @@
 package wfe
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"wfe/internal/failpoint"
+)
+
+// fpPutSwing fires in a replacing put between the CAS that links the
+// new node behind the old one and the swing of the predecessor. Armed
+// with a sleep, it parks the putter in that window so tests can check
+// that readers see the new value throughout.
+var fpPutSwing = failpoint.New("hashmap-put-swing")
 
 // map node layout: word 0 = next link (mark bit = logically deleted),
 // word 1 = key (immutable after publication).
@@ -234,7 +244,8 @@ func (m *HashMap[T]) GetGuarded(g *Guard[T], key uint64) (v T, ok bool) {
 }
 
 // TryPut inserts key→val, or replaces an existing key's node with a
-// freshly allocated one (mark, swing, retire). Replacement rather than
+// freshly allocated one; a concurrent Get sees the old value or the new
+// one, never a missing key. Replacement rather than
 // in-place mutation is what keeps values safely immutable for concurrent
 // readers — and why read-mostly workloads still exercise reclamation
 // (paper §5). When the arena stays exhausted after the Domain's
@@ -262,8 +273,15 @@ func (m *HashMap[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
 }
 
 // putNode stamps the pre-allocated node n with key and links it,
-// replacing any existing node (mark, swing, retire), inside its own
-// Begin/End section; n is consumed unconditionally.
+// replacing any existing node, inside its own Begin/End section; n is
+// consumed unconditionally.
+//
+// A replacement is one CAS that both deletes the old node and links n
+// behind it: the old node's link goes from its successor to n, marked.
+// A traversal that meets the marked node unlinks it and lands on n,
+// which holds the same key, so no reader ever misses the key. The
+// predecessor is swung to n afterwards, by this put or by any traversal,
+// and whichever wins that CAS retires the old node.
 func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
 	g.Begin()
 	defer g.End()
@@ -272,19 +290,15 @@ func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
 	for {
 		found, w := m.find(g, head, key)
 		if found {
-			// Logically delete the old node, then swing prev to the
-			// replacement in its place.
-			if !g.CompareAndSwap(w.cur, mapNext, w.next, w.next.WithMark()) {
-				continue
-			}
 			g.Store(n, mapNext, w.next)
+			if !g.CompareAndSwap(w.cur, mapNext, w.next, n.WithMark()) {
+				continue // successor changed or another write marked it
+			}
+			_ = fpPutSwing.Eval(g.tid) // sleep-only site; the put has linearized
 			if m.casPrev(g, head, w.prev, w.cur, n) {
 				g.Retire(w.cur)
-				return
 			}
-			// A traversal unlinked (and retired) the marked node first;
-			// retry — the next find will take the insert path.
-			continue
+			return
 		}
 		g.Store(n, mapNext, w.cur)
 		if m.casPrev(g, head, w.prev, w.cur, n) {

@@ -29,6 +29,9 @@
 // dequeue, after making sure the head has moved past it; the initial
 // sentinel, which no thread owns, is retired by whoever wins the head CAS
 // that unlinks it.
+//
+// The queue holds only its arena; the caller passes the reclamation
+// scheme to every operation, as kpqueue's caller does.
 package crturn
 
 import (
@@ -89,7 +92,7 @@ type ownerState struct {
 
 // Queue is a wait-free MPMC FIFO queue.
 type Queue struct {
-	smr        reclaim.Scheme
+	a          *mem.Arena
 	maxThreads int
 	head       atomic.Uint64
 	tail       atomic.Uint64
@@ -98,22 +101,18 @@ type Queue struct {
 }
 
 // New creates an empty queue for up to maxThreads (< 255) registered
-// threads around the sentinel block s, which the caller allocated from
-// smr's arena.
-func New(smr reclaim.Scheme, maxThreads int, s mem.Handle) *Queue {
+// threads around the sentinel block s, which the caller allocated from a.
+func New(a *mem.Arena, maxThreads int, s mem.Handle) *Queue {
 	if maxThreads >= 255 {
 		panic("crturn: claim word holds at most 254 thread ids")
 	}
 	q := &Queue{
-		smr:        smr,
+		a:          a,
 		maxThreads: maxThreads,
 		threads:    make([]perThread, maxThreads),
 		owners:     make([]ownerState, maxThreads),
 	}
-	a := smr.Arena()
-	a.StoreWord(s, nextWord, 0)
-	a.StoreWord(s, claimWord, 0)
-	a.StoreWord(s, enqTidWord, 0)
+	a.ZeroWords(s)
 	q.head.Store(s)
 	q.tail.Store(s)
 	return q
@@ -122,29 +121,29 @@ func New(smr reclaim.Scheme, maxThreads int, s mem.Handle) *Queue {
 // debugBound panics in debug arenas when a nominally bounded helping loop
 // exceeds its wait-freedom budget; release arenas keep looping.
 func (q *Queue) debugBound(round int, op string) {
-	if q.smr.Arena().Debug() && round > 16*q.maxThreads+64 {
+	if q.a.Debug() && round > 16*q.maxThreads+64 {
 		panic(fmt.Sprintf("crturn: %s exceeded its wait-free round bound", op))
 	}
 }
 
-// EnqueueNode appends node, a block tid allocated and has not published;
-// allocating ahead of the protected section means a stalled allocation
-// holds no reservation. The announcement/turn protocol guarantees the node
-// is linked within one full turn even if this thread does all the work
+// EnqueueNode appends node, a block tid allocated from the queue's arena
+// and has not published, using scheme s for protection; allocating ahead
+// of the protected section means a stalled allocation holds no
+// reservation. The announcement/turn protocol guarantees the node is
+// linked within one full turn even if this thread does all the work
 // itself.
-func (q *Queue) EnqueueNode(tid int, node mem.Handle) {
-	q.smr.Begin(tid)
-	defer q.smr.Clear(tid)
-	a := q.smr.Arena()
+func (q *Queue) EnqueueNode(s reclaim.Scheme, tid int, node mem.Handle) {
+	s.Begin(tid)
+	defer s.Clear(tid)
+	a := q.a
 
-	a.StoreWord(node, nextWord, 0)
-	a.StoreWord(node, claimWord, 0)
+	a.ZeroWords(node)
 	a.StoreWord(node, enqTidWord, uint64(tid)+1)
 	q.threads[tid].enq.Store(node)
 
 	for round := 0; q.threads[tid].enq.Load() != 0; round++ {
 		q.debugBound(round, "enqueue")
-		ltail := pack.Handle(q.smr.GetProtected(tid, &q.tail, hpTail, 0))
+		ltail := pack.Handle(s.GetProtected(tid, &q.tail, hpTail, 0))
 		// Clear the tail node's announcement before anything may advance
 		// the tail past it: helpers scanning announcements after reading
 		// the tail then cannot re-link an already inserted node.
@@ -153,7 +152,7 @@ func (q *Queue) EnqueueNode(tid int, node mem.Handle) {
 				q.threads[et-1].enq.CompareAndSwap(ltail, 0)
 			}
 		}
-		lnext := pack.Handle(q.smr.GetProtected(tid, a.WordAddr(ltail, nextWord), hpNext, ltail))
+		lnext := pack.Handle(s.GetProtected(tid, a.WordAddr(ltail, nextWord), hpNext, ltail))
 		if ltail != pack.Handle(q.tail.Load()) {
 			continue
 		}
@@ -180,11 +179,11 @@ func (q *Queue) EnqueueNode(tid int, node mem.Handle) {
 
 // consume takes a hand-off (seq, node), returns its node, and retires the
 // node consumed before it once the head is safely past that older node.
-func (q *Queue) consume(tid int, hv uint64) mem.Handle {
+func (q *Queue) consume(s reclaim.Scheme, tid int, hv uint64) mem.Handle {
 	node := helpNode(hv)
 	o := &q.owners[tid]
 	if o.prev != 0 {
-		q.retireSentinel(tid, o.prev)
+		q.retireSentinel(s, tid, o.prev)
 	}
 	o.prev = node
 	o.lastSeq = helpSeq(hv)
@@ -195,23 +194,24 @@ func (q *Queue) consume(tid int, hv uint64) mem.Handle {
 // the queue when its successor was handed over, but the head pointer itself
 // may still lag on it; push the head past it first so no new reader can
 // pick a retired block up from the head.
-func (q *Queue) retireSentinel(tid int, h mem.Handle) {
-	a := q.smr.Arena()
+func (q *Queue) retireSentinel(s reclaim.Scheme, tid int, h mem.Handle) {
+	a := q.a
 	if pack.Handle(q.head.Load()) == h {
 		if nx := pack.Handle(a.LoadWord(h, nextWord)); nx != 0 {
 			q.head.CompareAndSwap(h, nx)
 		}
 	}
-	q.smr.Retire(tid, h)
+	s.Retire(tid, h)
 }
 
-// Dequeue removes the oldest node and returns it; ok is false when the
-// queue is empty. The node stays allocated until tid's next successful
-// Dequeue, which retires it.
-func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
-	q.smr.Begin(tid)
-	defer q.smr.Clear(tid)
-	a := q.smr.Arena()
+// Dequeue removes the oldest node and returns it, using scheme s for
+// protection and retirement; ok is false when the queue is empty. The
+// node stays allocated until tid's next successful Dequeue, which
+// retires it.
+func (q *Queue) Dequeue(s reclaim.Scheme, tid int) (node mem.Handle, ok bool) {
+	s.Begin(tid)
+	defer s.Clear(tid)
+	a := q.a
 	o := &q.owners[tid]
 	me := &q.threads[tid]
 
@@ -219,7 +219,7 @@ func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
 	// holds the then-oldest element and nothing newer can have been claimed
 	// for this thread while its request was closed.
 	if hv := me.deqhelp.Load(); helpSeq(hv) > o.lastSeq {
-		return q.consume(tid, hv), true
+		return q.consume(s, tid, hv), true
 	}
 
 	// Open a new request.
@@ -231,11 +231,11 @@ func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
 		q.debugBound(round, "dequeue")
 		if hv := me.deqhelp.Load(); helpSeq(hv) == myseq {
 			me.deqself.Store(makeSelf(myseq, false))
-			return q.consume(tid, hv), true
+			return q.consume(s, tid, hv), true
 		}
-		lheadV := q.smr.GetProtected(tid, &q.head, hpHead, 0)
+		lheadV := s.GetProtected(tid, &q.head, hpHead, 0)
 		lhead := pack.Handle(lheadV)
-		lnext := pack.Handle(q.smr.GetProtected(tid, a.WordAddr(lhead, nextWord), hpNext, lhead))
+		lnext := pack.Handle(s.GetProtected(tid, a.WordAddr(lhead, nextWord), hpNext, lhead))
 		if lhead != pack.Handle(q.head.Load()) {
 			continue
 		}
@@ -243,7 +243,7 @@ func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
 			me.deqself.Store(makeSelf(myseq, false))
 			if hv := me.deqhelp.Load(); helpSeq(hv) == myseq {
 				// Handed concurrently with the give-up: it is ours.
-				return q.consume(tid, hv), true
+				return q.consume(s, tid, hv), true
 			}
 			// Re-validate emptiness *after* closing. A claim for this
 			// request can only live on the current head's successor
@@ -252,11 +252,11 @@ func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
 			// no claim for this request exists or can ever land — late
 			// claim CASes target a node that has since been claimed by
 			// someone else and fail on its non-zero claim word.
-			lh2 := pack.Handle(q.smr.GetProtected(tid, &q.head, hpHead, 0))
-			ln2 := pack.Handle(q.smr.GetProtected(tid, a.WordAddr(lh2, nextWord), hpNext, lh2))
+			lh2 := pack.Handle(s.GetProtected(tid, &q.head, hpHead, 0))
+			ln2 := pack.Handle(s.GetProtected(tid, a.WordAddr(lh2, nextWord), hpNext, lh2))
 			if ln2 == 0 && lh2 == pack.Handle(q.head.Load()) {
 				if hv := me.deqhelp.Load(); helpSeq(hv) == myseq {
-					return q.consume(tid, hv), true
+					return q.consume(s, tid, hv), true
 				}
 				return 0, false
 			}
@@ -264,15 +264,15 @@ func (q *Queue) Dequeue(tid int) (node mem.Handle, ok bool) {
 			me.deqself.Store(makeSelf(myseq, true))
 			continue
 		}
-		q.helpHand(tid, lhead, lnext)
+		q.helpHand(s, tid, lhead, lnext)
 	}
 }
 
 // helpHand performs one helping step on a non-empty queue snapshot: claim
 // the head's successor for the open request whose turn it is, hand it over
 // (sequence-guarded), and advance the head.
-func (q *Queue) helpHand(tid int, lhead, lnext mem.Handle) {
-	a := q.smr.Arena()
+func (q *Queue) helpHand(s reclaim.Scheme, tid int, lhead, lnext mem.Handle) {
+	a := q.a
 	cw := a.LoadWord(lnext, claimWord)
 	if cw == 0 {
 		// Whose turn? Round robin after the receiver of the current
@@ -309,7 +309,7 @@ func (q *Queue) helpHand(tid int, lhead, lnext mem.Handle) {
 		if q.head.CompareAndSwap(lhead, lnext) {
 			// The initial sentinel has no receiver to retire it.
 			if claimTid(a.LoadWord(lhead, claimWord)) == -1 {
-				q.smr.Retire(tid, lhead)
+				s.Retire(tid, lhead)
 			}
 		}
 	}
@@ -317,7 +317,7 @@ func (q *Queue) helpHand(tid int, lhead, lnext mem.Handle) {
 
 // Len counts queued nodes; meaningful only quiescently.
 func (q *Queue) Len() int {
-	a := q.smr.Arena()
+	a := q.a
 	n := 0
 	h := pack.Handle(q.head.Load())
 	for h != 0 {

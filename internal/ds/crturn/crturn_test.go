@@ -13,7 +13,7 @@ import (
 
 func TestCRTurnSuite(t *testing.T) {
 	queuetest.RunQueueSuite(t, func(smr reclaim.Scheme, maxThreads int) queuetest.Queue {
-		return crturn.New(smr, maxThreads, reclaim.MustAlloc(smr, 0))
+		return crturn.New(smr.Arena(), maxThreads, reclaim.MustAlloc(smr, 0))
 	})
 }
 
@@ -24,7 +24,7 @@ func newWFEQueue(t *testing.T, threads int) *queuetest.Payloads {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return queuetest.WithPayloads(crturn.New(s, threads, reclaim.MustAlloc(s, 0)), s)
+	return queuetest.WithPayloads(crturn.New(a, threads, reclaim.MustAlloc(s, 0)), s)
 }
 
 // TestEmptyRace hammers the give-up path: consumers repeatedly poll an
@@ -74,11 +74,10 @@ func TestEmptyRace(t *testing.T) {
 
 func TestMaxThreadsLimit(t *testing.T) {
 	a := mem.New(mem.Config{Capacity: 64, MaxThreads: 1, Debug: true})
-	s, _ := schemes.New("WFE", a, reclaim.Config{MaxThreads: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("255-thread queue did not panic")
 		}
 	}()
-	crturn.New(s, 255, 0)
+	crturn.New(a, 255, 0)
 }

@@ -6,6 +6,8 @@
 package queuetest
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +17,12 @@ import (
 	"wfe/internal/schemes"
 )
 
-// Queue is the operation set under test. A node Dequeue returns stays
+// Queue is the operation set under test; each operation takes the
+// reclamation scheme it runs under. A node Dequeue returns stays
 // allocated until tid's next Dequeue.
 type Queue interface {
-	EnqueueNode(tid int, node mem.Handle)
-	Dequeue(tid int) (mem.Handle, bool)
+	EnqueueNode(s reclaim.Scheme, tid int, node mem.Handle)
+	Dequeue(s reclaim.Scheme, tid int) (mem.Handle, bool)
 }
 
 // Builder constructs the queue under test for maxThreads threads.
@@ -44,12 +47,12 @@ func WithPayloads(q Queue, smr reclaim.Scheme) *Payloads {
 func (p *Payloads) Enqueue(tid int, v uint64) {
 	node := reclaim.MustAlloc(p.smr, tid)
 	p.vals[node] = v
-	p.q.EnqueueNode(tid, node)
+	p.q.EnqueueNode(p.smr, tid, node)
 }
 
 // Dequeue removes and returns the oldest value; ok is false when empty.
 func (p *Payloads) Dequeue(tid int) (uint64, bool) {
-	node, ok := p.q.Dequeue(tid)
+	node, ok := p.q.Dequeue(p.smr, tid)
 	if !ok {
 		return 0, false
 	}
@@ -312,42 +315,46 @@ func RunRealTimeOrderCheck(t *testing.T, build Builder) {
 	}
 	wg.Wait()
 
-	enqBy := make(map[uint64]opStamp)
-	for _, es := range enqs {
-		for _, e := range es {
-			enqBy[e.value] = e
-		}
-	}
 	deqBy := make(map[uint64]opStamp)
 	for _, dss := range deqs {
 		for _, d := range dss {
 			deqBy[d.value] = d
 		}
 	}
-
-	var all []opStamp
+	type enqDeq struct{ enq, deq opStamp }
+	var all []enqDeq // every dequeued value's two operations
 	for _, es := range enqs {
-		all = append(all, es...)
+		for _, e := range es {
+			if d, ok := deqBy[e.value]; ok {
+				all = append(all, enqDeq{e, d})
+			}
+		}
 	}
+
+	// Sweep the enqueues b in order of start, admitting every a whose
+	// enqueue ended before b's started in order of end, and keep the
+	// admitted a whose dequeue started last. Some pair (a, b) breaks the
+	// order exactly when that a's dequeue started after b's ended: this is
+	// the pairwise check in O(n log n).
+	byStart := slices.Clone(all)
+	slices.SortFunc(byStart, func(x, y enqDeq) int { return cmp.Compare(x.enq.start, y.enq.start) })
+	slices.SortFunc(all, func(x, y enqDeq) int { return cmp.Compare(x.enq.end, y.enq.end) })
 	violations := 0
-	for i := range all {
-		for j := range all {
-			a, b := all[i], all[j]
-			if a.end >= b.start {
-				continue // enqueues overlap: no order imposed
+	var latest *enqDeq
+	next := 0
+	for _, b := range byStart {
+		for ; next < len(all) && all[next].enq.end < b.enq.start; next++ {
+			if latest == nil || all[next].deq.start > latest.deq.start {
+				latest = &all[next]
 			}
-			da, oka := deqBy[a.value]
-			db, okb := deqBy[b.value]
-			if !oka || !okb {
-				continue
-			}
-			if db.end < da.start {
-				t.Errorf("real-time order violated: enq(%x) < enq(%x) but deq(%x) finished before deq(%x) started",
-					a.value, b.value, b.value, a.value)
-				violations++
-				if violations > 5 {
-					t.FailNow()
-				}
+		}
+		if latest != nil && b.deq.end < latest.deq.start {
+			a := latest.enq.value
+			t.Errorf("real-time order violated: enq(%x) < enq(%x) but deq(%x) finished before deq(%x) started",
+				a, b.enq.value, b.enq.value, a)
+			violations++
+			if violations > 5 {
+				t.FailNow()
 			}
 		}
 	}

@@ -529,12 +529,26 @@ func (a *Arena) WordAddr(h Handle, i int) *atomic.Uint64 {
 
 // Version returns the slot's reuse version: the number of times it was
 // freed, skipping 0 on wrap. 0 means the slot was never freed, so its
-// words still hold their chunk's zeroes; the public Guard's allocation
-// zeroes a block's words only when its version is not 0. Tests also use
+// words still hold their chunk's zeroes (see ZeroWords). Tests also use
 // it to detect that a handle observed earlier now refers to a recycled
 // slot.
 func (a *Arena) Version(h Handle) uint32 {
 	return a.slot(h).version.Load()
+}
+
+// ZeroWords zeroes the NumWords words of h, a block its caller allocated
+// and has not published, unless h was never freed (Version 0): such a
+// block still holds its chunk's zeroes and needs no stores. It is the one
+// zeroing rule of every allocation that wants zeroed words: the public
+// Guard's and the wait-free queue cores' nodes.
+func (a *Arena) ZeroWords(h Handle) {
+	a.check(h, "ZeroWords")
+	s := a.slot(h)
+	if s.version.Load() != 0 {
+		for i := range s.words {
+			s.words[i].Store(0)
+		}
+	}
 }
 
 // Live reports whether the slot is currently allocated (live or retired).

@@ -581,6 +581,34 @@ func TestFreeVersionWrapSkipsZero(t *testing.T) {
 	}
 }
 
+// TestZeroWordsSkipsNeverFreed pins the one zeroing rule: ZeroWords
+// leaves a never-freed block (version 0) as it is, since its chunk came
+// zeroed, and zeroes every word of a recycled one, here a retired block
+// whose free poisoned its words.
+func TestZeroWordsSkipsNeverFreed(t *testing.T) {
+	a := newTestArena(4, 1)
+	h := a.Alloc(0)
+	a.StoreWord(h, 0, 7) // a store the rule must not undo
+	a.ZeroWords(h)
+	if v := a.LoadWord(h, 0); v != 7 {
+		t.Fatalf("ZeroWords on a never-freed block stored: word 0 = %d, want 7", v)
+	}
+	a.SetRetireEra(h, 1)
+	a.Free(0, h)
+	if got := a.Alloc(0); got != h {
+		t.Fatalf("Alloc after Free = %d, want the freed %d", got, h)
+	}
+	if v := a.LoadWord(h, 1); v != poison {
+		t.Fatalf("recycled word 1 = %#x, want the poison %#x", v, poison)
+	}
+	a.ZeroWords(h)
+	for w := 0; w < NumWords; w++ {
+		if v := a.LoadWord(h, w); v != 0 {
+			t.Fatalf("recycled block after ZeroWords: word %d = %#x, want 0", w, v)
+		}
+	}
+}
+
 // TestAllocCountDerivedFromBump checks the count Stats derives: the
 // per-thread counters hold only free-cache allocations and the bump
 // highwater supplies the rest. Across bump allocations, fill-list

@@ -161,32 +161,14 @@ func TestTraceSnapshotDuringChurn(t *testing.T) {
 	s := wfe.NewStack[uint64](d)
 	m := wfe.NewHashMap[uint64](d, 32)
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	workers := 8 * maxGuards
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			for i := uint64(0); !stop.Load(); i++ {
-				err := s.TryPush(id<<32 | i)
-				s.Pop()
-				if err == nil {
-					_, err = m.TryInsert(id<<8|i%97, i)
-				}
-				m.Delete(id<<8 | i%97)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(uint64(w))
-	}
-
 	// Reader: snapshot and serialise concurrently with the writers, and
-	// flip tracing off/on mid-churn to stress the enabled fast path.
+	// flip tracing off/on mid-churn to stress the enabled fast path. It
+	// starts first and runs until the writers' fixed work is done.
+	var stop atomic.Bool
+	readerStarted := make(chan struct{})
 	readerDone := make(chan int)
 	go func() {
+		close(readerStarted)
 		snapshots := 0
 		for !stop.Load() {
 			events := d.TraceEvents()
@@ -206,10 +188,32 @@ func TestTraceSnapshotDuringChurn(t *testing.T) {
 		}
 		readerDone <- snapshots
 	}()
+	<-readerStarted
 
-	time.Sleep(300 * time.Millisecond)
-	stop.Store(true)
+	const itersPerWorker = 1000
+	var wg sync.WaitGroup
+	workers := 8 * maxGuards
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			for i := uint64(0); i < itersPerWorker; i++ {
+				err := s.TryPush(id<<32 | i)
+				s.Pop()
+				if err == nil {
+					_, err = m.TryInsert(id<<8|i%97, i)
+				}
+				m.Delete(id<<8 | i%97)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(uint64(w))
+	}
+
 	wg.Wait()
+	stop.Store(true)
 	snapshots := <-readerDone
 	if snapshots == 0 {
 		t.Fatal("reader never completed a snapshot")

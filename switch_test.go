@@ -47,14 +47,20 @@ func switchChurn(t *testing.T, from, to wfe.SchemeKind) {
 	}
 	s := wfe.NewStack[int](d)
 
-	const opsPerWorker = 6000
-	var stop atomic.Bool
+	// Fixed work: the switch comes once the storm has completed half its
+	// operations on `from`, and the workers finish the rest on `to`.
+	const (
+		workers      = 4
+		opsPerWorker = 1000
+		switchAt     = workers * opsPerWorker / 2
+	)
+	var completed atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ops := 0; !stop.Load() && ops < opsPerWorker; ops++ {
+			for ops := 0; ops < opsPerWorker; ops++ {
 				if err := s.TryPush(ops); err != nil {
 					t.Error(err)
 					return
@@ -62,20 +68,28 @@ func switchChurn(t *testing.T, from, to wfe.SchemeKind) {
 				if ops%2 == 1 {
 					s.Pop()
 				}
+				completed.Add(1)
 			}
 		}()
 	}
-
-	time.Sleep(500 * time.Microsecond) // let the storm develop on `from`
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+wait: // for switchAt completed operations, or for every worker to fail
+	for completed.Load() < switchAt {
+		select {
+		case <-finished:
+			break wait
+		default:
+			runtime.Gosched()
+		}
+	}
 	if err := d.Switch(to); err != nil {
 		t.Fatalf("Switch(%v -> %v): %v", from, to, err)
 	}
 	if got := d.Scheme(); got != to {
 		t.Fatalf("Scheme() = %v after Switch, want %v", got, to)
 	}
-	time.Sleep(500 * time.Microsecond) // and churn on `to` for a while
-	stop.Store(true)
-	wg.Wait()
+	<-finished
 
 	for {
 		if _, ok := s.Pop(); !ok {

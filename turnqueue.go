@@ -34,5 +34,5 @@ func NewTurnQueue[T any](d *Domain[T]) *TurnQueue[T] {
 	defer d.Unpin(g)
 	s, err := d.allocHandle(g.tid)
 	d.must(err)
-	return &TurnQueue[T]{nodeQueue[T]{d, crturn.New(liveScheme[T]{d}, d.guards.Cap(), s)}}
+	return &TurnQueue[T]{nodeQueue[T]{d, crturn.New(d.arena, d.guards.Cap(), s)}}
 }

@@ -3,6 +3,7 @@ package wfe
 import (
 	"wfe/internal/ds/kpqueue"
 	"wfe/internal/mem"
+	"wfe/internal/reclaim"
 )
 
 // WFQueue is the Kogan–Petrank wait-free MPMC FIFO queue of T (PPoPP 2011)
@@ -33,15 +34,17 @@ func NewWFQueue[T any](d *Domain[T]) *WFQueue[T] {
 	defer d.Unpin(g)
 	s, err := d.allocHandle(g.tid)
 	d.must(err)
-	return &WFQueue[T]{nodeQueue[T]{d, kpqueue.New(liveScheme[T]{d}, d.guards.Cap(), s)}}
+	return &WFQueue[T]{nodeQueue[T]{d, kpqueue.New(d.arena, d.guards.Cap(), s)}}
 }
 
 // queueCore is a wait-free queue of nodes from internal/ds (kpqueue or
-// crturn). A node Dequeue returns stays allocated until the same tid's
-// next Dequeue.
+// crturn). Each operation takes the live scheme, which nodeQueue loads
+// once per call: Switch swaps the scheme only while no guard is held, so
+// no operation straddles two schemes. A node Dequeue returns stays
+// allocated until the same tid's next Dequeue.
 type queueCore interface {
-	EnqueueNode(tid int, node mem.Handle)
-	Dequeue(tid int) (mem.Handle, bool)
+	EnqueueNode(s reclaim.Scheme, tid int, node mem.Handle)
+	Dequeue(s reclaim.Scheme, tid int) (mem.Handle, bool)
 	Len() int
 }
 
@@ -84,13 +87,13 @@ func (q *nodeQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
 		return err
 	}
 	*q.d.vals.At(node - 1) = v
-	q.q.EnqueueNode(g.tid, node)
+	q.q.EnqueueNode(q.d.scheme().s, g.tid, node)
 	return nil
 }
 
 // DequeueGuarded is Dequeue on a caller-held guard.
 func (q *nodeQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
-	h, ok := q.q.Dequeue(g.tid)
+	h, ok := q.q.Dequeue(q.d.scheme().s, g.tid)
 	if !ok {
 		return v, false
 	}
