@@ -539,7 +539,7 @@ func batchDrainPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI, kind wfe
 	}
 	g.Release()
 
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, kind != wfe.Leak); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // and close its own protected section (Begin/End) exactly as the per-op
 // body does. Without it the item reads the structure with no epoch
 // announced, and the protections it does take stay on the guard after
-// the call — into the lease cache, where they pin blocks for good.
+// the call — on the unpinned guard, where they pin blocks for good.
 package wfe_test
 
 import (
@@ -101,9 +101,9 @@ var oneItemWriters = []struct {
 
 // TestOneItemBatchWriteDropsProtection runs one one-item guardless batch
 // write between an explicit guard's fill and its removal of every
-// element, then scavenges. The batch's leased guard sits idle in the
-// lease cache throughout, so any protection it kept pins the blocks it
-// covered, and the backlog cannot reach zero.
+// element, then scavenges. The batch's leased guard sits unpinned
+// throughout, so any protection it kept pins the blocks it covered, and
+// the backlog cannot reach zero.
 func TestOneItemBatchWriteDropsProtection(t *testing.T) {
 	for _, w := range oneItemWriters {
 		for _, kind := range []wfe.SchemeKind{wfe.WFE, wfe.HE, wfe.HP} {
@@ -192,7 +192,7 @@ func TestOneItemBatchWriteChurn(t *testing.T) {
 				g := d.Pin()
 				ops.drain(g)
 				d.Unpin(g)
-				quiesce.Settle(d)
+				d.Scavenge()
 				if err := quiesce.Check(d, true); err != nil {
 					t.Fatal(err)
 				}

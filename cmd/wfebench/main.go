@@ -406,7 +406,7 @@ func runGuardOverhead(opt bench.Options, csv bool) {
 	}
 	fmt.Println("\npinned leases once per worker; guardless leases per operation (cache")
 	fmt.Println("hits); guardless-8x oversubscribes goroutines 8:1 over guards (parks);")
-	fmt.Println("acquire-per-op bypasses the lease cache — the cost caching removes.")
+	fmt.Println("acquire-per-op bypasses the per-P lease hint — the cost the hint removes.")
 }
 
 func fatalf(format string, args ...any) {

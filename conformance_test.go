@@ -491,7 +491,7 @@ func conformDrainPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI, kind
 	}
 	g.Release()
 
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, kind != wfe.Leak); err != nil {
 		t.Fatal(err) // the leak baseline never reclaims by design, so it skips the backlog check
 	}

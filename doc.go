@@ -39,8 +39,10 @@
 // emergency-reclamation pipeline as ErrArenaExhausted, never as a panic.
 //
 // The guard runtime decouples goroutines from the paper's fixed thread
-// slots: the structures' plain methods are guardless (each operation
-// leases a slot from a lock-free pool, parking when all are held),
+// slots with one table: a Domain makes one Guard per slot, and acquiring
+// a guard claims its slot with one CAS on that slot's own state word. The
+// structures' plain methods are guardless (each operation leases a guard,
+// first the one last unpinned on its P, parking when all are held),
 // Domain.Pin/Unpin amortize that lease over a batch, and
 // Domain.Guard/TryGuard/AcquireGuard hand out explicit Guards for fixed
 // worker sets. See the Guard type's documentation for the full picture.
@@ -66,11 +68,14 @@
 //
 // Two paths are not wait-free. A guardless call leases a guard, and the
 // lease (like Pin and AcquireGuard) parks when every guard is held, until
-// one is released; a goroutine that holds its guard never parks. And an
+// one is released; a goroutine that holds its guard never parks, and
+// claiming a free guard takes at most MaxGuards CAS attempts. And an
 // allocation that finds the arena exhausted enters the emergency
-// reclamation pipeline, which sleeps a doubling backoff between rounds
-// and returns ErrArenaExhausted after Options.AllocRetries of them: its
-// bound is a count of sleeps, not of steps alone.
+// reclamation pipeline, which borrows every idle guard to scan its retire
+// ring but, for the guards operations in flight hold, sleeps a doubling
+// backoff between rounds and returns ErrArenaExhausted after
+// Options.AllocRetries of them: its bound is a count of sleeps, not of
+// steps alone.
 //
 // # Layout
 //
@@ -95,12 +100,13 @@
 //	internal/mem        manual-memory arena substrate
 //	internal/pack       64-bit packing emulating the paper's wide CAS
 //	internal/reclaim    the shared SMR interface and configuration
-//	internal/guardpool  lock-free tid freelist + parking (the guard runtime)
+//	internal/guardpool  the tid table, one state word per tid, + parking
+//	                    (the guard runtime)
 //	internal/ds/...     Kogan–Petrank and CRTurn queue cores behind WFQueue
 //	                    and TurnQueue
 //	internal/trace      per-tid event ring buffers (Options.Trace)
 //	internal/failpoint  named fault-injection sites, one atomic load disarmed
-//	internal/quiesce    settle a drained Domain and check its census
+//	internal/quiesce    check the census of a drained, scavenged Domain
 //	internal/chaos      deterministic hostile-schedule engine and its
 //	                    robustness verdict (Canned.Check)
 //	internal/bench      workload generator and per-figure experiment runner

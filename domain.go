@@ -175,11 +175,14 @@ type Options struct {
 	// AllocRetries is how many backoff-then-rescan rounds an allocation
 	// that found the arena exhausted runs before giving up (default 16).
 	// Every round ticks the scheme's era clock, scans the allocating
-	// guard's own retire ring out of the CleanupFreq cadence, and retries;
-	// only after the last round does the allocation surface
-	// ErrArenaExhausted (Guard.Alloc alone panics with it instead). The
-	// retry budget bounds the worst-case stall, so a Domain under pressure
-	// degrades to bounded latency, never to an unbounded wait.
+	// guard's own retire ring out of the CleanupFreq cadence and retries,
+	// then does the same as each idle guard it can borrow; only after the
+	// last round does the allocation surface ErrArenaExhausted
+	// (Guard.Alloc alone panics with it instead). The rounds after the
+	// first wait for the guards that operations in flight hold, which
+	// cannot be borrowed. The retry budget bounds the worst-case stall, so
+	// a Domain under pressure degrades to bounded latency, never to an
+	// unbounded wait.
 	AllocRetries int
 	// AllocBackoff is the initial sleep between emergency-reclamation
 	// rounds (default 50µs). It doubles per round, capped at 100× the
@@ -225,27 +228,14 @@ type Domain[T any] struct {
 	// hook materialises its chunks (see NewDomain).
 	vals mem.Slab[T]
 
-	// guards hands out the MaxGuards tids lock-free. The lease cache above
-	// it holds acquired-but-idle Guards so guardless operations amortize
-	// pool traffic to nearly nothing. Ownership of a cached guard is
-	// authoritative in cache (a fixed registry of MaxGuards padded slots,
-	// claimed by CAS on the guard's state word); leases is only a per-P
-	// locality hint pointing at the same guards — sync.Pool may drop or
-	// strand entries at will without a tid ever becoming unreachable.
-	guards      *guardpool.Pool
-	leases      sync.Pool
-	cache       []cacheSlot[T]
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-
-	// Batched-operation counters (see batch.go): completed batches, the
-	// items they carried, and the lease-cache hit/miss split of the
-	// guardless batch entry points — the batch paths' one-lease-per-burst
-	// amortization, observable separately from the per-op lease traffic.
-	batchOps         atomic.Uint64
-	batchItems       atomic.Uint64
-	batchCacheHits   atomic.Uint64
-	batchCacheMisses atomic.Uint64
+	// guards is the tid table: one state word per tid, claimed by CAS. gs
+	// holds each tid's one Guard for the Domain's life, so claiming a tid
+	// claims its Guard and no acquisition allocates. hint is only a per-P
+	// locality hint naming the guard last unpinned on that P: sync.Pool may
+	// drop or strand entries at will, and a stale one costs a failed CAS.
+	guards *guardpool.Pool
+	gs     []Guard[T]
+	hint   sync.Pool
 
 	// tracer is nil unless Options.Trace asked for the rings; sampler
 	// holds the Domain's background Sampler, swapped by StartSampler.
@@ -287,22 +277,6 @@ type schemeBox struct {
 
 // scheme returns the live scheme box.
 func (d *Domain[T]) scheme() *schemeBox { return d.smr.Load() }
-
-// cacheSlot is one registry cell of the lease cache, padded so concurrent
-// Unpin/steal traffic on neighbouring slots does not false-share.
-type cacheSlot[T any] struct {
-	g atomic.Pointer[Guard[T]]
-	_ [56]byte
-}
-
-// Guard lease states (Guard.state): a guard is either in use by some
-// goroutine or parked in the lease cache. The cached→inuse CAS is what
-// decides which single claimant gets a cached guard, however many stale
-// pointers to it the sync.Pool holds.
-const (
-	guardInUse uint32 = iota
-	guardCached
-)
 
 // NewDomain creates a Domain with blocks carrying a value of type T.
 func NewDomain[T any](opts Options) (*Domain[T], error) {
@@ -378,10 +352,13 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 		cfg:          cfg,
 		vals:         mem.NewSlab[T](opts.Capacity),
 		guards:       guardpool.New(opts.MaxGuards),
-		cache:        make([]cacheSlot[T], opts.MaxGuards),
+		gs:           make([]Guard[T], opts.MaxGuards),
 		tracer:       tracer,
 		allocRetries: opts.AllocRetries,
 		allocBackoff: opts.AllocBackoff,
+	}
+	for tid := range d.gs {
+		d.gs[tid].tid = tid
 	}
 	d.smr.Store(&schemeBox{s: smr, kind: opts.Scheme})
 	d.guards.SetTracer(tracer)
@@ -404,9 +381,9 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 func (d *Domain[T]) Scheme() SchemeKind { return d.scheme().kind }
 
 // Guard acquires one of the Domain's MaxGuards guard handles. It panics
-// when all are held and none is cached: a panic here means a sizing bug —
-// more long-lived explicit guards than MaxGuards — not a runtime condition.
-// Use AcquireGuard to block until one frees, or TryGuard to poll.
+// when all are held: a panic here means a sizing bug — more long-lived
+// explicit guards than MaxGuards — not a runtime condition. Use
+// AcquireGuard to block until one frees, or TryGuard to poll.
 //
 // While a live scheme switch has acquisition gated, Guard blocks until the
 // switch completes instead of panicking — the guards are all free then,
@@ -439,149 +416,100 @@ func (d *Domain[T]) Guard() *Guard[T] {
 }
 
 // TryGuard acquires a guard without blocking, reporting false when all are
-// held. The fast path is one lock-free CAS on the Domain's guard pool; an
-// idle guard parked in the lease cache counts as free and is claimed.
+// held. It is one pass over the Domain's guard table, claiming the lowest
+// free tid with one CAS; a guard a lease returned with Unpin is free at
+// once and counts. It allocates nothing: each tid has one Guard for the
+// Domain's life.
 func (d *Domain[T]) TryGuard() (*Guard[T], bool) {
-	if tid, ok := d.guards.TryAcquire(); ok {
-		return &Guard[T]{d: d, tid: tid, slot: -1}, true
+	tid, ok := d.guards.TryAcquire()
+	if !ok {
+		return nil, false
 	}
-	if g, ok := d.fromCache(); ok {
-		d.cacheHits.Add(1)
-		return g, true
-	}
-	return nil, false
+	return d.claimed(tid), true
 }
 
 // AcquireGuard acquires a guard, parking the calling goroutine until one is
-// released (or leased back) when all MaxGuards are held. It returns an
-// error only when ctx is done first. This is the acquisition path for
+// released (with Release or Unpin) when all MaxGuards are held. It returns
+// an error only when ctx is done first. This is the acquisition path for
 // workloads where goroutines outnumber guards and churn — the panicking
-// Guard is for fixed worker sets sized at configuration time.
+// Guard is for fixed worker sets sized at configuration time. Like
+// TryGuard it allocates nothing.
 func (d *Domain[T]) AcquireGuard(ctx context.Context) (*Guard[T], error) {
-	if g, ok := d.TryGuard(); ok {
-		return g, nil
-	}
-	tid, err := d.guards.Acquire(ctx, d.spareTid)
+	tid, err := d.guards.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Guard[T]{d: d, tid: tid, slot: -1}, nil
+	return d.claimed(tid), nil
 }
 
-// spareTid lets a parked pool waiter claim an idle cached guard: without
-// it, guards stranded in the lease cache could starve a waiter forever.
-// The claimed guard object is retired (slot vacated, batch counts folded,
-// domain cleared) and only its tid handed over; the waiter wraps it in a
-// fresh Guard.
-func (d *Domain[T]) spareTid() (int, bool) {
-	g, ok := d.fromCache()
-	if !ok {
-		return 0, false
-	}
-	tid := g.tid
-	if g.slot >= 0 {
-		d.cache[g.slot].g.CompareAndSwap(g, nil)
-		g.slot = -1
-	}
-	g.foldBatch()
-	g.d = nil
-	return tid, true
-}
-
-// fromCache claims an idle guard out of the lease cache. The sync.Pool is
-// consulted first for P-locality, but a pooled pointer is only a hint — the
-// claim itself is the cached→inuse CAS, and a hint that lost that race to
-// a registry steal is simply discarded. On a pool miss the registry is
-// scanned directly, so a guard cached by any P (or dropped by the pool
-// entirely) is always claimable.
-func (d *Domain[T]) fromCache() (*Guard[T], bool) {
-	if d.guards.Paused() {
-		// A live scheme switch is waiting for every guard to come home;
-		// claiming one out of the cache would hand a new operation a stale
-		// scheme. Callers fall through to the pool, whose gate parks them
-		// until the switch completes.
-		return nil, false
-	}
-	for {
-		v := d.leases.Get()
-		if v == nil {
-			break
-		}
-		if g := v.(*Guard[T]); g.claim() {
-			return g, true
-		}
-		// Stale hint (already claimed and possibly re-cached elsewhere);
-		// drop it and try the next.
-	}
-	for i := range d.cache {
-		g := d.cache[i].g.Load()
-		if g != nil && g.claim() {
-			return g, true
-		}
-	}
-	return nil, false
-}
-
-// claim attempts the cached→inuse transition — the single CAS that
-// arbitrates ownership of a cached guard. The guard's registry slot keeps
-// pointing at it while it is in use (slots are sticky for the guard's
-// lifetime; Release vacates them), so claiming writes nothing but the
-// state word.
-func (g *Guard[T]) claim() bool {
-	return g.state.CompareAndSwap(guardCached, guardInUse)
+// claimed returns the Guard of a tid the caller has just claimed. Every
+// claim binds the guard to the Domain again, since Release unbinds it.
+func (d *Domain[T]) claimed(tid int) *Guard[T] {
+	g := &d.gs[tid]
+	g.d = d
+	return g
 }
 
 // Pin leases a guard to the calling goroutine until Unpin: the cheap way
 // to hold a guard across a batch of operations. It is what every guardless
 // structure method uses per operation; pinning hoists that lease out of a
-// hot loop. The fast path is a per-P cache hit (no shared-memory
-// contention at all); a miss acquires from the pool, parking like
-// AcquireGuard if the Domain is exhausted.
+// hot loop. The fast path claims the guard last unpinned on this P (one
+// CAS on that guard's own state word, no shared counter); a miss scans the
+// guard table like TryGuard, then parks like AcquireGuard if the Domain is
+// exhausted.
 //
 // A pinned guard is a plain *Guard: use it with the Guarded method
-// variants, then return it with Unpin (not Release, which would bypass the
-// cache). Pin never fails — callers that need a timeout use AcquireGuard.
-func (d *Domain[T]) Pin() *Guard[T] {
-	if g, ok := d.fromCache(); ok {
-		d.cacheHits.Add(1)
-		return g
-	}
-	d.cacheMisses.Add(1)
-	// Try the pool directly before AcquireGuard: its TryGuard prelude
-	// would rescan the lease cache that just missed.
-	if tid, ok := d.guards.TryAcquire(); ok {
-		return &Guard[T]{d: d, tid: tid, slot: -1}
-	}
-	g, _ := d.AcquireGuard(context.Background()) // never errs: ctx has no deadline
-	return g
-}
+// variants, then return it with Unpin. Pin never fails — callers that need
+// a timeout use AcquireGuard.
+func (d *Domain[T]) Pin() *Guard[T] { return d.lease(0) }
 
 // pinBatch is Pin for the guardless batch entry points (MultiGet,
-// TryPushAll, ...): the same lease, with the hit/miss split also recorded on
-// the batch-path counters so Telemetry can report the batch lease-cache
-// hit rate on its own.
-func (d *Domain[T]) pinBatch() *Guard[T] {
-	// Only the batch-path counter is bumped here (one atomic per burst);
-	// Telemetry folds it into the overall hit/miss totals on read.
-	if g, ok := d.fromCache(); ok {
-		d.batchCacheHits.Add(1)
-		return g
+// TryPushAll, ...): the same lease, counted on the batch side of the
+// guard's lease counters so Telemetry can report the batch lease-cache hit
+// rate on its own.
+func (d *Domain[T]) pinBatch() *Guard[T] { return d.lease(1) }
+
+// lease is Pin with the batch marker (0 per-op, 1 batch) that indexes the
+// guard's lease counters and labels the pool's acquire event.
+func (d *Domain[T]) lease(batch int) *Guard[T] {
+	if v := d.hint.Get(); v != nil {
+		if tid := v.(*Guard[T]).tid; d.guards.TryClaim(tid) {
+			return d.claimed(tid).leased(batch, false)
+		}
 	}
-	d.batchCacheMisses.Add(1)
-	if tid, ok := d.guards.TryAcquireBatch(); ok {
-		return &Guard[T]{d: d, tid: tid, slot: -1}
+	var tid int
+	var ok bool
+	if batch == 0 {
+		tid, ok = d.guards.TryAcquire()
+	} else {
+		tid, ok = d.guards.TryAcquireBatch()
 	}
-	g, _ := d.AcquireGuard(context.Background()) // never errs: ctx has no deadline
+	if ok {
+		return d.claimed(tid).leased(batch, false)
+	}
+	tid, _ = d.guards.Acquire(context.Background()) // never errs: ctx has no deadline
+	return d.claimed(tid).leased(batch, true)
+}
+
+// leased counts a lease of a just-claimed guard: a hit when it was
+// claimed without parking and its last holder returned it with Unpin, a
+// miss otherwise. Keying on the last return, not on the hint, counts a
+// guard the hint lost (sync.Pool drops entries at will) but the table
+// scan found idle as the hit it is.
+func (g *Guard[T]) leased(batch int, parked bool) *Guard[T] {
+	if g.unpinned && !parked {
+		bump(&g.leaseHits[batch])
+	} else {
+		bump(&g.leaseMisses[batch])
+	}
 	return g
 }
 
-// Unpin returns a pinned guard to the Domain's lease cache, dropping any
-// protections it still holds (an implicit End) so an idle cached guard can
-// never block reclamation. The guard must not be used after Unpin.
-//
-// If acquirers are parked on an exhausted pool, Unpin releases the guard
-// to them instead of caching it — caching would strand the guard on this
-// P while they sleep.
+// Unpin ends a lease: it drops any protections the guard still holds (an
+// implicit End, so an idle guard can never block reclamation), frees the
+// guard's tid in the guard table — handing it straight to a parked
+// acquirer if one waits — and names the guard as this P's hint for the
+// next Pin. The guard must not be used after Unpin.
 func (d *Domain[T]) Unpin(g *Guard[T]) {
 	g.End()
 	d.unpin(g)
@@ -590,54 +518,16 @@ func (d *Domain[T]) Unpin(g *Guard[T]) {
 // unpin is Unpin without the protection drop — the internal path for the
 // guardless wrappers, whose Guarded operation just ended with End.
 func (d *Domain[T]) unpin(g *Guard[T]) {
-	if d.guards.Waiters() > 0 {
-		g.Release()
-		return
-	}
-	if g.slot < 0 && !d.adoptSlot(g) {
-		g.Release() // unreachable with a correctly used Domain, but harmless
-		return
-	}
-	g.state.Store(guardCached)
-	d.leases.Put(g)
+	g.unpinned = true
+	d.guards.Release(g.tid)
+	d.hint.Put(g)
 }
 
-// adoptSlot assigns an unslotted guard a registry cell for the rest of
-// its life. One is always free when an unslotted guard exists: each of
-// the MaxGuards guards holds at most one cell, vacated on Release.
-func (d *Domain[T]) adoptSlot(g *Guard[T]) bool {
-	for i := range d.cache {
-		if d.cache[i].g.CompareAndSwap(nil, g) {
-			g.slot = int32(i)
-			return true
-		}
-	}
-	return false
-}
-
-// FlushGuardCache releases every guard the lease cache holds back to the
-// guard pool and returns the number of guards it could not recover —
-// always 0 when the Domain is quiescent. Call it with no concurrent
-// Pin/Unpin or guardless operations in flight (before asserting all
-// guards free in a test, or ahead of domain teardown).
-func (d *Domain[T]) FlushGuardCache() int {
-	stranded := 0
-	for i := range d.cache {
-		g := d.cache[i].g.Load()
-		if g == nil || g.state.Load() != guardCached {
-			// Empty, or a guard some goroutine claimed out of the cache
-			// and still holds (slots are sticky while a guard lives): the
-			// cache owns nothing here.
-			continue
-		}
-		if g.claim() {
-			g.Release()
-		} else {
-			stranded++ // claimed between our load and CAS: not quiescent
-		}
-	}
-	return stranded
-}
+// FlushGuardCache does nothing and returns 0, the number of guards it
+// could not recover: an unpinned guard is free in the guard table at
+// once, so no idle guard is ever held back. It remains for existing
+// callers and will be removed.
+func (d *Domain[T]) FlushGuardCache() int { return 0 }
 
 // Unreclaimed reports the number of retired-but-not-yet-recycled blocks,
 // the paper's reclamation-speed metric. Approximate under concurrency.
@@ -646,11 +536,12 @@ func (d *Domain[T]) Unreclaimed() int { return d.scheme().s.Unreclaimed() }
 // ErrArenaExhausted is returned by the structures' writes (the Try*
 // methods) and Guard.TryAlloc when an allocation found the arena full
 // and the emergency-reclamation pipeline — out-of-cadence scans of the
-// allocating guard's retire ring, retried under capped exponential
-// backoff (Options.AllocRetries / AllocBackoff) — could not free a
-// block. Guard.Alloc panics with an error wrapping it instead. It is a
+// allocating guard's retire ring and of every idle guard's ring it can
+// borrow, retried under capped exponential backoff
+// (Options.AllocRetries / AllocBackoff) — could not free a block.
+// Guard.Alloc panics with an error wrapping it instead. It is a
 // backpressure verdict, not a corruption: the Domain stays fully usable,
-// and the same allocation may succeed once concurrent guards retire and
+// and the same allocation may succeed once the guards in use retire and
 // scan their own backlogs.
 var ErrArenaExhausted = errors.New("wfe: arena exhausted after emergency reclamation")
 
@@ -675,26 +566,23 @@ func (d *Domain[T]) allocHandle(tid int) (mem.Handle, error) {
 }
 
 // allocSlow resolves an exhausted-arena allocation by forcing the
-// reclamation the cadence has not run yet: each round ticks the scheme's
-// era clock (so a fresh scan judges against a clock ahead of every
-// stamped retirement), scans tid's own retire ring out of the
-// CleanupFreq cadence, and retries the allocation, sleeping a doubling
-// backoff between rounds. Only tid's ring is scanned directly — retire
-// rings are single-writer, and reaching into another guard's ring would
-// race its owner — so rescue from the other rings is arranged
-// indirectly: registering as an arena waiter makes every concurrent
-// retire run its own out-of-cadence scan and makes every free publish
-// its cache's sealed segment at once to its guard's mailbox, where this
-// tid's retry can claim it. A guard whose own ring is empty (it just
-// started, or has only read) is therefore still rescued, as long as some
-// guard somewhere is retiring.
+// reclamation the cadence has not run yet. Each round rescues tid itself
+// first (see rescue), then borrows every idle tid in turn: it claims the
+// tid in the guard table, rescues as that tid, and releases it. Retire
+// rings and free caches are single-writer, and their ownership follows
+// the tid, so a borrow breaks no single-writer rule; it holds the tid for
+// one scan. Rounds repeat, sleeping a doubling backoff between them,
+// because tids held by operations in flight cannot be borrowed: rescue
+// from their rings is arranged indirectly, by registering as an arena
+// waiter, which makes every concurrent retire run its own out-of-cadence
+// scan and every free publish its cache's sealed segment at once to its
+// guard's mailbox, where this tid's retry can claim it.
 func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	d.allocStalls.Add(1)
 	st := d.arena.Stats()
 	d.tracer.Emit(tid, trace.KindAllocStall, st.InUse, uint64(d.arena.Capacity()))
 	box := d.scheme()
-	rt := box.s.Retirer()
-	if !rt.Judged() {
+	if !box.s.Retirer().Judged() {
 		// The leak baseline has no judge: a scan can never free anything,
 		// so retrying would only delay the inevitable verdict.
 		return 0, ErrArenaExhausted
@@ -705,12 +593,14 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	backoff := d.allocBackoff
 	ceil := 100 * d.allocBackoff
 	for round := 0; ; round++ {
-		if c, ok := box.s.(reclaim.ClockAdvancer); ok {
-			c.AdvanceClock(tid)
+		h, ok := d.rescue(box, tid)
+		for other := 0; !ok && other < len(d.gs); other++ {
+			if other != tid && d.guards.TryClaim(other) {
+				h, ok = d.rescue(box, other)
+				d.guards.Release(other)
+			}
 		}
-		rt.Scan(tid)
-		d.emergencyScans.Add(1)
-		if h, ok := box.s.TryAlloc(tid); ok {
+		if ok {
 			d.lastResolve.Store(int64(time.Since(start)))
 			return h, nil
 		}
@@ -727,6 +617,19 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	}
 }
 
+// rescue is one emergency step as tid, which the caller holds: tick the
+// scheme's era clock (so the scan judges against a clock ahead of every
+// stamped retirement), scan tid's retire ring out of the CleanupFreq
+// cadence, and allocate from tid's free cache.
+func (d *Domain[T]) rescue(box *schemeBox, tid int) (mem.Handle, bool) {
+	if c, ok := box.s.(reclaim.ClockAdvancer); ok {
+		c.AdvanceClock(tid)
+	}
+	box.s.Retirer().Scan(tid)
+	d.emergencyScans.Add(1)
+	return box.s.TryAlloc(tid)
+}
+
 // Scavenge runs one judged cleanup scan over every tid's retire ring,
 // out of cadence, after ticking the scheme's era clock past any retired
 // block's lifespan — the strongest reclamation pass available without
@@ -739,8 +642,8 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 // drained Domain releases the backlog a lazy CleanupFreq would otherwise
 // hold until each tid retires again; the allocation pipeline's emergency
 // scans are the concurrent-safe sibling, limited to the stalled tid's own
-// ring. The Leak baseline has no judge to scan with, so Scavenge reports
-// zero there.
+// ring and the rings of the idle tids it borrows. The Leak baseline has
+// no judge to scan with, so Scavenge reports zero there.
 func (d *Domain[T]) Scavenge() int {
 	box := d.scheme()
 	rt := box.s.Retirer()
@@ -803,20 +706,22 @@ type Telemetry struct {
 
 	// Guard-runtime counters. A healthy guardless workload shows
 	// GuardCacheHits ≫ GuardCacheMisses and GuardParks near zero; parks
-	// climbing means MaxGuards is undersized for the goroutine count.
+	// climbing means MaxGuards is undersized for the goroutine count. The
+	// lease and batch counters live on each guard, written only by its
+	// holder, and are summed over the guard table on read.
 	MaxGuards        int    // configured guard count
-	GuardsFree       int    // tids available to the pool (quiescently exact)
-	GuardAcquires    uint64 // guards handed out by the pool, however satisfied
+	GuardsFree       int    // tids free in the guard table, unpinned guards included (quiescently exact)
+	GuardAcquires    uint64 // guards a table scan or a handoff gave out (TryGuard, AcquireGuard, leases whose P hint failed)
 	GuardParks       uint64 // times an acquirer parked waiting for a free guard
-	GuardCacheHits   uint64 // guards claimed out of the lease cache
-	GuardCacheMisses uint64 // Pin/guardless ops that had to hit the pool
+	GuardCacheHits   uint64 // leases (Pin, guardless ops) that claimed, without parking, a guard last returned by Unpin
+	GuardCacheMisses uint64 // every other lease: parked, or the guard's last return was Release or none
 
 	// Batched-operation counters (MultiGet, TryPushAll, DequeueN, ...):
 	// BatchOps counts completed batches, BatchedItems the operations they
 	// carried (BatchedItems/BatchOps is the realized mean batch size).
-	// BatchGuardCacheHits/Misses split out the lease-cache traffic of the
-	// guardless batch entry points — with one lease per burst, hits should
-	// track BatchOps, not BatchedItems.
+	// BatchGuardCacheHits/Misses split out the leases of the guardless
+	// batch entry points — with one lease per burst, hits should track
+	// BatchOps, not BatchedItems.
 	BatchOps              uint64
 	BatchedItems          uint64
 	BatchGuardCacheHits   uint64
@@ -846,7 +751,7 @@ func (d *Domain[T]) Telemetry() Telemetry {
 	gp := d.guards.Stats()
 	box := d.scheme()
 	probe := box.s.Retirer().Probe()
-	bops, bitems := d.batchTotals()
+	gc := d.guardCounts()
 	return Telemetry{
 		Scheme:      box.kind.String(),
 		Era:         clock(box.s),
@@ -871,13 +776,13 @@ func (d *Domain[T]) Telemetry() Telemetry {
 		GuardsFree:       d.guards.Free(),
 		GuardAcquires:    gp.Acquires,
 		GuardParks:       gp.Parks,
-		GuardCacheHits:   d.cacheHits.Load() + d.batchCacheHits.Load(),
-		GuardCacheMisses: d.cacheMisses.Load() + d.batchCacheMisses.Load(),
+		GuardCacheHits:   gc.hits[0] + gc.hits[1],
+		GuardCacheMisses: gc.misses[0] + gc.misses[1],
 
-		BatchOps:              bops,
-		BatchedItems:          bitems,
-		BatchGuardCacheHits:   d.batchCacheHits.Load(),
-		BatchGuardCacheMisses: d.batchCacheMisses.Load(),
+		BatchOps:              gc.batchOps,
+		BatchedItems:          gc.batchItems,
+		BatchGuardCacheHits:   gc.hits[1],
+		BatchGuardCacheMisses: gc.misses[1],
 
 		SchemeSwitches: d.schemeSwitches.Load(),
 
@@ -908,19 +813,28 @@ func slowPaths(s reclaim.Scheme) uint64 {
 	return 0
 }
 
-// batchTotals sums the batch counters Telemetry reports: the Domain
-// counters hold what released guards folded in; live guards (cached or
-// leased) still carry theirs locally, so they are summed through the
-// lease-cache registry.
-func (d *Domain[T]) batchTotals() (ops, items uint64) {
-	ops, items = d.batchOps.Load(), d.batchItems.Load()
-	for i := range d.cache {
-		if g := d.cache[i].g.Load(); g != nil {
-			ops += g.statBatchOps.Load()
-			items += g.statBatchItems.Load()
+// guardCounts is the per-guard lease and batch accounting summed over the
+// guard table; hits and misses are indexed like the guards' counters
+// (0 per-op, 1 batch).
+type guardCounts struct {
+	hits, misses         [2]uint64
+	batchOps, batchItems uint64
+}
+
+// guardCounts sums every guard's counters. Each guard keeps its own for
+// the Domain's life, so nothing is folded or lost when a guard changes
+// hands.
+func (d *Domain[T]) guardCounts() (c guardCounts) {
+	for i := range d.gs {
+		g := &d.gs[i]
+		for b := range c.hits {
+			c.hits[b] += g.leaseHits[b].Load()
+			c.misses[b] += g.leaseMisses[b].Load()
 		}
+		c.batchOps += g.batchOps.Load()
+		c.batchItems += g.batchItems.Load()
 	}
-	return ops, items
+	return c
 }
 
 // ArenaCensus is a quiescent-only accounting snapshot of the Domain's
@@ -958,8 +872,8 @@ func (d *Domain[T]) ArenaCensus() ArenaCensus {
 // two kind-specific payload words. For scan-begin A is the retired backlog;
 // for scan-end A is blocks examined and B blocks freed; for era-advance A
 // is the new era; for segment spill/refill A is the batch size; for retire
-// A is the block handle; for guard-acquire A distinguishes freelist (0)
-// from direct handoff (1).
+// A is the block handle; for guard-acquire A distinguishes a claim from
+// the guard table (0) from a direct handoff (1).
 type TraceEvent struct {
 	TS    int64  `json:"ts_ns"`
 	Guard int    `json:"guard"`
@@ -1085,11 +999,12 @@ func (d *Domain[T]) Close() error {
 // constructed scheme of the given kind, over the same arena, while the
 // Domain stays live. This is the drain-and-swap design: Switch briefly
 // gates new guard acquisition (Guard/Pin/AcquireGuard callers park, they
-// do not fail), waits for every in-flight guard to come home, drains the
-// outgoing scheme's retire backlog to zero, then swaps schemes and lifts
-// the gate. In-flight operations are never interrupted — the gate only
-// delays the start of new ones — so the pause is bounded by the longest
-// operation in flight plus the drain.
+// do not fail), collects every guard's tid in the guard table as it comes
+// home, drains the outgoing scheme's retire backlog to zero, then swaps
+// schemes, lifts the gate and releases the collected tids, handing them
+// to acquirers that parked before the switch. In-flight operations are
+// never interrupted — the gate only delays the start of new ones — so the
+// pause is bounded by the longest operation in flight plus the drain.
 //
 // Safety across the swap rests on two invariants. First, no block is
 // retired-but-unreclaimed when the new scheme starts: the old backlog was
@@ -1147,18 +1062,13 @@ func (d *Domain[T]) switchWithin(kind SchemeKind, drainWait time.Duration) error
 		return nil
 	}
 
-	// Gate new acquisitions and wait for the in-flight set to drain. The
-	// lease cache is flushed inside the loop: an operation that was mid
-	// Unpin when the gate dropped may park its guard in the cache after our
-	// previous flush, and only a flush releases it back to the pool.
-	// Quiescence is Held()==0 — the pool's checked-out count, whose
-	// increment/re-check protocol guarantees that once it reads zero with
-	// the gate down, no released guard's reservation is live and no
-	// acquirer can establish a new one before Resume (a racing pop is
-	// forced to back out by its own gate re-check). Never Free's racy
-	// freelist walk: that can count a concurrently popped id as free and
-	// let the drain below run while a live operation still protects a
-	// block.
+	// Gate new acquisitions and wait for the in-flight set to drain: the
+	// pauser collects every tid as it comes home, and quiescence is
+	// Collect reporting that it holds the whole guard table. A tid the
+	// pauser holds cannot be in use, so from then on no guard's
+	// reservation is live and none can be established before Resume.
+	// An acquirer whose claim raced the gate keeps its tid until it is
+	// done; the loop simply collects it afterwards.
 	var deadline time.Time
 	if drainWait > 0 {
 		deadline = time.Now().Add(drainWait)
@@ -1169,8 +1079,7 @@ func (d *Domain[T]) switchWithin(kind SchemeKind, drainWait time.Duration) error
 		if err := fpSwitchDrain.Eval(0); err != nil {
 			return ErrSwitchBusy
 		}
-		d.FlushGuardCache()
-		if d.guards.Held() == 0 {
+		if d.guards.Collect() {
 			break
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
@@ -1183,11 +1092,12 @@ func (d *Domain[T]) switchWithin(kind SchemeKind, drainWait time.Duration) error
 		}
 	}
 
-	// Quiescent now: no guard is held, so no reservation protects anything
-	// and every retired block is reclaimable by definition. Drain the old
-	// scheme's per-tid retire rings unconditionally, then sweep the arena
-	// for retired blocks the old scheme never tracked (the Leak baseline
-	// discards its retire ring contents once published).
+	// Quiescent now: the pauser holds every tid, so no reservation
+	// protects anything and every retired block is reclaimable by
+	// definition. Drain the old scheme's per-tid retire rings
+	// unconditionally, then sweep the arena for retired blocks the old
+	// scheme never tracked (the Leak baseline discards its retire ring
+	// contents once published).
 	oldRet := old.s.Retirer()
 	for tid := 0; tid < d.guards.Cap(); tid++ {
 		oldRet.DrainAll(tid)
@@ -1272,13 +1182,16 @@ func (a *Atomic[T]) CompareAndSwap(old, new Ref[T]) bool {
 // allocate, protect and retire blocks. A Guard must be used by one
 // goroutine at a time.
 //
-// The guard runtime offers three acquisition paths, cheapest first:
+// A Domain has exactly MaxGuards Guards, one per tid, made by NewDomain
+// and kept for the Domain's life; acquiring a guard claims its tid in the
+// Domain's guard table with one CAS and allocates nothing. The guard
+// runtime offers three acquisition paths, cheapest first:
 //
 //   - Guardless: call the structures' plain methods (Stack.TryPush,
-//     HashMap.Get, ...). Each operation leases a guard from the Domain's
-//     per-P cache and returns it — no Guard in sight, goroutines may
-//     outnumber MaxGuards arbitrarily, and exhaustion parks instead of
-//     failing.
+//     HashMap.Get, ...). Each operation leases a guard, trying first the
+//     one last unpinned on its P, and returns it. No Guard is in sight,
+//     goroutines may outnumber MaxGuards arbitrarily, and exhaustion
+//     parks instead of failing.
 //   - Pinned: Domain.Pin / Domain.Unpin bracket a batch of Guarded-variant
 //     calls with one lease — the guardless path's cost, paid once per
 //     batch instead of once per operation.
@@ -1291,13 +1204,13 @@ func (a *Atomic[T]) CompareAndSwap(old, new Ref[T]) bool {
 // calls, then End. The built-in structures do this internally — their
 // callers at most lease the Guard.
 type Guard[T any] struct {
-	d   *Domain[T]
+	d   *Domain[T] // nil while the guard is released (fail fast on use)
 	tid int
 
-	// Lease-cache bookkeeping: state arbitrates who owns the guard while
-	// it idles in the cache, slot is its registry cell for that cycle.
-	state atomic.Uint32
-	slot  int32
+	// unpinned records how the last holder returned the guard: true for
+	// Unpin, false for Release. A lease that claims the guard without
+	// parking counts a lease-cache hit when it is set.
+	unpinned bool
 
 	// Batch-context state (see batch.go). While batching, Retire diverts
 	// into batchRetires for one RetireBatch submission at endBatch;
@@ -1312,21 +1225,29 @@ type Guard[T any] struct {
 	// bursts in a hot loop allocates its node lists once, not per burst.
 	batchNodes [2][]Ref[T]
 
-	// Per-guard batch accounting. Only the owner writes (load-then-store,
-	// no read-modify-write), so a burst updates a line no other guard
-	// writes instead of contending on a shared Domain counter. Each store
-	// is still atomic, an implicitly locked XCHG on amd64, because
-	// Telemetry reads the fields concurrently through the lease-cache
-	// registry. Release folds them into the Domain totals.
-	statBatchOps   atomic.Uint64
-	statBatchItems atomic.Uint64
+	// Lease and batch accounting for the Domain's life; the lease counters
+	// are indexed 0 per-op, 1 batch. Only the guard's holder writes
+	// (load-then-store, no read-modify-write), so a lease or a burst
+	// updates a line no other guard writes instead of contending on a
+	// shared Domain counter. Each store is still atomic, an implicitly
+	// locked XCHG on amd64, because Telemetry sums the fields concurrently
+	// over the guard table.
+	leaseHits, leaseMisses [2]atomic.Uint64
+	batchOps, batchItems   atomic.Uint64
+
+	// The padding keeps the next guard's fields, written by its own
+	// holder, off the cache line of this guard's counters.
+	_ [64]byte
 }
 
+// bump adds one to a counter only its guard's holder writes.
+func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
+
 // noteBatch accounts one completed batch of items operations on the
-// guard's local counters (owner-only, see the field comment).
+// guard's counters (holder-only, see the field comment).
 func (g *Guard[T]) noteBatch(items int) {
-	g.statBatchOps.Store(g.statBatchOps.Load() + 1)
-	g.statBatchItems.Store(g.statBatchItems.Load() + uint64(items))
+	bump(&g.batchOps)
+	g.batchItems.Store(g.batchItems.Load() + uint64(items))
 }
 
 // scratchNodes returns an empty slice with capacity at least n backed by
@@ -1343,37 +1264,19 @@ func (g *Guard[T]) scratchNodes(which, n int) []Ref[T] {
 // Domain returns the Domain this guard belongs to.
 func (g *Guard[T]) Domain() *Domain[T] { return g.d }
 
-// Release returns the guard to its Domain's pool, waking a parked
-// AcquireGuard if one is waiting. The guard must not be used afterwards.
+// Release returns the guard to its Domain's guard table, handing it to a
+// parked AcquireGuard if one is waiting. The guard must not be used
+// afterwards: Release unbinds it from the Domain until its next
+// acquisition, so a use after Release, or a second Release, panics.
 // Release drops any protections the guard still holds (an implicit End),
 // so a guard abandoned mid-operation — a panic between Begin and End, say
 // — cannot block reclamation for the rest of the Domain's life.
 func (g *Guard[T]) Release() {
 	d := g.d
-	if g.slot >= 0 {
-		// Vacate the guard's sticky lease-cache slot. Only the owner gets
-		// here (a cached guard must be claimed before Release), so the
-		// slot still points at g and no claimant can race the clear.
-		d.cache[g.slot].g.CompareAndSwap(g, nil)
-		g.slot = -1
-	}
 	d.scheme().s.Clear(g.tid)
-	g.foldBatch()
-	g.d = nil // fail fast on use-after-Release
+	g.unpinned = false
+	g.d = nil // unbound before the tid is free: every claim binds it again
 	d.guards.Release(g.tid)
-}
-
-// foldBatch moves the guard's batch accounting into the Domain totals as
-// the guard object retires. The caller has already vacated its registry
-// cell, so Telemetry cannot see these counts twice. Guards idling in the
-// lease cache keep theirs local; Telemetry sums them through the registry.
-func (g *Guard[T]) foldBatch() {
-	if n := g.statBatchOps.Load(); n != 0 {
-		g.d.batchOps.Add(n)
-		g.d.batchItems.Add(g.statBatchItems.Load())
-		g.statBatchOps.Store(0)
-		g.statBatchItems.Store(0)
-	}
 }
 
 // Begin marks the start of a data-structure operation. Epoch- and

@@ -349,9 +349,9 @@ func ExampleTree() {
 }
 
 // ExampleDomain_Pin hoists the guardless path's per-operation lease out of
-// a loop: Pin once, run the batch through the Guarded variants, Unpin. The
-// guard returns to the lease cache, not the pool, so the next Pin on this
-// P is nearly free.
+// a loop: Pin once, run the batch through the Guarded variants, Unpin.
+// Unpin names the guard as this P's hint, so the next Pin on this P
+// claims it back with one CAS.
 func ExampleDomain_Pin() {
 	d, _ := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 12})
 	s := wfe.NewStack[int](d)

@@ -108,9 +108,54 @@ func TestExhaustionStormAllSchemes(t *testing.T) {
 			for key := uint64(0); key < keyRange; key++ {
 				m.Delete(key)
 			}
-			quiesce.Settle(d)
+			d.Scavenge()
 			if err := quiesce.Check(d, true); err != nil {
 				t.Errorf("post-storm quiesce: %v", err)
+			}
+		})
+	}
+}
+
+// TestEmergencyBorrowsIdleGuards pins the emergency pipeline's borrow
+// round: with the whole arena retired into an idle guard's ring and
+// nothing else running, an allocation on another guard must be rescued
+// from that ring at once, not fail after the backoff budget. Guard A
+// retires 1,000 of 1,024 blocks under a cadence that never scans and is
+// released; guard B, acquired before A's release, then allocates 100 live
+// blocks. B's own ring is empty, so only a scan of A's ring can free a
+// block once the 24 untouched ones are gone.
+func TestEmergencyBorrowsIdleGuards(t *testing.T) {
+	for _, kind := range nonLeakSchemes() {
+		t.Run(kind.String(), func(t *testing.T) {
+			d, err := wfe.NewDomain[uint64](wfe.Options{
+				Scheme:      kind,
+				Capacity:    1 << 10,
+				MaxGuards:   2,
+				CleanupFreq: 1 << 20,
+				Debug:       true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := d.Guard(), d.Guard()
+			for i := 0; i < 1000; i++ {
+				r, err := a.TryAlloc(uint64(i))
+				if err != nil {
+					t.Fatalf("A's allocation %d: %v", i, err)
+				}
+				a.Retire(r)
+			}
+			a.Release()
+			start := time.Now()
+			for i := 0; i < 100; i++ {
+				if _, err := b.TryAlloc(uint64(i)); err != nil {
+					t.Fatalf("B's allocation %d after %v: %v (emergency scans %d)",
+						i+1, time.Since(start), err, d.Telemetry().EmergencyScans)
+				}
+			}
+			b.Release()
+			if tel := d.Telemetry(); tel.AllocStalls == 0 {
+				t.Fatal("B never entered the emergency pipeline; the arena was not exhausted")
 			}
 		})
 	}
@@ -301,12 +346,10 @@ func TestPanicVariantsLeakNothing(t *testing.T) {
 					t.Fatal("arena never exhausted")
 				}
 			}
-			d.FlushGuardCache()
 			before := d.ArenaCensus().Live
 			if err := write(); !errors.Is(err, wfe.ErrArenaExhausted) {
 				t.Fatalf("write on the exhausted arena = %v, want ErrArenaExhausted", err)
 			}
-			d.FlushGuardCache()
 			if after := d.ArenaCensus().Live; after != before {
 				t.Errorf("live blocks %d -> %d across one failed write: the write leaked %d block(s)",
 					before, after, after-before)

@@ -1,6 +1,6 @@
-// Guard-runtime benchmarks: the lock-free pool against the mutex freelist
-// it replaced, and the guardless API against pinned and per-op-acquired
-// guards. The acceptance bars: uncontended acquire/release beats the mutex
+// Guard-runtime benchmarks: the lock-free guard table against the mutex
+// freelist the runtime started from, and the guardless API against pinned
+// and per-op-acquired guards. The acceptance bars: uncontended acquire/release beats the mutex
 // baseline, and guardless structure ops stay within 1.5x of pinned ones.
 package wfe_test
 
@@ -91,8 +91,8 @@ func BenchmarkGuardAcquireRelease(b *testing.B) {
 // BenchmarkGuardedOps compares the three acquisition paths on the same
 // stack push/pop workload at GOMAXPROCS goroutines: pinned (one lease for
 // the whole run — the floor), guardless (one lease per operation — must
-// stay within 1.5x of pinned), and acquire-per-op (pool round trip every
-// operation — what guardless would cost without the lease cache).
+// stay within 1.5x of pinned), and acquire-per-op (a guard-table scan
+// every operation — what guardless would cost without the per-P hint).
 func BenchmarkGuardedOps(b *testing.B) {
 	newStack := func(b *testing.B) (*wfe.Domain[uint64], *wfe.Stack[uint64]) {
 		b.Helper()

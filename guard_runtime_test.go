@@ -1,6 +1,6 @@
-// Tests for the guard runtime: lock-free acquisition, parking, the lease
-// cache behind the guardless API, and leak-freedom under goroutine churn.
-// CI runs this file under -race.
+// Tests for the guard runtime: lock-free acquisition from the guard table,
+// parking, the leases behind the guardless API, and leak-freedom under
+// goroutine churn. CI runs this file under -race.
 package wfe_test
 
 import (
@@ -73,7 +73,7 @@ func TestGoroutineChurn(t *testing.T) {
 			t.Fatal("churn drove no pool acquisitions")
 		}
 		if tel.GuardCacheHits == 0 {
-			t.Fatal("lease cache never hit under churn; caching is not working")
+			t.Fatal("no lease reclaimed an unpinned guard under churn; the lease hint is not working")
 		}
 		// The pool really refills: MaxGuards explicit acquisitions succeed.
 		held := make([]*wfe.Guard[uint64], guards)
@@ -94,6 +94,66 @@ func TestGoroutineChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestGuardAcquisitionAllocatesNothing: every acquisition path claims a
+// tid's one Guard, made by NewDomain, so acquiring and returning a guard
+// allocates nothing on any path.
+func TestGuardAcquisitionAllocatesNothing(t *testing.T) {
+	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 64, MaxGuards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"Guard/Release", func() { d.Guard().Release() }},
+		{"TryGuard/Release", func() {
+			g, ok := d.TryGuard()
+			if !ok {
+				panic("TryGuard failed on an idle domain")
+			}
+			g.Release()
+		}},
+		{"AcquireGuard/Release", func() {
+			g, err := d.AcquireGuard(ctx)
+			if err != nil {
+				panic(err)
+			}
+			g.Release()
+		}},
+		{"Pin/Unpin", func() { d.Unpin(d.Pin()) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.cycle); n != 0 {
+			t.Errorf("%s: %v allocations per cycle, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestDoubleReleasePanics: Release unbinds the guard from its Domain, so
+// a second Release fails fast instead of freeing a tid the caller no
+// longer holds, and the Domain stays whole.
+func TestDoubleReleasePanics(t *testing.T) {
+	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 64, MaxGuards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Guard()
+	g.Release()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second Release of the same guard did not panic")
+			}
+		}()
+		g.Release()
+	}()
+	if free := d.Telemetry().GuardsFree; free != 1 {
+		t.Fatalf("GuardsFree = %d after the panicking Release, want 1", free)
+	}
+	d.Guard().Release()
 }
 
 // TestAcquireGuardParks: an AcquireGuard on an exhausted domain must park
@@ -149,27 +209,28 @@ func TestAcquireGuardContext(t *testing.T) {
 	}
 }
 
-// TestAcquireGuardClaimsCachedLease: a guard idling in the lease cache
-// counts as free for explicit acquisition — cached leases must never make
-// the domain look exhausted.
+// TestAcquireGuardClaimsCachedLease: a guard a lease returned with Unpin
+// is free for explicit acquisition at once — idle leased guards must
+// never make the domain look exhausted.
 func TestAcquireGuardClaimsCachedLease(t *testing.T) {
 	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 64, MaxGuards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := wfe.NewStack[int](d)
-	if err := s.TryPush(1); err != nil { // leaves the only guard in the lease cache
+	if err := s.TryPush(1); err != nil { // leases and unpins the only guard
 		t.Fatal(err)
 	}
 	g, ok := d.TryGuard()
 	if !ok {
-		t.Fatal("TryGuard failed while the only guard sat idle in the cache")
+		t.Fatal("TryGuard failed while the only guard sat unpinned")
 	}
 	g.Release()
 }
 
-// TestUnpinHandsOffToWaiter: Unpin must feed a parked acquirer instead of
-// caching the guard on its own P while the waiter sleeps.
+// TestUnpinHandsOffToWaiter: Unpin must hand the guard to a parked
+// acquirer instead of leaving it for the next Pin on its own P while the
+// waiter sleeps.
 func TestUnpinHandsOffToWaiter(t *testing.T) {
 	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 64, MaxGuards: 1})
 	if err != nil {
@@ -194,7 +255,9 @@ func TestUnpinHandsOffToWaiter(t *testing.T) {
 }
 
 // TestPinReusesLease: consecutive Pin/Unpin cycles on one goroutine must
-// hit the per-P cache, not the pool.
+// count as lease-cache hits: each claims, without parking, the guard the
+// cycle before returned with Unpin. The count must hold under -race too,
+// where sync.Pool drops a quarter of its Puts and the hint misses.
 func TestPinReusesLease(t *testing.T) {
 	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 64, MaxGuards: 2})
 	if err != nil {
@@ -213,12 +276,12 @@ func TestPinReusesLease(t *testing.T) {
 		t.Fatalf("%d guards stranded after flush", stranded)
 	}
 	if free := d.Telemetry().GuardsFree; free != 2 {
-		t.Fatalf("GuardsFree = %d after flush, want 2", free)
+		t.Fatalf("GuardsFree = %d with every guard unpinned, want 2", free)
 	}
 }
 
-// TestFlushGuardCacheIdempotent: flushing an empty cache is a no-op and
-// repeated flushes stay clean.
+// TestFlushGuardCacheIdempotent: repeated flushes report no stranded
+// guard.
 func TestFlushGuardCacheIdempotent(t *testing.T) {
 	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 64, MaxGuards: 2})
 	if err != nil {
@@ -231,22 +294,21 @@ func TestFlushGuardCacheIdempotent(t *testing.T) {
 	}
 }
 
-// TestFlushIgnoresHeldGuards: a guard claimed out of the lease cache and
-// still explicitly held occupies its sticky registry slot, but it belongs
-// to its holder, not the cache — FlushGuardCache must not count it as
-// stranded nor disturb it.
+// TestFlushIgnoresHeldGuards: a guard claimed after a lease unpinned it
+// and still explicitly held belongs to its holder — FlushGuardCache must
+// not count it as stranded nor disturb it.
 func TestFlushIgnoresHeldGuards(t *testing.T) {
 	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 64, MaxGuards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := wfe.NewStack[int](d)
-	if err := s.TryPush(1); err != nil { // parks the only guard in the cache with a sticky slot
+	if err := s.TryPush(1); err != nil { // leases and unpins the only guard
 		t.Fatal(err)
 	}
 	g, ok := d.TryGuard()
 	if !ok {
-		t.Fatal("TryGuard failed to claim the cached guard")
+		t.Fatal("TryGuard failed to claim the unpinned guard")
 	}
 	if stranded := d.FlushGuardCache(); stranded != 0 {
 		t.Fatalf("flush counted the explicitly held guard as stranded (%d)", stranded)

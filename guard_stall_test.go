@@ -17,7 +17,7 @@ import (
 // TestStalledGuardSurvivesFlushAndDrain stalls a reader holding a live
 // reservation over a node, retires that node from another guard, churns
 // enough retirements through the domain to force many cleanup scans, and
-// flushes the guard cache mid-stall. The flush and the churn must both
+// calls FlushGuardCache mid-stall. The flush and the churn must both
 // complete (no deadlock on the held guard), and the protected block must
 // still be alive and intact — the Debug arena turns a premature free
 // into a loud failure.
@@ -54,7 +54,7 @@ func TestStalledGuardSurvivesFlushAndDrain(t *testing.T) {
 			scratch.PopGuarded(worker)
 		}
 
-		// Cache maintenance mid-stall: both explicit guards are held, so
+		// Guard maintenance mid-stall: both explicit guards are held, so
 		// the flush has nothing to recover and must simply return.
 		if stranded := d.FlushGuardCache(); stranded != 0 {
 			t.Fatalf("FlushGuardCache recovered %d guards while all are explicitly held", stranded)
@@ -71,7 +71,7 @@ func TestStalledGuardSurvivesFlushAndDrain(t *testing.T) {
 			t.Fatalf("protected block corrupted during stall: value %#x, want 0xdead", v)
 		}
 
-		// Stall lifts; drain the cell and settle. The once-protected
+		// Stall lifts; drain the cell and scavenge. The once-protected
 		// block must now be reclaimable (quiesce asserts the backlog
 		// collapses for every scheme but Leak).
 		holder.End()
@@ -80,7 +80,7 @@ func TestStalledGuardSurvivesFlushAndDrain(t *testing.T) {
 		}
 		holder.Release()
 		worker.Release()
-		quiesce.Settle(d)
+		d.Scavenge()
 		if err := quiesce.Check(d, kind != wfe.Leak); err != nil {
 			t.Fatal(err)
 		}

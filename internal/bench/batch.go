@@ -170,7 +170,6 @@ func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Batc
 	wg.Wait()
 	elapsed := time.Since(start)
 	stop.Store(true)
-	d.FlushGuardCache()
 
 	var totalOps uint64
 	for _, n := range opsByW {

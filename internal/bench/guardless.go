@@ -15,7 +15,7 @@ import (
 // public API's guard acquisition paths. The guard-pool telemetry explains
 // the throughput: pinned pays one pool acquisition per worker, guardless
 // turns per-operation leases into cache hits, acquire-per-op shows what
-// the lease cache saves, and the oversubscribed run adds parking.
+// the per-P lease hint saves, and the oversubscribed run adds parking.
 type GuardOverheadResult struct {
 	Mode       string // acquisition path
 	Goroutines int
@@ -109,7 +109,6 @@ func runGuardMode(mode string, goroutines, guards int, opt Options) GuardOverhea
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
-	d.FlushGuardCache()
 
 	return GuardOverheadResult{
 		Mode:       mode,

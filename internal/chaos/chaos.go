@@ -448,12 +448,12 @@ func run(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 				}
 			}
 		}
-		// Returning in reverse lease order restores the pool's LIFO
-		// freelist, so a worker leasing from the same position next tick
-		// gets the same guard back and its allocations are paid for by
-		// the blocks its own retire ring frees. The exhaustion storm
-		// depends on that: an emergency scan reads only the allocating
-		// guard's ring.
+		// Acquisition claims the lowest free tid, so with the guards
+		// returned a worker leasing from the same position next tick gets
+		// the same guard back and its allocations are paid for by the
+		// blocks its own retire ring frees. The exhaustion storm depends
+		// on that: every guard is leased during a tick, so an emergency
+		// scan reads only the allocating guard's ring.
 		for i := len(running) - 1; i >= 0; i-- {
 			if w := running[i]; !w.stalled {
 				w.g.Release()
@@ -482,7 +482,7 @@ func run(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 // summarize settles the drained domain, runs the shared quiesce census
 // check, and folds the trajectory's headline numbers into the summary.
 func summarize(d *wfe.Domain[uint64], kind wfe.SchemeKind, traj *Trajectory) {
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, kind != wfe.Leak); err != nil {
 		traj.Summary.Quiesce = err.Error()
 	}

@@ -72,43 +72,43 @@ var trajectoryDigests = map[string]string{
 	"cooperative/HP":           "5d40cdd2db98ec13",
 	"cooperative/EBR":          "1f54280848d79058",
 	"cooperative/2GEIBR":       "4e6a1f06b2814f33",
-	"cooperative/Leak":         "bbeba16ad64564bb",
+	"cooperative/Leak":         "9d06f00c88b41ada",
 	"cooperative/WFE-IBR":      "84a2b399deda2d5b",
 	"stalled-reader/WFE":       "2ac2f27fbee2106f",
 	"stalled-reader/HE":        "e6481e150e91bef3",
 	"stalled-reader/HP":        "6058eb05e3763f50",
 	"stalled-reader/EBR":       "95497ff39348202a",
 	"stalled-reader/2GEIBR":    "2455a0d2c9d60789",
-	"stalled-reader/Leak":      "6b5600351f58c8ea",
+	"stalled-reader/Leak":      "106b18dbd487d4e0",
 	"stalled-reader/WFE-IBR":   "46fe4eb4e95b3ccb",
 	"preempted-writer/WFE":     "f4b0d04ebf54f888",
 	"preempted-writer/HE":      "8c3b974d470d4250",
 	"preempted-writer/HP":      "1a14544f222b2832",
 	"preempted-writer/EBR":     "ae778eaf1de940bc",
 	"preempted-writer/2GEIBR":  "97e5703cfc7a4ef4",
-	"preempted-writer/Leak":    "e407e8988632ceb3",
+	"preempted-writer/Leak":    "9c3968f1215ac991",
 	"preempted-writer/WFE-IBR": "43010b6c539aa850",
 	"bursty-churn/WFE":         "4fe3101edea79676",
 	"bursty-churn/HE":          "66ce60a2940e8e6b",
 	"bursty-churn/HP":          "59b8dead1a2b0ac1",
 	"bursty-churn/EBR":         "d7f26fe8730a400f",
 	"bursty-churn/2GEIBR":      "b30a7ef09ea63d71",
-	"bursty-churn/Leak":        "6c45c6b7519d6290",
+	"bursty-churn/Leak":        "3eeaeccb22589ba1",
 	"bursty-churn/WFE-IBR":     "1c9bf95bcb432f7b",
 	"oversubscription/WFE":     "f7aeff76bb65a9ab",
 	"oversubscription/HE":      "b68f00204fec77ed",
 	"oversubscription/HP":      "5566e8c31be79d94",
 	"oversubscription/EBR":     "e555faf35181be31",
 	"oversubscription/2GEIBR":  "6424866f8dd0d65a",
-	"oversubscription/Leak":    "58633b507191e3e1",
+	"oversubscription/Leak":    "02587bd1cdc02227",
 	"oversubscription/WFE-IBR": "fc17a0c7a598a796",
-	"exhaustion-storm/WFE":     "3bb53c7d7a7fc1e5",
-	"exhaustion-storm/HE":      "1cbfdef767c147fa",
-	"exhaustion-storm/HP":      "eb2ac3f18f30cbd1",
-	"exhaustion-storm/EBR":     "b018b89a8d85110d",
-	"exhaustion-storm/2GEIBR":  "b52da86fa67404f9",
-	"exhaustion-storm/Leak":    "c8f5c61010c04124",
-	"exhaustion-storm/WFE-IBR": "17de5e35c10ac42f",
+	"exhaustion-storm/WFE":     "6871cf9d5b62f0f8",
+	"exhaustion-storm/HE":      "e977bcb89c9a347a",
+	"exhaustion-storm/HP":      "697cd1a88e1adfc9",
+	"exhaustion-storm/EBR":     "f17b1cb98aa56213",
+	"exhaustion-storm/2GEIBR":  "931ac7f95260556c",
+	"exhaustion-storm/Leak":    "7e8b642bdbf4c942",
+	"exhaustion-storm/WFE-IBR": "2d98f4e9e00f2f99",
 }
 
 func TestSeedChangesTrajectory(t *testing.T) {

@@ -48,8 +48,8 @@ func TestZeroAndOneSized(t *testing.T) {
 }
 
 // TestNoDuplicateHandout hammers TryAcquire/Release from many goroutines
-// and asserts an id is never held by two goroutines at once — the ABA
-// counter's whole job. Run with -race.
+// and asserts an id is never held by two goroutines at once — the claim
+// CAS's whole job. Run with -race.
 func TestNoDuplicateHandout(t *testing.T) {
 	const ids, workers, iters = 4, 16, 20000
 	p := New(ids)
@@ -87,7 +87,7 @@ func TestAcquireParksAndWakes(t *testing.T) {
 	}
 	got := make(chan int)
 	go func() {
-		id, err := p.Acquire(context.Background(), nil)
+		id, err := p.Acquire(context.Background())
 		if err != nil {
 			t.Errorf("Acquire: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestHandoffBeatsBarging(t *testing.T) {
 	tid, _ := p.TryAcquire()
 	got := make(chan int)
 	go func() {
-		id, err := p.Acquire(context.Background(), nil)
+		id, err := p.Acquire(context.Background())
 		if err != nil {
 			t.Errorf("Acquire: %v", err)
 		}
@@ -149,7 +149,7 @@ func TestStrandedHandoffRecovered(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error)
 	go func() {
-		_, err := p.Acquire(ctx, nil)
+		_, err := p.Acquire(ctx)
 		errc <- err
 	}()
 	for p.Waiters() == 0 {
@@ -180,7 +180,7 @@ func TestAcquireContextCancel(t *testing.T) {
 	p.TryAcquire() // drain
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := p.Acquire(ctx, nil); err != context.DeadlineExceeded {
+	if _, err := p.Acquire(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Acquire = %v, want DeadlineExceeded", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestAcquireDoneContextParksOnce(t *testing.T) {
 	cancel()
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if _, err := p.Acquire(ctx, nil); err != context.Canceled {
+		if _, err := p.Acquire(ctx); err != context.Canceled {
 			t.Fatalf("Acquire = %v, want Canceled", err)
 		}
 	}
@@ -208,27 +208,8 @@ func TestAcquireDoneContextParksOnce(t *testing.T) {
 	}
 }
 
-// TestAcquireSpare: a parked waiter must accept an id offered through the
-// spare callback (the Domain's idle-guard cache) instead of sleeping on a
-// pool that will never refill.
-func TestAcquireSpare(t *testing.T) {
-	p := New(1)
-	p.TryAcquire() // the id now lives "outside" the pool, as a cached guard would
-	var polled atomic.Int32
-	id, err := p.Acquire(context.Background(), func() (int, bool) {
-		if polled.Add(1) >= 2 {
-			return 0, true // cache hands the id over on the second poll
-		}
-		return 0, false
-	})
-	if err != nil || id != 0 {
-		t.Fatalf("Acquire = %d,%v", id, err)
-	}
-}
-
-// TestHeldCounting pins the exact checked-out count Switch's quiescence
-// wait relies on: up on acquire, down on release, zero on a quiescent
-// pool, untouched by gated attempts.
+// TestHeldCounting pins the table's held count: up on acquire, down on
+// release, zero on a quiescent pool, untouched by gated attempts.
 func TestHeldCounting(t *testing.T) {
 	p := New(2)
 	if p.Held() != 0 {
@@ -261,15 +242,15 @@ func TestHeldCounting(t *testing.T) {
 }
 
 // TestPausedReleaseGoesToFreelist: with a waiter parked, a Release during
-// a pause must feed the freelist — not the handoff channel, which would
-// chain a new acquisition through the gate and break the pauser's
-// Held()==0 quiescence.
+// a pause must leave the id free for the pauser — not hand it to the
+// waiter, which would chain a new acquisition through the gate — and
+// Resume must then hand the waiter the id.
 func TestPausedReleaseGoesToFreelist(t *testing.T) {
 	p := New(1)
 	tid, _ := p.TryAcquire()
 	got := make(chan int)
 	go func() {
-		id, err := p.Acquire(context.Background(), nil)
+		id, err := p.Acquire(context.Background())
 		if err != nil {
 			t.Errorf("Acquire: %v", err)
 		}
@@ -282,7 +263,7 @@ func TestPausedReleaseGoesToFreelist(t *testing.T) {
 	p.Pause()
 	p.Release(tid)
 	// Quiescent now: the id must be home and stay home while paused, the
-	// parked waiter notwithstanding (its backoff re-poll is gated).
+	// parked waiter notwithstanding.
 	deadline := time.Now().Add(2 * time.Second)
 	for p.Held() != 0 {
 		if time.Now().After(deadline) {
@@ -296,7 +277,7 @@ func TestPausedReleaseGoesToFreelist(t *testing.T) {
 	select {
 	case id := <-got:
 		t.Fatalf("waiter acquired id %d through the pause gate", id)
-	case <-time.After(120 * time.Millisecond): // beyond parkBackoffMax
+	case <-time.After(120 * time.Millisecond):
 	}
 	p.Resume()
 	select {
@@ -307,65 +288,67 @@ func TestPausedReleaseGoesToFreelist(t *testing.T) {
 }
 
 // TestPauseQuiescenceExact hammers the pool with acquire/release churn
-// while a pauser repeatedly gates it and waits for Held()==0. At that
-// point the pool is provably quiescent, so the freelist walk must account
-// for every id — the exactness Switch's drain depends on. Run with -race:
-// the pre-held-counter version of this protocol could report quiescence
-// while a racing pop still had an id out.
+// while a pauser repeatedly gates it and loops on Collect until it holds
+// the whole table. At that point no worker may hold an id: each worker
+// raises its id's ownership flag after acquiring and lowers it before
+// releasing, so a flag still up means Collect reported quiescence while
+// an id was in use — the exactness Switch's drain depends on. Run with
+// -race.
 func TestPauseQuiescenceExact(t *testing.T) {
 	const ids, workers, pauses = 3, 8, 60
 	p := New(ids)
+	var owned [ids]atomic.Bool
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	use := func(tid int) {
+		if owned[tid].Swap(true) {
+			t.Errorf("id %d handed out twice", tid)
+		}
+		owned[tid].Store(false)
+		p.Release(tid)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for !stop.Load() {
 				if w%2 == 0 {
-					tid, ok := p.TryAcquire()
-					if !ok {
-						continue
+					if tid, ok := p.TryAcquire(); ok {
+						use(tid)
 					}
-					p.Release(tid)
-				} else {
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-					tid, err := p.Acquire(ctx, nil)
-					cancel()
-					if err != nil {
-						continue
-					}
-					p.Release(tid)
+					continue
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+				tid, err := p.Acquire(ctx)
+				cancel()
+				if err == nil {
+					use(tid)
 				}
 			}
 		}(w)
 	}
+	fail := func(format string, args ...any) {
+		p.Resume()
+		stop.Store(true)
+		wg.Wait()
+		t.Fatalf(format, args...)
+	}
 	for i := 0; i < pauses; i++ {
 		p.Pause()
 		deadline := time.Now().Add(5 * time.Second)
-		for p.Held() != 0 {
+		for !p.Collect() {
 			if time.Now().After(deadline) {
-				p.Resume()
-				stop.Store(true)
-				wg.Wait()
-				t.Fatalf("pause %d: Held = %d never drained", i, p.Held())
+				fail("pause %d: Collect never gathered the table (held %d)", i, p.Held())
 			}
 			runtime.Gosched()
 		}
-		// Held()==0 guarantees no acquirer can keep an id, but one may be
-		// in the instant between a successful pop and its gate re-check —
-		// it is pushed straight back, so with the gate still up the
-		// freelist must converge to full. An id that never comes home
-		// means the gate leaked a real acquisition mid-pause.
-		for p.Free() != ids {
-			if time.Now().After(deadline) {
-				free := p.Free()
-				p.Resume()
-				stop.Store(true)
-				wg.Wait()
-				t.Fatalf("pause %d: quiescent but Free stuck at %d, want %d — an id slipped the gate", i, free, ids)
+		for tid := range owned {
+			if owned[tid].Load() {
+				fail("pause %d: Collect holds the table but a worker still owns id %d", i, tid)
 			}
-			runtime.Gosched()
+		}
+		if h := p.Held(); h != ids {
+			fail("pause %d: Held = %d with the table collected, want %d", i, h, ids)
 		}
 		p.Resume()
 		time.Sleep(time.Millisecond)
@@ -390,7 +373,7 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				tid, err := p.Acquire(context.Background(), nil)
+				tid, err := p.Acquire(context.Background())
 				if err != nil {
 					t.Errorf("Acquire: %v", err)
 					return

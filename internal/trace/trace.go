@@ -29,8 +29,9 @@ const (
 	// (AcquireFreelist, AcquireHandoff); B is 1 when the acquisition
 	// served a batch entry point (one lease per burst), else 0.
 	KindGuardAcquire
-	// KindGuardPark: an Acquire exhausted the freelist and parked on the
-	// handoff channel. Emitted on the shared ring (no tid held yet).
+	// KindGuardPark: an Acquire found no free tid in the guard table and
+	// parked on the handoff channel. Emitted on the shared ring (no tid
+	// held yet).
 	KindGuardPark
 	// KindGuardCancel: a parked Acquire gave up because its context was
 	// cancelled. Emitted on the shared ring.
@@ -74,7 +75,7 @@ const (
 
 // Guard-acquire sources (the A payload of KindGuardAcquire).
 const (
-	AcquireFreelist uint64 = iota // popped from the lock-free freelist
+	AcquireFreelist uint64 = iota // claimed free from the guard table by one CAS
 	AcquireHandoff                // handed off directly by a releaser
 )
 

@@ -185,13 +185,13 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.ArenaSegPops }),
 	counter("wfe_arena_bump_highwater_blocks", "Distinct blocks ever handed out by the bump allocator.",
 		func(t wfe.Telemetry) uint64 { return t.ArenaBumpHighwater }),
-	counter("wfe_guard_acquires", "Guards handed out by the pool.",
+	counter("wfe_guard_acquires", "Guards a guard-table scan or a handoff gave out.",
 		func(t wfe.Telemetry) uint64 { return t.GuardAcquires }),
 	counter("wfe_guard_parks", "Guard acquisitions that parked waiting.",
 		func(t wfe.Telemetry) uint64 { return t.GuardParks }),
-	counter("wfe_guard_cache_hits", "Guards claimed out of the lease cache.",
+	counter("wfe_guard_cache_hits", "Leases that claimed, without parking, a guard last returned by Unpin.",
 		func(t wfe.Telemetry) uint64 { return t.GuardCacheHits }),
-	counter("wfe_guard_cache_misses", "Pin/guardless operations that missed the lease cache.",
+	counter("wfe_guard_cache_misses", "Leases that parked or claimed a guard not last returned by Unpin.",
 		func(t wfe.Telemetry) uint64 { return t.GuardCacheMisses }),
 	counter("wfe_scheme_switches", "Live scheme swaps completed by Domain.Switch.",
 		func(t wfe.Telemetry) uint64 { return t.SchemeSwitches }),
@@ -199,9 +199,9 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.BatchOps }),
 	counter("wfe_batch_items", "Items run inside batched operations.",
 		func(t wfe.Telemetry) uint64 { return t.BatchedItems }),
-	counter("wfe_batch_guard_cache_hits", "Batch entry points that claimed a guard from the lease cache.",
+	counter("wfe_batch_guard_cache_hits", "Batch entry point leases counted as lease-cache hits.",
 		func(t wfe.Telemetry) uint64 { return t.BatchGuardCacheHits }),
-	counter("wfe_batch_guard_cache_misses", "Batch entry points that missed the lease cache.",
+	counter("wfe_batch_guard_cache_misses", "Batch entry point leases counted as lease-cache misses.",
 		func(t wfe.Telemetry) uint64 { return t.BatchGuardCacheMisses }),
 	telGauge("wfe_arena_pressure", "Arena occupancy fraction (in-use blocks over capacity).",
 		func(t wfe.Telemetry) float64 {

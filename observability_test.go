@@ -55,9 +55,9 @@ func TestSampleAllocFree(t *testing.T) {
 }
 
 // TestSampleCountsCachedGuardBatches pins the tick row's batch columns: a
-// guardless TryMultiPut returns its leased guard to the lease cache with
-// the burst still counted on the guard, and Telemetry must see it there
-// too, or the Sampler's batch rates read 0 on guardless batch workloads.
+// guardless TryMultiPut unpins its leased guard with the burst counted on
+// the guard, and Telemetry must see it there, or the Sampler's batch
+// rates read 0 on guardless batch workloads.
 func TestSampleCountsCachedGuardBatches(t *testing.T) {
 	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 12})
 	if err != nil {
@@ -219,7 +219,7 @@ func TestTraceSnapshotDuringChurn(t *testing.T) {
 		t.Fatal("reader never completed a snapshot")
 	}
 
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, true); err != nil {
 		t.Fatalf("quiesce after traced churn: %v", err)
 	}

@@ -91,7 +91,7 @@ func stressOne(t *testing.T, st stressStructure, kind wfe.SchemeKind, forceSlow 
 	parked.Wait()
 
 	// Storm: every operation leases a guard through the guardless public
-	// API (goroutines ≫ MaxGuards exercises parking and the lease cache),
+	// API (goroutines ≫ MaxGuards exercises parking and the lease hint),
 	// with an occasional pinned batch mixed in.
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
@@ -173,7 +173,7 @@ func stressOne(t *testing.T, st stressStructure, kind wfe.SchemeKind, forceSlow 
 	}
 	g.Release()
 
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, kind != wfe.Leak); err != nil {
 		t.Fatalf("%v (backlog before drain was %d)", err, beforeDrain)
 	}

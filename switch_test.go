@@ -33,9 +33,7 @@ func switchChurn(t *testing.T, from, to wfe.SchemeKind) {
 		Scheme: from,
 		// Generous for the Leak endpoints: a Leak origin never recycles a
 		// block, so the arena must hold every pre-switch allocation. The
-		// aggressive EraFreq/CleanupFreq match the rest of the test suite:
-		// Settle's fixed scratch churn must be enough to advance the clock
-		// past the storm's last retire window.
+		// aggressive EraFreq/CleanupFreq match the rest of the test suite.
 		Capacity:    1 << 16,
 		MaxGuards:   4,
 		EraFreq:     32,
@@ -96,7 +94,7 @@ wait: // for switchAt completed operations, or for every worker to fail
 			break
 		}
 	}
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, to != wfe.Leak); err != nil {
 		t.Errorf("post-switch census (%v -> %v): %v", from, to, err)
 	}
@@ -192,7 +190,7 @@ func TestSwitchChainEraFloor(t *testing.T) {
 			break
 		}
 	}
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, true); err != nil {
 		t.Errorf("census after the switch chain: %v", err)
 	}
@@ -532,7 +530,7 @@ func TestSwitchStorm(t *testing.T) {
 		}
 		m.MultiDelete(drain)
 	}
-	quiesce.Settle(d)
+	d.Scavenge()
 	if err := quiesce.Check(d, true); err != nil {
 		t.Fatal(err)
 	}
