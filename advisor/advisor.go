@@ -25,8 +25,8 @@
 //
 // The kernel is pure — plain data in, a Recommendation out, no clocks, no
 // goroutines — so it is equally usable on a live Domain's Telemetry rows,
-// on an internal/chaos trajectory, or on a deserialized artifact
-// (cmd/wfemon reads both wfe-chaos/v1 and wfe-bench/v1 files).
+// on an internal/chaos trajectory, or on a deserialized wfe-chaos/v1
+// artifact (cmd/wfemon replays one).
 package advisor
 
 import (
@@ -248,95 +248,5 @@ func Advise(samples []Sample) Recommendation {
 			fmt.Sprintf("cooperative schedule: no sustained backlog growth (longest scans-active streak %d ticks), no spike episodes, %.1f parks/tick — readers never stall, so the epoch always advances",
 				p.GrowthStreak, p.ParksPerTick))
 	}
-	return rec
-}
-
-// A SweepPoint is one measured point of a cross-scheme benchmark sweep
-// (one wfe-bench/v1 figure result): the same workload measured under a
-// named scheme. Where Advise infers the right scheme from one scheme's
-// time series, AdviseSweep compares schemes that were actually measured.
-type SweepPoint struct {
-	Figure         string  `json:"figure"`
-	Scheme         string  `json:"scheme"`
-	Threads        int     `json:"threads"`
-	Mops           float64 `json:"mops"`
-	UnreclaimedMax int     `json:"unreclaimed_max"`
-}
-
-// Sweep-advisor thresholds.
-const (
-	// BoundFactor scales the best (smallest) measured backlog highwater
-	// into the admissible ceiling: schemes above it bought their
-	// throughput with unbounded memory and are disqualified.
-	BoundFactor = 8
-	// BoundFloor is the absolute ceiling floor in blocks, so measurement
-	// jitter between small highwaters never disqualifies anyone.
-	BoundFloor = 1024
-)
-
-// AdviseSweep recommends a scheme from a measured cross-scheme sweep: per
-// (figure, threads) group it admits every non-Leak scheme whose backlog
-// highwater stayed within BoundFactor of the group's best, picks the
-// fastest admissible scheme, and returns the scheme winning the most
-// groups (total throughput breaking ties). The Leak baseline is never
-// recommended — it exists to bound what the real schemes pay.
-func AdviseSweep(points []SweepPoint) Recommendation {
-	type groupKey struct {
-		figure  string
-		threads int
-	}
-	groups := map[groupKey][]SweepPoint{}
-	for _, pt := range points {
-		if pt.Scheme == "Leak" {
-			continue
-		}
-		k := groupKey{pt.Figure, pt.Threads}
-		groups[k] = append(groups[k], pt)
-	}
-	rec := Recommendation{}
-	if len(groups) == 0 {
-		rec.Scheme = "WFE"
-		rec.Reasons = append(rec.Reasons, "no measured points: defaulting to WFE, the bounded scheme with era-class reads")
-		return rec
-	}
-	wins := map[string]int{}
-	mops := map[string]float64{}
-	for _, pts := range groups {
-		bound := pts[0].UnreclaimedMax
-		for _, pt := range pts {
-			if pt.UnreclaimedMax < bound {
-				bound = pt.UnreclaimedMax
-			}
-		}
-		ceiling := bound * BoundFactor
-		if ceiling < BoundFloor {
-			ceiling = BoundFloor
-		}
-		best := SweepPoint{Mops: -1}
-		for _, pt := range pts {
-			if pt.UnreclaimedMax <= ceiling && pt.Mops > best.Mops {
-				best = pt
-			}
-		}
-		if best.Mops < 0 {
-			continue
-		}
-		wins[best.Scheme]++
-		mops[best.Scheme] += best.Mops
-	}
-	for scheme := range wins {
-		if rec.Scheme == "" || wins[scheme] > wins[rec.Scheme] ||
-			(wins[scheme] == wins[rec.Scheme] && mops[scheme] > mops[rec.Scheme]) {
-			rec.Scheme = scheme
-		}
-	}
-	if rec.Scheme == "" {
-		rec.Scheme = "WFE"
-		rec.Reasons = append(rec.Reasons, "no admissible points in any group: defaulting to WFE")
-		return rec
-	}
-	rec.Reasons = append(rec.Reasons,
-		fmt.Sprintf("fastest scheme with a bounded backlog (within %d× of the best highwater, floor %d) in %d of %d measured groups",
-			BoundFactor, BoundFloor, wins[rec.Scheme], len(groups)))
 	return rec
 }

@@ -162,49 +162,3 @@ func TestAdviseIsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestAdviseSweep(t *testing.T) {
-	// Two groups. In both, Leak is fastest but excluded; EBR is fast but
-	// its highwater blows the 8x-of-best bound; WFE is the fastest
-	// admissible scheme.
-	points := []SweepPoint{
-		{"fig3", "Leak", 16, 90.0, 500000},
-		{"fig3", "EBR", 16, 80.0, 200000},
-		{"fig3", "WFE", 16, 60.0, 2000},
-		{"fig3", "HE", 16, 55.0, 1500},
-		{"fig4", "Leak", 16, 70.0, 400000},
-		{"fig4", "EBR", 16, 65.0, 300000},
-		{"fig4", "WFE", 16, 50.0, 2500},
-		{"fig4", "HE", 16, 45.0, 1800},
-	}
-	rec := AdviseSweep(points)
-	if rec.Scheme != "WFE" {
-		t.Fatalf("AdviseSweep = %q, want WFE (reasons %q)", rec.Scheme, rec.Reasons)
-	}
-
-	// When every scheme is bounded, the fastest wins outright.
-	points = []SweepPoint{
-		{"fig3", "EBR", 8, 100.0, 900},
-		{"fig3", "WFE", 8, 70.0, 800},
-		{"fig3", "HE", 8, 60.0, 700},
-	}
-	rec = AdviseSweep(points)
-	if rec.Scheme != "EBR" {
-		t.Fatalf("AdviseSweep = %q, want EBR (all bounded, EBR fastest)", rec.Scheme)
-	}
-
-	// Empty input defaults to WFE.
-	if rec := AdviseSweep(nil); rec.Scheme != "WFE" {
-		t.Fatalf("AdviseSweep(nil) = %q, want WFE", rec.Scheme)
-	}
-}
-
-func TestAdviseSweepNeverRecommendsLeak(t *testing.T) {
-	points := []SweepPoint{
-		{"fig3", "Leak", 16, 90.0, 100},
-		{"fig3", "WFE", 16, 10.0, 2000},
-	}
-	if rec := AdviseSweep(points); rec.Scheme == "Leak" {
-		t.Fatalf("AdviseSweep recommended the Leak baseline")
-	}
-}

@@ -11,8 +11,8 @@ import "wfe/internal/trace"
 // publication, and a tick of the scan-gating counter. A batch pays each
 // once per burst instead:
 //
-//   - one lease: the guardless batch wrappers pin once via pinBatch and
-//     run every item under that guard;
+//   - one lease: the guardless batch wrappers Pin once and run every
+//     item under that guard;
 //   - one protection span where the scheme allows it: BeginBatch reports
 //     whether a single reservation covers the whole burst (era, epoch and
 //     interval schemes — one span is indistinguishable from one long

@@ -1,11 +1,11 @@
-// Batched-operation benchmarks and the CI guard asserting the
-// acceptance bar: at batch width 32 the TryMultiPut/MultiDelete path must
-// reach at least 1.3x the per-op guardless throughput on the hash-map
-// churn mix for the era schemes, while width 1 — the batch machinery
-// with nothing to amortize — must stay within 1.1x of per-op cost. The
-// benchmarks run in any `go test -bench` sweep; the guard test is
-// env-gated (WFE_OVERHEAD_GUARD=1) because it needs a quiet machine to
-// be a fair judge, and CI runs it on a dedicated step.
+// The batch ablation and the CI guard asserting the acceptance bar: at
+// batch width 32 the TryMultiPut/MultiDelete path must reach at least
+// 1.3x the per-op guardless throughput on the hash-map churn mix for the
+// era schemes, while width 1 — the batch machinery with nothing to
+// amortize — must stay within 1.1x of per-op cost. The benchmark runs in
+// any `go test -bench` sweep; the guard test is env-gated
+// (WFE_OVERHEAD_GUARD=1) because it needs a quiet machine to be a fair
+// judge, and CI runs it on a dedicated step.
 package wfe_test
 
 import (
@@ -65,11 +65,26 @@ func batchChurn(b *testing.B, kind wfe.SchemeKind, width int) {
 	}
 }
 
-func BenchmarkBatchPerOp(b *testing.B) { batchChurn(b, wfe.WFE, 0) }
-func BenchmarkBatch1(b *testing.B)     { batchChurn(b, wfe.WFE, 1) }
-func BenchmarkBatch8(b *testing.B)     { batchChurn(b, wfe.WFE, 8) }
-func BenchmarkBatch32(b *testing.B)    { batchChurn(b, wfe.WFE, 32) }
-func BenchmarkBatch128(b *testing.B)   { batchChurn(b, wfe.WFE, 128) }
+// BenchmarkBatch runs batchChurn per operation and at each batch width
+// under every scheme that recycles blocks (the Leak baseline would fill
+// the arena). Width 1 measures the batch path's fixed overhead, the wider
+// rows its amortization: one lease, one protection span on the era, epoch
+// and interval schemes (HP still rotates hazards per item), and one
+// retire submission per burst.
+func BenchmarkBatch(b *testing.B) {
+	for _, kind := range wfe.AllSchemes() {
+		if kind == wfe.Leak {
+			continue
+		}
+		for _, width := range []int{0, 1, 8, 32, 128} {
+			name := "per-op"
+			if width > 0 {
+				name = fmt.Sprintf("width=%d", width)
+			}
+			b.Run(fmt.Sprint(kind, "/", name), func(b *testing.B) { batchChurn(b, kind, width) })
+		}
+	}
+}
 
 // TestBatchSpeedupGuard is the CI-asserted bar for the batch APIs, per
 // era scheme (WFE and HE): width 32 at >= 1.3x per-op throughput, width

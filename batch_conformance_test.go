@@ -524,8 +524,8 @@ func batchKVPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI,
 }
 
 // batchDrainPhase asserts quiescent cleanliness plus the batch
-// telemetry: the bursts were accounted (BatchOps, BatchedItems) and the
-// guardless entry points went through the batch lease path.
+// telemetry: the bursts were accounted (BatchOps, BatchedItems), and one
+// guardless burst takes exactly one lease.
 func batchDrainPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI, kind wfe.SchemeKind) {
 	t.Helper()
 	g := d.Guard()
@@ -550,11 +550,17 @@ func batchDrainPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI, kind wfe
 	if tel.BatchedItems < tel.BatchOps {
 		t.Fatalf("BatchedItems %d < BatchOps %d", tel.BatchedItems, tel.BatchOps)
 	}
-	if tel.BatchGuardCacheHits+tel.BatchGuardCacheMisses == 0 {
-		t.Fatal("guardless batch entry points recorded no batch lease-cache traffic")
+	if api.kind() == kvKind {
+		api.deleteAll(nil, []uint64{1, 2})
+	} else {
+		api.removeN(nil, 2)
 	}
-	if tel.GuardCacheHits+tel.GuardCacheMisses < tel.BatchGuardCacheHits+tel.BatchGuardCacheMisses {
-		t.Fatal("batch lease traffic not folded into the overall cache totals")
+	after := d.Telemetry()
+	if leases := after.GuardCacheHits + after.GuardCacheMisses - tel.GuardCacheHits - tel.GuardCacheMisses; leases != 1 {
+		t.Fatalf("one guardless burst took %d leases, want 1", leases)
+	}
+	if bursts := after.BatchOps - tel.BatchOps; bursts != 1 {
+		t.Fatalf("one guardless burst added %d BatchOps, want 1", bursts)
 	}
 }
 

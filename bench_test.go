@@ -1,20 +1,28 @@
-// Benchmarks regenerating the paper's figures as testing.B measurements:
-// one benchmark group per figure, with one sub-benchmark per reclamation
-// scheme at GOMAXPROCS workers, each on a pinned guard calling the public
-// structures' Guarded methods. ns/op is the per-operation latency of the
-// figure's workload; the derived Mops/s metric is reported alongside.
+// Benchmarks regenerating the paper's evaluation (§5) as testing.B
+// measurements: one benchmark per figure with one sub-benchmark per
+// reclamation scheme, and one per ablation (ablation_bench_test.go, and
+// BenchmarkBatch and BenchmarkGuardedOps beside them). Every worker runs
+// on a pinned guard calling the public structures' Guarded methods. ns/op
+// is the per-operation latency of the figure's workload. Each row also
+// reports both of the paper's panels — Mops/s, and the unreclaimed blocks
+// sampled every 2 ms (mean and max) — with WFE's slow paths per million
+// operations and the cleanup scans' cost per examined block.
 //
-// These are the quick, b.N-driven counterparts of cmd/wfebench, which runs
-// the full thread sweeps with the paper's timing methodology over the same
-// structure adapters (bench.BuildPublicKV).
+// go test's flags are the sweep: -cpu is the thread axis, and -benchtime
+// 10s -count 5 the paper's methodology (10 s per point, five runs):
+//
+//	go test -run '^$' -bench Fig7HashMap -cpu 1,2,4 .
 package wfe_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wfe"
 	"wfe/internal/bench"
@@ -53,41 +61,149 @@ func newBenchDomain(b *testing.B, name string, threads, capacity int) *wfe.Domai
 	return d
 }
 
-// benchKV runs the workload for b.N total operations across GOMAXPROCS
-// workers over the named structure and scheme.
-func benchKV(b *testing.B, dsName, schemeName string, w bench.Workload) {
-	threads := runtime.GOMAXPROCS(0)
-	capacity := 8*benchPrefill + threads*4096
-	if schemeName == "Leak" {
-		capacity = min(8*benchPrefill+b.N+threads*4096, 1<<23)
+// kvBench is one row of a figure or ablation: a structure and mix under
+// one scheme, plus what an ablation varies.
+type kvBench struct {
+	ds     string // a bench.BuildPublicKV structure
+	scheme string // a legend name; "WFE-slow" and "WFE-IBR-slow" force the slow path
+	w      bench.Workload
+	// tune sets the ablation's swept parameters on the Domain's Options.
+	tune func(*wfe.Options)
+	// stalled parks a bench.StallReader on an extra guard for the run.
+	stalled bool
+	// par runs par×GOMAXPROCS workers (b.SetParallelism); 0 means 1.
+	par int
+}
+
+// benchKV runs r's workload for b.N total operations across its workers
+// after the paper's prefill of 50K keys from a range of 100K.
+func benchKV(b *testing.B, r kvBench) {
+	kind, forceSlow, err := bench.ParseScheme(r.scheme)
+	if err != nil {
+		b.Fatal(err)
 	}
-	d := newBenchDomain(b, schemeName, threads, capacity)
-	kv := bench.BuildPublicKV(dsName, d, benchKeyRange)
-	if err := bench.Prefill(d, kv, dsName, benchPrefill, benchKeyRange); err != nil {
+	par := max(r.par, 1)
+	b.SetParallelism(par)
+	threads := par * runtime.GOMAXPROCS(0)
+	// The live set, at most two blocks (the tree's leaf and routing node)
+	// per prefilled key, four times over, plus headroom for the retired
+	// backlog: the epoch and interval schemes can spike it past 100K
+	// blocks when a worker is descheduled mid-epoch. The Leak baseline
+	// frees nothing, and behind a stalled reader EBR frees nothing retired
+	// after the stall, so those arenas grow with b.N, up to 2^23 blocks
+	// (512 MiB of slots); a full arena there ends the run and is reported
+	// as exhausted.
+	capacity := 8*benchPrefill + threads*4096 + 1<<18
+	unbounded := kind == wfe.Leak || r.stalled
+	if unbounded {
+		capacity = min(capacity+2*b.N, 1<<23)
+	}
+	opts := wfe.Options{Scheme: kind, Capacity: capacity, MaxGuards: threads, ForceSlowPath: forceSlow}
+	if r.stalled {
+		opts.MaxGuards++
+	}
+	if r.tune != nil {
+		r.tune(&opts)
+	}
+	d, err := wfe.NewDomain[uint64](opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kv := bench.BuildPublicKV(r.ds, d, benchKeyRange)
+	if err := bench.Prefill(d, kv, r.ds, benchPrefill, benchKeyRange); err != nil {
 		b.Fatal(err)
 	}
 
+	var stop atomic.Bool
+	var stalled sync.WaitGroup
+	if r.stalled {
+		parked := make(chan struct{})
+		stalled.Add(1)
+		go func() {
+			defer stalled.Done()
+			first := true
+			bench.StallReader(d, func() bool {
+				if first {
+					first = false
+					close(parked)
+				}
+				return stop.Load()
+			})
+		}()
+		<-parked
+	}
+	// The paper's second panel: the retired-but-unfreed backlog, sampled
+	// every 2 ms while the workers run.
+	var sum, samples, peak int
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for !stop.Load() {
+			<-tick.C
+			u := d.Unreclaimed()
+			sum, samples, peak = sum+u, samples+1, max(peak, u)
+		}
+	}()
+
+	// Prefill's scans and slow paths are not the measurement's.
+	base := d.Telemetry()
 	var seeds atomic.Int64
+	var ops atomic.Uint64
+	var full atomic.Int64 // ns from start to the first failed write
 	b.ResetTimer()
+	start := time.Now()
 	b.RunParallel(func(pb *testing.PB) {
 		g := d.Pin()
 		defer d.Unpin(g)
 		rng := rand.New(rand.NewSource(seeds.Add(1)*99991 + 7))
+		n := uint64(0)
+		defer func() { ops.Add(n) }()
 		for pb.Next() {
-			if err := w.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(benchKeyRange))); err != nil {
-				b.Error(err)
+			if err := r.w.Do(kv, g, rng.Intn(100), uint64(rng.Int63n(benchKeyRange))); err != nil {
+				if !unbounded || !errors.Is(err, wfe.ErrArenaExhausted) {
+					b.Error(err)
+				}
+				full.CompareAndSwap(0, int64(time.Since(start)))
+				for pb.Next() { // RunParallel fails a body that returns early
+				}
 				return
 			}
+			n++
 		}
 	})
 	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
-	b.ReportMetric(float64(d.Unreclaimed()), "unreclaimed")
+	stop.Store(true)
+	<-sampled
+	stalled.Wait()
+
+	tel := d.Telemetry()
+	if samples == 0 { // a run shorter than one tick
+		sum, samples, peak = tel.Unreclaimed, 1, tel.Unreclaimed
+	}
+	// ns/op counts the iterations drained after a full arena; Mops/s
+	// counts only the operations done before it filled.
+	elapsed := b.Elapsed()
+	if t := full.Load(); t > 0 {
+		elapsed = time.Duration(t)
+		b.ReportMetric(1, "exhausted")
+	}
+	done := float64(ops.Load())
+	b.ReportMetric(done/elapsed.Seconds()/1e6, "Mops/s")
+	b.ReportMetric(float64(sum)/float64(samples), "unreclaimed-mean")
+	b.ReportMetric(float64(peak), "unreclaimed-max")
+	b.ReportMetric(float64(tel.SlowPaths-base.SlowPaths)/max(done, 1)*1e6, "slow/Mop")
+	if blocks := tel.ScanBlocks - base.ScanBlocks; blocks > 0 {
+		b.ReportMetric(float64(tel.ScanNanos-base.ScanNanos)/float64(blocks), "scan-ns/block")
+	}
 }
 
-func benchFigure(b *testing.B, dsName string, w bench.Workload) {
+// benchFigure runs one paper figure: its structure and mix under every
+// scheme.
+func benchFigure(b *testing.B, ds string, w bench.Workload) {
 	for _, scheme := range benchSchemes {
-		b.Run(scheme, func(b *testing.B) { benchKV(b, dsName, scheme, w) })
+		b.Run(scheme, func(b *testing.B) { benchKV(b, kvBench{ds: ds, scheme: scheme, w: w}) })
 	}
 }
 

@@ -3,23 +3,20 @@
 // artifact — and renders a rate table plus the advisor's current scheme
 // recommendation.
 //
-// Live mode polls the /vars endpoint a -metrics flag (wfebench, wfelat)
-// or metrics.Serve exposes:
+// Live mode polls the /vars endpoint that wfelat's -metrics flag or
+// metrics.Serve exposes:
 //
 //	wfemon -url http://127.0.0.1:9100 -interval 1s
 //	wfemon -url http://127.0.0.1:9100 -once
 //	wfemon -url http://127.0.0.1:9100 -validate   # scrape /metrics, check OpenMetrics shape
 //
-// Artifact mode reads a recorded file, dispatching on its schema field,
-// and renders it as the live table would have shown it, ending with the
-// advisor's recommendation and its evidence: for a wfe-chaos/v1
-// trajectory the stall/spike/park signature analysis (advisor.Advise),
-// for a wfe-bench/v1 sweep the fastest scheme whose backlog stayed
-// bounded per figure×threads group (advisor.AdviseSweep). -json prints
-// only the full Recommendation, as JSON:
+// Artifact mode reads a recorded wfe-chaos/v1 trajectory and renders it
+// as the live table would have shown it, ending with the advisor's
+// recommendation and its evidence, the stall/spike/park signature
+// analysis (advisor.Advise). -json prints only the full Recommendation,
+// as JSON:
 //
-//	wfemon stalled-reader-EBR.json         # wfe-chaos/v1
-//	wfemon BENCH_BASELINE.json             # wfe-bench/v1
+//	wfemon stalled-reader-EBR.json
 //	wfemon -json stalled-reader-EBR.json
 //
 // go test -v -run TestReplay ./cmd/wfemon records the stalled-reader EBR
@@ -40,7 +37,6 @@ import (
 	"time"
 
 	"wfe/advisor"
-	"wfe/internal/bench"
 	"wfe/internal/chaos"
 	"wfe/metrics"
 )
@@ -56,7 +52,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: wfemon -url http://host:port [-interval 1s] [-once] [-validate]\n")
-		fmt.Fprintf(os.Stderr, "       wfemon [-json] <artifact.json>   (schemas: %s, %s)\n", chaos.Schema, bench.ReportSchema)
+		fmt.Fprintf(os.Stderr, "       wfemon [-json] <artifact.json>   (schema: %s)\n", chaos.Schema)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -187,20 +183,10 @@ func replay(w io.Writer, path string, jsonOut bool) error {
 			return writeJSON(w, advisor.Advise(tr.Samples()))
 		}
 		return replayChaos(w, &tr)
-	case bench.ReportSchema:
-		var rep bench.Report
-		if err := json.Unmarshal(blob, &rep); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if jsonOut {
-			return writeJSON(w, advisor.AdviseSweep(sweepPoints(&rep)))
-		}
-		return replayBench(w, &rep)
 	case "":
 		return fmt.Errorf("%s: no schema field; not a wfe artifact", path)
 	default:
-		return fmt.Errorf("%s: unsupported schema %q (want %s or %s)",
-			path, head.Schema, chaos.Schema, bench.ReportSchema)
+		return fmt.Errorf("%s: unsupported schema %q (want %s)", path, head.Schema, chaos.Schema)
 	}
 }
 
@@ -253,38 +239,4 @@ func replayChaos(w io.Writer, tr *chaos.Trajectory) error {
 		tr.Summary.UnreclaimedMax, tr.Summary.UnreclaimedMaxTick,
 		tr.Summary.UnreclaimedFinal, tr.Summary.Scans, tr.Summary.Parks)
 	return nil
-}
-
-// replayBench renders a measured sweep and the sweep-advisor verdict.
-func replayBench(w io.Writer, rep *bench.Report) error {
-	if len(rep.Figures) == 0 {
-		return fmt.Errorf("report has no figure results")
-	}
-	fmt.Fprintf(w, "bench sweep: %d points, %s/%s, %d CPUs\n",
-		len(rep.Figures), rep.GOOS, rep.GOARCH, rep.NumCPU)
-	fmt.Fprintf(w, "  %-12s %-8s %8s %10s %12s\n", "figure", "scheme", "threads", "Mops", "backlog-max")
-	for _, r := range rep.Figures {
-		fmt.Fprintf(w, "  %-12s %-8s %8d %10.2f %12d\n", r.Figure, r.Scheme, r.Threads, r.Mops, r.UnreclaimedMax)
-	}
-	rec := advisor.AdviseSweep(sweepPoints(rep))
-	fmt.Fprintf(w, "\nrecommendation: %s\n", rec.Scheme)
-	for _, r := range rec.Reasons {
-		fmt.Fprintf(w, "  - %s\n", r)
-	}
-	return nil
-}
-
-// sweepPoints converts a measured sweep to the sweep advisor's input.
-func sweepPoints(rep *bench.Report) []advisor.SweepPoint {
-	points := make([]advisor.SweepPoint, len(rep.Figures))
-	for i, r := range rep.Figures {
-		points[i] = advisor.SweepPoint{
-			Figure:         r.Figure,
-			Scheme:         r.Scheme,
-			Threads:        r.Threads,
-			Mops:           r.Mops,
-			UnreclaimedMax: r.UnreclaimedMax,
-		}
-	}
-	return points
 }

@@ -13,9 +13,8 @@ import (
 	"wfe/internal/chaos"
 )
 
-// TestReplay drives artifact mode on both recorded schemas: a chaos
-// trajectory recorded here and the committed benchmark sweep, each as the
-// table and as -json, plus the two inputs it must refuse.
+// TestReplay drives artifact mode on a chaos trajectory recorded here, as
+// the table and as -json, plus the two inputs it must refuse.
 func TestReplay(t *testing.T) {
 	tr, err := chaos.Run(wfe.EBR, chaos.StalledReader().Scenario)
 	if err != nil {
@@ -25,33 +24,24 @@ func TestReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosFile := writeFile(t, string(blob))
-	for _, tc := range []struct {
-		path, want, scheme string
-	}{
-		{chaosFile, "\nfinal recommendation: WFE\n", "WFE"},
-		{"../../BENCH_BASELINE.json", "\nrecommendation: ", ""},
-	} {
-		var table, out strings.Builder
-		if err := replay(&table, tc.path, false); err != nil {
-			t.Fatalf("%s: %v", tc.path, err)
-		}
-		if !strings.Contains(table.String(), tc.want) {
-			t.Errorf("%s: table lacks %q:\n%s", tc.path, tc.want, table.String())
-		}
-		if tc.path == chaosFile {
-			t.Logf("replay of the stalled-reader EBR trajectory:\n%s", table.String())
-		}
-		if err := replay(&out, tc.path, true); err != nil {
-			t.Fatalf("%s -json: %v", tc.path, err)
-		}
-		var rec advisor.Recommendation
-		if err := json.Unmarshal([]byte(out.String()), &rec); err != nil {
-			t.Fatalf("%s -json does not decode: %v\n%s", tc.path, err, out.String())
-		}
-		if rec.Scheme == "" || (tc.scheme != "" && rec.Scheme != tc.scheme) {
-			t.Errorf("%s -json: Scheme = %q, want %q", tc.path, rec.Scheme, tc.scheme)
-		}
+	path := writeFile(t, string(blob))
+	var table, out strings.Builder
+	if err := replay(&table, path, false); err != nil {
+		t.Fatal(err)
+	}
+	if want := "\nfinal recommendation: WFE\n"; !strings.Contains(table.String(), want) {
+		t.Errorf("table lacks %q:\n%s", want, table.String())
+	}
+	t.Logf("replay of the stalled-reader EBR trajectory:\n%s", table.String())
+	if err := replay(&out, path, true); err != nil {
+		t.Fatalf("-json: %v", err)
+	}
+	var rec advisor.Recommendation
+	if err := json.Unmarshal([]byte(out.String()), &rec); err != nil {
+		t.Fatalf("-json does not decode: %v\n%s", err, out.String())
+	}
+	if rec.Scheme != "WFE" {
+		t.Errorf("-json: Scheme = %q, want WFE", rec.Scheme)
 	}
 	for _, content := range []string{`{"ticks": []}`, `{"schema": "wfe-other/v9"}`} {
 		if err := replay(io.Discard, writeFile(t, content), false); err == nil {

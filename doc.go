@@ -109,21 +109,22 @@
 //	internal/quiesce    check the census of a drained, scavenged Domain
 //	internal/chaos      deterministic hostile-schedule engine and its
 //	                    robustness verdict (Canned.Check)
-//	internal/bench      workload generator and per-figure experiment runner
+//	internal/bench      the figures' operation mixes, structure adapters,
+//	                    prefill and stalled reader
 //	advisor             scheme advisor over telemetry trajectories
 //	metrics             OpenMetrics/JSON export of Domain telemetry
-//	cmd/wfebench        regenerates Figures 5–11 and the ablations
 //	cmd/wfeperf         end-to-end and per-layer benchmark (own module)
 //	cmd/wfelat          per-operation latency comparison of the queues
-//	cmd/wfemon          live monitor of a metrics endpoint, or an artifact
-//	                    replayed with the advisor's recommendation
-//	cmd/wfetraj         compares two wfebench -json artifacts point by point
+//	cmd/wfemon          live monitor of a metrics endpoint, or a chaos
+//	                    trajectory replayed with the advisor's recommendation
 //	examples/...        runnable walkthroughs of the public API
 //
 // Each structure has one implementation, and the paper's figures measure
 // it: internal/bench drives the public structures on a Domain (the sorted
 // linked list of Figures 6/9 is a one-bucket HashMap), and
 // conformance_test.go runs all of them through every scheme × acquisition
-// path. The benchmarks in bench_test.go measure one configuration per
-// paper figure; cmd/wfebench performs the full thread sweeps.
+// path. The root benchmarks regenerate Figures 5–11 (bench_test.go) and
+// the ablations (ablation_bench_test.go, BenchmarkBatch and
+// BenchmarkGuardedOps) under go test -bench, whose -cpu flag sweeps the
+// thread count.
 package wfe

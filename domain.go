@@ -166,12 +166,10 @@ type Options struct {
 	// buffers recording guard, retire, scan, era and arena-segment events)
 	// and enables it from birth. Without it the trace façade reports
 	// disabled and SetTraceEnabled(true) returns false — the rings are
-	// only paid for when asked (about 40KiB per guard at DefaultDepth).
+	// only paid for when asked (about 40KiB per guard: each ring keeps the
+	// most recent 1024 records, overwriting older ones in place, and
+	// writers never block or allocate).
 	Trace bool
-	// TraceDepth is the per-ring record capacity, rounded up to a power of
-	// two (default trace.DefaultDepth = 1024). Older records are
-	// overwritten in place; writers never block or allocate.
-	TraceDepth int
 	// AllocRetries is how many backoff-then-rescan rounds an allocation
 	// that found the arena exhausted runs before giving up (default 16).
 	// Every round ticks the scheme's era clock, scans the allocating
@@ -302,7 +300,6 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 		{"MaxAttempts", opts.MaxAttempts},
 		{"SpillSize", opts.SpillSize},
 		{"SortCutoff", opts.SortCutoff},
-		{"TraceDepth", opts.TraceDepth},
 		{"AllocRetries", opts.AllocRetries},
 	} {
 		if tune.v < 0 {
@@ -323,7 +320,7 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 	// of Domains and must not pay for tracing they never enable.
 	var tracer *trace.Tracer
 	if opts.Trace {
-		tracer = trace.New(opts.MaxGuards, opts.TraceDepth)
+		tracer = trace.New(opts.MaxGuards, 0)
 		tracer.SetEnabled(true)
 	}
 	arena := mem.New(mem.Config{
@@ -452,43 +449,26 @@ func (d *Domain[T]) claimed(tid int) *Guard[T] {
 
 // Pin leases a guard to the calling goroutine until Unpin: the cheap way
 // to hold a guard across a batch of operations. It is what every guardless
-// structure method uses per operation; pinning hoists that lease out of a
-// hot loop. The fast path claims the guard last unpinned on this P (one
-// CAS on that guard's own state word, no shared counter); a miss scans the
-// guard table like TryGuard, then parks like AcquireGuard if the Domain is
-// exhausted.
+// structure method uses per operation, and every guardless batch per
+// burst; pinning hoists that lease out of a hot loop. The fast path claims
+// the guard last unpinned on this P (one CAS on that guard's own state
+// word, no shared counter); a miss scans the guard table like TryGuard,
+// then parks like AcquireGuard if the Domain is exhausted.
 //
 // A pinned guard is a plain *Guard: use it with the Guarded method
 // variants, then return it with Unpin. Pin never fails — callers that need
 // a timeout use AcquireGuard.
-func (d *Domain[T]) Pin() *Guard[T] { return d.lease(0) }
-
-// pinBatch is Pin for the guardless batch entry points (MultiGet,
-// TryPushAll, ...): the same lease, counted on the batch side of the
-// guard's lease counters so Telemetry can report the batch lease-cache hit
-// rate on its own.
-func (d *Domain[T]) pinBatch() *Guard[T] { return d.lease(1) }
-
-// lease is Pin with the batch marker (0 per-op, 1 batch) that indexes the
-// guard's lease counters and labels the pool's acquire event.
-func (d *Domain[T]) lease(batch int) *Guard[T] {
+func (d *Domain[T]) Pin() *Guard[T] {
 	if v := d.hint.Get(); v != nil {
 		if tid := v.(*Guard[T]).tid; d.guards.TryClaim(tid) {
-			return d.claimed(tid).leased(batch, false)
+			return d.claimed(tid).leased(false)
 		}
 	}
-	var tid int
-	var ok bool
-	if batch == 0 {
-		tid, ok = d.guards.TryAcquire()
-	} else {
-		tid, ok = d.guards.TryAcquireBatch()
+	if tid, ok := d.guards.TryAcquire(); ok {
+		return d.claimed(tid).leased(false)
 	}
-	if ok {
-		return d.claimed(tid).leased(batch, false)
-	}
-	tid, _ = d.guards.Acquire(context.Background()) // never errs: ctx has no deadline
-	return d.claimed(tid).leased(batch, true)
+	tid, _ := d.guards.Acquire(context.Background()) // never errs: ctx has no deadline
+	return d.claimed(tid).leased(true)
 }
 
 // leased counts a lease of a just-claimed guard: a hit when it was
@@ -496,11 +476,11 @@ func (d *Domain[T]) lease(batch int) *Guard[T] {
 // miss otherwise. Keying on the last return, not on the hint, counts a
 // guard the hint lost (sync.Pool drops entries at will) but the table
 // scan found idle as the hit it is.
-func (g *Guard[T]) leased(batch int, parked bool) *Guard[T] {
+func (g *Guard[T]) leased(parked bool) *Guard[T] {
 	if g.unpinned && !parked {
-		bump(&g.leaseHits[batch])
+		bump(&g.leaseHits)
 	} else {
-		bump(&g.leaseMisses[batch])
+		bump(&g.leaseMisses)
 	}
 	return g
 }
@@ -713,19 +693,16 @@ type Telemetry struct {
 	GuardsFree       int    // tids free in the guard table, unpinned guards included (quiescently exact)
 	GuardAcquires    uint64 // guards a table scan or a handoff gave out (TryGuard, AcquireGuard, leases whose P hint failed)
 	GuardParks       uint64 // times an acquirer parked waiting for a free guard
-	GuardCacheHits   uint64 // leases (Pin, guardless ops) that claimed, without parking, a guard last returned by Unpin
+	GuardCacheHits   uint64 // leases (Pin, guardless ops and batches) that claimed, without parking, a guard last returned by Unpin
 	GuardCacheMisses uint64 // every other lease: parked, or the guard's last return was Release or none
 
 	// Batched-operation counters (MultiGet, TryPushAll, DequeueN, ...):
 	// BatchOps counts completed batches, BatchedItems the operations they
-	// carried (BatchedItems/BatchOps is the realized mean batch size).
-	// BatchGuardCacheHits/Misses split out the leases of the guardless
-	// batch entry points — with one lease per burst, hits should track
-	// BatchOps, not BatchedItems.
-	BatchOps              uint64
-	BatchedItems          uint64
-	BatchGuardCacheHits   uint64
-	BatchGuardCacheMisses uint64
+	// carried (BatchedItems/BatchOps is the realized mean batch size). A
+	// guardless batch takes one lease per burst, counted in
+	// GuardCacheHits/Misses like any other.
+	BatchOps     uint64
+	BatchedItems uint64
 
 	// SchemeSwitches counts live scheme swaps completed by Domain.Switch
 	// over the Domain's lifetime.
@@ -776,13 +753,11 @@ func (d *Domain[T]) Telemetry() Telemetry {
 		GuardsFree:       d.guards.Free(),
 		GuardAcquires:    gp.Acquires,
 		GuardParks:       gp.Parks,
-		GuardCacheHits:   gc.hits[0] + gc.hits[1],
-		GuardCacheMisses: gc.misses[0] + gc.misses[1],
+		GuardCacheHits:   gc.hits,
+		GuardCacheMisses: gc.misses,
 
-		BatchOps:              gc.batchOps,
-		BatchedItems:          gc.batchItems,
-		BatchGuardCacheHits:   gc.hits[1],
-		BatchGuardCacheMisses: gc.misses[1],
+		BatchOps:     gc.batchOps,
+		BatchedItems: gc.batchItems,
 
 		SchemeSwitches: d.schemeSwitches.Load(),
 
@@ -814,11 +789,9 @@ func slowPaths(s reclaim.Scheme) uint64 {
 }
 
 // guardCounts is the per-guard lease and batch accounting summed over the
-// guard table; hits and misses are indexed like the guards' counters
-// (0 per-op, 1 batch).
+// guard table.
 type guardCounts struct {
-	hits, misses         [2]uint64
-	batchOps, batchItems uint64
+	hits, misses, batchOps, batchItems uint64
 }
 
 // guardCounts sums every guard's counters. Each guard keeps its own for
@@ -827,10 +800,8 @@ type guardCounts struct {
 func (d *Domain[T]) guardCounts() (c guardCounts) {
 	for i := range d.gs {
 		g := &d.gs[i]
-		for b := range c.hits {
-			c.hits[b] += g.leaseHits[b].Load()
-			c.misses[b] += g.leaseMisses[b].Load()
-		}
+		c.hits += g.leaseHits.Load()
+		c.misses += g.leaseMisses.Load()
 		c.batchOps += g.batchOps.Load()
 		c.batchItems += g.batchItems.Load()
 	}
@@ -900,8 +871,8 @@ func (d *Domain[T]) SetTraceEnabled(on bool) bool {
 
 // TraceEvents snapshots the tracer's ring buffers without stopping
 // writers, returning the retained events in timestamp order (nil without
-// Options.Trace). Each ring keeps the most recent TraceDepth records per
-// guard; older events have been overwritten.
+// Options.Trace). Each ring keeps the most recent 1024 records per guard;
+// older events have been overwritten.
 func (d *Domain[T]) TraceEvents() []TraceEvent {
 	if d.tracer == nil {
 		return nil
@@ -1225,14 +1196,13 @@ type Guard[T any] struct {
 	// bursts in a hot loop allocates its node lists once, not per burst.
 	batchNodes [2][]Ref[T]
 
-	// Lease and batch accounting for the Domain's life; the lease counters
-	// are indexed 0 per-op, 1 batch. Only the guard's holder writes
-	// (load-then-store, no read-modify-write), so a lease or a burst
-	// updates a line no other guard writes instead of contending on a
-	// shared Domain counter. Each store is still atomic, an implicitly
+	// Lease and batch accounting for the Domain's life. Only the guard's
+	// holder writes (load-then-store, no read-modify-write), so a lease or
+	// a burst updates a line no other guard writes instead of contending
+	// on a shared Domain counter. Each store is still atomic, an implicitly
 	// locked XCHG on amd64, because Telemetry sums the fields concurrently
 	// over the guard table.
-	leaseHits, leaseMisses [2]atomic.Uint64
+	leaseHits, leaseMisses atomic.Uint64
 	batchOps, batchItems   atomic.Uint64
 
 	// The padding keeps the next guard's fields, written by its own

@@ -5,6 +5,7 @@
 package wfe_test
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -93,6 +94,8 @@ func BenchmarkGuardAcquireRelease(b *testing.B) {
 // the whole run — the floor), guardless (one lease per operation — must
 // stay within 1.5x of pinned), and acquire-per-op (a guard-table scan
 // every operation — what guardless would cost without the per-P hint).
+// guardless-8x runs eight goroutines per guard, so leases park; the
+// guardless rows report parks per operation.
 func BenchmarkGuardedOps(b *testing.B) {
 	newStack := func(b *testing.B) (*wfe.Domain[uint64], *wfe.Stack[uint64]) {
 		b.Helper()
@@ -116,18 +119,26 @@ func BenchmarkGuardedOps(b *testing.B) {
 			}
 		})
 	})
-	b.Run("guardless", func(b *testing.B) {
-		_, s := newStack(b)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := s.TryPush(1); err != nil {
-					b.Error(err)
-					return
+	for _, par := range []int{1, 8} {
+		name := "guardless"
+		if par > 1 {
+			name = fmt.Sprintf("guardless-%dx", par)
+		}
+		b.Run(name, func(b *testing.B) {
+			d, s := newStack(b)
+			b.SetParallelism(par)
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if err := s.TryPush(1); err != nil {
+						b.Error(err)
+						return
+					}
+					s.Pop()
 				}
-				s.Pop()
-			}
+			})
+			b.ReportMetric(float64(d.Telemetry().GuardParks)/float64(b.N), "parks/op")
 		})
-	})
+	}
 	b.Run("acquire-per-op", func(b *testing.B) {
 		d, s := newStack(b)
 		b.RunParallel(func(pb *testing.PB) {

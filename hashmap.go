@@ -312,7 +312,7 @@ func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
 // burst (see batch.go for the amortization model). Results are
 // positional: vals[i], oks[i] answer keys[i].
 func (m *HashMap[T]) MultiGet(keys []uint64) (vals []T, oks []bool) {
-	g := m.d.pinBatch()
+	g := m.d.Pin()
 	defer m.d.unpin(g)
 	return m.MultiGetGuarded(g, keys)
 }
@@ -333,7 +333,7 @@ func (m *HashMap[T]) MultiGetGuarded(g *Guard[T], keys []uint64) (vals []T, oks 
 // the end of the batch, so the cleanup cadence ticks once instead of
 // once per key.
 func (m *HashMap[T]) MultiDelete(keys []uint64) (oks []bool) {
-	g := m.d.pinBatch()
+	g := m.d.Pin()
 	defer m.d.unpin(g)
 	return m.MultiDeleteGuarded(g, keys)
 }
@@ -355,7 +355,7 @@ func (m *HashMap[T]) MultiDeleteGuarded(g *Guard[T], keys []uint64) (oks []bool)
 // that prefix length alongside ErrArenaExhausted — callers resume from
 // keys[applied:].
 func (m *HashMap[T]) TryMultiPut(keys []uint64, vals []T) (applied int, err error) {
-	g := m.d.pinBatch()
+	g := m.d.Pin()
 	defer m.d.unpin(g)
 	return m.TryMultiPutGuarded(g, keys, vals)
 }

@@ -7,11 +7,8 @@ import (
 	"wfe"
 )
 
-// DSNames lists the structures BuildPublicKV builds, in figure order.
-var DSNames = []string{"wfqueue", "turnqueue", "list", "hashmap", "tree"}
-
-// PublicKV adapts one shipped public structure to the workload drivers:
-// the figure runner and the root package's BenchmarkFig*. Every call goes
+// PublicKV adapts one shipped public structure to the workload drivers,
+// the root package's figure benchmarks and storms. Every call goes
 // through the structure's Guarded method on the caller's guard. Queues
 // ignore the key on Remove and panic on Get/Put; keys double as values
 // everywhere. The writes return the structure's error:
@@ -90,8 +87,8 @@ func BuildPublicKV(name string, d *wfe.Domain[uint64], keyRange uint64) PublicKV
 	panic("bench: unknown data structure " + name)
 }
 
-// IsQueue reports whether the structure only supports insert/remove.
-func IsQueue(name string) bool { return name == "wfqueue" || name == "turnqueue" }
+// isQueue reports whether the structure only supports insert/remove.
+func isQueue(name string) bool { return name == "wfqueue" || name == "turnqueue" }
 
 // ParseScheme maps a scheme's legend name to its kind, accepting the
 // forced-slow-path variants "WFE-slow" and "WFE-IBR-slow" (the paper's §5
@@ -104,7 +101,3 @@ func ParseScheme(name string) (kind wfe.SchemeKind, forceSlow bool, err error) {
 	kind, err = wfe.ParseScheme(base)
 	return kind, forceSlow, err
 }
-
-// MaxTurnGuards is the CRTurn claim word's tid capacity: TurnQueue domains
-// must keep MaxGuards below 255, so sweeps clamp their thread counts.
-const MaxTurnGuards = 254

@@ -233,27 +233,18 @@ func (p *Pool) Free() int { return len(p.cells) - p.Held() }
 // park (a waiter that left without its id — context cancelled — strands
 // it there until someone claims it). During a pause epoch it reports
 // false.
-func (p *Pool) TryAcquire() (int, bool) { return p.tryAcquire(0) }
-
-// TryAcquireBatch is TryAcquire on behalf of a batch entry point
-// (MultiGet, TryPushAll, ...): identical semantics, but the acquire
-// lifecycle event carries the batch marker in its B payload, so a trace
-// can attribute pool traffic to batch leases — with one lease per burst,
-// batch-marked acquires should stay rare next to the per-op kind.
-func (p *Pool) TryAcquireBatch() (int, bool) { return p.tryAcquire(1) }
-
-func (p *Pool) tryAcquire(batch uint64) (int, bool) {
+func (p *Pool) TryAcquire() (int, bool) {
 	if p.Paused() {
 		return 0, false
 	}
 	if tid, ok := p.claimLowest(); ok {
-		p.acquired(tid, trace.AcquireFreelist, batch)
+		p.acquired(tid, trace.AcquireFreelist)
 		return tid, true
 	}
 	if p.waiters.Load() == 0 {
 		select {
 		case tid := <-p.hand:
-			p.acquired(p.receive(tid), trace.AcquireHandoff, batch)
+			p.acquired(p.receive(tid), trace.AcquireHandoff)
 			return tid, true
 		default:
 		}
@@ -262,9 +253,9 @@ func (p *Pool) tryAcquire(batch uint64) (int, bool) {
 }
 
 // acquired accounts one id handed to a caller.
-func (p *Pool) acquired(tid int, source, batch uint64) {
+func (p *Pool) acquired(tid int, source uint64) {
 	p.acquires.Add(1)
-	p.tracer.Emit(tid, trace.KindGuardAcquire, source, batch)
+	p.tracer.Emit(tid, trace.KindGuardAcquire, source, 0)
 }
 
 // Release returns an id to the pool. The id becomes free at once; with
@@ -320,7 +311,7 @@ func (p *Pool) Acquire(ctx context.Context) (int, error) {
 		}
 		if tid, ok := p.claimLowest(); ok {
 			p.waiters.Add(-1)
-			p.acquired(tid, trace.AcquireFreelist, 0)
+			p.acquired(tid, trace.AcquireFreelist)
 			return tid, nil
 		}
 		p.parks.Add(1)
@@ -336,7 +327,7 @@ func (p *Pool) Acquire(ctx context.Context) (int, error) {
 		select {
 		case tid := <-p.hand:
 			p.waiters.Add(-1)
-			p.acquired(p.receive(tid), trace.AcquireHandoff, 0)
+			p.acquired(p.receive(tid), trace.AcquireHandoff)
 			return tid, nil
 		case <-ctx.Done():
 			p.waiters.Add(-1)

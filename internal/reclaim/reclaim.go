@@ -135,8 +135,9 @@ type Config struct {
 	// binary-searching it (sorting a tiny snapshot costs more than
 	// sweeping it). Zero selects DefaultSortCutoff; math.MaxInt pins every
 	// scan to the pre-overhaul O(R×G) linear sweep, the reference arm of
-	// the scan ablation (cmd/wfebench -ablation scan). The two tests are
-	// property-tested equivalent, so the value is purely a cost choice.
+	// the scan ablation (the root BenchmarkAblationScan and BenchmarkScan).
+	// The two tests are property-tested equivalent, so the value is purely
+	// a cost choice.
 	SortCutoff int
 	// InitialEra, when above a scheme's natural starting value, seeds the
 	// global era/epoch clock. Live scheme switching depends on it: blocks
@@ -156,8 +157,8 @@ type Config struct {
 // DefaultSortCutoff is the linear/sorted crossover a zero
 // Config.SortCutoff selects for every judge: the gathered-reservation
 // count below which the per-block linear sweep beat sort-once-plus-
-// binary-search on the original development host (measured by
-// cmd/wfebench -ablation scan).
+// binary-search on the original development host (measured by the scan
+// ablation, the root BenchmarkAblationScan and BenchmarkScan).
 const DefaultSortCutoff = 32
 
 // Defaults fills unset fields with the paper's evaluation parameters.
@@ -257,7 +258,7 @@ const StepHistBuckets = 64
 
 // StepHist is a single-writer histogram of per-call GetProtected step
 // counts, the distribution behind the paper's bounded-steps claim (the
-// Max worst case is its tail, the BENCH_*.json p99 its body). Each thread
+// Max worst case is its tail, Telemetry.P99Steps its body). Each thread
 // records into its own padded copy; counts are published with atomic
 // stores so trajectory samplers (Retirer.Probe, Domain.Telemetry) can Merge
 // a live histogram concurrently and read an approximate-but-race-free

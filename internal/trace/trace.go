@@ -26,8 +26,7 @@ const (
 	// KindInvalid marks an unwritten or torn slot; never exported.
 	KindInvalid Kind = iota
 	// KindGuardAcquire: a pool guard was acquired. A is the source
-	// (AcquireFreelist, AcquireHandoff); B is 1 when the acquisition
-	// served a batch entry point (one lease per burst), else 0.
+	// (AcquireFreelist, AcquireHandoff).
 	KindGuardAcquire
 	// KindGuardPark: an Acquire found no free tid in the guard table and
 	// parked on the handoff channel. Emitted on the shared ring (no tid

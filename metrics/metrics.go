@@ -199,10 +199,6 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.BatchOps }),
 	counter("wfe_batch_items", "Items run inside batched operations.",
 		func(t wfe.Telemetry) uint64 { return t.BatchedItems }),
-	counter("wfe_batch_guard_cache_hits", "Batch entry point leases counted as lease-cache hits.",
-		func(t wfe.Telemetry) uint64 { return t.BatchGuardCacheHits }),
-	counter("wfe_batch_guard_cache_misses", "Batch entry point leases counted as lease-cache misses.",
-		func(t wfe.Telemetry) uint64 { return t.BatchGuardCacheMisses }),
 	telGauge("wfe_arena_pressure", "Arena occupancy fraction (in-use blocks over capacity).",
 		func(t wfe.Telemetry) float64 {
 			if t.Capacity == 0 {
@@ -344,8 +340,7 @@ func (r *Registry) WriteVars(w io.Writer) error {
 //
 //	/metrics        OpenMetrics exposition
 //	/vars           JSON telemetry dump
-//	/debug/pprof/…  net/http/pprof (profiles label bench workers by
-//	                scheme/structure/phase when they set pprof labels)
+//	/debug/pprof/…  net/http/pprof
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {

@@ -134,7 +134,7 @@ func (q *Queue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 // prefix length alongside ErrArenaExhausted — callers resume from
 // vs[enqueued:].
 func (q *Queue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
-	g := q.d.pinBatch()
+	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.TryEnqueueAllGuarded(g, vs)
 }
@@ -154,7 +154,7 @@ func (q *Queue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err 
 // of the batch, so the cleanup cadence ticks once instead of once per
 // dequeue. Values come back in FIFO order.
 func (q *Queue[T]) DequeueN(n int) []T {
-	g := q.d.pinBatch()
+	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.DequeueNGuarded(g, n)
 }

@@ -100,7 +100,7 @@ func (s *Stack[T]) PopGuarded(g *Guard[T]) (v T, ok bool) {
 // are still pushed and TryPushAll reports that prefix length alongside
 // ErrArenaExhausted — callers resume from vs[pushed:].
 func (s *Stack[T]) TryPushAll(vs []T) (pushed int, err error) {
-	g := s.d.pinBatch()
+	g := s.d.Pin()
 	defer s.d.unpin(g)
 	return s.TryPushAllGuarded(g, vs)
 }
@@ -120,7 +120,7 @@ func (s *Stack[T]) TryPushAllGuarded(g *Guard[T], vs []T) (pushed int, err error
 // batch, so the cleanup cadence ticks once instead of once per pop.
 // Values come back in pop order (top first).
 func (s *Stack[T]) PopN(n int) []T {
-	g := s.d.pinBatch()
+	g := s.d.Pin()
 	defer s.d.unpin(g)
 	return s.PopNGuarded(g, n)
 }

@@ -446,7 +446,7 @@ func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, 
 // alongside ErrArenaExhausted, and inserted[i] is false for every
 // unattempted i — callers resume from keys[attempted:].
 func (t *Tree[T]) TryMultiInsert(keys []uint64, vals []T) (inserted []bool, attempted int, err error) {
-	g := t.d.pinBatch()
+	g := t.d.Pin()
 	defer t.d.unpin(g)
 	return t.TryMultiInsertGuarded(g, keys, vals)
 }
@@ -494,7 +494,7 @@ func (t *Tree[T]) TryMultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (i
 // as one burst at the end of the batch, so the cleanup cadence ticks
 // once instead of once per key.
 func (t *Tree[T]) MultiDelete(keys []uint64) (oks []bool) {
-	g := t.d.pinBatch()
+	g := t.d.Pin()
 	defer t.d.unpin(g)
 	return t.MultiDeleteGuarded(g, keys)
 }

@@ -112,7 +112,7 @@ func (q *nodeQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 // reporting the enqueued prefix length alongside ErrArenaExhausted —
 // callers resume from vs[enqueued:].
 func (q *nodeQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
-	g := q.d.pinBatch()
+	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.TryEnqueueAllGuarded(g, vs)
 }
@@ -129,7 +129,7 @@ func (q *nodeQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, 
 // DequeueN removes up to n values under one guard lease, stopping early
 // when the queue empties. Values come back in FIFO order.
 func (q *nodeQueue[T]) DequeueN(n int) []T {
-	g := q.d.pinBatch()
+	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.DequeueNGuarded(g, n)
 }
