@@ -1,9 +1,10 @@
 // Package advisor is the telemetry-driven scheme advisor: a pure decision
 // kernel that reads a recorded telemetry trajectory and recommends the
 // reclamation scheme whose robustness/throughput trade-off fits the
-// observed schedule. It is the first half of the roadmap's adaptive
-// runtime — the detector that live scheme switching would consume; today
-// its recommendation is applied by configuring the next Domain.
+// observed schedule. It is the detector half of wfe's adaptive runtime: a
+// Domain's background Sampler judges its window of Telemetry rows with
+// Advise after every tick, and SamplerConfig.AutoSwitch applies a
+// recommendation that holds for three ticks as a live Domain.SwitchWithin.
 //
 // The paper's Table 1 frames the choice this kernel automates: EBR has the
 // cheapest reads but one stalled reader stops all reclamation; HP/HE-class

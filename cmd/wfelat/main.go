@@ -152,7 +152,7 @@ func measure(kind wfe.SchemeKind, name, progress string, workers int, duration t
 	if err != nil {
 		return Point{}, err
 	}
-	reg.Register(name, d.Telemetry)
+	reg.Register(name, d)
 	defer reg.Unregister(name)
 	q := build(d)
 

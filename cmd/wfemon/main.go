@@ -4,7 +4,9 @@
 // recommendation.
 //
 // Live mode polls the /vars endpoint that wfelat's -metrics flag or
-// metrics.Serve exposes:
+// metrics.Serve exposes. Its rates are the counters' differences from the
+// previous poll over the time between the two, so the first poll shows
+// "-" for each:
 //
 //	wfemon -url http://127.0.0.1:9100 -interval 1s
 //	wfemon -url http://127.0.0.1:9100 -once
@@ -36,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"wfe"
 	"wfe/advisor"
 	"wfe/internal/chaos"
 	"wfe/metrics"
@@ -65,7 +68,7 @@ func main() {
 		}
 		fmt.Println("OpenMetrics exposition OK")
 	case *url != "":
-		if err := live(*url, *interval, *once, *count); err != nil {
+		if err := live(os.Stdout, *url, *interval, *once, *count); err != nil {
 			fmt.Fprintf(os.Stderr, "wfemon: %v\n", err)
 			os.Exit(2)
 		}
@@ -94,14 +97,14 @@ func validateEndpoint(base string) error {
 	return metrics.Validate(resp.Body)
 }
 
-// live polls /vars and renders the table until interrupted (or count
-// polls have run). Errors on individual polls are transient — a tool
-// serving -metrics may not have registered its domain yet — so they
+// live polls /vars and renders the table to w until interrupted (or
+// count polls have run). Errors on individual polls are transient — a
+// tool serving -metrics may not have registered its domain yet — so they
 // print and the loop continues; only a setup error aborts.
-func live(base string, interval time.Duration, once bool, count int) error {
+func live(w io.Writer, base string, interval time.Duration, once bool, count int) error {
 	base = strings.TrimRight(base, "/")
-	polls := 0
-	for {
+	var prev poll
+	for polls := 1; ; polls++ {
 		vars, err := fetchVars(base)
 		if err != nil {
 			if once {
@@ -109,14 +112,21 @@ func live(base string, interval time.Duration, once bool, count int) error {
 			}
 			fmt.Fprintf(os.Stderr, "wfemon: poll: %v\n", err)
 		} else {
-			render(os.Stdout, vars)
+			cur := poll{at: time.Now(), vars: vars}
+			render(w, cur, prev)
+			prev = cur
 		}
-		polls++
 		if once || (count > 0 && polls >= count) {
 			return nil
 		}
 		time.Sleep(interval)
 	}
+}
+
+// poll is one /vars reading and when it was taken.
+type poll struct {
+	at   time.Time
+	vars []metrics.Vars
 }
 
 func fetchVars(base string) ([]metrics.Vars, error) {
@@ -136,25 +146,38 @@ func fetchVars(base string) ([]metrics.Vars, error) {
 	return vars, nil
 }
 
-// render prints one poll's table: a row per registered domain.
-func render(w io.Writer, vars []metrics.Vars) {
-	fmt.Fprintf(w, "%s\n", time.Now().Format("15:04:05"))
+// render prints one poll's table, a row per registered domain. A rate is
+// the counter's difference from the previous poll over the time between
+// them; parks is the difference alone. A domain the previous poll lacks
+// shows "-" for each.
+func render(w io.Writer, cur, prev poll) {
+	last := make(map[string]wfe.Telemetry, len(prev.vars))
+	for _, v := range prev.vars {
+		last[v.Domain] = v.Telemetry
+	}
+	dt := cur.at.Sub(prev.at).Seconds()
+	delta := func(now, then uint64) float64 { return float64(now) - float64(then) }
+	fmt.Fprintf(w, "%s\n", cur.at.Format("15:04:05"))
 	fmt.Fprintf(w, "  %-12s %-8s %10s %10s %12s %12s %10s %8s  %s\n",
-		"domain", "scheme", "backlog", "in-use", "allocs/s", "retires/s", "scans/s", "parks/t", "advice")
-	for _, v := range vars {
+		"domain", "scheme", "backlog", "in-use", "allocs/s", "retires/s", "scans/s", "parks", "advice")
+	for _, v := range cur.vars {
+		t := v.Telemetry
 		allocRate, retireRate, scanRate, parks := "-", "-", "-", "-"
-		if v.Rates != nil {
-			allocRate = fmt.Sprintf("%.0f", v.Rates.AllocsPerSec)
-			retireRate = fmt.Sprintf("%.0f", v.Rates.RetiresPerSec)
-			scanRate = fmt.Sprintf("%.1f", v.Rates.ScansPerSec)
-			parks = fmt.Sprintf("%.2f", v.Rates.ParksPerTick)
+		if p, ok := last[v.Domain]; ok && dt > 0 {
+			allocRate = fmt.Sprintf("%.0f", delta(t.Allocs, p.Allocs)/dt)
+			// Every retired block was either recycled or is still in the
+			// backlog.
+			retires := delta(t.Frees, p.Frees) + float64(t.Unreclaimed-p.Unreclaimed)
+			retireRate = fmt.Sprintf("%.0f", retires/dt)
+			scanRate = fmt.Sprintf("%.1f", delta(t.ScanScans, p.ScanScans)/dt)
+			parks = fmt.Sprintf("%.0f", delta(t.GuardParks, p.GuardParks))
 		}
 		advice := v.Recommendation
 		if advice == "" {
 			advice = "-"
 		}
 		fmt.Fprintf(w, "  %-12s %-8s %10d %10d %12s %12s %10s %8s  %s\n",
-			v.Domain, v.Telemetry.Scheme, v.Telemetry.Unreclaimed, v.Telemetry.InUse,
+			v.Domain, t.Scheme, t.Unreclaimed, t.InUse,
 			allocRate, retireRate, scanRate, parks, advice)
 	}
 }
@@ -197,9 +220,10 @@ func writeJSON(w io.Writer, rec advisor.Recommendation) error {
 	return enc.Encode(rec)
 }
 
-// replayChaos streams the trajectory through a Monitor tick by tick,
-// printing the table rows a live session would have produced (decimated
-// to at most 24 rows) and every recommendation change as it happens.
+// replayChaos judges each prefix of the trajectory with Advise, as a
+// live sampler would have after that tick, printing the table rows a live
+// session would have produced (decimated to at most 24 rows) and every
+// recommendation change as it happens.
 func replayChaos(w io.Writer, tr *chaos.Trajectory) error {
 	samples := tr.Samples()
 	if len(samples) == 0 {
@@ -209,14 +233,12 @@ func replayChaos(w io.Writer, tr *chaos.Trajectory) error {
 		tr.Scenario, tr.Scheme, len(tr.Ticks), tr.Seed)
 	fmt.Fprintf(w, "  %6s %10s %10s %10s %8s %8s  %s\n",
 		"tick", "backlog", "scans", "p99steps", "parks", "stalled", "advice")
-	m := advisor.NewMonitor(0)
 	step := (len(samples) + 23) / 24
-	advice := ""
+	var rec advisor.Recommendation
 	for i, s := range samples {
-		rec, changed := m.Push(s)
-		if changed {
-			advice = rec.Scheme
-		}
+		prev := rec.Scheme
+		rec = advisor.Advise(samples[:i+1])
+		changed := rec.Scheme != prev
 		if i%step == 0 || changed || i == len(samples)-1 {
 			stalled := ""
 			if tr.Ticks[i].Stalled {
@@ -227,12 +249,11 @@ func replayChaos(w io.Writer, tr *chaos.Trajectory) error {
 				marker = "  <- advice now " + rec.Scheme
 			}
 			fmt.Fprintf(w, "  %6d %10d %10d %10d %8d %8s  %s%s\n",
-				s.Tick, s.Unreclaimed, s.ScanScans, s.P99Steps, s.GuardParks, stalled, advice, marker)
+				s.Tick, s.Unreclaimed, s.ScanScans, s.P99Steps, s.GuardParks, stalled, rec.Scheme, marker)
 		}
 	}
-	final, _ := m.Current()
-	fmt.Fprintf(w, "\nfinal recommendation: %s\n", final.Scheme)
-	for _, r := range final.Reasons {
+	fmt.Fprintf(w, "\nfinal recommendation: %s\n", rec.Scheme)
+	for _, r := range rec.Reasons {
 		fmt.Fprintf(w, "  - %s\n", r)
 	}
 	fmt.Fprintf(w, "summary: highwater %d (tick %d), final backlog %d, %d scans, %d parks\n",

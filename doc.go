@@ -83,7 +83,8 @@
 //	batch.go            the batch context behind the Multi*, TryMulti*,
 //	                    TryPushAll, PopN, TryEnqueueAll and DequeueN
 //	                    entry points
-//	sampler.go          the background Sampler: tick rows, rates, advice
+//	sampler.go          the background Sampler: one window of Telemetry
+//	                    rows and the advice judged over it
 //	stack.go            public Treiber stack
 //	queue.go            public Michael–Scott queue
 //	wfqueue.go          public Kogan–Petrank wait-free queue, and nodeQueue,

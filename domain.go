@@ -899,8 +899,8 @@ func (d *Domain[T]) WriteTrace(w io.Writer) error {
 
 // StartSampler starts the Domain's background Sampler, the streaming tier
 // of its observability: a goroutine collecting Telemetry rows at
-// cfg.Interval into a bounded history, deriving rate EWMAs, and keeping a live
-// advisor recommendation current (see Sampler). At most one sampler runs
+// cfg.Interval into a bounded window and keeping the advisor's
+// recommendation over that window current (see Sampler). At most one sampler runs
 // per Domain: while one is running, StartSampler returns it untouched
 // (idempotent); after Stop, a new call starts a fresh one. Stop the
 // sampler before letting the Domain go out of scope or its goroutine —
@@ -989,7 +989,7 @@ func (d *Domain[T]) Close() error {
 //
 // Cumulative telemetry (scan counts, step histograms, slow paths) carries
 // across the swap and the era clock never moves back, so Sampler
-// histories and Monitor trajectories stay monotone.
+// histories and the advisor's window stay monotone.
 // Telemetry.SchemeSwitches counts completed swaps, and the tracer (when
 // armed) records a scheme-switch event with the outgoing and incoming
 // kinds.

@@ -58,9 +58,10 @@ func ExampleDomain() {
 
 // ExampleDomain_StartSampler runs the background observability sampler:
 // one goroutine collecting the allocation-free Domain.Telemetry row every
-// Interval, deriving EWMA rates and streaming the rows through the live
-// scheme advisor. Production code would set SamplerConfig.OnRecommendation
-// (or poll Rates) instead of sleeping.
+// Interval into a bounded window and judging that window with the scheme
+// advisor. A rate is the difference of two rows over the ticks between
+// them. Production code would set SamplerConfig.OnRecommendation instead
+// of sleeping.
 func ExampleDomain_StartSampler() {
 	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 12})
 	if err != nil {
@@ -86,18 +87,23 @@ func ExampleDomain_StartSampler() {
 			}
 		}
 	}()
+	// allocsPerSec reads the allocation rate across the window.
+	allocsPerSec := func() float64 {
+		h := s.History()
+		first, last := h[0], h[len(h)-1]
+		return float64(last.Allocs-first.Allocs) / (float64(len(h)-1) * s.Interval().Seconds())
+	}
 	// Wait for what the output reports, not for a tick count: on a loaded
 	// host the churn goroutine can miss any fixed number of ticks.
-	for s.Ticks() < 5 || s.Rates().AllocsPerSec == 0 {
+	for s.Ticks() < 5 || allocsPerSec() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	<-done
 
-	rates := s.Rates()
 	rec, ok := s.Recommendation()
 	fmt.Println("sampled rows:", s.Ticks() >= 5)
-	fmt.Println("alloc rate seen:", rates.AllocsPerSec > 0)
+	fmt.Println("alloc rate seen:", allocsPerSec() > 0)
 	fmt.Println("advice:", ok, rec.Scheme != "")
 	s.Stop()
 	fmt.Println("running after Stop:", s.Running())

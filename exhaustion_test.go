@@ -391,7 +391,7 @@ func TestPressureGaugeAndMetrics(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	reg.Register("press", d.Telemetry)
+	reg.Register("press", d)
 	var buf bytes.Buffer
 	if err := reg.WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)

@@ -115,8 +115,8 @@ type Retirer struct {
 	// CarryFrom: a live scheme switch builds a fresh runtime, but the
 	// Domain's cumulative counters (scan totals, step histograms) must
 	// stay monotone across the swap or every trajectory consumer — the
-	// Sampler's EWMAs, the advisor's deltas, OpenMetrics counters — would
-	// see them jump backwards. Written once before the Retirer is shared;
+	// advisor's deltas over the Sampler's window, OpenMetrics counters and
+	// the scraper's rates over them — would see them jump backwards. Written once before the Retirer is shared;
 	// read-only thereafter.
 	carry struct {
 		stats ScanStats

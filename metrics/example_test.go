@@ -10,17 +10,17 @@ import (
 	"wfe/metrics"
 )
 
-// ExampleRegistry shows the three-line path from a Domain to a scrapeable
-// OpenMetrics endpoint: register the Domain's Telemetry method, attach
-// its background sampler if one runs, and serve the handler.
+// ExampleRegistry shows the short path from a Domain to a scrapeable
+// OpenMetrics endpoint: register the Domain and serve the handler. The
+// registry reads the Domain's Telemetry, and the recommendation of its
+// running sampler, at every scrape.
 func ExampleRegistry() {
 	d, _ := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 16})
-	s := d.StartSampler(wfe.SamplerConfig{Interval: 5 * time.Millisecond})
-	defer s.Stop()
+	d.StartSampler(wfe.SamplerConfig{Interval: 5 * time.Millisecond})
+	defer d.Close()
 
 	reg := metrics.NewRegistry()
-	reg.Register("app", d.Telemetry)
-	reg.RegisterSampler("app", s)
+	reg.Register("app", d)
 
 	// In production: addr, _ := metrics.Serve("127.0.0.1:9100", reg)
 	// and point a Prometheus scraper at http://<addr>/metrics.

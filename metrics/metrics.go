@@ -2,16 +2,19 @@
 // HTTP handler that renders registered Domains' telemetry as OpenMetrics
 // text (the Prometheus exposition format) and as a JSON variables dump,
 // with net/http/pprof mounted alongside. It deliberately depends only on
-// the standard library and the root wfe package — register a Domain's
-// Telemetry method and point a scraper at /metrics:
+// the standard library and the root wfe package — register a Domain and
+// point a scraper at /metrics:
 //
 //	reg := metrics.NewRegistry()
-//	reg.Register("app", d.Telemetry)
-//	reg.RegisterSampler("app", d.Sampler())
+//	reg.Register("app", d)
 //	go http.ListenAndServe("127.0.0.1:9100", reg.Handler())
 //
 // The registry pulls: nothing is collected until a scrape arrives, so an
 // idle endpoint costs nothing and the numbers are as fresh as the scrape.
+// Each family is one Telemetry field. The counters are cumulative, so a
+// rate is the scraper's rate() over them; the one non-Telemetry series is
+// the recommendation of the Domain's running Sampler, looked up at scrape
+// time, so a sampler started after Register (or after a restart) counts.
 package metrics
 
 import (
@@ -33,141 +36,109 @@ import (
 // /metrics endpoint.
 const ContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
+// A Source is what the registry reads at scrape time: a Domain's
+// Telemetry row and its most recently started Sampler (nil before the
+// first StartSampler). Every *wfe.Domain[T] is a Source.
+type Source interface {
+	Telemetry() wfe.Telemetry
+	Sampler() *wfe.Sampler
+}
+
 // A Registry holds named telemetry sources and serves them over HTTP.
-// Register sources at setup; the handler snapshots them per scrape.
+// Register sources at setup; the handler reads them per scrape.
 // All methods are safe for concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	sources  map[string]func() wfe.Telemetry
-	samplers map[string]*wfe.Sampler
+	mu      sync.Mutex
+	sources map[string]Source
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		sources:  map[string]func() wfe.Telemetry{},
-		samplers: map[string]*wfe.Sampler{},
-	}
+	return &Registry{sources: map[string]Source{}}
 }
 
-// Register adds (or replaces) a telemetry source under the given name,
-// which becomes the metrics' `domain` label. A Domain's Telemetry method
-// value fits directly: reg.Register("app", d.Telemetry).
-func (r *Registry) Register(name string, source func() wfe.Telemetry) {
+// Register adds (or replaces) a source under the given name, which
+// becomes the metrics' `domain` label: reg.Register("app", d).
+func (r *Registry) Register(name string, src Source) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sources[name] = source
+	r.sources[name] = src
 }
 
-// RegisterSampler attaches a Domain's background Sampler under the same
-// name, adding its derived-rate gauges to the exposition. A nil sampler
-// (Domain built without one) is ignored.
-func (r *Registry) RegisterSampler(name string, s *wfe.Sampler) {
-	if s == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samplers[name] = s
-}
-
-// Unregister removes a source and its sampler.
+// Unregister removes a source.
 func (r *Registry) Unregister(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.sources, name)
-	delete(r.samplers, name)
 }
 
-// snapshot collects every registered source once, in name order.
+// row is one source's reading at a scrape: its Telemetry and, while its
+// sampler runs, the recommended scheme.
 type row struct {
-	name  string
-	tel   wfe.Telemetry
-	rates *wfe.SamplerRates
-	rec   string
+	name string
+	tel  wfe.Telemetry
+	rec  string
 }
 
+// snapshot reads every registered source once, in name order.
 func (r *Registry) snapshot() []row {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.sources))
-	for n := range r.sources {
-		names = append(names, n)
-	}
-	sources := make(map[string]func() wfe.Telemetry, len(r.sources))
-	samplers := make(map[string]*wfe.Sampler, len(r.samplers))
-	for n, s := range r.sources {
-		sources[n] = s
-	}
-	for n, s := range r.samplers {
-		samplers[n] = s
+	rows := make([]row, 0, len(r.sources))
+	sources := make([]Source, 0, len(r.sources))
+	for n, src := range r.sources {
+		rows = append(rows, row{name: n})
+		sources = append(sources, src)
 	}
 	r.mu.Unlock()
 
-	sort.Strings(names)
-	rows := make([]row, 0, len(names))
-	for _, n := range names {
-		rw := row{name: n, tel: sources[n]()}
-		if s := samplers[n]; s != nil {
-			rates := s.Rates()
-			rw.rates = &rates
+	for i, src := range sources {
+		rows[i].tel = src.Telemetry()
+		if s := src.Sampler(); s != nil && s.Running() {
 			if rec, ok := s.Recommendation(); ok {
-				rw.rec = rec.Scheme
+				rows[i].rec = rec.Scheme
 			}
 		}
-		rows = append(rows, rw)
 	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	return rows
 }
 
-// metric is one exposition family: OpenMetrics type, help text, and a
-// value extractor per registered domain.
+// metric is one exposition family: OpenMetrics type, help text, and the
+// Telemetry field it reads.
 type metric struct {
 	name string
 	typ  string // "counter" | "gauge"
 	help string
-	val  func(row) (float64, bool)
+	val  func(wfe.Telemetry) float64
 }
 
 func counter(name, help string, f func(wfe.Telemetry) uint64) metric {
-	return metric{name, "counter", help, func(r row) (float64, bool) { return float64(f(r.tel)), true }}
+	return metric{name, "counter", help, func(t wfe.Telemetry) float64 { return float64(f(t)) }}
 }
 
-func gauge(name, help string, f func(row) (float64, bool)) metric {
+func gauge(name, help string, f func(wfe.Telemetry) float64) metric {
 	return metric{name, "gauge", help, f}
 }
 
-func telGauge(name, help string, f func(wfe.Telemetry) float64) metric {
-	return gauge(name, help, func(r row) (float64, bool) { return f(r.tel), true })
-}
-
-func rateGauge(name, help string, f func(wfe.SamplerRates) float64) metric {
-	return gauge(name, help, func(r row) (float64, bool) {
-		if r.rates == nil {
-			return 0, false
-		}
-		return f(*r.rates), true
-	})
-}
-
-// families is the fixed exposition schema: every Telemetry counter plus
-// the sampler's derived rates. OpenMetrics counters carry the `_total`
-// suffix; point-in-time readings are gauges.
+// families is the fixed exposition schema, one family per Telemetry
+// field. OpenMetrics counters carry the `_total` suffix; point-in-time
+// readings are gauges.
 var families = []metric{
-	telGauge("wfe_unreclaimed_blocks", "Retired blocks not yet recycled.",
+	gauge("wfe_unreclaimed_blocks", "Retired blocks not yet recycled.",
 		func(t wfe.Telemetry) float64 { return float64(t.Unreclaimed) }),
-	telGauge("wfe_in_use_blocks", "Allocated blocks (live or retired).",
+	gauge("wfe_in_use_blocks", "Allocated blocks (live or retired).",
 		func(t wfe.Telemetry) float64 { return float64(t.InUse) }),
-	telGauge("wfe_capacity_blocks", "Arena size in blocks.",
+	gauge("wfe_capacity_blocks", "Arena size in blocks.",
 		func(t wfe.Telemetry) float64 { return float64(t.Capacity) }),
-	telGauge("wfe_era", "Global era/epoch clock (0 for clock-less schemes).",
+	gauge("wfe_era", "Global era/epoch clock (0 for clock-less schemes).",
 		func(t wfe.Telemetry) float64 { return float64(t.Era) }),
-	telGauge("wfe_guards_free", "Guard tids currently available to the pool.",
+	gauge("wfe_guards_free", "Guard tids currently available to the pool.",
 		func(t wfe.Telemetry) float64 { return float64(t.GuardsFree) }),
-	telGauge("wfe_max_guards", "Configured guard count.",
+	gauge("wfe_max_guards", "Configured guard count.",
 		func(t wfe.Telemetry) float64 { return float64(t.MaxGuards) }),
-	telGauge("wfe_protect_steps_p99", "p99 protect-loop iteration count.",
+	gauge("wfe_protect_steps_p99", "p99 protect-loop iteration count.",
 		func(t wfe.Telemetry) float64 { return float64(t.P99Steps) }),
-	telGauge("wfe_protect_steps_max", "Worst protect-loop iteration count seen.",
+	gauge("wfe_protect_steps_max", "Worst protect-loop iteration count seen.",
 		func(t wfe.Telemetry) float64 { return float64(t.MaxSteps) }),
 	counter("wfe_allocs", "Total block allocations.", func(t wfe.Telemetry) uint64 { return t.Allocs }),
 	counter("wfe_frees", "Total blocks recycled.", func(t wfe.Telemetry) uint64 { return t.Frees }),
@@ -199,7 +170,7 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.BatchOps }),
 	counter("wfe_batch_items", "Items run inside batched operations.",
 		func(t wfe.Telemetry) uint64 { return t.BatchedItems }),
-	telGauge("wfe_arena_pressure", "Arena occupancy fraction (in-use blocks over capacity).",
+	gauge("wfe_arena_pressure", "Arena occupancy fraction (in-use blocks over capacity).",
 		func(t wfe.Telemetry) float64 {
 			if t.Capacity == 0 {
 				return 0
@@ -210,25 +181,6 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.AllocStalls }),
 	counter("wfe_emergency_scans", "Out-of-cadence cleanup scans forced by allocation stalls.",
 		func(t wfe.Telemetry) uint64 { return t.EmergencyScans }),
-	rateGauge("wfe_allocs_per_second", "EWMA block allocation rate (sampler).",
-		func(r wfe.SamplerRates) float64 { return r.AllocsPerSec }),
-	rateGauge("wfe_frees_per_second", "EWMA block recycle rate (sampler).",
-		func(r wfe.SamplerRates) float64 { return r.FreesPerSec }),
-	rateGauge("wfe_retires_per_second", "EWMA retire rate (sampler).",
-		func(r wfe.SamplerRates) float64 { return r.RetiresPerSec }),
-	rateGauge("wfe_scans_per_second", "EWMA cleanup-scan rate (sampler).",
-		func(r wfe.SamplerRates) float64 { return r.ScansPerSec }),
-	rateGauge("wfe_backlog_slope_blocks_per_second", "EWMA signed backlog growth rate (sampler).",
-		func(r wfe.SamplerRates) float64 { return r.BacklogSlope }),
-	rateGauge("wfe_guard_parks_per_tick", "EWMA guard parks per sampler tick.",
-		func(r wfe.SamplerRates) float64 { return r.ParksPerTick }),
-	gauge("wfe_sampler_ticks", "Samples collected by the background sampler.",
-		func(r row) (float64, bool) {
-			if r.rates == nil {
-				return 0, false
-			}
-			return float64(r.rates.Ticks), true
-		}),
 }
 
 // escapeLabel renders a label value per the OpenMetrics ABNF, in which
@@ -261,35 +213,27 @@ func escapeLabel(s string) string {
 // WriteOpenMetrics renders every registered source in the OpenMetrics
 // text exposition format, terminated by the mandatory `# EOF` line. Each
 // sample carries a `domain` label (the Register name) and a `scheme`
-// label (the Domain's reclamation scheme); the live advisor
-// recommendation, when a sampler is attached, exports as the info-style
-// gauge wfe_advisor_recommendation{recommended="..."} 1.
+// label (the Domain's reclamation scheme); the recommendation of a
+// Domain's running sampler exports as the info-style gauge
+// wfe_advisor_recommendation{recommended="..."} 1.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	rows := r.snapshot()
 	bw := bufio.NewWriter(w)
 	for _, m := range families {
-		vals := make([]string, 0, len(rows))
-		for _, rw := range rows {
-			v, ok := m.val(rw)
-			if !ok {
-				continue
-			}
-			// OpenMetrics counters expose the `_total`-suffixed sample of
-			// the family name.
-			sample := m.name
-			if m.typ == "counter" {
-				sample += "_total"
-			}
-			vals = append(vals, fmt.Sprintf("%s{domain=\"%s\",scheme=\"%s\"} %g",
-				sample, escapeLabel(rw.name), escapeLabel(rw.tel.Scheme), v))
+		if len(rows) == 0 {
+			break
 		}
-		if len(vals) == 0 {
-			continue
+		// OpenMetrics counters expose the `_total`-suffixed sample of the
+		// family name.
+		sample := m.name
+		if m.typ == "counter" {
+			sample += "_total"
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.typ)
 		fmt.Fprintf(bw, "# HELP %s %s\n", m.name, m.help)
-		for _, v := range vals {
-			fmt.Fprintln(bw, v)
+		for _, rw := range rows {
+			fmt.Fprintf(bw, "%s{domain=\"%s\",scheme=\"%s\"} %g\n",
+				sample, escapeLabel(rw.name), escapeLabel(rw.tel.Scheme), m.val(rw.tel))
 		}
 	}
 	recs := false
@@ -314,12 +258,11 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 }
 
 // Vars is the JSON shape of the /vars endpoint: per-domain telemetry plus
-// the sampler's rates and recommendation when attached.
+// the running sampler's recommendation, if any.
 type Vars struct {
-	Domain         string            `json:"domain"`
-	Telemetry      wfe.Telemetry     `json:"telemetry"`
-	Rates          *wfe.SamplerRates `json:"rates,omitempty"`
-	Recommendation string            `json:"recommendation,omitempty"`
+	Domain         string        `json:"domain"`
+	Telemetry      wfe.Telemetry `json:"telemetry"`
+	Recommendation string        `json:"recommendation,omitempty"`
 }
 
 // WriteVars renders every registered source as a JSON array — the
@@ -329,7 +272,7 @@ func (r *Registry) WriteVars(w io.Writer) error {
 	rows := r.snapshot()
 	out := make([]Vars, len(rows))
 	for i, rw := range rows {
-		out[i] = Vars{Domain: rw.name, Telemetry: rw.tel, Rates: rw.rates, Recommendation: rw.rec}
+		out[i] = Vars{Domain: rw.name, Telemetry: rw.tel, Recommendation: rw.rec}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

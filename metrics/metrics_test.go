@@ -42,7 +42,7 @@ func TestWriteOpenMetricsValidates(t *testing.T) {
 	d := newDomain(t)
 	churn(t, d)
 	reg := NewRegistry()
-	reg.Register("test", d.Telemetry)
+	reg.Register("test", d)
 
 	var buf bytes.Buffer
 	if err := reg.WriteOpenMetrics(&buf); err != nil {
@@ -62,8 +62,8 @@ func TestWriteOpenMetricsValidates(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if strings.Contains(text, "wfe_sampler_ticks") {
-		t.Error("sampler gauges exported without a registered sampler")
+	if strings.Contains(text, "wfe_advisor_recommendation") {
+		t.Error("recommendation exported for a Domain without a sampler")
 	}
 }
 
@@ -81,8 +81,7 @@ func TestSamplerMetricsAndRecommendation(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	reg.Register("test", d.Telemetry)
-	reg.RegisterSampler("test", s)
+	reg.Register("test", d)
 
 	var buf bytes.Buffer
 	if err := reg.WriteOpenMetrics(&buf); err != nil {
@@ -92,11 +91,47 @@ func TestSamplerMetricsAndRecommendation(t *testing.T) {
 	if err := Validate(strings.NewReader(text)); err != nil {
 		t.Fatalf("exposition does not validate: %v\n%s", err, text)
 	}
-	for _, want := range []string{
-		"wfe_sampler_ticks", "wfe_allocs_per_second", "wfe_advisor_recommendation",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
+	if !strings.Contains(text, `wfe_advisor_recommendation{domain="test",scheme="WFE",recommended="`) {
+		t.Errorf("exposition missing the sampler's recommendation:\n%s", text)
+	}
+}
+
+// scrape renders the registry's exposition and validates it.
+func scrape(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteOpenMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("exposition does not validate: %v\n%s", err, buf.String())
+	}
+	return buf.String()
+}
+
+// TestRecommendationFollowsCurrentSampler pins that the registry reads
+// a Domain's sampler at scrape time: registered before any sampler
+// starts, the Domain exports a recommendation once one runs, none while
+// it is stopped, and the next sampler's once StartSampler runs again.
+func TestRecommendationFollowsCurrentSampler(t *testing.T) {
+	d := newDomain(t) // idle: its window reads "no retire activity", EBR
+	reg := NewRegistry()
+	reg.Register("test", d)
+	const want = `wfe_advisor_recommendation{domain="test",scheme="WFE",recommended="EBR"} 1`
+	if text := scrape(t, reg); strings.Contains(text, "wfe_advisor_recommendation") {
+		t.Fatalf("recommendation exported before any sampler started:\n%s", text)
+	}
+	for round := 1; round <= 2; round++ {
+		s := d.StartSampler(wfe.SamplerConfig{Interval: time.Millisecond})
+		for deadline := time.Now().Add(2 * time.Second); s.Ticks() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if text := scrape(t, reg); !strings.Contains(text, want) {
+			t.Fatalf("sampler %d: exposition lacks %q:\n%s", round, want, text)
+		}
+		s.Stop()
+		if text := scrape(t, reg); strings.Contains(text, "wfe_advisor_recommendation") {
+			t.Fatalf("sampler %d: a stopped sampler's recommendation is still exported:\n%s", round, text)
 		}
 	}
 }
@@ -105,7 +140,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	d := newDomain(t)
 	churn(t, d)
 	reg := NewRegistry()
-	reg.Register("test", d.Telemetry)
+	reg.Register("test", d)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
@@ -148,7 +183,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestUnregister(t *testing.T) {
 	d := newDomain(t)
 	reg := NewRegistry()
-	reg.Register("gone", d.Telemetry)
+	reg.Register("gone", d)
 	reg.Unregister("gone")
 	var buf bytes.Buffer
 	if err := reg.WriteOpenMetrics(&buf); err != nil {
@@ -165,7 +200,7 @@ func TestUnregister(t *testing.T) {
 func TestServe(t *testing.T) {
 	d := newDomain(t)
 	reg := NewRegistry()
-	reg.Register("test", d.Telemetry)
+	reg.Register("test", d)
 	addr, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +280,7 @@ func TestOpenMetricsEscapesHostileDomainName(t *testing.T) {
 	churn(t, d)
 	reg := NewRegistry()
 	hostile := "café \x01 \"quoted\\path\"\nline2"
-	reg.Register(hostile, d.Telemetry)
+	reg.Register(hostile, d)
 
 	var buf bytes.Buffer
 	if err := reg.WriteOpenMetrics(&buf); err != nil {

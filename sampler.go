@@ -12,54 +12,29 @@ import (
 type SamplerConfig struct {
 	// Interval is the sampling tick (default 10ms, minimum 1ms).
 	Interval time.Duration
-	// History bounds the ring of retained Telemetry rows and the
-	// advisor window (default 600 ticks — six seconds at the default
-	// tick).
+	// History bounds the ring of retained Telemetry rows, which is also
+	// the advisor's window (default 600 ticks — six seconds at the
+	// default tick).
 	History int
 	// OnRecommendation, when non-nil, runs on the sampler goroutine
-	// every time the live recommendation's signature changes (including
-	// the first tick). Keep it fast; it blocks the next tick.
+	// every time the live recommendation's scheme changes (including the
+	// first tick). Keep it fast; it blocks the next tick.
 	OnRecommendation func(advisor.Recommendation)
 	// AutoSwitch arms the sampler's hysteresis trigger: once the live
-	// recommendation has named the same non-current scheme for
-	// AutoSwitchAfter consecutive ticks, the sampler calls the Domain's
-	// SwitchWithin (on the sampler goroutine) with a bounded drain wait,
-	// so guards held across ticks abort the switch (retried on the next
-	// streak) rather than gating the Domain indefinitely. See Switch for
-	// the drain-and-swap semantics.
+	// recommendation has named the same non-current scheme for three
+	// consecutive ticks, the sampler calls the Domain's SwitchWithin (on
+	// the sampler goroutine) with a bounded drain wait, so guards held
+	// across ticks abort the switch (retried on the next streak) rather
+	// than gating the Domain indefinitely. A streak resets whenever the
+	// recommendation returns to the current scheme or names a different
+	// candidate, so a flapping advisor never triggers. See Switch for the
+	// drain-and-swap semantics.
 	AutoSwitch bool
-	// AutoSwitchAfter is the hysteresis depth (default 3 when AutoSwitch
-	// is set). A streak resets whenever the recommendation returns to the
-	// current scheme or names a different candidate, so a flapping advisor
-	// never triggers.
-	AutoSwitchAfter int
 }
 
-// SamplerRates is the derived-rate view over the sampler's recent ticks:
-// exponentially weighted moving averages of the per-second counter deltas
-// plus the current backlog. An EWMA with alpha 0.2 weighs roughly the
-// last ten ticks — fast enough to catch a regime change, smooth enough
-// not to flap on one noisy tick.
-type SamplerRates struct {
-	Ticks         int           `json:"ticks"`           // samples collected so far
-	Interval      time.Duration `json:"interval_ns"`     // configured tick
-	AllocsPerSec  float64       `json:"allocs_per_sec"`  // block allocation rate
-	FreesPerSec   float64       `json:"frees_per_sec"`   // block recycle rate
-	RetiresPerSec float64       `json:"retires_per_sec"` // retire rate (frees + backlog slope)
-	ScansPerSec   float64       `json:"scans_per_sec"`   // cleanup-scan rate
-	BacklogSlope  float64       `json:"backlog_slope"`   // unreclaimed blocks/sec, signed
-	ParksPerTick  float64       `json:"parks_per_tick"`  // guard parks per tick
-	Backlog       int           `json:"backlog"`         // last sampled unreclaimed count
-
-	// Batch-path rates (see batch.go): bursts and batched items per
-	// second. ItemsPerSec/OpsPerSec approximates the mean batch width the
-	// workload is actually running.
-	BatchOpsPerSec   float64 `json:"batch_ops_per_sec"`
-	BatchItemsPerSec float64 `json:"batch_items_per_sec"`
-}
-
-// ewmaAlpha is the smoothing factor of every sampler rate.
-const ewmaAlpha = 0.2
+// autoSwitchAfter is AutoSwitch's hysteresis depth: the consecutive
+// identical non-current verdicts that fire a switch.
+const autoSwitchAfter = 3
 
 // autoSwitchDrainBound caps how long a sampler-triggered switch waits for
 // held guards to drain before aborting with ErrSwitchBusy. Guardless and
@@ -70,9 +45,11 @@ const autoSwitchDrainBound = 50 * time.Millisecond
 
 // A Sampler is the streaming half of the observability runtime: a
 // background goroutine collecting Domain.Telemetry rows at a fixed tick
-// into a bounded ring history, deriving per-second rates, and feeding an
-// advisor.Monitor so the live scheme recommendation is always one method
-// call away. Start one with Domain.StartSampler; stop it with Stop or
+// into a bounded ring and judging that window with advisor.Advise after
+// every tick, so the live scheme recommendation is always one method call
+// away. It keeps no rates: a rate is the difference of two History rows
+// over the ticks between them, and the metrics export leaves rates to the
+// scraper. Start one with Domain.StartSampler; stop it with Stop or
 // Domain.Close (idempotent — so is starting, while one runs).
 type Sampler struct {
 	sample   func() Telemetry
@@ -88,26 +65,22 @@ type Sampler struct {
 	// consecutive ticks have named it.
 	switchTo  func(name string) error
 	current   func() string
-	autoAfter int
 	candidate string
 	streak    int
 
 	mu sync.Mutex
-	// hist is a true circular buffer: it grows by append until it reaches
-	// the history bound, then head marks the oldest entry and each tick
-	// overwrites in place — O(1) per tick where a slide would memmove the
-	// whole window.
-	hist   []Telemetry
+	// The window is one ring of ticks with one head, kept as two columns:
+	// rows[i] is a tick's Telemetry row and advs[i] the advisor.Sample
+	// read from it, so a tick converts only the row it adds. The ring
+	// grows by append until it holds history ticks, then head marks the
+	// oldest slot and each tick overwrites it in place.
+	rows   []Telemetry
+	advs   []advisor.Sample
 	head   int
-	n      int // total ticks collected
-	rates  SamplerRates
-	seeded bool // EWMAs hold a measured rate (not the zero value)
-	mon    *advisor.Monitor
+	n      int              // total ticks collected
+	window []advisor.Sample // advs oldest first, rebuilt each tick for Advise
 	rec    advisor.Recommendation
 	hasRec bool
-
-	prev     Telemetry
-	prevTime time.Time
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -124,23 +97,13 @@ func newSampler(sample func() Telemetry, cfg SamplerConfig) *Sampler {
 	if cfg.History <= 0 {
 		cfg.History = 600
 	}
-	autoAfter := 0
-	if cfg.AutoSwitch {
-		autoAfter = cfg.AutoSwitchAfter
-		if autoAfter <= 0 {
-			autoAfter = 3
-		}
-	}
 	return &Sampler{
-		sample:    sample,
-		interval:  cfg.Interval,
-		history:   cfg.History,
-		onRec:     cfg.OnRecommendation,
-		autoAfter: autoAfter,
-		mon:       advisor.NewMonitor(cfg.History),
-		rates:     SamplerRates{Interval: cfg.Interval},
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		sample:   sample,
+		interval: cfg.Interval,
+		history:  cfg.History,
+		onRec:    cfg.OnRecommendation,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -154,70 +117,27 @@ func (s *Sampler) run() {
 			case <-s.stop:
 				return
 			case <-ticker.C:
-				s.tick(time.Now())
+				s.tick()
 			}
 		}
 	}()
 }
 
-// tick collects one sample at the given wall time and updates history,
-// rates, the monitor and (when armed) the auto-switch trigger. The clock
-// is a parameter so tests drive deterministic tick spacing.
-func (s *Sampler) tick(now time.Time) {
+// tick collects one row into the ring, re-judges the window and (when
+// armed) advances the auto-switch trigger. The recommendation counts as
+// changed on the first tick and whenever its scheme differs from the last
+// tick's: reason strings and profile numbers embed per-tick measurements,
+// and a change signal that fires every tick is no signal.
+func (s *Sampler) tick() {
 	row := s.sample()
-
-	s.mu.Lock()
-	first := s.n == 0
-	if len(s.hist) < s.history {
-		s.hist = append(s.hist, row)
-	} else {
-		s.hist[s.head] = row
-		if s.head++; s.head == len(s.hist) {
-			s.head = 0
-		}
-	}
-	tickIdx := s.n
-	s.n++
-
-	if !first {
-		dt := now.Sub(s.prevTime).Seconds()
-		if dt > 0 {
-			p := s.prev
-			// The first measured rate seeds each EWMA outright: blending
-			// it against the zero initial value would report every rate a
-			// factor of alpha low until enough ticks wash the zero out.
-			blend := func(cur *float64, inst float64) {
-				if !s.seeded {
-					*cur = inst
-					return
-				}
-				*cur = (1-ewmaAlpha)*(*cur) + ewmaAlpha*inst
-			}
-			blend(&s.rates.AllocsPerSec, float64(row.Allocs-p.Allocs)/dt)
-			blend(&s.rates.FreesPerSec, float64(row.Frees-p.Frees)/dt)
-			blend(&s.rates.ScansPerSec, float64(row.ScanScans-p.ScanScans)/dt)
-			slope := float64(row.Unreclaimed-p.Unreclaimed) / dt
-			blend(&s.rates.BacklogSlope, slope)
-			// Retires = frees + backlog growth: every retired block either
-			// got recycled or is still in the backlog.
-			retires := float64(row.Frees-p.Frees) + float64(row.Unreclaimed-p.Unreclaimed)
-			blend(&s.rates.RetiresPerSec, retires/dt)
-			blend(&s.rates.ParksPerTick, float64(row.GuardParks-p.GuardParks))
-			blend(&s.rates.BatchOpsPerSec, float64(row.BatchOps-p.BatchOps)/dt)
-			blend(&s.rates.BatchItemsPerSec, float64(row.BatchedItems-p.BatchedItems)/dt)
-			s.seeded = true
-		}
-	}
-	s.rates.Ticks = s.n
-	s.rates.Backlog = row.Unreclaimed
-	s.prev, s.prevTime = row, now
-
 	pressure := 0.0
 	if row.Capacity > 0 {
 		pressure = float64(row.InUse) / float64(row.Capacity)
 	}
-	rec, changed := s.mon.Push(advisor.Sample{
-		Tick:           tickIdx,
+
+	s.mu.Lock()
+	adv := advisor.Sample{
+		Tick:           s.n,
 		Unreclaimed:    row.Unreclaimed,
 		ScanScans:      row.ScanScans,
 		ScanBlocks:     row.ScanBlocks,
@@ -225,7 +145,21 @@ func (s *Sampler) tick(now time.Time) {
 		GuardParks:     row.GuardParks,
 		Pressure:       pressure,
 		EmergencyScans: row.EmergencyScans,
-	})
+	}
+	if len(s.rows) < s.history {
+		s.rows, s.advs = append(s.rows, row), append(s.advs, adv)
+	} else {
+		s.rows[s.head], s.advs[s.head] = row, adv
+		if s.head++; s.head == len(s.rows) {
+			s.head = 0
+		}
+	}
+	s.n++
+	// Advise's streak and spike features depend on sample adjacency, so
+	// it must see the window in tick order, not in ring order.
+	s.window = append(append(s.window[:0], s.advs[s.head:]...), s.advs[:s.head]...)
+	rec := advisor.Advise(s.window)
+	changed := !s.hasRec || rec.Scheme != s.rec.Scheme
 	s.rec, s.hasRec = rec, true
 	cb := s.onRec
 	s.mu.Unlock()
@@ -238,11 +172,12 @@ func (s *Sampler) tick(now time.Time) {
 
 // maybeSwitch advances the auto-switch hysteresis with this tick's
 // recommendation and fires the Domain switch once a candidate has held
-// for autoAfter consecutive ticks. Runs outside the sampler mutex — the
-// switch gates guard acquisition and must not hold sampler state hostage
-// while it drains. The hysteresis fields are sampler-goroutine-private.
+// for autoSwitchAfter consecutive ticks. Runs outside the sampler mutex —
+// the switch gates guard acquisition and must not hold sampler state
+// hostage while it drains. The hysteresis fields are
+// sampler-goroutine-private.
 func (s *Sampler) maybeSwitch(rec advisor.Recommendation) {
-	if s.autoAfter == 0 || s.switchTo == nil || s.current == nil {
+	if s.switchTo == nil || s.current == nil {
 		return
 	}
 	want := rec.Scheme
@@ -255,7 +190,7 @@ func (s *Sampler) maybeSwitch(rec advisor.Recommendation) {
 	} else {
 		s.streak++
 	}
-	if s.streak >= s.autoAfter {
+	if s.streak >= autoSwitchAfter {
 		s.candidate, s.streak = "", 0
 		// An error here is either an unknown scheme name (nothing the
 		// sampler can do beyond not crashing) or ErrSwitchBusy — guards
@@ -277,23 +212,13 @@ func (s *Sampler) Ticks() int {
 	return s.n
 }
 
-// History returns a copy of the retained samples, oldest first. The
-// internal buffer is circular; the copy unrolls it, so callers never see
-// the wrap point.
+// History returns a copy of the retained rows, oldest first. The ring
+// is circular; the copy unrolls it, so callers never see the wrap point.
 func (s *Sampler) History() []Telemetry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Telemetry, len(s.hist))
-	n := copy(out, s.hist[s.head:])
-	copy(out[n:], s.hist[:s.head])
-	return out
-}
-
-// Rates returns the current derived-rate view.
-func (s *Sampler) Rates() SamplerRates {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rates
+	out := make([]Telemetry, 0, len(s.rows))
+	return append(append(out, s.rows[s.head:]...), s.rows[:s.head]...)
 }
 
 // Recommendation returns the live advisor recommendation over the
@@ -315,8 +240,8 @@ func (s *Sampler) Running() bool {
 }
 
 // Stop halts the sampling goroutine and waits for it to exit. Idempotent
-// and safe from any goroutine; the collected history, rates and
-// recommendation remain readable after Stop.
+// and safe from any goroutine; the collected history and recommendation
+// remain readable after Stop.
 func (s *Sampler) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done

@@ -14,12 +14,13 @@ import "wfe/internal/ds/crturn"
 // to reads the T back and zeroes the entry. The receiver keeps the handed
 // node allocated until the same guard's next successful dequeue.
 //
-// The plain methods (TryEnqueue, Dequeue, Len) are guardless: each leases
-// a guard from the Domain's guard runtime for the duration of the
-// operation, so any number of goroutines may call them. The Guarded
-// variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops. The writes return ErrArenaExhausted when the arena stays
-// full after the Domain's emergency-reclamation pipeline.
+// The plain methods (TryEnqueue, Dequeue) are guardless: each leases a
+// guard from the Domain's guard runtime for the duration of the
+// operation, so any number of goroutines may call them; Len takes no
+// guard at all. The Guarded variants take an explicit or pinned Guard and
+// skip the lease — use them in hot loops. The writes return
+// ErrArenaExhausted when the arena stays full after the Domain's
+// emergency-reclamation pipeline.
 type TurnQueue[T any] struct{ nodeQueue[T] }
 
 // NewTurnQueue creates an empty CRTurn queue on the Domain. It leases a

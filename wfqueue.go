@@ -17,12 +17,13 @@ import (
 // The dequeue the node is returned to reads the T back and zeroes the
 // entry; the node stays allocated until that guard's next dequeue.
 //
-// The plain methods (TryEnqueue, Dequeue, Len) are guardless: each leases
-// a guard from the Domain's guard runtime for the duration of the
-// operation, so any number of goroutines may call them. The Guarded
-// variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops. The writes return ErrArenaExhausted when the arena stays
-// full after the Domain's emergency-reclamation pipeline.
+// The plain methods (TryEnqueue, Dequeue) are guardless: each leases a
+// guard from the Domain's guard runtime for the duration of the
+// operation, so any number of goroutines may call them; Len takes no
+// guard at all. The Guarded variants take an explicit or pinned Guard and
+// skip the lease — use them in hot loops. The writes return
+// ErrArenaExhausted when the arena stays full after the Domain's
+// emergency-reclamation pipeline.
 type WFQueue[T any] struct{ nodeQueue[T] }
 
 // NewWFQueue creates an empty wait-free queue on the Domain. It leases a
@@ -62,12 +63,9 @@ func (q *nodeQueue[T]) Dequeue() (v T, ok bool) {
 	return q.DequeueGuarded(g)
 }
 
-// Len counts queued values; meaningful only quiescently.
-func (q *nodeQueue[T]) Len() int {
-	g := q.d.Pin()
-	defer q.d.unpin(g)
-	return q.LenGuarded(g)
-}
+// Len counts queued values; meaningful only quiescently. It reads the
+// queue core's own count and takes no guard, so it never parks.
+func (q *nodeQueue[T]) Len() int { return q.q.Len() }
 
 // TryEnqueue appends v. When the arena stays exhausted after the
 // Domain's emergency-reclamation pipeline it returns ErrArenaExhausted,
@@ -147,5 +145,5 @@ func (q *nodeQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
 	return out
 }
 
-// LenGuarded is Len on a caller-held guard.
-func (q *nodeQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
+// LenGuarded is Len; the guard is unused.
+func (q *nodeQueue[T]) LenGuarded(g *Guard[T]) int { return q.Len() }
