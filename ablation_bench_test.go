@@ -13,9 +13,9 @@ import (
 
 	"wfe"
 	"wfe/internal/bench"
+	"wfe/internal/core"
 	"wfe/internal/mem"
 	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 // BenchmarkAblationAttempts sweeps WFE's fast-path attempt budget
@@ -142,7 +142,7 @@ func BenchmarkScan(b *testing.B) {
 func benchScan(b *testing.B, scheme string, threads int, linear bool) {
 	const maxHEs = 8
 	a := mem.New(mem.Config{Capacity: 1 << 16, MaxThreads: threads + 1})
-	smr, err := schemes.New(scheme, a, reclaim.Config{
+	smr, err := core.New(scheme, a, reclaim.Config{
 		MaxThreads: threads + 1,
 		MaxHEs:     maxHEs,
 		// The clock advances once per CleanupFreq-sized churn window, so

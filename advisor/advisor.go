@@ -32,7 +32,8 @@ package advisor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // A Sample is one tick of a recorded trajectory: the Domain's cumulative
@@ -157,9 +158,10 @@ func Analyze(samples []Sample) Profile {
 		}
 	}
 
-	backlogs := make([]int, len(samples))
-	for i, s := range samples {
-		backlogs[i] = s.Unreclaimed
+	sorted := scratch.Get().(*[]int)
+	*sorted = (*sorted)[:0]
+	for _, s := range samples {
+		*sorted = append(*sorted, s.Unreclaimed)
 		if s.Unreclaimed > p.Highwater {
 			p.Highwater, p.HighwaterTick = s.Unreclaimed, s.Tick
 		}
@@ -167,9 +169,9 @@ func Analyze(samples []Sample) Profile {
 			p.RetireActivity = true
 		}
 	}
-	sorted := append([]int(nil), backlogs...)
-	sort.Ints(sorted)
-	p.Median = sorted[len(sorted)/2]
+	slices.Sort(*sorted)
+	p.Median = (*sorted)[len(*sorted)/2]
+	scratch.Put(sorted)
 
 	// Longest strictly-growing backlog run during which cleanup scans
 	// kept running: scans that run without shrinking the backlog are the
@@ -196,8 +198,8 @@ func Analyze(samples []Sample) Profile {
 		threshold = SpikeFloor
 	}
 	inSpike := false
-	for _, b := range backlogs {
-		if b > threshold && !inSpike {
+	for _, s := range samples {
+		if b := s.Unreclaimed; b > threshold && !inSpike {
 			p.Spikes++
 			inSpike = true
 		} else if b <= threshold {
@@ -206,6 +208,10 @@ func Analyze(samples []Sample) Profile {
 	}
 	return p
 }
+
+// scratch holds the buffers Analyze sorts backlogs in for the median, so
+// a Sampler judging its window every tick allocates none.
+var scratch = sync.Pool{New: func() any { return new([]int) }}
 
 // Advise analyzes the trajectory and recommends a scheme per the observed
 // stall/backlog profile. The escalation ladder (cheapest scheme the

@@ -26,9 +26,9 @@ import (
 
 	"wfe"
 	"wfe/internal/bench"
+	"wfe/internal/core"
 	"wfe/internal/mem"
 	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 const (
@@ -41,7 +41,7 @@ var benchSchemes = []string{"WFE", "HE", "HP", "EBR", "2GEIBR", "Leak"}
 func newBenchScheme(b *testing.B, name string, threads, capacity int) reclaim.Scheme {
 	b.Helper()
 	a := mem.New(mem.Config{Capacity: capacity, MaxThreads: threads, Debug: false})
-	s, err := schemes.New(name, a, reclaim.Config{MaxThreads: threads})
+	s, err := core.New(name, a, reclaim.Config{MaxThreads: threads})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -93,11 +93,9 @@
 //	turnqueue.go        public CRTurn wait-free queue (type and constructor)
 //	hashmap.go          public lock-free hash map (HashMap)
 //	tree.go             public Natarajan–Mittal BST
-//	internal/core       HE (Fig. 1), WFE (Fig. 4), 2GEIBR, WFE-IBR (§2.4)
-//	internal/hp         Hazard Pointers
-//	internal/ebr        epoch-based reclamation
-//	internal/leak       leaky baseline
-//	internal/schemes    the registry building any scheme by kind or name
+//	internal/core       every scheme by name: HE (Fig. 1), WFE (Fig. 4),
+//	                    2GEIBR, WFE-IBR (§2.4), HP, EBR and Leak, over one
+//	                    era clock and one reservation board
 //	internal/mem        manual-memory arena substrate
 //	internal/pack       64-bit packing emulating the paper's wide CAS
 //	internal/reclaim    the shared SMR interface and configuration

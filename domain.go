@@ -10,12 +10,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wfe/internal/core"
 	"wfe/internal/failpoint"
 	"wfe/internal/guardpool"
 	"wfe/internal/mem"
 	"wfe/internal/pack"
 	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 	"wfe/internal/trace"
 )
 
@@ -340,7 +340,7 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 		SortCutoff:    opts.SortCutoff,
 		Tracer:        tracer,
 	}
-	smr, err := schemes.New(opts.Scheme.String(), arena, cfg)
+	smr, err := core.New(opts.Scheme.String(), arena, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("wfe: %v", err)
 	}
@@ -602,9 +602,7 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 // stamped retirement), scan tid's retire ring out of the CleanupFreq
 // cadence, and allocate from tid's free cache.
 func (d *Domain[T]) rescue(box *schemeBox, tid int) (mem.Handle, bool) {
-	if c, ok := box.s.(reclaim.ClockAdvancer); ok {
-		c.AdvanceClock(tid)
-	}
+	box.s.AdvanceClock(tid)
 	box.s.Retirer().Scan(tid)
 	d.emergencyScans.Add(1)
 	return box.s.TryAlloc(tid)
@@ -630,14 +628,12 @@ func (d *Domain[T]) Scavenge() int {
 	if !rt.Judged() {
 		return 0
 	}
-	if c, ok := box.s.(reclaim.ClockAdvancer); ok {
-		// EBR-class grace periods span two clock ticks; three advances
-		// put every quiescently-retired block beyond any of them. The
-		// reservation-interval schemes need no help — with no guards
-		// active nothing is pinned.
-		for i := 0; i < 3; i++ {
-			c.AdvanceClock(0)
-		}
+	// EBR-class grace periods span two clock ticks; three advances put
+	// every quiescently-retired block beyond any of them. The
+	// reservation-interval schemes need no help — with no guards active
+	// nothing is pinned.
+	for i := 0; i < 3; i++ {
+		box.s.AdvanceClock(0)
 	}
 	before := d.arena.Stats().Frees
 	for tid := 0; tid < d.guards.Cap(); tid++ {
@@ -731,8 +727,8 @@ func (d *Domain[T]) Telemetry() Telemetry {
 	gc := d.guardCounts()
 	return Telemetry{
 		Scheme:      box.kind.String(),
-		Era:         clock(box.s),
-		SlowPaths:   box.slowPathBase + slowPaths(box.s),
+		Era:         box.s.Era(),
+		SlowPaths:   box.slowPathBase + box.s.SlowPaths(),
 		MaxSteps:    probe.MaxSteps,
 		P99Steps:    probe.P99Steps,
 		Unreclaimed: probe.Unreclaimed,
@@ -765,27 +761,6 @@ func (d *Domain[T]) Telemetry() Telemetry {
 		EmergencyScans: d.emergencyScans.Load(),
 		LastResolve:    time.Duration(d.lastResolve.Load()),
 	}
-}
-
-// clock reads a scheme's global clock: the era of the era and interval
-// schemes, EBR's epoch, and 0 for the clock-less HP and Leak.
-func clock(s reclaim.Scheme) uint64 {
-	switch c := s.(type) {
-	case interface{ Era() uint64 }:
-		return c.Era()
-	case interface{ Epoch() uint64 }:
-		return c.Epoch()
-	}
-	return 0
-}
-
-// slowPaths reads a scheme's helping slow-path count (WFE and WFE-IBR;
-// 0 for the other schemes).
-func slowPaths(s reclaim.Scheme) uint64 {
-	if c, ok := s.(interface{ SlowPaths() uint64 }); ok {
-		return c.SlowPaths()
-	}
-	return 0
 }
 
 // guardCounts is the per-guard lease and batch accounting summed over the
@@ -1022,7 +997,7 @@ func (d *Domain[T]) SwitchWithin(kind SchemeKind, drainWait time.Duration) error
 func (d *Domain[T]) switchWithin(kind SchemeKind, drainWait time.Duration) error {
 	// Resolve the factory before gating anything: an unknown kind must not
 	// cost the Domain a pause.
-	factory, ok := schemes.Lookup(kind.String())
+	factory, ok := core.Lookup(kind.String())
 	if !ok {
 		return fmt.Errorf("wfe: unknown scheme %q", kind.String())
 	}
@@ -1077,7 +1052,7 @@ func (d *Domain[T]) switchWithin(kind SchemeKind, drainWait time.Duration) error
 
 	// Advance the era floor past every clock the outgoing scheme ran, then
 	// build the incoming scheme with its clock seeded at the floor.
-	if e := clock(old.s); e > d.eraFloor {
+	if e := old.s.Era(); e > d.eraFloor {
 		d.eraFloor = e
 	}
 	cfg := d.cfg
@@ -1085,7 +1060,7 @@ func (d *Domain[T]) switchWithin(kind SchemeKind, drainWait time.Duration) error
 	next := factory(d.arena, cfg)
 	next.Retirer().CarryFrom(oldRet)
 
-	d.smr.Store(&schemeBox{s: next, kind: kind, slowPathBase: old.slowPathBase + slowPaths(old.s)})
+	d.smr.Store(&schemeBox{s: next, kind: kind, slowPathBase: old.slowPathBase + old.s.SlowPaths()})
 	d.schemeSwitches.Add(1)
 	d.tracer.Emit(trace.SharedTid, trace.KindSchemeSwitch, uint64(old.kind), uint64(kind))
 	return nil

@@ -10,6 +10,7 @@ package wfe_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"wfe"
+	"wfe/internal/failpoint"
 	"wfe/internal/quiesce"
 	"wfe/metrics"
 )
@@ -112,6 +114,69 @@ func TestExhaustionStormAllSchemes(t *testing.T) {
 			if err := quiesce.Check(d, true); err != nil {
 				t.Errorf("post-storm quiesce: %v", err)
 			}
+		})
+	}
+}
+
+// TestExhaustionVerdictBehindParkedPut pins each scheme's exhaustion
+// verdict while an operation stays in flight: one TryPut parks for 300 ms
+// inside its operation, at the sleep-only hashmap-put-swing site, while a
+// pinned guard churns inserts and deletes over a 512-block arena. Under
+// EBR the parked put's announcement holds the epoch, so no scan or borrow
+// frees anything and the churn's allocation returns ErrArenaExhausted once
+// the emergency pipeline's backoff is spent; Leak has nothing to free at
+// all. The era, interval and hazard schemes pin only what the parked put
+// protects, so the churn runs until the put completes.
+func TestExhaustionVerdictBehindParkedPut(t *testing.T) {
+	t.Cleanup(failpoint.DisarmAll)
+	site, ok := failpoint.Lookup("hashmap-put-swing")
+	if !ok {
+		t.Fatal("hashmap-put-swing site not registered")
+	}
+	exhausts := map[wfe.SchemeKind]bool{wfe.EBR: true, wfe.Leak: true}
+	for _, kind := range wfe.AllSchemes() {
+		t.Run(kind.String(), func(t *testing.T) {
+			d, err := wfe.NewDomain[uint64](wfe.Options{Scheme: kind, Capacity: 512, MaxGuards: 2, Debug: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := wfe.NewHashMap[uint64](d, 64)
+			const parkedKey = 1 << 20 // outside the churn's keys
+			if err := m.TryPut(parkedKey, 0); err != nil {
+				t.Fatal(err)
+			}
+			fires := site.Fires()
+			site.Arm(failpoint.Trigger{OneShot: true, Sleep: 300 * time.Millisecond})
+			putErr := make(chan error, 1)
+			go func() { putErr <- m.TryPut(parkedKey, 1) }()
+			for site.Fires() == fires {
+				runtime.Gosched()
+			}
+
+			g := d.Pin()
+			start := time.Now()
+			var churnErr error
+			ops := 0
+			for churnErr == nil && len(putErr) == 0 {
+				key := uint64(ops % 64)
+				if _, churnErr = m.TryInsertGuarded(g, key, key); churnErr == nil {
+					m.DeleteGuarded(g, key)
+					ops++
+				}
+			}
+			elapsed := time.Since(start)
+			d.Unpin(g)
+			if err := <-putErr; err != nil {
+				t.Fatalf("parked put: %v", err)
+			}
+			if churnErr != nil && !errors.Is(churnErr, wfe.ErrArenaExhausted) {
+				t.Fatalf("churn: %v", churnErr)
+			}
+			if got := churnErr != nil; got != exhausts[kind] {
+				t.Fatalf("churn surfaced ErrArenaExhausted = %v after %d operations in %v, want %v",
+					got, ops, elapsed, exhausts[kind])
+			}
+			t.Logf("%d operations in %v, exhausted = %v", ops, elapsed, churnErr != nil)
 		})
 	}
 }

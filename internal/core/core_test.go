@@ -12,32 +12,14 @@ import (
 	"wfe/internal/reclaim"
 )
 
-// clocked is a scheme of this package as the clock tests drive it.
-type clocked interface {
-	reclaim.Scheme
-	reclaim.ClockAdvancer
-	Era() uint64
-}
-
-// allSchemes lists the package's four schemes, base schemes first.
-var allSchemes = []struct {
-	name string
-	new  func(*mem.Arena, reclaim.Config) clocked
-}{
-	{"HE", func(a *mem.Arena, c reclaim.Config) clocked { return NewHE(a, c) }},
-	{"WFE", func(a *mem.Arena, c reclaim.Config) clocked { return New(a, c) }},
-	{"2GEIBR", func(a *mem.Arena, c reclaim.Config) clocked { return NewIBR(a, c) }},
-	{"WFE-IBR", func(a *mem.Arena, c reclaim.Config) clocked { return NewWFEIBR(a, c) }},
-}
-
-func testArena(threads int) *mem.Arena {
-	return mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: threads, Debug: true})
-}
+// clocked lists the schemes that run the era clock: the era schemes,
+// base schemes first, then EBR, whose epoch is the clock.
+var clocked = []string{"HE", "WFE", "2GEIBR", "WFE-IBR", "EBR"}
 
 func TestEraAdvancesOnAllocFrequency(t *testing.T) {
-	for _, sc := range allSchemes {
-		t.Run(sc.name, func(t *testing.T) {
-			s := sc.new(testArena(1), reclaim.Config{MaxThreads: 1, EraFreq: 10})
+	for _, name := range clocked {
+		t.Run(name, func(t *testing.T) {
+			s := mustNew(t, name, newArena(t, 1<<12, 1), reclaim.Config{MaxThreads: 1, EraFreq: 10})
 			e0 := s.Era()
 			// The first alloc (count 0) advances; the next nine must not.
 			reclaim.MustAlloc(s, 0)
@@ -59,11 +41,11 @@ func TestEraAdvancesOnAllocFrequency(t *testing.T) {
 }
 
 // TestEraClockBound pins the clock's one bound: the tick that would reach
-// pack.MaxEra panics, in every scheme.
+// pack.MaxEra panics, in every scheme that runs the clock.
 func TestEraClockBound(t *testing.T) {
-	for _, sc := range allSchemes {
-		t.Run(sc.name, func(t *testing.T) {
-			s := sc.new(testArena(1), reclaim.Config{MaxThreads: 1, InitialEra: pack.MaxEra - 2})
+	for _, name := range clocked {
+		t.Run(name, func(t *testing.T) {
+			s := mustNew(t, name, newArena(t, 1<<12, 1), reclaim.Config{MaxThreads: 1, InitialEra: pack.MaxEra - 2})
 			s.AdvanceClock(0)
 			if s.Era() != pack.MaxEra-1 {
 				t.Fatalf("era = %d after one tick, want MaxEra-1", s.Era())
@@ -83,10 +65,10 @@ func TestEraClockBound(t *testing.T) {
 func TestRetireAdvancesEraWithoutAllocs(t *testing.T) {
 	// Retire-only phases must still make reclamation progress (drain
 	// scenario): the interval schemes' era advances on retirement too.
-	for _, sc := range allSchemes[2:] {
-		t.Run(sc.name, func(t *testing.T) {
-			a := testArena(1)
-			s := sc.new(a, reclaim.Config{MaxThreads: 1, CleanupFreq: 1, EraFreq: 1})
+	for _, name := range []string{"2GEIBR", "WFE-IBR"} {
+		t.Run(name, func(t *testing.T) {
+			a := newArena(t, 1<<12, 1)
+			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 1, CleanupFreq: 1, EraFreq: 1})
 			blks := make([]mem.Handle, 40)
 			for i := range blks {
 				blks[i] = reclaim.MustAlloc(s, 0)
@@ -109,31 +91,32 @@ func TestRetireAdvancesEraWithoutAllocs(t *testing.T) {
 
 // TestTickPathsHelp pins the routing embedding can silently lose: every
 // path by which a helping scheme ticks its clock must help a pending
-// request first, since a promoted base method would tick without helping.
-// The retire-side hook (WFE's PreScan, WFE-IBR's OnRetire) is reached
-// through Retire, so the test also pins that the Retirer judges with the
-// helping scheme rather than its embedded base.
+// request first, since a clock started with the base scheme's tick would
+// advance without helping. The retire-side hook (PreScan under WFE,
+// OnRetire under WFE-IBR) is reached through Retire, so the test also pins
+// that the Retirer judges with the helping scheme rather than its embedded
+// base.
 func TestTickPathsHelp(t *testing.T) {
 	cfg := reclaim.Config{MaxThreads: 2, EraFreq: 1, CleanupFreq: 1}
 	for _, sc := range []struct {
 		name, hook string
-		// build returns the scheme, its board, and a post of one request
-		// by thread 0 to read src, as the slow path posts it.
-		build func(*mem.Arena) (reclaim.Scheme, *board, func(src *atomic.Uint64))
+		// build returns the scheme, its request board, and a post of one
+		// request by thread 0 to read src, as the slow path posts it.
+		build func(*mem.Arena) (reclaim.Scheme, *requests, func(src *atomic.Uint64))
 	}{
-		{"WFE", "PreScan", func(a *mem.Arena) (reclaim.Scheme, *board, func(*atomic.Uint64)) {
-			w := New(a, cfg)
-			return w, &w.board, func(src *atomic.Uint64) { postRequest(w, 0, 0, src, pack.Inf) }
+		{"WFE", "PreScan", func(a *mem.Arena) (reclaim.Scheme, *requests, func(*atomic.Uint64)) {
+			w := NewWFE(a, cfg)
+			return w, &w.requests, func(src *atomic.Uint64) { postRequest(w, 0, 0, src, pack.Inf) }
 		}},
-		{"WFE-IBR", "OnRetire", func(a *mem.Arena) (reclaim.Scheme, *board, func(*atomic.Uint64)) {
+		{"WFE-IBR", "OnRetire", func(a *mem.Arena) (reclaim.Scheme, *requests, func(*atomic.Uint64)) {
 			w := NewWFEIBR(a, cfg)
 			w.Begin(0)
-			return w, &w.board, func(src *atomic.Uint64) { w.post(0, src, pack.Inf, 1) }
+			return w, &w.requests, func(src *atomic.Uint64) { w.post(0, src, pack.Inf, 1) }
 		}},
 	} {
 		for _, path := range []string{"TryAlloc", "AdvanceClock", sc.hook} {
 			t.Run(sc.name+"/"+path, func(t *testing.T) {
-				s, b, post := sc.build(testArena(2))
+				s, b, post := sc.build(newArena(t, 1<<12, 2))
 				var root atomic.Uint64
 				root.Store(reclaim.MustAlloc(s, 1))
 				blk := reclaim.MustAlloc(s, 1) // retired below, allocated before the post
@@ -142,7 +125,7 @@ func TestTickPathsHelp(t *testing.T) {
 				case "TryAlloc": // due on every allocation at EraFreq 1
 					reclaim.MustAlloc(s, 1)
 				case "AdvanceClock":
-					s.(reclaim.ClockAdvancer).AdvanceClock(1)
+					s.AdvanceClock(1)
 				default:
 					s.Retire(1, blk)
 				}
@@ -160,15 +143,17 @@ func TestTickPathsHelp(t *testing.T) {
 // scheme's own slots, the helping schemes' special ones included, and
 // random lifespans onto retired blocks. A scan that sorts its snapshot
 // must then free exactly the blocks that a plain sweep over the published
-// reservations finds unreserved.
+// reservations finds unreserved. HP publishes random handles, judged by
+// membership; EBR publishes random announcements under a random epoch,
+// judged by the two-epoch grace rule alone.
 func TestSortedScanMatchesLinearOracle(t *testing.T) {
 	const threads = 16
-	for _, sc := range allSchemes {
-		t.Run(sc.name, func(t *testing.T) {
+	for _, name := range []string{"HE", "WFE", "2GEIBR", "WFE-IBR", "HP", "EBR"} {
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(20260729))
 			for iter := 0; iter < 100; iter++ {
-				a := testArena(threads)
-				s := sc.new(a, reclaim.Config{MaxThreads: threads, SortCutoff: 1})
+				a := newArena(t, 1<<12, threads)
+				s := mustNew(t, name, a, reclaim.Config{MaxThreads: threads, SortCutoff: 1})
 				reserved := publishRandom(rng, s)
 				var blks [32]struct {
 					h             mem.Handle
@@ -185,9 +170,9 @@ func TestSortedScanMatchesLinearOracle(t *testing.T) {
 				}
 				s.Retirer().Scan(0)
 				for _, b := range blks {
-					if want := reserved(b.birth, b.retire); a.Live(b.h) != want {
-						t.Fatalf("iter %d: lifespan [%d,%d] kept=%v, linear oracle says reserved=%v",
-							iter, b.birth, b.retire, a.Live(b.h), want)
+					if want := reserved(b.h, b.birth, b.retire); a.Live(b.h) != want {
+						t.Fatalf("iter %d: block %d lifespan [%d,%d] kept=%v, linear oracle says reserved=%v",
+							iter, b.h, b.birth, b.retire, a.Live(b.h), want)
 					}
 				}
 			}
@@ -196,38 +181,41 @@ func TestSortedScanMatchesLinearOracle(t *testing.T) {
 }
 
 // publishRandom publishes reservations in [1, 120] into a random share of
-// s's slots and returns the linear oracle over them: whether a lifespan
-// [birth, retire] meets any published era or interval.
-func publishRandom(rng *rand.Rand, s clocked) func(birth, retire uint64) bool {
+// s's slots and returns the linear oracle over them: whether block h with
+// lifespan [birth, retire] meets any published era, interval or handle,
+// or, under EBR, is younger than two epochs.
+func publishRandom(rng *rand.Rand, s reclaim.Scheme) func(h mem.Handle, birth, retire uint64) bool {
 	density := rng.Intn(9) // each slot is published with probability density/16
-	var eras, los, his []uint64
-	eraSlots := func(h *HE, js, je int) {
-		for i := 0; i < h.cfg.MaxThreads; i++ {
+	var eras, los, his, handles []uint64
+	pointSlots := func(b *base, js, je int, n int, out *[]uint64) {
+		for i := 0; i < b.cfg.MaxThreads; i++ {
 			for j := js; j < je; j++ {
 				if rng.Intn(16) < density {
-					e := uint64(rng.Intn(120)) + 1
-					h.resv(i, j).Store(uint64(pack.MakeEraTag(e, uint64(rng.Intn(4)))))
-					eras = append(eras, e)
+					e := uint64(rng.Intn(n)) + 1
+					b.resv(i, j).Store(uint64(pack.MakeEraTag(e, uint64(rng.Intn(4)))))
+					*out = append(*out, e)
 				}
 			}
 		}
 	}
-	intervalSlots := func(set []interval) {
-		for i := range set {
+	eraSlots := func(h *HE, js, je int) { pointSlots(&h.base, js, je, 120, &eras) }
+	intervalSlots := func(b *base, j int) {
+		for i := 0; i < b.cfg.MaxThreads; i++ {
 			if rng.Intn(16) >= density {
 				continue
 			}
+			iv := b.interval(i, j)
 			lo := uint64(rng.Intn(120)) + 1
 			hi := lo + uint64(rng.Intn(20))
 			switch rng.Intn(16) {
 			case 0: // a gather that raced a Clear read the upper bound as Inf
 				hi = pack.Inf
 			case 1: // a Begin or Clear between its two stores: nothing open
-				set[i].upper.Store(hi)
+				iv.upper.Store(hi)
 				continue
 			}
-			set[i].lower.Store(lo)
-			set[i].upper.Store(hi)
+			iv.lower.Store(lo)
+			iv.upper.Store(hi)
 			los = append(los, lo)
 			his = append(his, hi)
 		}
@@ -245,12 +233,31 @@ func publishRandom(rng *rand.Rand, s clocked) func(birth, retire uint64) bool {
 			eraSlots(&s.HE, h+1, h+2)
 		}
 	case *IBR:
-		intervalSlots(s.intervals)
+		intervalSlots(&s.base, normal)
 	case *WFEIBR:
-		intervalSlots(s.specials)
-		intervalSlots(s.intervals)
+		intervalSlots(&s.base, special)
+		intervalSlots(&s.base, normal)
+	case *HP:
+		// The test's 32 blocks take handles 1-32; publish some beyond.
+		pointSlots(&s.base, 0, s.cfg.MaxHEs, 40, &handles)
+	case *EBR:
+		epoch := uint64(rng.Intn(140)) + 1
+		s.era.Store(epoch)
+		for i := 0; i < s.cfg.MaxThreads; i++ {
+			if rng.Intn(16) < density { // active, possibly lagging
+				s.resv(i, 0).Store((uint64(rng.Intn(int(epoch)))+1)<<1 | activeBit)
+			}
+		}
+		// The first allocation may still advance the epoch once, so the
+		// rule reads the epoch the scan saw.
+		return func(_ mem.Handle, _, retire uint64) bool { return retire+2 > s.Era() }
 	}
-	return func(birth, retire uint64) bool {
+	return func(h mem.Handle, birth, retire uint64) bool {
+		for _, v := range handles {
+			if v == h {
+				return true
+			}
+		}
 		for _, e := range eras {
 			if birth <= e && e <= retire {
 				return true

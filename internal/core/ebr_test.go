@@ -1,4 +1,4 @@
-package ebr
+package core
 
 import (
 	"testing"
@@ -10,42 +10,42 @@ import (
 func newEBR(t *testing.T, threads int) (*EBR, *mem.Arena) {
 	t.Helper()
 	a := mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: threads, Debug: true})
-	return New(a, reclaim.Config{MaxThreads: threads, CleanupFreq: 1, EraFreq: 1}), a
+	return NewEBR(a, reclaim.Config{MaxThreads: threads, CleanupFreq: 1, EraFreq: 1}), a
 }
 
 func TestEpochAdvanceRequiresAllActiveCurrent(t *testing.T) {
 	e, _ := newEBR(t, 2)
-	ep := e.Epoch()
+	ep := e.Era()
 
 	e.Begin(0) // announces current epoch
 	e.tryAdvance(0)
-	if e.Epoch() != ep+1 {
-		t.Fatalf("epoch = %d, want %d (all active threads current)", e.Epoch(), ep+1)
+	if e.Era() != ep+1 {
+		t.Fatalf("epoch = %d, want %d (all active threads current)", e.Era(), ep+1)
 	}
 
 	// Thread 0 is now active on the *old* epoch: the clock must stick.
 	e.tryAdvance(0)
-	if e.Epoch() != ep+1 {
+	if e.Era() != ep+1 {
 		t.Fatalf("epoch advanced past a lagging active thread")
 	}
 
 	e.Begin(0) // re-announce at the new epoch
 	e.tryAdvance(0)
-	if e.Epoch() != ep+2 {
-		t.Fatalf("epoch = %d, want %d", e.Epoch(), ep+2)
+	if e.Era() != ep+2 {
+		t.Fatalf("epoch = %d, want %d", e.Era(), ep+2)
 	}
 
 	e.Clear(0) // quiescent threads do not block the clock
 	e.tryAdvance(0)
-	if e.Epoch() != ep+3 {
-		t.Fatalf("epoch = %d, want %d after thread went quiescent", e.Epoch(), ep+3)
+	if e.Era() != ep+3 {
+		t.Fatalf("epoch = %d, want %d after thread went quiescent", e.Era(), ep+3)
 	}
 }
 
 func TestTwoEpochGracePeriod(t *testing.T) {
 	e, a := newEBR(t, 1)
 	blk := reclaim.MustAlloc(e, 0)
-	ep := e.Epoch()
+	ep := e.Era()
 	a.SetRetireEra(blk, ep)
 	// Stage the retired block directly (no cadence hooks, no epoch
 	// advance) and drive the scans by hand.
@@ -55,12 +55,12 @@ func TestTwoEpochGracePeriod(t *testing.T) {
 	if !a.Live(blk) {
 		t.Fatal("block freed in its retirement epoch")
 	}
-	e.globalEpoch.Add(1)
+	e.era.Add(1)
 	e.rt.Scan(0)
 	if !a.Live(blk) {
 		t.Fatal("block freed one epoch after retirement")
 	}
-	e.globalEpoch.Add(1)
+	e.era.Add(1)
 	e.rt.Scan(0)
 	if a.Live(blk) {
 		t.Fatal("block not freed two epochs after retirement")

@@ -16,21 +16,15 @@ import (
 // Paper mapping: Figure 1 (§2.3) line for line — get_protected's
 // stabilisation loop, retire's era stamping, and cleanup's reservation
 // scan. The unbounded get_protected loop here is the paper's motivating
-// problem; its per-thread worst case is observable through MaxSteps, and
+// problem; its per-thread worst case is observable through the Retirer's
+// MaxSteps, and
 // examples/boundedsteps turns the difference into a latency table.
 //
-// Reservations are packed {era, tag} words (pack.EraTag), the layout WFE
-// needs; HE's tags stay 0.
+// Reservations are packed {era, tag} words (pack.EraTag), one board column
+// per index, the layout WFE needs; HE's tags stay 0. The special columns
+// after MaxHEs are WFE's helper reservations.
 type HE struct {
-	clock
-	cfg reclaim.Config
-	rt  *reclaim.Retirer
-
-	// reservations is row-major [MaxThreads][MaxHEs+specials] of packed
-	// EraTag words, rows padded to a cache-line multiple. The special
-	// columns after MaxHEs are WFE's helper reservations.
-	reservations []atomic.Uint64
-	rowStride    int
+	base
 }
 
 var _ reclaim.Scheme = (*HE)(nil)
@@ -40,46 +34,27 @@ var _ reclaim.PreScanner = (*HE)(nil)
 // NewHE creates a Hazard Eras scheme over the given arena.
 func NewHE(arena *mem.Arena, cfg reclaim.Config) *HE {
 	h := &HE{}
-	h.init(arena, cfg, 0, h)
+	h.init(h, "HE", arena, cfg, 0, h.tick)
 	return h
 }
 
-// init builds the scheme with specials extra reservation columns per
-// thread, judged for the Retirer by judge — the outermost scheme.
-func (h *HE) init(arena *mem.Arena, cfg reclaim.Config, specials int, judge reclaim.Judge) {
-	cfg = cfg.Defaults()
-	h.cfg = cfg
-	h.clock.init(arena, cfg)
-	h.rowStride = (cfg.MaxHEs + specials + 7) &^ 7 // round the row up to a cache line
-	h.reservations = make([]atomic.Uint64, cfg.MaxThreads*h.rowStride)
-	inf := uint64(pack.MakeEraTag(pack.Inf, 0))
-	for i := range h.reservations {
-		h.reservations[i].Store(inf)
-	}
-	h.rt = reclaim.NewRetirer(arena, cfg, judge)
+// init builds the scheme s (HE, or the WFE embedding it) with specials
+// extra reservation columns per thread and its clock advanced by advance.
+func (h *HE) init(s reclaim.Scheme, name string, arena *mem.Arena, cfg reclaim.Config, specials int, advance func(int)) {
+	h.base.init(s, name, arena, cfg)
+	h.board.init(h.cfg.MaxThreads, h.cfg.MaxHEs+specials, uint64(pack.MakeEraTag(pack.Inf, 0)))
+	h.start(max(1, h.cfg.InitialEra), advance)
 }
-
-// Name implements reclaim.Scheme.
-func (h *HE) Name() string { return "HE" }
 
 // Begin implements reclaim.Scheme; era schemes need no prologue.
 func (h *HE) Begin(tid int) {}
-
-// Retirer implements reclaim.Scheme.
-func (h *HE) Retirer() *reclaim.Retirer { return h.rt }
-
-func (h *HE) resv(tid, j int) *atomic.Uint64 {
-	return &h.reservations[tid*h.rowStride+j]
-}
 
 // GetProtected is the paper's Figure 1 loop: publish the era observed while
 // reading until the global era stops moving. Lock-free, not wait-free —
 // this is precisely the loop WFE bounds. Each call's iteration count feeds
 // the shared step histogram (the unboundedness, observable).
 func (h *HE) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Handle) uint64 {
-	if t := &h.threads[tid]; index >= t.dirty {
-		t.dirty = index + 1
-	}
+	h.dirty(tid, index)
 	r := h.resv(tid, index)
 	prevEra := pack.EraTag(r.Load()).Era()
 	for steps := uint64(1); ; steps++ {
@@ -94,37 +69,12 @@ func (h *HE) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Han
 	}
 }
 
-// MaxSteps reports the worst protect-loop iteration count observed by any
-// thread for a single GetProtected call.
-func (h *HE) MaxSteps() uint64 { return h.rt.MaxSteps() }
-
-// TryAlloc implements the paper's alloc_block: the era cadence ticks,
-// then the block is stamped with its allocation era.
-func (h *HE) TryAlloc(tid int) (mem.Handle, bool) {
-	if h.allocDue(tid) {
-		h.tick(tid)
-	}
-	return h.alloc(tid)
-}
-
-// AdvanceClock ticks the global era out of the allocation cadence
-// (reclaim.ClockAdvancer) — the emergency-reclamation hook.
-func (h *HE) AdvanceClock(tid int) { h.tick(tid) }
-
-// Retire implements the paper's retire: stamp the retire era and hand the
-// block to the shared retire-side runtime, whose gated scan runs PreScan
-// first.
-func (h *HE) Retire(tid int, blk mem.Handle) {
-	h.stampRetire(blk)
-	h.rt.Retire(tid, blk)
-}
-
-// PreScan implements reclaim.PreScanner — the paper's retire() race fix:
-// the era is only advanced if the triggering block's retire era still
-// equals the global era.
+// PreScan implements reclaim.PreScanner — the paper's retire() race fix
+// (Figure 4, lines 77-85 under WFE): the era is only advanced if the
+// triggering block's retire era still equals the global era.
 func (h *HE) PreScan(tid int, blk mem.Handle) {
 	if h.arena.RetireEra(blk) == h.era.Load() {
-		h.tick(tid)
+		h.advance(tid)
 	}
 }
 
@@ -136,31 +86,8 @@ func (h *HE) PreScan(tid int, blk mem.Handle) {
 // its request exactly as in the per-op path.
 func (h *HE) BeginBatch(tid int) bool { return true }
 
-// EndBatch implements reclaim.Scheme: the batch-wide Clear.
-func (h *HE) EndBatch(tid int) { h.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: stamp every block with the era
-// read once at submission and hand the burst to the runtime's amortized
-// retire path; PreScan's era advance still runs, gated once per burst.
-func (h *HE) RetireBatch(tid int, blks []mem.Handle) {
-	h.stampRetireBatch(blks)
-	h.rt.RetireBatch(tid, blks)
-}
-
-// Clear implements the paper's clear: all reservations back to ∞, tags
-// preserved so WFE's stale helpers from completed cycles keep failing
-// their CAS. Only indices used since the previous Clear need resetting.
-func (h *HE) Clear(tid int) {
-	t := &h.threads[tid]
-	for j := 0; j < t.dirty; j++ {
-		r := h.resv(tid, j)
-		cur := pack.EraTag(r.Load())
-		if cur.Era() != pack.Inf {
-			r.Store(uint64(cur.WithEra(pack.Inf)))
-		}
-	}
-	t.dirty = 0
-}
+// Clear implements the paper's clear.
+func (h *HE) Clear(tid int) { h.clearSlots(tid) }
 
 // Gather implements reclaim.Judge: snapshot the published eras once per
 // scan. The snapshot can only keep more blocks than Figure 1's per-block
@@ -168,25 +95,10 @@ func (h *HE) Clear(tid int) {
 // reservation published after the snapshot cannot protect an
 // already-retired block, by the same argument that makes the per-block
 // scan sound.
-func (h *HE) Gather(tid int, s *reclaim.Snapshot) { h.gather(s, 0, h.cfg.MaxHEs) }
-
-// gather appends the non-∞ eras of reservation columns [js, je) across all
-// threads to the snapshot.
-func (h *HE) gather(s *reclaim.Snapshot, js, je int) {
-	for i := 0; i < h.cfg.MaxThreads; i++ {
-		for j := js; j < je; j++ {
-			if era := pack.EraTag(h.resv(i, j).Load()).Era(); era != pack.Inf {
-				s.AddEra(era)
-			}
-		}
-	}
-}
+func (h *HE) Gather(tid int, s *reclaim.Snapshot) { h.gatherSlots(s, 0, h.cfg.MaxHEs) }
 
 // CanFree implements reclaim.Judge: blk may go when no gathered era lands
 // in its [alloc, retire] lifespan.
 func (h *HE) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 	return !s.EraReserved(h.arena.Eras(blk))
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (h *HE) Unreclaimed() int { return h.rt.Unreclaimed() }

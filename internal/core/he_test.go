@@ -54,7 +54,7 @@ func TestMaxStepsGrowsUnderEraMovement(t *testing.T) {
 	var root atomic.Uint64
 	root.Store(reclaim.MustAlloc(h, 0))
 	h.GetProtected(0, &root, 0, 0)
-	if h.MaxSteps() < 1 {
+	if h.rt.MaxSteps() < 1 {
 		t.Fatal("MaxSteps not recorded")
 	}
 }

@@ -1,4 +1,4 @@
-package hp
+package core
 
 import (
 	"sync/atomic"
@@ -12,7 +12,7 @@ import (
 func newHP(t *testing.T, threads int) (*HP, *mem.Arena) {
 	t.Helper()
 	a := mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: threads, Debug: true})
-	return New(a, reclaim.Config{MaxThreads: threads, CleanupFreq: 1}), a
+	return NewHP(a, reclaim.Config{MaxThreads: threads, CleanupFreq: 1}), a
 }
 
 func TestProtectPublishesHandle(t *testing.T) {
@@ -24,11 +24,11 @@ func TestProtectPublishesHandle(t *testing.T) {
 	if got != blk {
 		t.Fatalf("GetProtected = %d, want %d", got, blk)
 	}
-	if hz := h.hazard(0, 3).Load(); hz != blk {
+	if hz := pack.EraTag(h.resv(0, 3).Load()).Era(); hz != blk {
 		t.Fatalf("hazard = %d, want %d", hz, blk)
 	}
 	h.Clear(0)
-	if hz := h.hazard(0, 3).Load(); hz != 0 {
+	if hz := pack.EraTag(h.resv(0, 3).Load()).Era(); hz != pack.Inf {
 		t.Fatal("Clear left the hazard set")
 	}
 }
@@ -44,7 +44,7 @@ func TestProtectStripsMarkBits(t *testing.T) {
 	if got != blk|pack.MarkBit {
 		t.Fatalf("GetProtected must return the raw link value, got %#x", got)
 	}
-	if hz := h.hazard(0, 0).Load(); hz != blk {
+	if hz := pack.EraTag(h.resv(0, 0).Load()).Era(); hz != blk {
 		t.Fatalf("hazard = %#x, want the clean handle %#x", hz, blk)
 	}
 }
@@ -95,7 +95,7 @@ func TestScanFreesOnlyUnprotected(t *testing.T) {
 
 func TestUnreclaimedCountsRetireLists(t *testing.T) {
 	a := mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: 1, Debug: true})
-	h := New(a, reclaim.Config{MaxThreads: 1, CleanupFreq: 1 << 30})
+	h := NewHP(a, reclaim.Config{MaxThreads: 1, CleanupFreq: 1 << 30})
 	h.Retire(0, reclaim.MustAlloc(h, 0)) // first retire scans (and frees)
 	for i := 0; i < 5; i++ {
 		h.Retire(0, reclaim.MustAlloc(h, 0))

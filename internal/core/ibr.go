@@ -8,31 +8,30 @@ import (
 	"wfe/internal/reclaim"
 )
 
-// interval is one padded reservation [lower, upper].
-type interval struct {
-	lower atomic.Uint64
-	upper atomic.Uint64
-	_     [48]byte
+// The interval schemes' board columns: a reservation interval is two
+// adjacent columns [lower, upper], a thread's own at normal and WFE-IBR's
+// helper interval at special. A closed interval holds [Inf, Inf].
+const (
+	normal  = 0
+	special = 2
+)
+
+// interval is one reservation interval on the board.
+type interval struct{ lower, upper *atomic.Uint64 }
+
+func (b *board) interval(tid, j int) interval {
+	return interval{b.resv(tid, j), b.resv(tid, j+1)}
 }
 
-// closedIntervals returns n intervals, each closed ([Inf, Inf]).
-func closedIntervals(n int) []interval {
-	ivs := make([]interval, n)
-	for i := range ivs {
-		ivs[i].lower.Store(pack.Inf)
-		ivs[i].upper.Store(pack.Inf)
-	}
-	return ivs
-}
-
-// gatherIntervals appends every open interval of set to the snapshot.
-func gatherIntervals(s *reclaim.Snapshot, set []interval) {
-	for i := range set {
-		lower := set[i].lower.Load()
+// gatherIntervals appends every open interval at column j to the snapshot.
+func (b *base) gatherIntervals(s *reclaim.Snapshot, j int) {
+	for i := 0; i < b.cfg.MaxThreads; i++ {
+		iv := b.interval(i, j)
+		lower := iv.lower.Load()
 		if lower == pack.Inf {
 			continue
 		}
-		s.AddInterval(lower, set[i].upper.Load())
+		s.AddInterval(lower, iv.upper.Load())
 	}
 }
 
@@ -50,10 +49,7 @@ func gatherIntervals(s *reclaim.Snapshot, set []interval) {
 // "2GEIBR" series of the evaluation figures (§5). The retire-driven era
 // advance rides the runtime's OnRetire hook.
 type IBR struct {
-	clock
-	cfg       reclaim.Config
-	rt        *reclaim.Retirer
-	intervals []interval // normal per-thread reservations
+	base
 }
 
 var _ reclaim.Scheme = (*IBR)(nil)
@@ -63,30 +59,22 @@ var _ reclaim.RetireObserver = (*IBR)(nil)
 // NewIBR creates a 2GEIBR scheme over the given arena.
 func NewIBR(arena *mem.Arena, cfg reclaim.Config) *IBR {
 	ib := &IBR{}
-	ib.init(arena, cfg, ib)
+	ib.init(ib, "2GEIBR", arena, cfg, 2, ib.tick)
 	return ib
 }
 
-// init builds the scheme, judged for the Retirer by judge — the outermost
-// scheme.
-func (ib *IBR) init(arena *mem.Arena, cfg reclaim.Config, judge reclaim.Judge) {
-	cfg = cfg.Defaults()
-	ib.cfg = cfg
-	ib.clock.init(arena, cfg)
-	ib.intervals = closedIntervals(cfg.MaxThreads)
-	ib.rt = reclaim.NewRetirer(arena, cfg, judge)
+// init builds the scheme s (IBR, or the WFE-IBR embedding it) with cols
+// interval columns per thread and its clock advanced by advance.
+func (ib *IBR) init(s reclaim.Scheme, name string, arena *mem.Arena, cfg reclaim.Config, cols int, advance func(int)) {
+	ib.base.init(s, name, arena, cfg)
+	ib.board.init(ib.cfg.MaxThreads, cols, pack.Inf)
+	ib.start(max(1, ib.cfg.InitialEra), advance)
 }
-
-// Name implements reclaim.Scheme.
-func (ib *IBR) Name() string { return "2GEIBR" }
-
-// Retirer implements reclaim.Scheme.
-func (ib *IBR) Retirer() *reclaim.Retirer { return ib.rt }
 
 // Begin starts a fresh reservation interval at the current era.
 func (ib *IBR) Begin(tid int) {
 	e := ib.era.Load()
-	iv := &ib.intervals[tid]
+	iv := ib.interval(tid, normal)
 	iv.upper.Store(e)
 	iv.lower.Store(e)
 }
@@ -96,8 +84,8 @@ func (ib *IBR) Begin(tid int) {
 // the shared step histogram — the same lock-free unboundedness as Hazard
 // Eras', observable.
 func (ib *IBR) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Handle) uint64 {
-	iv := &ib.intervals[tid]
-	prev := iv.upper.Load()
+	upper := ib.resv(tid, normal+1)
+	prev := upper.Load()
 	for steps := uint64(1); ; steps++ {
 		ret := src.Load()
 		cur := ib.era.Load()
@@ -105,14 +93,14 @@ func (ib *IBR) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.H
 			ib.rt.RecordSteps(tid, steps)
 			return ret
 		}
-		iv.upper.Store(cur)
+		upper.Store(cur)
 		prev = cur
 	}
 }
 
 // Clear ends the operation's interval.
 func (ib *IBR) Clear(tid int) {
-	iv := &ib.intervals[tid]
+	iv := ib.interval(tid, normal)
 	iv.lower.Store(pack.Inf)
 	iv.upper.Store(pack.Inf)
 }
@@ -129,56 +117,23 @@ func (ib *IBR) BeginBatch(tid int) bool {
 	return true
 }
 
-// EndBatch implements reclaim.Scheme: close the batch's interval.
-func (ib *IBR) EndBatch(tid int) { ib.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: stamp every block with the era
-// read once at submission and hand the burst to the runtime's amortized
-// retire path; the retire-driven era advance ticks once per burst through
-// OnRetire.
-func (ib *IBR) RetireBatch(tid int, blks []mem.Handle) {
-	ib.stampRetireBatch(blks)
-	ib.rt.RetireBatch(tid, blks)
-}
-
-// TryAlloc stamps the block's birth era after the periodic era advance.
-func (ib *IBR) TryAlloc(tid int) (mem.Handle, bool) {
-	if ib.allocDue(tid) {
-		ib.tick(tid)
-	}
-	return ib.alloc(tid)
-}
-
-// AdvanceClock ticks the global era out of the allocation cadence
-// (reclaim.ClockAdvancer) — the emergency-reclamation hook.
-func (ib *IBR) AdvanceClock(tid int) { ib.tick(tid) }
-
-// Retire stamps the retire era and hands the block to the shared
-// retire-side runtime.
-func (ib *IBR) Retire(tid int, blk mem.Handle) {
-	ib.stampRetire(blk)
-	ib.rt.Retire(tid, blk)
-}
-
 // OnRetire implements reclaim.RetireObserver: the era also advances on
 // retirement (not just allocation) so that retire-heavy phases with no
-// allocations still make reclamation progress.
+// allocations still make reclamation progress. Under WFE-IBR the advance
+// is incrementEra, so pending requests get helped first.
 func (ib *IBR) OnRetire(tid int, n uint64, blk mem.Handle) {
 	if ib.retireDue(n) {
-		ib.tick(tid)
+		ib.advance(tid)
 	}
 }
 
 // Gather implements reclaim.Judge: snapshot the open reservation intervals
 // once per scan (conservative in the same way as the per-block re-scan;
 // see HE's Gather).
-func (ib *IBR) Gather(tid int, s *reclaim.Snapshot) { gatherIntervals(s, ib.intervals) }
+func (ib *IBR) Gather(tid int, s *reclaim.Snapshot) { ib.gatherIntervals(s, normal) }
 
 // CanFree implements reclaim.Judge: blk may go when its [birth, retire]
 // lifespan overlaps none of the gathered intervals.
 func (ib *IBR) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 	return !s.IntervalReserved(ib.arena.Eras(blk))
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (ib *IBR) Unreclaimed() int { return ib.rt.Unreclaimed() }

@@ -19,7 +19,7 @@ func TestBeginResetsInterval(t *testing.T) {
 	ib, _ := newIBR(t, 1)
 	ib.era.Store(42)
 	ib.Begin(0)
-	iv := &ib.intervals[0]
+	iv := ib.interval(0, normal)
 	if iv.lower.Load() != 42 || iv.upper.Load() != 42 {
 		t.Fatalf("interval = [%d,%d], want [42,42]", iv.lower.Load(), iv.upper.Load())
 	}
@@ -32,7 +32,8 @@ func TestBeginResetsInterval(t *testing.T) {
 func TestGetProtectedStretchesUpper(t *testing.T) {
 	ib, _ := newIBR(t, 1)
 	ib.Begin(0)
-	lo := ib.intervals[0].lower.Load()
+	iv := ib.interval(0, normal)
+	lo := iv.lower.Load()
 	ib.era.Add(7)
 	var root atomic.Uint64
 	blk := reclaim.MustAlloc(ib, 0)
@@ -40,7 +41,6 @@ func TestGetProtectedStretchesUpper(t *testing.T) {
 	if got := ib.GetProtected(0, &root, 0, 0); got != blk {
 		t.Fatalf("GetProtected = %d", got)
 	}
-	iv := &ib.intervals[0]
 	if iv.lower.Load() != lo {
 		t.Fatal("lower bound moved during the operation")
 	}

@@ -1,4 +1,4 @@
-package leak
+package core
 
 import (
 	"sync/atomic"
@@ -10,7 +10,7 @@ import (
 
 func TestLeakBaseline(t *testing.T) {
 	a := mem.New(mem.Config{Capacity: 64, MaxThreads: 2, Debug: true})
-	l := New(a, reclaim.Config{MaxThreads: 2})
+	l := NewLeak(a, reclaim.Config{MaxThreads: 2})
 
 	if l.Name() != "Leak" || l.Arena() != a {
 		t.Fatal("identity accessors broken")

@@ -1,4 +1,4 @@
-package schemes
+package core
 
 import (
 	"sync"
@@ -35,7 +35,7 @@ func TestUnknownScheme(t *testing.T) {
 }
 
 func TestNamesInstantiable(t *testing.T) {
-	for _, name := range Names() {
+	for name := range registry {
 		a := newArena(t, 8, 2)
 		s := mustNew(t, name, a, reclaim.Config{MaxThreads: 2})
 		if s.Name() == "" || s.Arena() != a {

@@ -36,23 +36,21 @@ import (
 // reservation then the normals again — the Lemma 4/5 read order, intact.
 type WFE struct {
 	HE
-	board
+	requests
 }
 
 var _ reclaim.Scheme = (*WFE)(nil)
 var _ reclaim.TwoPhase = (*WFE)(nil)
 var _ reclaim.PreScanner = (*WFE)(nil)
 
-// New creates a WFE scheme over the given arena.
-func New(arena *mem.Arena, cfg reclaim.Config) *WFE {
+// NewWFE creates a WFE scheme over the given arena.
+func NewWFE(arena *mem.Arena, cfg reclaim.Config) *WFE {
 	w := &WFE{}
-	w.HE.init(arena, cfg, 2, w) // columns MaxHEs and MaxHEs+1: help_thread's
-	w.board.init(w.cfg.MaxThreads * w.cfg.MaxHEs)
+	// Columns MaxHEs and MaxHEs+1 are help_thread's special reservations.
+	w.HE.init(w, "WFE", arena, cfg, 2, w.incrementEra)
+	w.requests.init(w.cfg.MaxThreads * w.cfg.MaxHEs)
 	return w
 }
-
-// Name implements reclaim.Scheme.
-func (w *WFE) Name() string { return "WFE" }
 
 func (w *WFE) slot(tid, j int) *request {
 	return &w.slots[tid*w.cfg.MaxHEs+j]
@@ -60,9 +58,7 @@ func (w *WFE) slot(tid, j int) *request {
 
 // GetProtected implements the paper's get_protected (Figure 4, lines 12-55).
 func (w *WFE) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Handle) uint64 {
-	if t := &w.threads[tid]; index >= t.dirty {
-		t.dirty = index + 1
-	}
+	w.dirty(tid, index)
 	r := w.resv(tid, index)
 	cur := pack.EraTag(r.Load())
 	prevEra, tag := cur.Era(), cur.Tag()
@@ -130,6 +126,8 @@ func (w *WFE) getProtectedSlow(tid int, src *atomic.Uint64, index int, parent me
 
 // incrementEra helps every pending slow-path request before advancing the
 // global era (paper lines 87-99); this is what makes the slow path bounded.
+// It is the clock's advance, so alloc_block (lines 69-75), the
+// pre-cleanup advance (lines 77-85) and AdvanceClock all run it.
 func (w *WFE) incrementEra(tid int) {
 	w.helpPending(tid, w.helpSlot)
 	w.tick(tid)
@@ -187,30 +185,6 @@ func (w *WFE) helpThread(i, j, tid int) {
 	w.resv(tid, w.cfg.MaxHEs).Store(uint64(pack.MakeEraTag(pack.Inf, 0)))
 }
 
-// TryAlloc implements the paper's alloc_block (Figure 4, lines 69-75): the
-// cadence's era advance goes through incrementEra.
-func (w *WFE) TryAlloc(tid int) (mem.Handle, bool) {
-	if w.allocDue(tid) {
-		w.incrementEra(tid)
-	}
-	return w.alloc(tid)
-}
-
-// AdvanceClock ticks the global era out of the allocation cadence
-// (reclaim.ClockAdvancer) — the emergency-reclamation hook, routed
-// through incrementEra so pending slow-path requests get helped first.
-func (w *WFE) AdvanceClock(tid int) { w.incrementEra(tid) }
-
-// PreScan implements reclaim.PreScanner — the paper's pre-cleanup era
-// advance (Figure 4, lines 77-85), taken only if the triggering block's
-// retire era still equals the global era, and routed through incrementEra
-// so pending slow-path requests get helped first.
-func (w *WFE) PreScan(tid int, blk mem.Handle) {
-	if w.arena.RetireEra(blk) == w.era.Load() {
-		w.incrementEra(tid)
-	}
-}
-
 // The cleanup scan follows the paper's two-phase discipline (Figure 4,
 // lines 57-67) through the runtime's TwoPhase protocol. Instead of
 // re-reading the reservation matrix for every block, each reservation
@@ -232,8 +206,8 @@ func (w *WFE) PreScan(tid int, blk mem.Handle) {
 func (w *WFE) Gather(tid int, s *reclaim.Snapshot) {
 	h := w.cfg.MaxHEs
 	ce := w.counterEnd.Load()
-	w.gather(s, 0, h)   // normal reservations first,
-	w.gather(s, h, h+1) // then special reservation 1
+	w.gatherSlots(s, 0, h)   // normal reservations first,
+	w.gatherSlots(s, h, h+1) // then special reservation 1
 	if w.counterStart.Load() != ce {
 		s.SetAux(0, 1) // helping in flight: survivors need phase two
 	}
@@ -249,6 +223,6 @@ func (w *WFE) NeedSecond(tid int, s *reclaim.Snapshot) bool {
 // special reservation 2 first, then the normals again.
 func (w *WFE) GatherSecond(tid int, s *reclaim.Snapshot) {
 	h := w.cfg.MaxHEs
-	w.gather(s, h+1, h+2) // special reservation 2 first,
-	w.gather(s, 0, h)     // then the normals again
+	w.gatherSlots(s, h+1, h+2) // special reservation 2 first,
+	w.gatherSlots(s, 0, h)     // then the normals again
 }

@@ -16,7 +16,7 @@ func newWFE(t *testing.T, threads int, cfg reclaim.Config) (*WFE, *mem.Arena) {
 	t.Helper()
 	cfg.MaxThreads = threads
 	a := mem.New(mem.Config{Capacity: 1 << 14, MaxThreads: threads, Debug: true})
-	return New(a, cfg), a
+	return NewWFE(a, cfg), a
 }
 
 func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
@@ -514,7 +514,7 @@ func TestMaxStepsBoundedUnderStorm(t *testing.T) {
 	// can be mid-increment; fast path adds MaxAttempts. A generous constant
 	// covers increments already in flight when the loop starts.
 	bound := uint64(4 + 4*(stormers+1) + 8)
-	if got := w.MaxSteps(); got > bound {
+	if got := w.rt.MaxSteps(); got > bound {
 		t.Fatalf("worst GetProtected took %d steps; wait-free bound ~%d", got, bound)
 	}
 }

@@ -36,8 +36,7 @@ import (
 // unique.
 type WFEIBR struct {
 	IBR
-	board
-	specials []interval // helper-side reservations
+	requests
 }
 
 var _ reclaim.Scheme = (*WFEIBR)(nil)
@@ -47,20 +46,16 @@ var _ reclaim.RetireObserver = (*WFEIBR)(nil)
 // NewWFEIBR creates a wait-free 2GEIBR scheme over the given arena.
 func NewWFEIBR(arena *mem.Arena, cfg reclaim.Config) *WFEIBR {
 	w := &WFEIBR{}
-	w.IBR.init(arena, cfg, w)
-	w.board.init(w.cfg.MaxThreads)
-	w.specials = closedIntervals(w.cfg.MaxThreads)
+	w.IBR.init(w, "WFE-IBR", arena, cfg, 4, w.incrementEra) // + the special interval
+	w.requests.init(w.cfg.MaxThreads)
 	return w
 }
 
-// Name implements reclaim.Scheme.
-func (w *WFEIBR) Name() string { return "WFE-IBR" }
-
 // raiseUpper monotonically lifts an interval's upper bound to at least e.
 // Raising is always conservative, so competing raises need no tags.
-func raiseUpper(iv *interval, e uint64) {
+func raiseUpper(upper *atomic.Uint64, e uint64) {
 	for {
-		cur := iv.upper.Load()
+		cur := upper.Load()
 		if cur >= e && cur != pack.Inf {
 			return
 		}
@@ -69,7 +64,7 @@ func raiseUpper(iv *interval, e uint64) {
 			// would resurrect a dead reservation — skip it).
 			return
 		}
-		if iv.upper.CompareAndSwap(cur, e) {
+		if upper.CompareAndSwap(cur, e) {
 			return
 		}
 	}
@@ -79,8 +74,8 @@ func raiseUpper(iv *interval, e uint64) {
 // Each call's combined fast+slow iteration count feeds the shared step
 // histogram — the bounded-steps distribution WFE's construction delivers.
 func (w *WFEIBR) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Handle) uint64 {
-	iv := &w.intervals[tid]
-	prev := iv.upper.Load()
+	upper := w.resv(tid, normal+1)
+	prev := upper.Load()
 	if !w.cfg.ForceSlowPath {
 		for a := 0; a < w.cfg.MaxAttempts; a++ {
 			ret := src.Load()
@@ -89,7 +84,7 @@ func (w *WFEIBR) GetProtected(tid int, src *atomic.Uint64, index int, parent mem
 				w.rt.RecordSteps(tid, uint64(a)+1)
 				return ret
 			}
-			iv.upper.Store(cur)
+			upper.Store(cur)
 			prev = cur
 		}
 	}
@@ -113,7 +108,7 @@ func (w *WFEIBR) getProtectedSlow(tid int, src *atomic.Uint64, parent mem.Handle
 	}
 	st, pending := w.post(tid, src, birth, tag)
 
-	iv := &w.intervals[tid]
+	upper := w.resv(tid, normal+1)
 	for { // bounded by in-flight era increments (WFE Lemma 1)
 		steps++
 		ret := src.Load()
@@ -123,7 +118,7 @@ func (w *WFEIBR) getProtectedSlow(tid int, src *atomic.Uint64, parent mem.Handle
 			w.counterEnd.Add(1)
 			return ret
 		}
-		raiseUpper(iv, cur)
+		raiseUpper(upper, cur)
 		prev = cur
 
 		res := pack.ResPair(st.result.Load())
@@ -131,14 +126,15 @@ func (w *WFEIBR) getProtectedSlow(tid int, src *atomic.Uint64, parent mem.Handle
 			// A helper produced the output and already raised our upper
 			// bound to res.Val() before publishing; raise again for the
 			// self-raced case where our CAS lost.
-			raiseUpper(iv, res.Val())
+			raiseUpper(upper, res.Val())
 			w.counterEnd.Add(1)
 			return res.Ptr()
 		}
 	}
 }
 
-// incrementEra helps all pending requests, then advances the clock.
+// incrementEra helps all pending requests, then advances the clock. It is
+// the clock's advance, so TryAlloc, AdvanceClock and OnRetire all help.
 func (w *WFEIBR) incrementEra(tid int) {
 	w.helpPending(tid, w.helpThread)
 	w.tick(tid)
@@ -152,7 +148,7 @@ func (w *WFEIBR) helpThread(i, tid int) {
 		return
 	}
 	birth := st.era.Load()
-	sp := &w.specials[tid]
+	sp := w.interval(tid, special)
 
 	// Cover the parent block (and everything we may read) with the special
 	// interval before re-validating the request; the re-read proves the
@@ -180,7 +176,7 @@ func (w *WFEIBR) helpThread(i, tid int) {
 			// Hand the reservation over before publishing the result
 			// (scan order: specials first, normals second — the raise
 			// lands before the special interval is released below).
-			raiseUpper(&w.intervals[i], cur)
+			raiseUpper(w.resv(i, normal+1), cur)
 			st.result.CompareAndSwap(uint64(res), uint64(pack.MakeRes(ret, cur)))
 			break
 		}
@@ -194,34 +190,12 @@ func (w *WFEIBR) helpThread(i, tid int) {
 	sp.upper.Store(pack.Inf)
 }
 
-// TryAlloc stamps the birth era, helping before each periodic era advance.
-func (w *WFEIBR) TryAlloc(tid int) (mem.Handle, bool) {
-	if w.allocDue(tid) {
-		w.incrementEra(tid)
-	}
-	return w.alloc(tid)
-}
-
-// AdvanceClock ticks the global era out of the allocation cadence
-// (reclaim.ClockAdvancer) — the emergency-reclamation hook, routed
-// through the wait-free helping path like every other advance.
-func (w *WFEIBR) AdvanceClock(tid int) { w.incrementEra(tid) }
-
-// OnRetire implements reclaim.RetireObserver: the periodic retire-driven
-// era advance, routed through incrementEra so pending requests get helped
-// first.
-func (w *WFEIBR) OnRetire(tid int, n uint64, blk mem.Handle) {
-	if w.retireDue(n) {
-		w.incrementEra(tid)
-	}
-}
-
 // Gather implements reclaim.Judge: special intervals first and normal
 // intervals second (the Lemma 5 scan order for the upper-bound hand-over).
 // The membership test is a union over both classes, so the runtime may
 // sort the gathered endpoints once — after the gather, which keeps the
 // scan order — without touching the proof.
 func (w *WFEIBR) Gather(tid int, s *reclaim.Snapshot) {
-	gatherIntervals(s, w.specials)
-	gatherIntervals(s, w.intervals)
+	w.gatherIntervals(s, special)
+	w.gatherIntervals(s, normal)
 }

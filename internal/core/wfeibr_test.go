@@ -34,7 +34,7 @@ func TestWFEIBRSlowPathSelfCompletion(t *testing.T) {
 		t.Fatalf("counters %d/%d", cs, ce)
 	}
 	// The interval must cover the read.
-	iv := &w.intervals[0]
+	iv := w.interval(0, normal)
 	if iv.upper.Load() == pack.Inf || iv.lower.Load() == pack.Inf {
 		t.Fatal("interval closed right after a protected read")
 	}
@@ -49,7 +49,8 @@ func TestHelperProducesResultAndRaisesUpper(t *testing.T) {
 
 	// Post a request as the slow path would.
 	w.Begin(0)
-	lower := w.intervals[0].lower.Load()
+	iv := w.interval(0, normal)
+	lower := iv.lower.Load()
 	w.counterStart.Add(1)
 	st := &w.slots[0]
 	st.pointer.Store(&root)
@@ -66,14 +67,14 @@ func TestHelperProducesResultAndRaisesUpper(t *testing.T) {
 		t.Fatalf("helper produced %d, want %d", res.Ptr(), h)
 	}
 	// Hand-over: requester's upper must cover the read era.
-	if up := w.intervals[0].upper.Load(); up < res.Val() {
+	if up := iv.upper.Load(); up < res.Val() {
 		t.Fatalf("upper %d below result era %d", up, res.Val())
 	}
-	if lo := w.intervals[0].lower.Load(); lo != lower {
+	if lo := iv.lower.Load(); lo != lower {
 		t.Fatal("helper moved the lower bound")
 	}
 	// The special interval must be released.
-	if w.specials[1].lower.Load() != pack.Inf {
+	if w.interval(1, special).lower.Load() != pack.Inf {
 		t.Fatal("special interval leaked")
 	}
 	w.counterEnd.Add(1)
@@ -104,19 +105,19 @@ func TestIncrementEraHelps(t *testing.T) {
 
 func TestRaiseUpperSkipsClosedIntervals(t *testing.T) {
 	w, _ := newWFEIBR(t, 1, reclaim.Config{})
-	iv := &w.intervals[0]
-	raiseUpper(iv, 55) // closed: must stay closed
+	iv := w.interval(0, normal)
+	raiseUpper(iv.upper, 55) // closed: must stay closed
 	if iv.upper.Load() != pack.Inf {
 		t.Fatal("raise resurrected a closed interval")
 	}
 	w.Begin(0)
 	cur := iv.upper.Load()
-	raiseUpper(iv, cur-0) // no-op raise
-	raiseUpper(iv, cur+9)
+	raiseUpper(iv.upper, cur-0) // no-op raise
+	raiseUpper(iv.upper, cur+9)
 	if iv.upper.Load() != cur+9 {
 		t.Fatalf("upper = %d, want %d", iv.upper.Load(), cur+9)
 	}
-	raiseUpper(iv, cur+2) // lower than current: keep the max
+	raiseUpper(iv.upper, cur+2) // lower than current: keep the max
 	if iv.upper.Load() != cur+9 {
 		t.Fatal("raise lowered the bound")
 	}

@@ -4,11 +4,11 @@ import (
 	"sync"
 	"testing"
 
+	"wfe/internal/core"
 	"wfe/internal/ds/crturn"
 	"wfe/internal/ds/queuetest"
 	"wfe/internal/mem"
 	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 func TestCRTurnSuite(t *testing.T) {
@@ -20,7 +20,7 @@ func TestCRTurnSuite(t *testing.T) {
 func newWFEQueue(t *testing.T, threads int) *queuetest.Payloads {
 	t.Helper()
 	a := mem.New(mem.Config{Capacity: 1 << 14, MaxThreads: threads, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: threads, EraFreq: 16, CleanupFreq: 8})
+	s, err := core.New("WFE", a, reclaim.Config{MaxThreads: threads, EraFreq: 16, CleanupFreq: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

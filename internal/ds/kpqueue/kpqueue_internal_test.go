@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"wfe/internal/core"
 	"wfe/internal/failpoint"
 	"wfe/internal/mem"
 	"wfe/internal/pack"
 	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 // newTestQueue builds a queue for threads tids over a Debug arena and the
@@ -19,7 +19,7 @@ import (
 func newTestQueue(t *testing.T, threads int) (*mem.Arena, reclaim.Scheme, *Queue) {
 	t.Helper()
 	a := mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: threads, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: threads, EraFreq: 8, CleanupFreq: 8})
+	s, err := core.New("WFE", a, reclaim.Config{MaxThreads: threads, EraFreq: 8, CleanupFreq: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"testing"
 
+	"wfe/internal/core"
 	"wfe/internal/ds/kpqueue"
 	"wfe/internal/ds/queuetest"
 	"wfe/internal/failpoint"
 	"wfe/internal/mem"
 	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 func build(smr reclaim.Scheme, maxThreads int) queuetest.Queue {
@@ -50,7 +50,7 @@ func TestKPQueueSuite(t *testing.T) {
 
 func TestKPQueueLen(t *testing.T) {
 	a := mem.New(mem.Config{Capacity: 1 << 10, MaxThreads: 1, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: 1})
+	s, err := core.New("WFE", a, reclaim.Config{MaxThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

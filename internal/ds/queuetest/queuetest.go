@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"wfe/internal/core"
 	"wfe/internal/mem"
 	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 // Queue is the operation set under test; each operation takes the
@@ -66,7 +66,7 @@ var schemesUnderTest = []string{"WFE", "WFE-slow", "HE", "HP", "EBR", "2GEIBR", 
 func start(t testing.TB, build Builder, scheme string, threads, capacity int) *Payloads {
 	t.Helper()
 	a := mem.New(mem.Config{Capacity: capacity, MaxThreads: threads, Debug: true})
-	smr, err := schemes.New(scheme, a, reclaim.Config{MaxThreads: threads, EraFreq: 32, CleanupFreq: 8})
+	smr, err := core.New(scheme, a, reclaim.Config{MaxThreads: threads, EraFreq: 32, CleanupFreq: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

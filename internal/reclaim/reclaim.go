@@ -2,7 +2,9 @@
 // every scheme in this repository implements and every data structure is
 // written against, mirroring the Hazard-Pointers-compatible API the paper
 // standardises on (get_protected / retire / clear / alloc_block) plus the
-// per-operation Begin hook that epoch- and interval-based schemes need.
+// per-operation Begin hook that epoch- and interval-based schemes need,
+// and the shared retire-side runtime (Retirer) behind it. Every scheme
+// lives in internal/core, which builds one by name.
 //
 // Threads are identified by small dense ids (tid in 0..MaxThreads-1)
 // assigned by the caller; every per-thread method must be called with a
@@ -89,6 +91,21 @@ type Scheme interface {
 	// path through which the Domain and harness layers read the uniform
 	// retire/cleanup/step telemetry every scheme now reports.
 	Retirer() *Retirer
+
+	// Era reads the scheme's global clock: the era of the era and interval
+	// schemes, EBR's epoch, and 0 for the clock-less HP and Leak.
+	Era() uint64
+
+	// AdvanceClock advances the global clock out of its allocation
+	// cadence (a no-op for HP and Leak). Emergency reclamation uses it so a
+	// scan triggered by arena exhaustion judges retired blocks against a
+	// fresher clock than the one the stalled allocation path last
+	// advanced; EBR's advance still waits for every active thread.
+	AdvanceClock(tid int)
+
+	// SlowPaths reports how many GetProtected calls requested helping
+	// (WFE and WFE-IBR; 0 for the other schemes).
+	SlowPaths() uint64
 }
 
 // MustAlloc is TryAlloc for harnesses that size the arena up front: it
@@ -99,16 +116,6 @@ func MustAlloc(s Scheme, tid int) mem.Handle {
 		panic(fmt.Sprintf("reclaim: %s: arena exhausted (capacity %d)", s.Name(), s.Arena().Capacity()))
 	}
 	return h
-}
-
-// ClockAdvancer is implemented by the era/epoch-clocked schemes (WFE, HE,
-// EBR, 2GEIBR, WFE-IBR): AdvanceClock ticks the global clock out of its
-// allocation cadence. Emergency reclamation uses it so a scan triggered by
-// arena exhaustion judges retired blocks against a fresher clock than the
-// one the stalled allocation path last advanced; the pointer-identity
-// schemes (HP) and the leak baseline have no clock and do not implement it.
-type ClockAdvancer interface {
-	AdvanceClock(tid int)
 }
 
 // Config carries the tuning parameters shared by the schemes, with the

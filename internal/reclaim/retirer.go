@@ -4,7 +4,7 @@
 // scheme-independent: a per-thread retire list, a CleanupFreq-gated scan
 // cadence, scan telemetry, and the protect-loop step histograms behind the
 // bounded-steps comparison. Retirer owns all of that once; each scheme
-// package shrinks to its era/pointer/epoch logic plus a Judge.
+// shrinks to its era/pointer/epoch logic plus a Judge.
 
 package reclaim
 
