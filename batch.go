@@ -91,9 +91,9 @@ func (g *Guard[T]) endBatch(items int) {
 // Begin/End, as every per-op body does: inside the batch they rotate
 // protection per item, and a batch of one relies on them. fn reports
 // whether its item did any work; the first false
-// stops the batch early without counting it (PopN on an emptied stack,
-// DequeueN on a drained queue). It is the shared skeleton for the batch
-// APIs whose per-item work cannot fail on allocation.
+// stops the batch early without counting it (PopN on an emptied stack).
+// It is the shared skeleton for the batch APIs whose per-item work cannot
+// fail on allocation.
 func (g *Guard[T]) runBatch(n int, fn func(i int) bool) int {
 	if n == 1 {
 		// A batch of one has nothing to amortize: the span, the deferred

@@ -75,7 +75,7 @@ func (a stackBatchAPI) length(g *wfe.Guard[uint64]) int {
 	return a.s.LenGuarded(g)
 }
 
-// batchFifo is the shared batch method set of the three FIFO queues.
+// batchFifo is the shared batch method set of the two FIFO queues.
 type batchFifo interface {
 	TryEnqueueAll(vs []uint64) (int, error)
 	TryEnqueueAllGuarded(g *wfe.Guard[uint64], vs []uint64) (int, error)
@@ -193,7 +193,6 @@ var batchStructures = []struct {
 	build func(d *wfe.Domain[uint64]) batchAPI
 }{
 	{"Stack", func(d *wfe.Domain[uint64]) batchAPI { return stackBatchAPI{wfe.NewStack[uint64](d)} }},
-	{"Queue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI{wfe.NewQueue[uint64](d)} }},
 	{"WFQueue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI{wfe.NewWFQueue[uint64](d)} }},
 	{"TurnQueue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI{wfe.NewTurnQueue[uint64](d)} }},
 	{"HashMap", func(d *wfe.Domain[uint64]) batchAPI { return hashMapBatchAPI{wfe.NewHashMap[uint64](d, 64)} }},
@@ -609,22 +608,6 @@ func TestBatchPartialProgress(t *testing.T) {
 		}
 	})
 
-	t.Run("Queue", func(t *testing.T) {
-		d := build(t)
-		q := wfe.NewQueue[uint64](d)
-		enq, err := q.TryEnqueueAll(vals)
-		if !errors.Is(err, wfe.ErrArenaExhausted) {
-			t.Fatalf("TryEnqueueAll err = %v, want ErrArenaExhausted", err)
-		}
-		if enq == 0 || enq >= len(vals) {
-			t.Fatalf("TryEnqueueAll enqueued = %d, want a proper prefix", enq)
-		}
-		got := q.DequeueN(enq)
-		if len(got) != enq || got[0] != vals[0] || got[enq-1] != vals[enq-1] {
-			t.Fatalf("prefix mismatch: got %d values, first %d last %d", len(got), got[0], got[len(got)-1])
-		}
-	})
-
 	t.Run("HashMap", func(t *testing.T) {
 		d := build(t)
 		m := wfe.NewHashMap[uint64](d, 8)
@@ -667,21 +650,35 @@ func TestBatchPartialProgress(t *testing.T) {
 		}
 	})
 
-	t.Run("WFQueue", func(t *testing.T) {
-		d := build(t)
-		q := wfe.NewWFQueue[uint64](d)
-		enq, err := q.TryEnqueueAll(vals)
-		if !errors.Is(err, wfe.ErrArenaExhausted) {
-			t.Fatalf("TryEnqueueAll err = %v, want ErrArenaExhausted", err)
-		}
-		if enq == 0 || enq >= len(vals) {
-			t.Fatalf("TryEnqueueAll enqueued = %d, want a proper prefix", enq)
-		}
-		got := q.DequeueN(enq + 8)
-		if len(got) != enq || got[0] != vals[0] {
-			t.Fatalf("prefix mismatch: %d values dequeued, enqueued %d", len(got), enq)
-		}
-	})
+	// The FIFO queues: the prefix comes back whole and in order, and
+	// nothing past it was enqueued.
+	for _, fq := range []struct {
+		name  string
+		build func(d *wfe.Domain[uint64]) batchFifo
+	}{
+		{"WFQueue", func(d *wfe.Domain[uint64]) batchFifo { return wfe.NewWFQueue[uint64](d) }},
+		{"TurnQueue", func(d *wfe.Domain[uint64]) batchFifo { return wfe.NewTurnQueue[uint64](d) }},
+	} {
+		t.Run(fq.name, func(t *testing.T) {
+			q := fq.build(build(t))
+			enq, err := q.TryEnqueueAll(vals)
+			if !errors.Is(err, wfe.ErrArenaExhausted) {
+				t.Fatalf("TryEnqueueAll err = %v, want ErrArenaExhausted", err)
+			}
+			if enq == 0 || enq >= len(vals) {
+				t.Fatalf("TryEnqueueAll enqueued = %d, want a proper prefix", enq)
+			}
+			got := q.DequeueN(enq + 8)
+			if len(got) != enq {
+				t.Fatalf("%d values dequeued, enqueued %d", len(got), enq)
+			}
+			for i, v := range got {
+				if v != vals[i] {
+					t.Fatalf("value %d of the prefix dequeued as %d, want %d", i, v, vals[i])
+				}
+			}
+		})
+	}
 }
 
 // TestBatchTraceBracket pins the trace contract: a width-n batch (n > 1)

@@ -82,21 +82,6 @@ var oneItemWriters = []struct {
 			},
 		}
 	}},
-	{"Queue.TryEnqueueAll", func(d *wfe.Domain[uint64]) oneItemOps {
-		q := wfe.NewQueue[uint64](d)
-		return oneItemOps{
-			batch: func(k uint64) error {
-				_, err := q.TryEnqueueAll([]uint64{k})
-				return err
-			},
-			insert: func(g *wfe.Guard[uint64], k uint64) error { return q.TryEnqueueGuarded(g, k) },
-			remove: func(g *wfe.Guard[uint64], _ uint64) { q.DequeueGuarded(g) },
-			drain: func(g *wfe.Guard[uint64]) {
-				for _, ok := q.DequeueGuarded(g); ok; _, ok = q.DequeueGuarded(g) {
-				}
-			},
-		}
-	}},
 }
 
 // TestOneItemBatchWriteDropsProtection runs one one-item guardless batch

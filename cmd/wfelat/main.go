@@ -2,12 +2,11 @@
 // the paper's introduction motivates wait-freedom with ("latency-sensitive
 // applications where execution time of all operations must be bounded").
 //
-// It runs the lock-free Michael–Scott queue against the two wait-free
-// queues (Kogan–Petrank, CRTurn) under a chosen reclamation scheme —
-// through the public Domain/Guard API, the same path applications take —
-// and prints the latency percentiles of enqueue+dequeue pairs. The
-// lock-free queue typically wins on median; the wait-free queues and WFE
-// exist for the tail columns.
+// It runs the paper's two wait-free queues (Kogan–Petrank, CRTurn) under a
+// chosen reclamation scheme — through the public Domain/Guard API, the
+// same path applications take — and prints the latency percentiles of
+// enqueue+dequeue pairs. Run it once per scheme to compare what each
+// scheme's reclamation adds to the tail columns.
 //
 //	wfelat -scheme WFE -workers 8 -duration 3s
 //	wfelat -scheme WFE -json > lat.json       # wfe-lat/v1 artifact
@@ -47,8 +46,7 @@ type Report struct {
 
 // Point is one queue's measured latency distribution.
 type Point struct {
-	Queue    string  `json:"queue"`    // MS | KP | CRTurn
-	Progress string  `json:"progress"` // lock-free | wait-free
+	Queue    string  `json:"queue"` // KP | CRTurn
 	Scheme   string  `json:"scheme"`
 	Workers  int     `json:"workers"`
 	Pairs    int     `json:"pairs"`       // enqueue+dequeue pairs measured
@@ -61,7 +59,7 @@ type Point struct {
 	MaxNS    int64   `json:"max_ns"`
 }
 
-// pairQueue is the common surface of the three public queues under test:
+// pairQueue is the common surface of the two public queues under test:
 // their Guarded methods, run on a pre-acquired guard so the measured pair
 // excludes lease cost.
 type pairQueue interface {
@@ -106,27 +104,24 @@ func main() {
 	}
 
 	if !*jsonOut {
-		fmt.Printf("%-10s %-9s %10s %10s %10s %10s %12s %12s\n",
-			"queue", "progress", "p50", "p99", "p99.9", "p99.99", "max", "pairs/s")
+		fmt.Printf("%-10s %10s %10s %10s %10s %12s %12s\n",
+			"queue", "p50", "p99", "p99.9", "p99.99", "max", "pairs/s")
 	}
 	for _, q := range []struct {
-		name     string
-		progress string
-		build    func(d *wfe.Domain[uint64]) pairQueue
+		name  string
+		build func(d *wfe.Domain[uint64]) pairQueue
 	}{
-		{"MS", "lock-free", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewQueue[uint64](d) }},
-		{"KP", "wait-free", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewWFQueue[uint64](d) }},
-		{"CRTurn", "wait-free", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewTurnQueue[uint64](d) }},
+		{"KP", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewWFQueue[uint64](d) }},
+		{"CRTurn", func(d *wfe.Domain[uint64]) pairQueue { return wfe.NewTurnQueue[uint64](d) }},
 	} {
-		pt, err := measure(kind, q.name, q.progress, *workers, *duration, q.build, reg)
+		pt, err := measure(kind, q.name, *workers, *duration, q.build, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wfelat:", err)
 			os.Exit(1)
 		}
 		rep.Points = append(rep.Points, pt)
 		if !*jsonOut {
-			fmt.Printf("%-10s %-9s %10s %10s %10s %10s %12s %12.0f\n",
-				pt.Queue, pt.Progress,
+			fmt.Printf("%-10s %10s %10s %10s %10s %12s %12.0f\n", pt.Queue,
 				time.Duration(pt.P50NS), time.Duration(pt.P99NS),
 				time.Duration(pt.P999NS), time.Duration(pt.P9999NS),
 				time.Duration(pt.MaxNS), pt.PairsSec)
@@ -142,7 +137,7 @@ func main() {
 	}
 }
 
-func measure(kind wfe.SchemeKind, name, progress string, workers int, duration time.Duration,
+func measure(kind wfe.SchemeKind, name string, workers int, duration time.Duration,
 	build func(*wfe.Domain[uint64]) pairQueue, reg *metrics.Registry) (Point, error) {
 	d, err := wfe.NewDomain[uint64](wfe.Options{
 		Scheme:    kind,
@@ -210,7 +205,6 @@ func measure(kind wfe.SchemeKind, name, progress string, workers int, duration t
 	}
 	return Point{
 		Queue:    name,
-		Progress: progress,
 		Scheme:   kind.String(),
 		Workers:  workers,
 		Pairs:    len(all),

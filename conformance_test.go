@@ -1,6 +1,6 @@
 // Public-API conformance harness: one table-driven matrix runs every
-// built-in structure (Stack, Queue, and the paper's four promoted
-// evaluation workloads — WFQueue, TurnQueue, HashMap, Tree) against every
+// built-in structure (Stack and the paper's four promoted evaluation
+// workloads — WFQueue, TurnQueue, HashMap, Tree) against every
 // SchemeKind (plus the forced-slow-path variants of the wait-free schemes)
 // across all three guard acquisition paths (guardless, pinned,
 // acquire-per-op), with the arena's use-after-free detection armed.
@@ -28,7 +28,7 @@ type conformKind int
 
 const (
 	lifoKind conformKind = iota // Stack
-	fifoKind                    // Queue, WFQueue, TurnQueue
+	fifoKind                    // WFQueue, TurnQueue
 	kvKind                      // HashMap, Tree
 )
 
@@ -73,8 +73,8 @@ func (a stackAPI) length(g *wfe.Guard[uint64]) int {
 	return a.s.LenGuarded(g)
 }
 
-// fifoQueue is the shared method set of the three public FIFO queues
-// (Queue, WFQueue, TurnQueue); one adapter covers them all.
+// fifoQueue is the shared method set of the two public FIFO queues
+// (WFQueue, TurnQueue); one adapter covers both.
 type fifoQueue interface {
 	TryEnqueue(v uint64) error
 	TryEnqueueGuarded(g *wfe.Guard[uint64], v uint64) error
@@ -182,7 +182,6 @@ var conformStructures = []struct {
 	build func(d *wfe.Domain[uint64]) conformAPI
 }{
 	{"Stack", func(d *wfe.Domain[uint64]) conformAPI { return stackAPI{wfe.NewStack[uint64](d)} }},
-	{"Queue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewQueue[uint64](d)} }},
 	{"WFQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewWFQueue[uint64](d)} }},
 	{"TurnQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewTurnQueue[uint64](d)} }},
 	{"HashMap", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 64)} }},
@@ -554,7 +553,6 @@ func TestStructureMethodCounts(t *testing.T) {
 		{(*wfe.HashMap[uint64])(nil), 16},
 		{(*wfe.Tree[uint64])(nil), 14},
 		{(*wfe.Stack[uint64])(nil), 10},
-		{(*wfe.Queue[uint64])(nil), 10},
 		{(*wfe.WFQueue[uint64])(nil), 10},
 		{(*wfe.TurnQueue[uint64])(nil), 10},
 	} {
@@ -564,7 +562,7 @@ func TestStructureMethodCounts(t *testing.T) {
 		}
 		total += typ.NumMethod()
 	}
-	if total != 70 {
-		t.Errorf("the six structures have %d exported methods, want 70", total)
+	if total != 60 {
+		t.Errorf("the five structures have %d exported methods, want 60", total)
 	}
 }

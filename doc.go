@@ -21,8 +21,7 @@
 //     flag-bit support for logical deletion and the Natarajan–Mittal
 //     tag) and atomic root links, replacing the raw uint64 handle
 //     plumbing of the internal layer.
-//   - Stack[T] and Queue[T] — Treiber stack and Michael–Scott queue,
-//     pre-built on the Domain primitives.
+//   - Stack[T] — Treiber stack, pre-built on the Domain primitives.
 //   - WFQueue[T] and TurnQueue[T] — the paper's two wait-free queues
 //     (Kogan–Petrank and CRTurn, Figure 5): combined with the WFE scheme
 //     they are wait-free end to end on a held guard, reclamation and
@@ -86,7 +85,6 @@
 //	sampler.go          the background Sampler: one window of Telemetry
 //	                    rows and the advice judged over it
 //	stack.go            public Treiber stack
-//	queue.go            public Michael–Scott queue
 //	wfqueue.go          public Kogan–Petrank wait-free queue, and nodeQueue,
 //	                    the operations both wait-free queues run, one node
 //	                    per value

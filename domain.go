@@ -119,9 +119,8 @@ type Options struct {
 	// runtime.GOMAXPROCS(0)).
 	MaxGuards int
 	// MaxSlots is the number of protection slots per guard (paper: max_hes;
-	// default 8). Of the built-in structures, Stack needs 1, Queue and
-	// TurnQueue 2, HashMap and WFQueue 3, and Tree 4; the default covers
-	// them all.
+	// default 8). Of the built-in structures, Stack needs 1, TurnQueue 2,
+	// HashMap and WFQueue 3, and Tree 4; the default covers them all.
 	MaxSlots int
 	// EraFreq is ν, the allocations per guard between era-clock increments
 	// (default 150, the paper's §5 value). Lower values reclaim faster at
@@ -195,8 +194,8 @@ type Options struct {
 // error (caught in Debug mode when handles go out of range).
 //
 // A Domain is the public face of the paper's reclamation API. The built-in
-// structures (Stack, Queue, WFQueue, TurnQueue, HashMap, Tree) lease
-// guards from the Domain internally, so simple use never touches a Guard:
+// structures (Stack, WFQueue, TurnQueue, HashMap, Tree) lease guards from
+// the Domain internally, so simple use never touches a Guard:
 //
 //	d, _ := wfe.NewDomain[string](wfe.Options{Scheme: wfe.WFE})
 //	s := wfe.NewStack[string](d)

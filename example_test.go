@@ -177,28 +177,6 @@ func ExampleStack() {
 	// 0
 }
 
-// ExampleQueue: guardless FIFO use.
-func ExampleQueue() {
-	d, _ := wfe.NewDomain[string](wfe.Options{Capacity: 1 << 10})
-	q := wfe.NewQueue[string](d)
-
-	for _, v := range []string{"first", "second"} {
-		if err := q.TryEnqueue(v); err != nil {
-			panic(err)
-		}
-	}
-	for {
-		v, ok := q.Dequeue()
-		if !ok {
-			break
-		}
-		fmt.Println(v)
-	}
-	// Output:
-	// first
-	// second
-}
-
 // ExampleWFQueue: the Kogan–Petrank wait-free queue — with the WFE scheme
 // every operation, memory reclamation included, completes in a bounded
 // number of steps. Values of any type travel through the queue's helping

@@ -1,18 +1,17 @@
-// Wait-free memory reclamation under an MPMC queue: a Michael–Scott queue
-// from the public API, running as a multi-producer multi-consumer pipeline
-// with WFE managing every node.
+// Wait-free memory reclamation under an MPMC queue: the Kogan–Petrank
+// wait-free queue (wfe.WFQueue) from the public API, running as a
+// multi-producer multi-consumer pipeline with WFE managing every node.
 //
-// Bolting lock-free reclamation (Hazard Eras, epochs) onto a queue gives
-// reads unbounded retry loops and lets one stalled consumer hold back every
-// retired node. With WFE each reclamation operation is bounded (paper
-// Theorem 1) and a stalled guard delays at most a bounded set of blocks.
-// This program verifies exactly-once delivery while printing the
-// reclamation census. Producers and consumers pin a guard for their whole
-// run (the hot-loop path of the guard runtime) and drive the queue through
-// the Guarded method variants; the paper's fully wait-free Kogan–Petrank
-// and CRTurn queues are public too (wfe.WFQueue, wfe.TurnQueue) — see
-// examples/waitfreeworkloads for all four promoted evaluation structures
-// on one Domain.
+// Bolting lock-free reclamation (Hazard Eras, epochs) onto a wait-free
+// queue gives its reads unbounded retry loops and lets one stalled
+// consumer hold back every retired node. With WFE each reclamation
+// operation is bounded (paper Theorem 1) and a stalled guard delays at
+// most a bounded set of blocks. This program verifies exactly-once
+// delivery, then scavenges the retire rings and checks that only the
+// queue's sentinel stays live. Producers and consumers pin a guard for
+// their whole run (the hot-loop path of the guard runtime) and drive the
+// queue through the Guarded method variants; see examples/waitfreeworkloads
+// for all four promoted evaluation structures on one Domain.
 //
 // Run with:
 //
@@ -44,7 +43,7 @@ func main() {
 		panic(err)
 	}
 	defer d.Close()
-	q := wfe.NewQueue[uint64](d)
+	q := wfe.NewWFQueue[uint64](d)
 
 	var (
 		wg        sync.WaitGroup
@@ -106,11 +105,17 @@ func main() {
 		panic("delivery mismatch: queue lost or duplicated values")
 	}
 
+	// Each consumer's last, empty dequeue released the node it held, so
+	// scanning every retire ring leaves only the sentinel live.
+	scavenged := d.Scavenge()
 	t := d.Telemetry()
-	fmt.Printf("arena: allocs=%d frees=%d live=%d — every dequeued node was reclaimed wait-free\n",
-		t.Allocs, t.Frees, t.InUse)
+	fmt.Printf("arena: allocs=%d frees=%d live=%d after scavenging %d blocks\n",
+		t.Allocs, t.Frees, t.InUse, scavenged)
 	fmt.Printf("unreclaimed backlog now: %d blocks; WFE slow paths: %d; era: %d\n",
 		t.Unreclaimed, t.SlowPaths, t.Era)
 	fmt.Printf("guard runtime: %d pool acquisitions for %d workers (cache hits %d)\n",
 		t.GuardAcquires, producers+consumers, t.GuardCacheHits)
+	if t.Unreclaimed != 0 || t.InUse != 1 {
+		panic("census mismatch: a dequeued node was not reclaimed")
+	}
 }

@@ -270,13 +270,6 @@ func TestTryVariantsSurfaceExhaustion(t *testing.T) {
 					t.Fatalf("TryPush error = %v, want ErrArenaExhausted", err)
 				}
 			})
-			t.Run("queue", func(t *testing.T) {
-				q := wfe.NewQueue[uint64](smallDomain(t, kind, 64))
-				err := fillUntil(t, func() error { return q.TryEnqueue(7) })
-				if !errors.Is(err, wfe.ErrArenaExhausted) {
-					t.Fatalf("TryEnqueue error = %v, want ErrArenaExhausted", err)
-				}
-			})
 			t.Run("wfqueue", func(t *testing.T) {
 				q := wfe.NewWFQueue[uint64](smallDomain(t, kind, 128))
 				err := fillUntil(t, func() error { return q.TryEnqueue(7) })
@@ -379,10 +372,6 @@ func TestPanicVariantsLeakNothing(t *testing.T) {
 		{"Stack.Push", func(d *wfe.Domain[uint64]) func() error {
 			s := wfe.NewStack[uint64](d)
 			return func() error { return s.TryPush(7) }
-		}},
-		{"Queue.Enqueue", func(d *wfe.Domain[uint64]) func() error {
-			q := wfe.NewQueue[uint64](d)
-			return func() error { return q.TryEnqueue(7) }
 		}},
 		{"WFQueue.Enqueue", func(d *wfe.Domain[uint64]) func() error {
 			q := wfe.NewWFQueue[uint64](d)

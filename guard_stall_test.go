@@ -87,6 +87,61 @@ func TestStalledGuardSurvivesFlushAndDrain(t *testing.T) {
 	})
 }
 
+// TestStalledProtectWordKeepsChild stalls a reader holding a ProtectWord
+// reservation on a block reached through another block's link word, then
+// unlinks and retires that block from another guard and drives cleanup
+// scans past the stall: the block must stay alive and intact. The block
+// is allocated after the era clock has moved past the reader's root
+// reservation, so under every scheme but EBR and Leak only the
+// ProtectWord reservation covers it.
+func TestStalledProtectWordKeepsChild(t *testing.T) {
+	forEachScheme(t, func(t *testing.T, kind wfe.SchemeKind, forceSlow bool) {
+		d := testDomain(t, kind, 2, 1<<14, forceSlow)
+		reader := d.Guard()
+		writer := d.Guard()
+		scratch := wfe.NewStack[uint64](d)
+		churn := func() {
+			for i := 0; i < 512; i++ {
+				if err := scratch.TryPushGuarded(writer, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+				scratch.PopGuarded(writer)
+			}
+		}
+
+		var root wfe.Atomic[uint64]
+		parent := writer.Alloc(0)
+		root.Store(parent)
+
+		reader.Begin()
+		p := reader.Protect(&root, 0)
+		churn()
+		child := writer.Alloc(0xdead)
+		writer.Store(parent, 0, child)
+		if got := reader.ProtectWord(p, 0, 1); got != child {
+			t.Fatalf("ProtectWord read %v, want the linked block %v", got, child)
+		}
+		if !writer.CompareAndSwap(parent, 0, child, wfe.Ref[uint64]{}) {
+			t.Fatal("unlink CAS failed with no contention")
+		}
+		writer.Retire(child)
+		churn()
+		if v := reader.Value(child); v != 0xdead {
+			t.Fatalf("block protected through ProtectWord corrupted during stall: value %#x, want 0xdead", v)
+		}
+
+		reader.End()
+		root.Store(wfe.Ref[uint64]{})
+		writer.Retire(parent)
+		reader.Release()
+		writer.Release()
+		d.Scavenge()
+		if err := quiesce.Check(d, kind != wfe.Leak); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestAcquireGuardExplicitCancel parks an acquirer on a fully-held pool
 // and cancels it explicitly: the park must return context.Canceled
 // promptly, and the pool must stay fully usable afterwards — a canceled
