@@ -13,12 +13,13 @@ import "wfe/internal/trace"
 //
 //   - one lease: the guardless batch wrappers Pin once and run every
 //     item under that guard;
-//   - one protection span where the scheme allows it: BeginBatch reports
-//     whether a single reservation covers the whole burst (era, epoch and
-//     interval schemes — one span is indistinguishable from one long
-//     operation) or whether protection must still rotate per item (hazard
-//     pointers protect one identity per slot, so batchStep re-arms them
-//     between items);
+//   - one protection span on every scheme: beginBatch runs the scheme's
+//     Begin and endBatch its Clear, and to any scheme a burst bracketed
+//     so is one long operation. An era, epoch or interval reservation
+//     covers every block the burst touches; a hazard pointer left by an
+//     earlier item keeps only its one node from reuse until a later item
+//     overwrites the slot or the span closes, the conservatism of any
+//     long hazard-pointer operation;
 //   - one retire submission: Guard.Retire diverts into batchRetires while
 //     the context is open, and endBatch hands the whole run to
 //     Scheme.RetireBatch, which bumps the scan-gating counter once — the
@@ -29,42 +30,30 @@ import "wfe/internal/trace"
 // like the protection slots themselves: a Guard is single-threaded by
 // contract, so none of these fields are atomic.
 
-// beginBatch opens the batch context on g. intended is the item count the
-// caller plans to run (0 when open-ended, e.g. PopN draining early); it
-// only labels the trace span. Callers must pair it with endBatch, usually
-// via defer, so a panicking item cannot strand the guard with batching
-// set and retires undelivered. While the context is open, Guard.Begin and
-// Guard.End degrade to batch-aware forms, so the per-op Guarded method
-// bodies run unchanged inside a batch.
+// beginBatch opens the batch context on g and its one protection span,
+// the scheme's Begin. intended is the item count the caller plans to run
+// (0 when open-ended, e.g. PopN draining early); it only labels the trace
+// span. Callers must pair it with endBatch, usually via defer, so a
+// panicking item cannot strand the guard with batching set and retires
+// undelivered. While the context is open, Guard.Begin and Guard.End do
+// nothing, so the per-op Guarded method bodies run unchanged inside a
+// batch and every item stays protected until endBatch.
 func (g *Guard[T]) beginBatch(intended int) {
 	if g.batching {
 		panic("wfe: nested batch operation on one guard")
 	}
 	g.batching = true
-	g.batchSpan = g.d.scheme().s.BeginBatch(g.tid)
+	g.d.scheme().s.Begin(g.tid)
 	g.d.tracer.Emit(g.tid, trace.KindBatchBegin, uint64(intended), 0)
 }
 
-// batchStep is what Guard.End does between consecutive items of a batch.
-// Under a batch-wide span it is free: the reservation taken at
-// beginBatch keeps covering the next item. When the scheme declined a
-// span (hazard pointers), it clears the guard's slots exactly as End
-// would, so each item re-protects from scratch and the per-item HP
-// safety argument is untouched — batching then amortizes only the lease
-// and the retire cadence, never protection.
-func (g *Guard[T]) batchStep() {
-	if !g.batchSpan {
-		g.d.scheme().s.Clear(g.tid)
-	}
-}
-
 // endBatch closes the batch context: submit the deferred retires as one
-// burst, drop the batch-wide reservation, and account the batch. Retires
-// go in before the span closes, mirroring the per-op order (Retire, then
-// End); the deferred stamps read the scheme clock at submission, which is
-// >= its value at each unlink — strictly more conservative, so every
-// per-scheme safety argument carries over. items is the number of
-// operations the batch actually ran.
+// burst, close the span with the scheme's Clear, and account the batch.
+// Retires go in before the span closes, mirroring the per-op order
+// (Retire, then End); the deferred stamps read the scheme clock at
+// submission, which is >= its value at each unlink — strictly more
+// conservative, so every per-scheme safety argument carries over. items
+// is the number of operations the batch actually ran.
 func (g *Guard[T]) endBatch(items int) {
 	sch := g.d.scheme().s
 	retired := len(g.batchRetires)
@@ -79,21 +68,19 @@ func (g *Guard[T]) endBatch(items int) {
 		// loop reuses it without reallocating.
 		g.batchRetires = g.batchRetires[:0]
 	}
-	sch.EndBatch(g.tid)
+	sch.Clear(g.tid)
 	g.batching = false
-	g.batchSpan = false
 	g.noteBatch(items)
 	g.d.tracer.Emit(g.tid, trace.KindBatchEnd, uint64(items), uint64(retired))
 }
 
 // runBatch runs fn(i) for each i in [0, n) inside one batch context and
 // returns how many items completed. Each item must run inside its own
-// Begin/End, as every per-op body does: inside the batch they rotate
-// protection per item, and a batch of one relies on them. fn reports
-// whether its item did any work; the first false
-// stops the batch early without counting it (PopN on an emptied stack).
-// It is the shared skeleton for the batch APIs whose per-item work cannot
-// fail on allocation.
+// Begin/End, as every per-op body does: inside the batch they do nothing,
+// and a batch of one relies on them. fn reports whether its item did any
+// work; the first false stops the batch early without counting it (PopN
+// on an emptied stack). It is the shared skeleton for the batch APIs
+// whose per-item work cannot fail on allocation.
 func (g *Guard[T]) runBatch(n int, fn func(i int) bool) int {
 	if n == 1 {
 		// A batch of one has nothing to amortize: the span, the deferred

@@ -68,9 +68,8 @@ func batchChurn(b *testing.B, kind wfe.SchemeKind, width int) {
 // BenchmarkBatch runs batchChurn per operation and at each batch width
 // under every scheme that recycles blocks (the Leak baseline would fill
 // the arena). Width 1 measures the batch path's fixed overhead, the wider
-// rows its amortization: one lease, one protection span on the era, epoch
-// and interval schemes (HP still rotates hazards per item), and one
-// retire submission per burst.
+// rows its amortization: one lease, one protection span and one retire
+// submission per burst.
 func BenchmarkBatch(b *testing.B) {
 	for _, kind := range wfe.AllSchemes() {
 		if kind == wfe.Leak {

@@ -1157,13 +1157,11 @@ type Guard[T any] struct {
 	// parking counts a lease-cache hit when it is set.
 	unpinned bool
 
-	// Batch-context state (see batch.go). While batching, Retire diverts
-	// into batchRetires for one RetireBatch submission at endBatch;
-	// batchSpan records BeginBatch's verdict — whether one reservation
-	// span covers the whole batch, or the runner must Clear between items
-	// (HP). Owner-goroutine only, reset by endBatch.
+	// Batch-context state (see batch.go). While batching, one protection
+	// span covers every item, on every scheme, and Retire diverts into
+	// batchRetires for one RetireBatch submission at endBatch.
+	// Owner-goroutine only, reset by endBatch.
 	batching     bool
-	batchSpan    bool
 	batchRetires []mem.Handle
 	// batchNodes are reusable backing arrays for the up-front allocation
 	// runs of the batch write APIs (scratchNodes), so a guard running
@@ -1225,10 +1223,9 @@ func (g *Guard[T]) Release() {
 
 // Begin marks the start of a data-structure operation. Epoch- and
 // interval-based schemes announce activity here; WFE, HE and HP no-op.
-// Inside a batch context the announcement made at beginBatch already
-// covers the item (and for HP, Begin is a no-op regardless), so Begin
-// does nothing — which lets the batch APIs reuse the per-op Guarded
-// method bodies unchanged (see batch.go).
+// Inside a batch context the span opened at beginBatch already covers
+// the item, so Begin does nothing — which lets the batch APIs reuse the
+// per-op Guarded method bodies unchanged (see batch.go).
 func (g *Guard[T]) Begin() {
 	if g.batching {
 		return
@@ -1238,13 +1235,11 @@ func (g *Guard[T]) Begin() {
 
 // End marks the end of an operation, dropping every protection the guard
 // holds (the paper's clear()). Refs obtained from Protect must not be
-// dereferenced after End. Inside a batch context End degrades to
-// batchStep: a no-op under a batch-wide reservation span, a per-item
-// hazard clear under HP — so each batched item keeps exactly the per-op
-// HP protection discipline.
+// dereferenced after End. Inside a batch context End does nothing on
+// every scheme: the batch's one span, closed by endBatch, keeps covering
+// the next item, as one long operation would.
 func (g *Guard[T]) End() {
 	if g.batching {
-		g.batchStep()
 		return
 	}
 	g.d.scheme().s.Clear(g.tid)

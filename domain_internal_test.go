@@ -164,3 +164,65 @@ func TestNewDomainCommitsNoCapacity(t *testing.T) {
 	}
 	runtime.KeepAlive(d)
 }
+
+// TestBatchSpanHoldsProtection checks that a batch is one protection span
+// on every scheme that recycles blocks: a block an item protected stays
+// protected after that item's End, until the batch closes. Guard g opens
+// a batch and protects a root block in its first item; guard w unlinks
+// and retires the block and scans with the clock advancing. The block
+// must stay allocated, at its version, until endBatch, and a Scavenge
+// after g's release must free it.
+func TestBatchSpanHoldsProtection(t *testing.T) {
+	for _, kind := range AllSchemes() {
+		if kind == Leak {
+			continue // never recycles a block
+		}
+		t.Run(kind.String(), func(t *testing.T) {
+			d, err := NewDomain[int](Options{
+				Scheme:      kind,
+				Capacity:    1 << 10,
+				MaxGuards:   2,
+				EraFreq:     1,
+				CleanupFreq: 1,
+				Debug:       true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, w := d.Guard(), d.Guard()
+			var root Atomic[int]
+			blk := w.Alloc(1)
+			root.Store(blk)
+			h := blk.handle()
+
+			g.beginBatch(2)
+			g.Begin()
+			if got := g.Protect(&root, 0); got != blk {
+				t.Fatalf("item 1 protected %v, want the root block %v", got, blk)
+			}
+			g.End()
+
+			ver := d.arena.Version(h)
+			w.Begin()
+			root.Store(Ref[int]{})
+			w.Retire(blk)
+			w.End()
+			sch := d.scheme().s
+			for range 4 {
+				sch.AdvanceClock(w.tid)
+				sch.Retirer().Scan(w.tid)
+			}
+			if !d.arena.Live(h) || d.arena.Version(h) != ver {
+				t.Fatal("block freed while the batch span still covered it")
+			}
+			g.endBatch(1)
+
+			g.Release()
+			w.Release()
+			d.Scavenge()
+			if d.arena.Live(h) {
+				t.Fatal("block still allocated after the batch closed and Scavenge ran")
+			}
+		})
+	}
+}

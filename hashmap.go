@@ -307,10 +307,10 @@ func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
 	}
 }
 
-// MultiGet looks up every key in one batch: one guard lease and — on
-// era, epoch and interval schemes — one protection span cover the whole
-// burst (see batch.go for the amortization model). Results are
-// positional: vals[i], oks[i] answer keys[i].
+// MultiGet looks up every key in one batch: one guard lease and one
+// protection span cover the whole burst (see batch.go for the
+// amortization model). Results are positional: vals[i], oks[i] answer
+// keys[i].
 func (m *HashMap[T]) MultiGet(keys []uint64) (vals []T, oks []bool) {
 	g := m.d.Pin()
 	defer m.d.unpin(g)

@@ -17,20 +17,20 @@
 // Each piece exists once, in base: the era clock (clock), the padded
 // row-major reservation board (board), the per-thread records, the shared
 // reclaim.Retirer, and every reclaim.Scheme method that only forwards or
-// stamps. A scheme embeds base and supplies Begin, GetProtected, Clear,
-// BeginBatch and its Judge, plus the PreScanner, RetireObserver or
-// TwoPhase hook it needs. A helping scheme embeds its base scheme and one
-// request board (requests), and advances the clock through incrementEra, so
-// that every tick helps every pending request first — that is what bounds
-// the slow path (Lemma 1). The judges are the reservation shapes of
+// stamps. A scheme embeds base and supplies Begin, GetProtected, Clear
+// and its Judge, plus the PreScanner, RetireObserver or TwoPhase hook it
+// needs. A helping scheme embeds its base scheme and one request board
+// (requests), and advances the clock through incrementEra, so that every
+// tick helps every pending request first — that is what bounds the slow
+// path (Lemma 1). The judges are the reservation shapes of
 // reclaim.Snapshot: EraReserved for HE and WFE, IntervalReserved for 2GEIBR
 // and WFE-IBR, HandleReserved for HP, and the two-epoch grace rule for EBR.
 //
 // Go embedding has no virtual dispatch, so base reaches the embedding
 // scheme in two ways only, both fixed when the scheme is built: base.init
-// takes the outermost scheme, which judges for the Retirer and clears for
-// EndBatch, and clock.start takes the scheme's advance, which every tick
-// site (TryAlloc, AdvanceClock, PreScan, OnRetire) calls.
+// takes the outermost scheme, which judges for the Retirer, and
+// clock.start takes the scheme's advance, which every tick site
+// (TryAlloc, AdvanceClock, PreScan, OnRetire) calls.
 //
 // New and Lookup map each legend name, the -slow ablation variants
 // included, to its constructor.
@@ -134,7 +134,6 @@ type base struct {
 	cfg     reclaim.Config
 	rt      *reclaim.Retirer
 	threads []threadState
-	self    reclaim.Scheme // the outermost scheme, whose Clear EndBatch runs
 }
 
 // init builds the base of s, the outermost scheme. s judges for the
@@ -142,7 +141,7 @@ type base struct {
 // judge-less mode. The board and the clock are the scheme's to set up.
 func (b *base) init(s reclaim.Scheme, name string, arena *mem.Arena, cfg reclaim.Config) {
 	cfg = cfg.Defaults()
-	b.self, b.name, b.arena, b.cfg = s, name, arena, cfg
+	b.name, b.arena, b.cfg = name, arena, cfg
 	b.freq, b.tracer = uint64(cfg.EraFreq), cfg.Tracer
 	b.threads = make([]threadState, cfg.MaxThreads)
 	judge, _ := s.(reclaim.Judge)
@@ -164,9 +163,6 @@ func (b *base) Unreclaimed() int { return b.rt.Unreclaimed() }
 // SlowPaths implements reclaim.Scheme: 0, except where a helping scheme's
 // request board (requests.SlowPaths) shadows it.
 func (b *base) SlowPaths() uint64 { return 0 }
-
-// EndBatch implements reclaim.Scheme: the batch-wide Clear.
-func (b *base) EndBatch(tid int) { b.self.Clear(tid) }
 
 // TryAlloc implements the paper's alloc_block: the clock advances on its
 // cadence (the thread's first allocation, then every EraFreq-th), then the

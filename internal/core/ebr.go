@@ -64,16 +64,6 @@ func (e *EBR) Clear(tid int) {
 	e.resv(tid, 0).Store(0)
 }
 
-// BeginBatch implements reclaim.Scheme: one epoch announcement covers a
-// whole batch of operations (the announcement pins the epoch for as long
-// as it stands, however many blocks the batch touches), so a single span
-// suffices. Holding it across the batch delays the epoch advance exactly
-// as one long operation would.
-func (e *EBR) BeginBatch(tid int) bool {
-	e.Begin(tid)
-	return true
-}
-
 // tryAdvance is the clock's advance: it bumps the global epoch iff every
 // active thread has announced it. This is the blocking step: a stalled
 // active announcement pins the epoch forever.

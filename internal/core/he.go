@@ -78,14 +78,6 @@ func (h *HE) PreScan(tid int, blk mem.Handle) {
 	}
 }
 
-// BeginBatch implements reclaim.Scheme: era reservations stay published
-// until Clear, so the slots a batch's GetProtected calls fill remain valid
-// across items — one span per batch, no prologue needed. Holding the
-// reservations across the batch is the same conservatism as one long
-// operation. Under WFE a slow path inside a batch publishes and completes
-// its request exactly as in the per-op path.
-func (h *HE) BeginBatch(tid int) bool { return true }
-
 // Clear implements the paper's clear.
 func (h *HE) Clear(tid int) { h.clearSlots(tid) }
 

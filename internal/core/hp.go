@@ -60,14 +60,6 @@ func (h *HP) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Han
 	}
 }
 
-// BeginBatch implements reclaim.Scheme and reports false: a hazard slot
-// protects exactly one node identity, so no single span can cover a batch
-// — the runner must Clear between items and let each operation's
-// GetProtected calls rotate hazard slots per node, exactly as in the
-// per-op path. Batching under HP amortizes the lease and the retire
-// cadence, never the protection itself.
-func (h *HP) BeginBatch(tid int) bool { return false }
-
 // Clear resets the hazard slots used since the previous Clear.
 func (h *HP) Clear(tid int) { h.clearSlots(tid) }
 

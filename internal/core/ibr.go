@@ -105,18 +105,6 @@ func (ib *IBR) Clear(tid int) {
 	iv.upper.Store(pack.Inf)
 }
 
-// BeginBatch implements reclaim.Scheme: one reservation interval spans the
-// whole batch — GetProtected (fast or slow path) keeps raising its upper
-// bound as the era moves, so the open interval covers every block the
-// batch touches. The cost is the same conservatism as one long operation:
-// a wider interval for the scans to respect. WFE-IBR's helpers touch the
-// interval only by raising its upper bound, which batching does not
-// change.
-func (ib *IBR) BeginBatch(tid int) bool {
-	ib.Begin(tid)
-	return true
-}
-
 // OnRetire implements reclaim.RetireObserver: the era also advances on
 // retirement (not just allocation) so that retire-heavy phases with no
 // allocations still make reclamation progress. Under WFE-IBR the advance

@@ -41,8 +41,3 @@ func (l *Leak) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.H
 
 // Clear implements reclaim.Scheme.
 func (l *Leak) Clear(tid int) {}
-
-// BeginBatch implements reclaim.Scheme: leaked blocks are never reused, so
-// a batch needs no re-protection between items — a single (empty) span
-// suffices.
-func (l *Leak) BeginBatch(tid int) bool { return true }

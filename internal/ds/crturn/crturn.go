@@ -90,14 +90,17 @@ type ownerState struct {
 	_       [40]byte
 }
 
-// Queue is a wait-free MPMC FIFO queue.
+// Queue is a wait-free MPMC FIFO queue. Its read-mostly fields fill the
+// first cache line and head and tail, which every operation CASes, the
+// second (TestLayout).
 type Queue struct {
 	a          *mem.Arena
 	maxThreads int
-	head       atomic.Uint64
-	tail       atomic.Uint64
 	threads    []perThread
 	owners     []ownerState
+	head       atomic.Uint64
+	tail       atomic.Uint64
+	_          [48]byte
 }
 
 // New creates an empty queue for up to maxThreads (< 255) registered

@@ -118,20 +118,29 @@ const (
 	hpNext  = 2 // successor of head/tail
 )
 
+// stateSlot is one thread's descriptor and its owner-only bookkeeping.
+// Every other tid's helpOne reads desc, while the owner writes cursor on
+// every operation and held on every dequeue, so the two halves sit on
+// separate cache lines (TestLayout).
 type stateSlot struct {
 	desc   atomic.Uint64
+	_      [56]byte
 	held   mem.Handle // node last returned by Dequeue; owner-only
 	cursor int        // descriptor helpOne reads next; owner-only
-	_      [40]byte
+	_      [48]byte
 }
 
-// Queue is a wait-free multi-producer multi-consumer FIFO queue.
+// Queue is a wait-free multi-producer multi-consumer FIFO queue. Its
+// read-mostly fields fill the first cache line and head and tail, which
+// every operation CASes, the second (TestLayout).
 type Queue struct {
 	a          *mem.Arena
 	maxThreads int
+	state      []stateSlot
+	_          [24]byte
 	head       atomic.Uint64 // sentinel handle
 	tail       atomic.Uint64
-	state      []stateSlot
+	_          [48]byte
 }
 
 // New creates an empty queue for up to maxThreads registered threads

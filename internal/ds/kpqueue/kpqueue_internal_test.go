@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wfe/internal/core"
 	"wfe/internal/failpoint"
@@ -221,4 +222,28 @@ func TestRecycledNodePublishedZeroed(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLayout pins the cache-line layout. A Queue's read-mostly fields
+// fill its first 64 bytes, and head and tail, which every operation
+// CASes, the second line. A stateSlot's desc, which every other tid's
+// helpOne reads, has a line apart from the owner-written held and cursor.
+func TestLayout(t *testing.T) {
+	var q Queue
+	var st stateSlot
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"Queue.head offset", unsafe.Offsetof(q.head), 64},
+		{"Queue.tail offset", unsafe.Offsetof(q.tail), 72},
+		{"Queue size", unsafe.Sizeof(q), 128},
+		{"stateSlot.held offset", unsafe.Offsetof(st.held), 64},
+		{"stateSlot.cursor offset", unsafe.Offsetof(st.cursor), 72},
+		{"stateSlot size", unsafe.Sizeof(st), 128},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.got, c.want)
+		}
+	}
 }

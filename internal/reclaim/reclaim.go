@@ -44,24 +44,10 @@ type Scheme interface {
 	Retire(tid int, h mem.Handle)
 
 	// Clear resets all reservations made by the thread (paper: clear()).
-	// Data structures call it at the end of every operation.
+	// Data structures call it at the end of every operation. A burst of
+	// operations bracketed by one Begin and one Clear is, to every
+	// scheme, one long operation.
 	Clear(tid int)
-
-	// BeginBatch opens one protection span intended to cover a whole burst
-	// of operations, and reports whether that single span suffices.
-	// Era-, epoch- and interval-clocked schemes (EBR, HE, WFE, 2GEIBR,
-	// WFE-IBR) return true: one announced epoch or reservation interval
-	// covers every block protected inside the span, so the batch runner may
-	// keep it open across items. Identity schemes (HP) return false — a
-	// hazard slot protects exactly one node, so the runner must still Clear
-	// between items to rotate hazard slots per node, exactly as in the
-	// per-op path. Encoding the distinction here keeps call sites free of
-	// per-scheme special cases.
-	BeginBatch(tid int) bool
-
-	// EndBatch closes the span opened by BeginBatch, resetting every
-	// reservation the batch made (the batch-wide Clear).
-	EndBatch(tid int)
 
 	// RetireBatch retires every block of an operation burst at once: each
 	// block is era-stamped and queued like Retire would, but the

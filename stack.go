@@ -93,12 +93,12 @@ func (s *Stack[T]) PopGuarded(g *Guard[T]) (v T, ok bool) {
 }
 
 // TryPushAll pushes every value in one batch: one guard lease, one
-// protection span where the scheme allows it, nodes allocated up front
-// (see batch.go). Values land on the stack in slice order, so vs[len-1]
-// ends up on top. The whole run is allocated before any protection is
-// announced; on exhaustion mid-run the values whose nodes were obtained
-// are still pushed and TryPushAll reports that prefix length alongside
-// ErrArenaExhausted — callers resume from vs[pushed:].
+// protection span, nodes allocated up front (see batch.go). Values land
+// on the stack in slice order, so vs[len-1] ends up on top. The whole run
+// is allocated before any protection is announced; on exhaustion mid-run
+// the values whose nodes were obtained are still pushed and TryPushAll
+// reports that prefix length alongside ErrArenaExhausted — callers resume
+// from vs[pushed:].
 func (s *Stack[T]) TryPushAll(vs []T) (pushed int, err error) {
 	g := s.d.Pin()
 	defer s.d.unpin(g)

@@ -435,13 +435,12 @@ func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, 
 }
 
 // TryMultiInsert inserts every key→val pair in one batch: one guard
-// lease, one protection span where the scheme allows it, and both blocks
-// of every insert allocated up front (see batch.go). inserted[i] reports
-// whether keys[i] was absent and went in. The whole run — a leaf and a
-// routing node per key — is allocated before any protection is announced
-// (the per-op lazy-allocation optimization cannot be used under an open
-// batch span, since an exhaustion stall must never run with reservations
-// held). When the arena runs out mid-run the pairs whose blocks were
+// lease, one protection span, and both blocks of every insert allocated
+// up front (see batch.go). inserted[i] reports whether keys[i] was absent
+// and went in. The whole run — a leaf and a routing node per key — is
+// allocated before any protection is announced (the per-op
+// lazy-allocation optimization cannot be used under an open batch span,
+// since an exhaustion stall must never run with reservations held). When the arena runs out mid-run the pairs whose blocks were
 // obtained are still attempted; attempted reports that prefix length
 // alongside ErrArenaExhausted, and inserted[i] is false for every
 // unattempted i — callers resume from keys[attempted:].
