@@ -41,7 +41,7 @@ type batchAPI interface {
 	// getOne reads one key through the per-op path (every kv structure
 	// has it; the HashMap additionally gets getAll coverage).
 	getOne(g *wfe.Guard[uint64], k uint64) (uint64, bool)
-	length(g *wfe.Guard[uint64]) int
+	length() int
 }
 
 type stackBatchAPI struct{ s *wfe.Stack[uint64] }
@@ -68,12 +68,7 @@ func (a stackBatchAPI) deleteAll(*wfe.Guard[uint64], []uint64) []bool { panic("s
 func (a stackBatchAPI) getOne(*wfe.Guard[uint64], uint64) (uint64, bool) {
 	panic("stack: no getOne")
 }
-func (a stackBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.s.Len()
-	}
-	return a.s.LenGuarded(g)
-}
+func (a stackBatchAPI) length() int { return a.s.Len() }
 
 // batchFifo is the shared batch method set of the two FIFO queues.
 type batchFifo interface {
@@ -82,7 +77,6 @@ type batchFifo interface {
 	DequeueN(n int) []uint64
 	DequeueNGuarded(g *wfe.Guard[uint64], n int) []uint64
 	Len() int
-	LenGuarded(g *wfe.Guard[uint64]) int
 }
 
 type fifoBatchAPI struct{ q batchFifo }
@@ -109,12 +103,7 @@ func (a fifoBatchAPI) deleteAll(*wfe.Guard[uint64], []uint64) []bool { panic("fi
 func (a fifoBatchAPI) getOne(*wfe.Guard[uint64], uint64) (uint64, bool) {
 	panic("fifo: no getOne")
 }
-func (a fifoBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.q.Len()
-	}
-	return a.q.LenGuarded(g)
-}
+func (a fifoBatchAPI) length() int { return a.q.Len() }
 
 type hashMapBatchAPI struct{ m *wfe.HashMap[uint64] }
 
@@ -147,12 +136,7 @@ func (a hashMapBatchAPI) getOne(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
 	}
 	return vals[0], oks[0]
 }
-func (a hashMapBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.m.Len()
-	}
-	return a.m.LenGuarded(g)
-}
+func (a hashMapBatchAPI) length() int { return a.m.Len() }
 
 type treeBatchAPI struct{ t *wfe.Tree[uint64] }
 
@@ -181,12 +165,7 @@ func (a treeBatchAPI) getOne(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
 	}
 	return a.t.GetGuarded(g, k)
 }
-func (a treeBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.t.Len()
-	}
-	return a.t.LenGuarded(g)
-}
+func (a treeBatchAPI) length() int { return a.t.Len() }
 
 var batchStructures = []struct {
 	name  string
@@ -330,7 +309,7 @@ func batchModelPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI) {
 		if err := api.insertAll(g, nil); err != nil { // empty batch: a no-op, not a panic
 			t.Fatal(err)
 		}
-		if n := api.length(g); n != 10 {
+		if n := api.length(); n != 10 {
 			t.Fatalf("Len after insertAll = %d, want 10", n)
 		}
 		got := api.removeN(g, 4)
@@ -350,7 +329,7 @@ func batchModelPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI) {
 		if len(rest) != 6 {
 			t.Fatalf("removeN(100) returned %d values, want the remaining 6", len(rest))
 		}
-		if n := api.length(g); n != 0 {
+		if n := api.length(); n != 0 {
 			t.Fatalf("Len after drain = %d, want 0", n)
 		}
 	case kvKind:
@@ -375,7 +354,7 @@ func batchModelPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI) {
 			}
 		}
 		api.deleteAll(g, []uint64{4, 5})
-		if n := api.length(g); n != 0 {
+		if n := api.length(); n != 0 {
 			t.Fatalf("Len after deletes = %d, want 0", n)
 		}
 	}
@@ -532,7 +511,7 @@ func batchDrainPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI, kind wfe
 		for len(api.removeN(g, 64)) > 0 {
 		}
 	}
-	if n := api.length(g); n != 0 {
+	if n := api.length(); n != 0 {
 		g.Release()
 		t.Fatalf("structure not empty after drain: Len = %d", n)
 	}

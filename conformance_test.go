@@ -46,7 +46,7 @@ type conformAPI interface {
 	// get and put are kv-only; sequences never see them.
 	get(g *wfe.Guard[uint64], k uint64) (uint64, bool)
 	put(g *wfe.Guard[uint64], k, v uint64) error
-	length(g *wfe.Guard[uint64]) int
+	length() int
 }
 
 type stackAPI struct{ s *wfe.Stack[uint64] }
@@ -66,12 +66,7 @@ func (a stackAPI) remove(g *wfe.Guard[uint64], _ uint64) (uint64, bool) {
 }
 func (a stackAPI) get(*wfe.Guard[uint64], uint64) (uint64, bool) { panic("stack: no get") }
 func (a stackAPI) put(*wfe.Guard[uint64], uint64, uint64) error  { panic("stack: no put") }
-func (a stackAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.s.Len()
-	}
-	return a.s.LenGuarded(g)
-}
+func (a stackAPI) length() int                                   { return a.s.Len() }
 
 // fifoQueue is the shared method set of the two public FIFO queues
 // (WFQueue, TurnQueue); one adapter covers both.
@@ -81,7 +76,6 @@ type fifoQueue interface {
 	Dequeue() (uint64, bool)
 	DequeueGuarded(g *wfe.Guard[uint64]) (uint64, bool)
 	Len() int
-	LenGuarded(g *wfe.Guard[uint64]) int
 }
 
 type fifoAPI struct{ q fifoQueue }
@@ -101,12 +95,7 @@ func (a fifoAPI) remove(g *wfe.Guard[uint64], _ uint64) (uint64, bool) {
 }
 func (a fifoAPI) get(*wfe.Guard[uint64], uint64) (uint64, bool) { panic("queue: no get") }
 func (a fifoAPI) put(*wfe.Guard[uint64], uint64, uint64) error  { panic("queue: no put") }
-func (a fifoAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.q.Len()
-	}
-	return a.q.LenGuarded(g)
-}
+func (a fifoAPI) length() int                                   { return a.q.Len() }
 
 type hashMapAPI struct{ m *wfe.HashMap[uint64] }
 
@@ -135,12 +124,7 @@ func (a hashMapAPI) put(g *wfe.Guard[uint64], k, v uint64) error {
 	}
 	return a.m.TryPutGuarded(g, k, v)
 }
-func (a hashMapAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.m.Len()
-	}
-	return a.m.LenGuarded(g)
-}
+func (a hashMapAPI) length() int { return a.m.Len() }
 
 type treeAPI struct{ t *wfe.Tree[uint64] }
 
@@ -169,12 +153,7 @@ func (a treeAPI) put(g *wfe.Guard[uint64], k, v uint64) error {
 	}
 	return a.t.TryPutGuarded(g, k, v)
 }
-func (a treeAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.t.Len()
-	}
-	return a.t.LenGuarded(g)
-}
+func (a treeAPI) length() int { return a.t.Len() }
 
 // conformStructures is the structure axis of the matrix.
 var conformStructures = []struct {
@@ -278,7 +257,7 @@ func conformModelPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI) {
 				t.Fatalf("insert(%d): %v", v, err)
 			}
 		}
-		if n := api.length(g); n != 100 {
+		if n := api.length(); n != 100 {
 			t.Fatalf("Len = %d, want 100", n)
 		}
 		for i := 0; i < 100; i++ {
@@ -305,7 +284,7 @@ func conformModelPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI) {
 			key := uint64(rng.Intn(conformKeyRange + 16))
 			oracleStep(t, api, g, model, i, rng.Intn(4), key)
 		}
-		if n := api.length(g); n != len(model) {
+		if n := api.length(); n != len(model) {
 			t.Fatalf("Len = %d, model has %d keys", n, len(model))
 		}
 		for key := range model { // leave the structure empty for what follows
@@ -484,7 +463,7 @@ func conformDrainPhase(t *testing.T, d *wfe.Domain[uint64], api conformAPI, kind
 			}
 		}
 	}
-	if n := api.length(g); n != 0 {
+	if n := api.length(); n != 0 {
 		g.Release()
 		t.Fatalf("structure not empty after drain: Len = %d", n)
 	}
@@ -550,11 +529,11 @@ func TestStructureMethodCounts(t *testing.T) {
 		typ  any
 		want int
 	}{
-		{(*wfe.HashMap[uint64])(nil), 16},
-		{(*wfe.Tree[uint64])(nil), 14},
-		{(*wfe.Stack[uint64])(nil), 10},
-		{(*wfe.WFQueue[uint64])(nil), 10},
-		{(*wfe.TurnQueue[uint64])(nil), 10},
+		{(*wfe.HashMap[uint64])(nil), 15},
+		{(*wfe.Tree[uint64])(nil), 13},
+		{(*wfe.Stack[uint64])(nil), 9},
+		{(*wfe.WFQueue[uint64])(nil), 9},
+		{(*wfe.TurnQueue[uint64])(nil), 9},
 	} {
 		typ := reflect.TypeOf(tc.typ)
 		if got := typ.NumMethod(); got != tc.want {
@@ -562,7 +541,7 @@ func TestStructureMethodCounts(t *testing.T) {
 		}
 		total += typ.NumMethod()
 	}
-	if total != 60 {
-		t.Errorf("the five structures have %d exported methods, want 60", total)
+	if total != 55 {
+		t.Errorf("the five structures have %d exported methods, want 55", total)
 	}
 }

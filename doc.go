@@ -41,10 +41,11 @@
 // slots with one table: a Domain makes one Guard per slot, and acquiring
 // a guard claims its slot with one CAS on that slot's own state word. The
 // structures' plain methods are guardless (each operation leases a guard,
-// first the one last unpinned on its P, parking when all are held),
-// Domain.Pin/Unpin amortize that lease over a batch, and
-// Domain.Guard/TryGuard/AcquireGuard hand out explicit Guards for fixed
-// worker sets. See the Guard type's documentation for the full picture.
+// first the one last unpinned on its P, parking when all are held; Len,
+// a quiescent count, takes no guard at all), Domain.Pin/Unpin amortize
+// that lease over a batch, and Domain.Guard/TryGuard/AcquireGuard hand
+// out explicit Guards for fixed worker sets. See the Guard type's
+// documentation for the full picture.
 //
 // See ExampleDomain for the quickstart and ExampleGuard for building a
 // custom structure on the primitives.

@@ -1378,6 +1378,18 @@ func (g *Guard[T]) Value(r Ref[T]) T {
 	return *g.d.vals.At(h - 1)
 }
 
+// load and loadMeta are Guard.Load and Guard.LoadMeta without a guard, for
+// the structures' quiescent Len walks: they protect nothing, so they need
+// no tid. The Guard forms keep their own bodies so that they stay within
+// the inliner's budget on the traversal paths.
+func (d *Domain[T]) load(r Ref[T], word int) Ref[T] {
+	return Ref[T]{d.arena.LoadWord(r.handle(), word) & pack.PtrMask}
+}
+
+func (d *Domain[T]) loadMeta(r Ref[T], word int) uint64 {
+	return d.arena.LoadWord(r.handle(), word)
+}
+
 // Load atomically reads link word `word` of block r, mark bit included.
 // Use Protect/ProtectWord instead when the referenced block must stay
 // alive across the read.

@@ -72,7 +72,7 @@ func runKVFuzz(t *testing.T, d *wfe.Domain[uint64], api conformAPI, data []byte)
 	for i, b := range ops {
 		oracleStep(t, api, g, model, i, int(b>>6), uint64(b&0x3F))
 	}
-	if n := api.length(g); n != len(model) {
+	if n := api.length(); n != len(model) {
 		t.Fatalf("Len = %d, model has %d keys", n, len(model))
 	}
 	for key, wantV := range model {
@@ -147,7 +147,7 @@ func runKVBatchFuzz(t *testing.T, d *wfe.Domain[uint64], m *wfe.HashMap[uint64],
 		vs = append(vs, uint64(i)+1) // what oracleStep's put would store
 	}
 	flush()
-	if n := api.length(g); n != len(model) {
+	if n := api.length(); n != len(model) {
 		t.Fatalf("Len = %d, model has %d keys", n, len(model))
 	}
 	for key, wantV := range model {

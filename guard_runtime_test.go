@@ -322,34 +322,35 @@ func TestFlushIgnoresHeldGuards(t *testing.T) {
 	}
 }
 
-// TestWaitFreeQueueLenTakesNoGuard pins that the wait-free queues' Len
-// reads the core's count without leasing a guard: with every guard held,
-// it still returns, where a lease would park until a guard came back.
-func TestWaitFreeQueueLenTakesNoGuard(t *testing.T) {
-	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 10, MaxGuards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wq, tq := wfe.NewWFQueue(d), wfe.NewTurnQueue(d)
-	for i := 0; i < 3; i++ {
-		if err := wq.TryEnqueue(i); err != nil {
-			t.Fatal(err)
-		}
-		if err := tq.TryEnqueue(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for g, ok := d.TryGuard(); ok; g, ok = d.TryGuard() {
-		defer g.Release()
-	}
-	lens := make(chan [2]int, 1)
-	go func() { lens <- [2]int{wq.Len(), tq.Len()} }()
-	select {
-	case got := <-lens:
-		if got != [2]int{3, 3} {
-			t.Fatalf("Len() = %v (WFQueue, TurnQueue), want 3 each", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Len parked with every guard held")
+// TestLenTakesNoGuard pins that every structure's Len walks it without
+// leasing a guard: with every guard held, Len still returns the right
+// count, where a lease would park until a guard came back.
+func TestLenTakesNoGuard(t *testing.T) {
+	for _, st := range conformStructures {
+		t.Run(st.name, func(t *testing.T) {
+			d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 10, MaxGuards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			api := st.build(d)
+			for k := uint64(0); k < 3; k++ {
+				if _, err := api.insert(nil, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for g, ok := d.TryGuard(); ok; g, ok = d.TryGuard() {
+				defer g.Release()
+			}
+			n := make(chan int, 1)
+			go func() { n <- api.length() }()
+			select {
+			case got := <-n:
+				if got != 3 {
+					t.Fatalf("Len() = %d, want 3", got)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Len parked with every guard held")
+			}
+		})
 	}
 }

@@ -31,12 +31,13 @@ const (
 // It needs 3 protection slots per guard (Options.MaxSlots >= 3, which the
 // default satisfies).
 //
-// The plain methods (TryInsert, Delete, Get, TryPut, Len) are guardless:
-// each leases a guard from the Domain's guard runtime for the duration of
-// the operation, so any number of goroutines may call them. The Guarded
-// variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops. The writes return ErrArenaExhausted when the arena stays
-// full after the Domain's emergency-reclamation pipeline.
+// The plain methods (TryInsert, Delete, Get, TryPut) are guardless: each
+// leases a guard from the Domain's guard runtime for the duration of the
+// operation, so any number of goroutines may call them; Len takes no
+// guard at all. The Guarded variants take an explicit or pinned Guard and
+// skip the lease — use them in hot loops. The writes return
+// ErrArenaExhausted when the arena stays full after the Domain's
+// emergency-reclamation pipeline.
 type HashMap[T any] struct {
 	d       *Domain[T]
 	buckets []Atomic[T]
@@ -161,11 +162,20 @@ func (m *HashMap[T]) Get(key uint64) (v T, ok bool) {
 	return m.GetGuarded(g, key)
 }
 
-// Len counts reachable, unmarked nodes; meaningful only quiescently.
+// Len counts reachable, unmarked nodes; meaningful only quiescently. It
+// walks the buckets without a guard, so it never parks.
 func (m *HashMap[T]) Len() int {
-	g := m.d.Pin()
-	defer m.d.unpin(g)
-	return m.LenGuarded(g)
+	n := 0
+	for i := range m.buckets {
+		for r := m.buckets[i].Load(); !r.IsNil(); {
+			next := m.d.load(r, mapNext)
+			if !next.Marked() {
+				n++
+			}
+			r = next.Unmarked()
+		}
+	}
+	return n
 }
 
 // TryInsert adds key→val; ok is false (leaving the map unchanged) when
@@ -371,19 +381,4 @@ func (m *HashMap[T]) TryMultiPutGuarded(g *Guard[T], keys []uint64, vals []T) (a
 		return true
 	})
 	return applied, err
-}
-
-// LenGuarded is Len on a caller-held guard.
-func (m *HashMap[T]) LenGuarded(g *Guard[T]) int {
-	n := 0
-	for i := range m.buckets {
-		for r := m.buckets[i].Load(); !r.IsNil(); {
-			next := g.Load(r, mapNext)
-			if !next.Marked() {
-				n++
-			}
-			r = next.Unmarked()
-		}
-	}
-	return n
 }

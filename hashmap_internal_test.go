@@ -107,7 +107,7 @@ func TestSingleBucketDegeneratesToList(t *testing.T) {
 				t.Fatalf("bulk insert %d = %v, %v", k, ok, err)
 			}
 		}
-		if n := m.LenGuarded(g); n != 101 {
+		if n := m.Len(); n != 101 {
 			t.Fatalf("Len = %d, want 101", n)
 		}
 		for k := uint64(3); k <= 300; k += 3 {
@@ -161,7 +161,7 @@ func TestSingleBucketDegeneratesToList(t *testing.T) {
 					model[key] = val
 				}
 			}
-			if n := m.LenGuarded(g); n != len(model) {
+			if n := m.Len(); n != len(model) {
 				t.Fatalf("seed %d: Len = %d, model %d", seed, n, len(model))
 			}
 		}

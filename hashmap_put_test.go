@@ -11,68 +11,80 @@ import (
 	"wfe/internal/failpoint"
 )
 
-// TestHashMapPutNeverHidesKey is a linearizability probe for TryPut: a
-// put that replaces a present key must never make a concurrent Get miss
-// it. One goroutine re-puts four keys of a one-bucket map a fixed number
+// TestPutNeverHidesKey is a linearizability probe for TryPut on both
+// key-value structures: a put that replaces a present key must never make
+// a concurrent Get miss it. One goroutine re-puts four keys a fixed number
 // of times while another reads them until the puts are done; every Get
-// must find its key. A put that unlinked the old node before linking the
-// new one leaves a window in which the key is absent, which this probe
-// hits hundreds of times per scheme.
-func TestHashMapPutNeverHidesKey(t *testing.T) {
+// must find its key, and Len must count each key once. A put that unlinked
+// the old node before linking the new one leaves a window in which the key
+// is absent, which this probe hits hundreds of times per scheme on the
+// HashMap and tens of thousands on the Tree.
+func TestPutNeverHidesKey(t *testing.T) {
 	const (
 		keys = 4
 		puts = 20_000
 	)
-	for _, kind := range wfe.AllSchemes() {
-		t.Run(kind.String(), func(t *testing.T) {
-			d, err := wfe.NewDomain[uint64](wfe.Options{Scheme: kind, Capacity: puts + 1024, MaxGuards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := wfe.NewHashMap[uint64](d, 1)
-			for k := uint64(0); k < keys; k++ {
-				if err := m.TryPut(k, k); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var done atomic.Bool
-			var gets, misses int
-			var started, wg sync.WaitGroup
-			started.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				g := d.Pin()
-				defer d.Unpin(g)
-				started.Done()
-				for k := uint64(0); ; k = (k + 1) % keys {
-					if _, ok := m.GetGuarded(g, k); !ok {
-						misses++
+	for _, st := range []struct {
+		name  string
+		build func(d *wfe.Domain[uint64]) conformAPI
+	}{
+		// One bucket: the four keys share one chain.
+		{"HashMap", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 1)} }},
+		{"Tree", func(d *wfe.Domain[uint64]) conformAPI { return treeAPI{wfe.NewTree[uint64](d)} }},
+	} {
+		t.Run(st.name, func(t *testing.T) {
+			for _, kind := range wfe.AllSchemes() {
+				t.Run(kind.String(), func(t *testing.T) {
+					d, err := wfe.NewDomain[uint64](wfe.Options{Scheme: kind, Capacity: puts + 1024, MaxGuards: 2})
+					if err != nil {
+						t.Fatal(err)
 					}
-					gets++
-					if done.Load() {
-						return
+					api := st.build(d)
+					for k := uint64(0); k < keys; k++ {
+						if err := api.put(nil, k, k); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-			}()
-			started.Wait()
-			g := d.Pin()
-			for i := uint64(0); i < puts; i++ {
-				if err := m.TryPutGuarded(g, i%keys, i); err != nil {
-					t.Error(err)
-					break
-				}
+					var done atomic.Bool
+					var gets, misses int
+					var started, wg sync.WaitGroup
+					started.Add(1)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						g := d.Pin()
+						defer d.Unpin(g)
+						started.Done()
+						for k := uint64(0); ; k = (k + 1) % keys {
+							if _, ok := api.get(g, k); !ok {
+								misses++
+							}
+							gets++
+							if done.Load() {
+								return
+							}
+						}
+					}()
+					started.Wait()
+					g := d.Pin()
+					for i := uint64(0); i < puts; i++ {
+						if err := api.put(g, i%keys, i); err != nil {
+							t.Error(err)
+							break
+						}
+					}
+					d.Unpin(g)
+					done.Store(true)
+					wg.Wait()
+					if misses != 0 {
+						t.Fatalf("Get missed a present key %d times in %d Gets during %d puts", misses, gets, puts)
+					}
+					if n := api.length(); n != keys {
+						t.Fatalf("Len = %d after the puts, want %d", n, keys)
+					}
+					t.Logf("%d Gets, 0 misses", gets)
+				})
 			}
-			d.Unpin(g)
-			done.Store(true)
-			wg.Wait()
-			if misses != 0 {
-				t.Fatalf("Get missed a present key %d times in %d Gets during %d puts", misses, gets, puts)
-			}
-			if n := m.Len(); n != keys {
-				t.Fatalf("Len = %d after the puts, want %d", n, keys)
-			}
-			t.Logf("%d Gets, 0 misses", gets)
 		})
 	}
 }

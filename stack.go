@@ -7,12 +7,12 @@ const stackNext = 0
 // the reclamation API (Figure 2), here on the typed Domain façade. It
 // needs 1 protection slot per guard.
 //
-// The plain methods (TryPush, Pop, Len) are guardless: each leases a
-// guard from the Domain's guard runtime for the duration of the
-// operation, so any number of goroutines may call them. The Guarded
-// variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops. The writes return ErrArenaExhausted when the arena stays
-// full after the Domain's emergency-reclamation pipeline.
+// The plain methods (TryPush, Pop) are guardless: each leases a guard
+// from the Domain's guard runtime for the duration of the operation, so
+// any number of goroutines may call them; Len takes no guard at all. The
+// Guarded variants take an explicit or pinned Guard and skip the lease —
+// use them in hot loops. The writes return ErrArenaExhausted when the
+// arena stays full after the Domain's emergency-reclamation pipeline.
 type Stack[T any] struct {
 	d   *Domain[T]
 	top Atomic[T]
@@ -30,11 +30,14 @@ func (s *Stack[T]) Pop() (v T, ok bool) {
 	return s.PopGuarded(g)
 }
 
-// Len counts the nodes; it is only meaningful quiescently.
+// Len counts the nodes; it is only meaningful quiescently. It walks the
+// stack without a guard, so it never parks.
 func (s *Stack[T]) Len() int {
-	g := s.d.Pin()
-	defer s.d.unpin(g)
-	return s.LenGuarded(g)
+	n := 0
+	for r := s.top.Load(); !r.IsNil(); r = s.d.load(r, stackNext) {
+		n++
+	}
+	return n
 }
 
 // TryPush adds v to the top of the stack. When the arena stays exhausted
@@ -136,13 +139,4 @@ func (s *Stack[T]) PopNGuarded(g *Guard[T], n int) []T {
 		return ok
 	})
 	return out
-}
-
-// LenGuarded is Len on a caller-held guard.
-func (s *Stack[T]) LenGuarded(g *Guard[T]) int {
-	n := 0
-	for r := s.top.Load(); !r.IsNil(); r = g.Load(r, stackNext) {
-		n++
-	}
-	return n
 }

@@ -167,7 +167,7 @@ func stressOne(t *testing.T, st stressStructure, kind wfe.SchemeKind, forceSlow 
 			api.remove(g, key)
 		}
 	}
-	if n := api.length(g); n != 0 {
+	if n := api.length(); n != 0 {
 		g.Release()
 		t.Fatalf("%s not empty after drain: Len = %d", st.name, n)
 	}

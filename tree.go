@@ -43,13 +43,14 @@ func treeFrozen[T any](edge Ref[T]) bool { return edge.Marked() || edge.Flagged(
 // internal node and one leaf, and the thread whose grandparent CAS
 // succeeds retires both, exactly once.
 //
-// The plain methods (TryInsert, Delete, Get, TryPut, Len) are guardless:
-// each leases a guard from the Domain's guard runtime for the duration of
-// the operation, so any number of goroutines may call them. The Guarded
-// variants take an explicit or pinned Guard and skip the lease — use them
-// in hot loops. The writes return ErrArenaExhausted when the arena stays
-// full after the Domain's emergency-reclamation pipeline. Keys above
-// TreeKeyMax collide with the sentinel skeleton and panic at the call.
+// The plain methods (TryInsert, Delete, Get, TryPut) are guardless: each
+// leases a guard from the Domain's guard runtime for the duration of the
+// operation, so any number of goroutines may call them; Len takes no
+// guard at all. The Guarded variants take an explicit or pinned Guard and
+// skip the lease — use them in hot loops. The writes return
+// ErrArenaExhausted when the arena stays full after the Domain's
+// emergency-reclamation pipeline. Keys above TreeKeyMax collide with the
+// sentinel skeleton and panic at the call.
 type Tree[T any] struct {
 	d *Domain[T]
 	// root ("R") and its left child ("S") are sentinels that are never
@@ -204,12 +205,9 @@ func (t *Tree[T]) Get(key uint64) (v T, ok bool) {
 	return t.GetGuarded(g, key)
 }
 
-// Len counts real-key leaves; meaningful only quiescently.
-func (t *Tree[T]) Len() int {
-	g := t.d.Pin()
-	defer t.d.unpin(g)
-	return t.LenGuarded(g)
-}
+// Len counts real-key leaves; meaningful only quiescently. It walks the
+// tree without a guard, so it never parks.
+func (t *Tree[T]) Len() int { return t.countLeaves(t.root) }
 
 // checkKey rejects sentinel-range keys. Letting one through would be
 // catastrophic, not just wrong: seek terminates on the ∞1/∞2 sentinel
@@ -234,17 +232,19 @@ func (t *Tree[T]) TryInsert(key uint64, val T) (ok bool, err error) {
 // TryInsertGuarded is TryInsert on a caller-held guard.
 func (t *Tree[T]) TryInsertGuarded(g *Guard[T], key uint64, val T) (ok bool, err error) {
 	t.checkKey(key)
-	return t.insert(g, key, val, Ref[T]{}, Ref[T]{})
+	return t.write(g, key, val, false, Ref[T]{}, Ref[T]{})
 }
 
-// insert is the seek-and-link loop of every insert, run inside its own
-// Begin/End section. It needs two blocks, a leaf holding val and a
-// routing node. The batch inserts pass both in, allocated before their
-// protection span, and then insert cannot fail; the per-op path passes
-// nil Refs, and each block is allocated once the key is known absent, so
-// a duplicate-key insert pays nothing. On a duplicate key the blocks in
-// hand, never published, go back to the arena.
-func (t *Tree[T]) insert(g *Guard[T], key uint64, val T, newLeaf, newInt Ref[T]) (ok bool, err error) {
+// write is the seek-and-link loop of every Tree write, run inside its own
+// Begin/End section with one seek per attempt. A present key is left alone
+// unless replace is set, when a fresh leaf swings in at the parent edge and
+// the old leaf is retired. An absent key gets a new leaf and a routing node
+// between it and the leaf the seek ended on. The batch inserts pass both
+// blocks in, allocated before their protection span, and then write cannot
+// fail; the per-op paths pass nil Refs, and each block is allocated once a
+// seek shows it is needed, so a duplicate-key insert pays nothing. A block
+// in hand that goes unused, never published, goes back to the arena.
+func (t *Tree[T]) write(g *Guard[T], key uint64, val T, replace bool, newLeaf, newInt Ref[T]) (ok bool, err error) {
 	g.Begin()
 	defer g.End()
 	var sr treeSeek[T]
@@ -252,7 +252,8 @@ func (t *Tree[T]) insert(g *Guard[T], key uint64, val T, newLeaf, newInt Ref[T])
 	for {
 		t.seek(g, key, &sr)
 		leafKey := g.LoadMeta(sr.leaf, treeKey)
-		if leafKey == key {
+		found := leafKey == key
+		if found && !replace {
 			if !newLeaf.IsNil() {
 				g.Dealloc(newLeaf)
 			}
@@ -270,46 +271,45 @@ func (t *Tree[T]) insert(g *Guard[T], key uint64, val T, newLeaf, newInt Ref[T])
 				continue // the seek window went stale while unprotected
 			}
 		}
-		if newInt.IsNil() {
-			if newInt, stale, err = g.allocInside(zero); err != nil {
-				g.Dealloc(newLeaf)
-				return false, err
+		g.StoreMeta(newLeaf, treeKey, key)
+		g.StoreMeta(newLeaf, treeIsLeaf, 1)
+		link := newLeaf
+		if !found {
+			if newInt.IsNil() {
+				if newInt, stale, err = g.allocInside(zero); err != nil {
+					g.Dealloc(newLeaf)
+					return false, err
+				}
+				if stale {
+					continue
+				}
 			}
-			if stale {
-				continue
+			// The new internal node routes between the new leaf and the old one.
+			if key < leafKey {
+				g.StoreMeta(newInt, treeKey, leafKey)
+				g.Store(newInt, treeLeft, newLeaf)
+				g.Store(newInt, treeRight, sr.leaf)
+			} else {
+				g.StoreMeta(newInt, treeKey, key)
+				g.Store(newInt, treeLeft, sr.leaf)
+				g.Store(newInt, treeRight, newLeaf)
 			}
+			link = newInt
 		}
-		if t.linkLeaf(g, key, leafKey, &sr, newLeaf, newInt) {
+		if g.CompareAndSwap(sr.par, sr.leafDir, sr.leafEdge, link) {
+			if found {
+				g.Retire(sr.leaf)
+				if !newInt.IsNil() { // wired on an attempt that found key absent
+					g.Dealloc(newInt)
+				}
+			}
 			return true, nil
 		}
+		// Edge changed; if a deletion froze it, help before retrying.
+		if treeFrozen(g.Load(sr.par, sr.leafDir)) {
+			t.cleanup(g, sr.anc, sr.par)
+		}
 	}
-}
-
-// linkLeaf stamps newLeaf with key, wires the routing node newInt between
-// it and the leaf the seek terminated on, then attempts the parent-edge
-// swing. On a lost CAS it helps any deletion that froze the edge and
-// reports false so the caller re-seeks.
-func (t *Tree[T]) linkLeaf(g *Guard[T], key, leafKey uint64, sr *treeSeek[T], newLeaf, newInt Ref[T]) bool {
-	g.StoreMeta(newLeaf, treeKey, key)
-	g.StoreMeta(newLeaf, treeIsLeaf, 1)
-	// The new internal node routes between the new leaf and the old one.
-	if key < leafKey {
-		g.StoreMeta(newInt, treeKey, leafKey)
-		g.Store(newInt, treeLeft, newLeaf)
-		g.Store(newInt, treeRight, sr.leaf)
-	} else {
-		g.StoreMeta(newInt, treeKey, key)
-		g.Store(newInt, treeLeft, sr.leaf)
-		g.Store(newInt, treeRight, newLeaf)
-	}
-	if g.CompareAndSwap(sr.par, sr.leafDir, sr.leafEdge, newInt) {
-		return true
-	}
-	// Edge changed; if a deletion froze it, help before retrying.
-	if treeFrozen(g.Load(sr.par, sr.leafDir)) {
-		t.cleanup(g, sr.anc, sr.par)
-	}
-	return false
 }
 
 // DeleteGuarded is Delete on a caller-held guard.
@@ -373,65 +373,8 @@ func (t *Tree[T]) TryPut(key uint64, val T) error {
 // TryPutGuarded is TryPut on a caller-held guard.
 func (t *Tree[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
 	t.checkKey(key)
-	for {
-		done, found, err := t.tryReplace(g, key, val)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		if !found {
-			ok, err := t.TryInsertGuarded(g, key, val)
-			if err != nil {
-				return err
-			}
-			if ok {
-				return nil
-			}
-		}
-	}
-}
-
-// tryReplace swaps the key's leaf for a fresh one, retrying its CAS for
-// as long as the key stays on the search path. The replacement leaf is
-// allocated once and reused across attempts (as insert does), so a
-// contended put pays one alloc, not one per CAS retry. found reports
-// whether the key was present (false directs the put to the insert path);
-// done reports whether the replacement landed.
-func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, err error) {
-	g.Begin()
-	defer g.End()
-	var sr treeSeek[T]
-	var newLeaf Ref[T]
-	for {
-		t.seek(g, key, &sr)
-		if g.LoadMeta(sr.leaf, treeKey) != key {
-			if !newLeaf.IsNil() {
-				g.Dealloc(newLeaf) // never published
-			}
-			return false, false, nil
-		}
-		if newLeaf.IsNil() {
-			var stale bool
-			if newLeaf, stale, err = g.allocInside(val); err != nil {
-				return false, false, err
-			}
-			g.StoreMeta(newLeaf, treeKey, key)
-			g.StoreMeta(newLeaf, treeIsLeaf, 1)
-			if stale {
-				continue // the seek window went stale while unprotected
-			}
-		}
-		if g.CompareAndSwap(sr.par, sr.leafDir, sr.leafEdge, newLeaf) {
-			g.Retire(sr.leaf)
-			return true, true, nil
-		}
-		// Edge changed; if a deletion froze it, help before retrying.
-		if treeFrozen(g.Load(sr.par, sr.leafDir)) {
-			t.cleanup(g, sr.anc, sr.par)
-		}
-	}
+	_, err := t.write(g, key, val, true, Ref[T]{}, Ref[T]{})
+	return err
 }
 
 // TryMultiInsert inserts every key→val pair in one batch: one guard
@@ -440,10 +383,11 @@ func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, 
 // and went in. The whole run — a leaf and a routing node per key — is
 // allocated before any protection is announced (the per-op
 // lazy-allocation optimization cannot be used under an open batch span,
-// since an exhaustion stall must never run with reservations held). When the arena runs out mid-run the pairs whose blocks were
-// obtained are still attempted; attempted reports that prefix length
-// alongside ErrArenaExhausted, and inserted[i] is false for every
-// unattempted i — callers resume from keys[attempted:].
+// since an exhaustion stall must never run with reservations held). When
+// the arena runs out mid-run the pairs whose blocks were obtained are
+// still attempted; attempted reports that prefix length alongside
+// ErrArenaExhausted, and inserted[i] is false for every unattempted i —
+// callers resume from keys[attempted:].
 func (t *Tree[T]) TryMultiInsert(keys []uint64, vals []T) (inserted []bool, attempted int, err error) {
 	g := t.d.Pin()
 	defer t.d.unpin(g)
@@ -480,9 +424,9 @@ func (t *Tree[T]) TryMultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (i
 	}
 	inserted = make([]bool, len(keys))
 	attempted = g.runBatch(len(leaves), func(i int) bool {
-		// Both blocks are in hand, so insert allocates nothing and its
+		// Both blocks are in hand, so write allocates nothing and its
 		// error is always nil.
-		inserted[i], _ = t.insert(g, keys[i], vals[i], leaves[i], ints[i])
+		inserted[i], _ = t.write(g, keys[i], vals[i], false, leaves[i], ints[i])
 		return true
 	})
 	return inserted, attempted, err
@@ -511,24 +455,19 @@ func (t *Tree[T]) MultiDeleteGuarded(g *Guard[T], keys []uint64) (oks []bool) {
 	return oks
 }
 
-// LenGuarded is Len on a caller-held guard.
-func (t *Tree[T]) LenGuarded(g *Guard[T]) int {
-	return t.countLeaves(g, t.root)
-}
-
-func (t *Tree[T]) countLeaves(g *Guard[T], n Ref[T]) int {
-	if t.isLeaf(g, n) {
-		if g.LoadMeta(n, treeKey) <= TreeKeyMax {
+func (t *Tree[T]) countLeaves(n Ref[T]) int {
+	if t.d.loadMeta(n, treeIsLeaf) == 1 {
+		if t.d.loadMeta(n, treeKey) <= TreeKeyMax {
 			return 1
 		}
 		return 0
 	}
 	c := 0
-	if l := g.Load(n, treeLeft).Clean(); !l.IsNil() {
-		c += t.countLeaves(g, l)
+	if l := t.d.load(n, treeLeft).Clean(); !l.IsNil() {
+		c += t.countLeaves(l)
 	}
-	if r := g.Load(n, treeRight).Clean(); !r.IsNil() {
-		c += t.countLeaves(g, r)
+	if r := t.d.load(n, treeRight).Clean(); !r.IsNil() {
+		c += t.countLeaves(r)
 	}
 	return c
 }

@@ -144,6 +144,3 @@ func (q *nodeQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
 	})
 	return out
 }
-
-// LenGuarded is Len; the guard is unused.
-func (q *nodeQueue[T]) LenGuarded(g *Guard[T]) int { return q.Len() }
